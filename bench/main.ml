@@ -400,6 +400,16 @@ let jobs_sweep () =
    [speedup_p<N>]; the perf gate reads [speedup_p2] from this very
    sweep. *)
 
+(* The grid the sweep's shard ledgers record; the parent verifies the
+   workers' ledgers against it. *)
+let sweep_grid =
+  Core.Json.Assoc
+    [ ( "chips",
+        Core.Json.List
+          (List.map (fun c -> Core.Json.String c.Gpusim.Chip.name) sweep_chips)
+      );
+      ("runs", Core.Json.Int sweep_runs) ]
+
 let worker_flag = "--procs-worker"
 let worker_log_flag = "--procs-log"
 
@@ -423,17 +433,9 @@ let procs_worker_main spec log =
       | Ok l -> Some (Core.Runlog.cache_of_ledger l)
       | Error _ -> None)
   in
-  let grid =
-    Core.Json.Assoc
-      [ ( "chips",
-          Core.Json.List
-            (List.map
-               (fun c -> Core.Json.String c.Gpusim.Chip.name)
-               sweep_chips) );
-        ("runs", Core.Json.Int sweep_runs) ]
-  in
   let header =
-    Core.Runlog.make_header ~shard:spec ~campaign:"bench-table5" ~seed ~grid ()
+    Core.Runlog.make_header ~shard:spec ~campaign:"bench-table5" ~seed
+      ~grid:sweep_grid ()
   in
   let sink = Core.Runlog.create ~deterministic:true ~path:log header in
   let journal = Core.Runlog.journal ~sink ?cache ~origin:"bench worker" "" in
@@ -455,7 +457,8 @@ let procs_sweep serial =
               ~finally:(fun () -> Core.Procs.cleanup paths)
               (fun () ->
                 let outcomes =
-                  Core.Procs.fan_out ~n ~paths
+                  Core.Procs.fan_out ~campaign:"bench-table5" ~seed
+                    ~grid:sweep_grid ~n ~paths
                     ~argv_of:(fun ~k ~path ->
                       [ Sys.executable_name; worker_flag;
                         Printf.sprintf "%d/%d" k n; worker_log_flag; path ]

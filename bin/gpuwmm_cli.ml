@@ -207,17 +207,6 @@ let listen_term =
            document) and $(b,/healthz).  $(docv) 0 picks a free port and \
            prints it.")
 
-let max_respawns_term =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-respawns" ] ~docv:"N"
-        ~doc:
-          "Respawn a crashed shard worker (with $(b,--resume) from its \
-           ledger, after capped exponential backoff) up to $(docv) times \
-           before its slice falls back to the parent.  Defaults to \
-           $(b,GPUWMM_RESPAWNS) when set, else 1.")
-
 let spans_term =
   Arg.(
     value & flag
@@ -228,12 +217,20 @@ let spans_term =
            $(b,--log)).  Under the process backend each worker writes its \
            own sidecar; unify them with $(b,gpuwmm trace --merge).")
 
-(* Escape hatch for the process backend: GPUWMM_PROCS=off forces the
-   in-process domain pool even at campaign scale. *)
-let procs_enabled () =
+(* Campaign-scale work defaults to the process backend: worker
+   subprocesses dodge OCaml 5's shared stop-the-world minor GC, which
+   caps the in-process domain pool below 1x on this workload.  A fresh,
+   unsharded run with two or more jobs fans out; GPUWMM_PROCS=off
+   forces the in-process domain pool even then. *)
+let fan_out_width ~jobs ~shard ~resume =
+  let n =
+    match jobs with
+    | Some n -> Core.Exec.clamp_jobs n
+    | None -> Core.Exec.default_jobs ()
+  in
   match Sys.getenv_opt "GPUWMM_PROCS" with
-  | Some ("0" | "off" | "no" | "false") -> false
-  | _ -> true
+  | Some ("0" | "off" | "no" | "false") -> None
+  | _ -> if n >= 2 && shard = None && resume = None then Some n else None
 
 let strict_term =
   Arg.(
@@ -274,9 +271,9 @@ let retries_term =
     value & opt int 0
     & info [ "retries" ] ~docv:"N"
         ~doc:
-          "Extra attempts for a failed or timed-out job, re-run with the \
-           $(i,same) seed after a deterministic seed-derived backoff, so \
-           a successful retry is bit-identical to a fault-free run.")
+          "Extra attempts for a failed or timed-out job, re-run at once \
+           with the $(i,same) seed, so a successful retry is bit-identical \
+           to a fault-free run.")
 
 let keep_going_term =
   Arg.(
@@ -541,10 +538,9 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    campaign fans out across n worker subprocesses first — each a
    single-domain `--shard k/n` run with its own GC — and the body then
    executes against the union resume cache of their shard ledgers:
-   cached jobs replay, anything a crashed worker failed to flush re-runs
-   here, and the resulting ledger is indistinguishable from a
-   single-process run.  Fan-out is skipped under --resume/--shard and
-   when GPUWMM_PROCS=off.
+   cached jobs replay, anything a quarantined shard failed to flush
+   re-runs here, and the resulting ledger is indistinguishable from a
+   single-process run.  Callers pass ~procs as fan_out_width allows.
 
    Observability, all opt-in and result-neutral: every ledgered process
    beats on a <ledger>.hb sidecar (Core.Heartbeat; GPUWMM_HEARTBEAT=off
@@ -553,7 +549,7 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    spans and writes a Chrome trace sidecar <ledger>.spans.json with
    absolute timestamps, mergeable across workers by `gpuwmm trace
    --merge`. *)
-let with_ledger ?shard ?procs ?max_respawns ?listen ?(spans = false)
+let with_ledger ?shard ?procs ?listen ?(spans = false)
     ~campaign ~seed ~jobs ~grid ~log ~resume ~kind ~encode f =
   let shard =
     match shard with
@@ -616,37 +612,40 @@ let with_ledger ?shard ?procs ?max_respawns ?listen ?(spans = false)
         Fmt.epr "--listen %d: %s@." port (Unix.error_message e);
         exit 2)
   in
-  let procs_cache, procs_tmp =
-    match procs with
-    | Some (n, argv_of)
-      when n >= 2 && shard = None && resume = None && procs_enabled () ->
-      let paths = Core.Procs.shard_paths ?log ~n () in
-      Atomic.set hb_paths (List.map Core.Heartbeat.hb_path paths);
-      Logs.info (fun f -> f "fanning out %d worker processes" n);
-      let outcomes =
-        Core.Procs.fan_out ?max_respawns ~n ~paths ~argv_of ()
-      in
-      List.iter
-        (fun (o : Core.Procs.outcome) ->
-          (match o.Core.Procs.status with
-          | Core.Procs.Failed reason ->
-            Logs.warn (fun f ->
-                f "shard %d/%d failed (%s); its jobs re-run in this process"
-                  o.Core.Procs.k n reason)
-          | _ -> ());
-          if o.Core.Procs.respawns > 0 then
-            Logs.info (fun f ->
-                f "shard %d/%d needed %d crash respawn(s)" o.Core.Procs.k n
-                  o.Core.Procs.respawns))
-        outcomes;
-      (Some (Core.Procs.merged_cache paths), if log = None then paths else [])
-    | _ -> (None, [])
+  let fan =
+    Option.map
+      (fun (n, argv_of) -> (n, argv_of, Core.Procs.shard_paths ?log ~n ()))
+      procs
   in
+  (* Temp shard files go even when the fan-out itself is interrupted. *)
+  let tmp = match (fan, log) with Some (_, _, ps), None -> ps | _ -> [] in
   Fun.protect
     ~finally:(fun () ->
       Option.iter Core.Httpd.stop server;
-      Core.Procs.cleanup procs_tmp)
+      Core.Procs.cleanup tmp)
     (fun () ->
+      let procs_cache =
+        Option.map
+          (fun (n, argv_of, paths) ->
+            Atomic.set hb_paths (List.map Core.Heartbeat.hb_path paths);
+            Logs.info (fun f -> f "fanning out %d worker processes" n);
+            List.iter
+              (fun (o : Core.Procs.outcome) ->
+                (match o.Core.Procs.status with
+                | Core.Procs.Failed reason ->
+                  Logs.warn (fun f ->
+                      f "shard %d/%d failed (%s); its jobs re-run in this \
+                         process"
+                        o.Core.Procs.k n reason)
+                | _ -> ());
+                if o.Core.Procs.respawns > 0 then
+                  Logs.info (fun f ->
+                      f "shard %d/%d needed %d crash respawn(s)" o.Core.Procs.k
+                        n o.Core.Procs.respawns))
+              (Core.Procs.fan_out ~campaign ~seed ~grid ~n ~paths ~argv_of ());
+            Core.Procs.merged_cache paths)
+          fan
+      in
       match (log, resume) with
       | None, None -> (
         match procs_cache with
@@ -949,7 +948,7 @@ let test_cmd =
     Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
   in
   let run verbose quiet seed chip app runs env_name jobs log resume shard
-      listen spans strict timeout retries keep_going max_respawns =
+      listen spans strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
     Core.Tuning.set_strict strict;
@@ -971,20 +970,7 @@ let test_cmd =
             ("apps", json_strs (app_names apps));
             ("runs", Core.Json.Int runs) ]
       in
-      (* Campaign-scale work defaults to the process backend: worker
-         subprocesses dodge OCaml 5's shared stop-the-world minor GC,
-         which caps the in-process domain pool below 1x on this
-         workload.  GPUWMM_PROCS=off restores the domain pool. *)
-      let procs_n =
-        let n =
-          match jobs with
-          | Some n -> Core.Exec.clamp_jobs n
-          | None -> Core.Exec.default_jobs ()
-        in
-        if n >= 2 && shard = None && resume = None && procs_enabled () then
-          Some n
-        else None
-      in
+      let procs_n = fan_out_width ~jobs ~shard ~resume in
       let child_argv n ~k ~path =
         [ Sys.executable_name; "test";
           "--chip"; chip.Gpusim.Chip.name;
@@ -1005,15 +991,15 @@ let test_cmd =
         @ (if retries > 0 then [ "--retries"; string_of_int retries ] else [])
         @ if keep_going then [ "--keep-going" ] else []
       in
+      (* Under fan-out the parent only replays the workers' shard
+         ledgers, single-domain. *)
       let backend =
-        match procs_n with
-        | Some n -> Core.Exec.Processes n
-        | None -> backend_of jobs
+        if procs_n = None then backend_of jobs else Core.Exec.Serial
       in
       guarded (fun () ->
           with_ledger ?shard
             ?procs:(Option.map (fun n -> (n, child_argv n)) procs_n)
-            ?max_respawns ?listen ~spans
+            ?listen ~spans
             ~campaign:"test" ~seed ~jobs ~grid ~log ~resume ~kind:"campaign"
             ~encode:Core.Campaign.rows_to_json (fun journal ->
               let rows =
@@ -1053,7 +1039,7 @@ let test_cmd =
       const run $ verbose $ quiet $ seed $ chip $ app_term $ runs $ env_name
       $ jobs_term $ log_term $ resume_term $ shard_term $ listen_term
       $ spans_term $ strict_term $ timeout_term $ retries_term
-      $ keep_going_term $ max_respawns_term)
+      $ keep_going_term)
 
 let harden_cmd =
   let app_term =
@@ -1480,8 +1466,7 @@ let table_cmd =
   in
   let runs = Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N") in
   let run verbose quiet seed chips all number (budget, budget_argv) runs jobs
-      log resume shard listen spans strict timeout retries keep_going
-      max_respawns =
+      log resume shard listen spans strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
     Core.Tuning.set_strict strict;
@@ -1496,16 +1481,7 @@ let table_cmd =
        alone defaults to the process backend (see `test`); the adaptive
        tables keep the domain pool. *)
     let procs_n =
-      let n =
-        match jobs with
-        | Some n -> Core.Exec.clamp_jobs n
-        | None -> Core.Exec.default_jobs ()
-      in
-      if
-        number = 5 && n >= 2 && shard = None && resume = None
-        && procs_enabled ()
-      then Some n
-      else None
+      if number = 5 then fan_out_width ~jobs ~shard ~resume else None
     in
     let child_argv n ~k ~path =
       [ Sys.executable_name; "table"; string_of_int number;
@@ -1525,9 +1501,7 @@ let table_cmd =
       @ if keep_going then [ "--keep-going" ] else []
     in
     let backend =
-      match procs_n with
-      | Some n -> Core.Exec.Processes n
-      | None -> backend_of jobs
+      if procs_n = None then backend_of jobs else Core.Exec.Serial
     in
     let ledgered :
         type a.
@@ -1539,7 +1513,7 @@ let table_cmd =
       guarded (fun () ->
           with_ledger ?shard
             ?procs:(Option.map (fun n -> (n, child_argv n)) procs_n)
-            ?max_respawns ?listen ~spans
+            ?listen ~spans
             ~campaign:(Printf.sprintf "table%d" number)
             ~seed ~jobs ~grid ~log ~resume ~kind ~encode f);
       conclude_supervised ()
@@ -1626,7 +1600,7 @@ let table_cmd =
       const run $ verbose $ quiet $ seed $ chips $ all_chips $ number
       $ budget_term $ runs $ jobs_term $ log_term $ resume_term $ shard_term
       $ listen_term $ spans_term $ strict_term $ timeout_term $ retries_term
-      $ keep_going_term $ max_respawns_term)
+      $ keep_going_term)
 
 let figure_cmd =
   let number =
@@ -2371,7 +2345,7 @@ let serve_cmd =
   let backoff =
     Arg.(
       value
-      & opt float 0.5
+      & opt float Core.Procs.default_backoff_base_s
       & info [ "backoff" ] ~docv:"SECONDS"
           ~doc:
             "Base of the capped exponential requeue backoff (seed-derived \
@@ -2380,7 +2354,7 @@ let serve_cmd =
   let max_attempts =
     Arg.(
       value
-      & opt int 3
+      & opt int Core.Procs.default_attempts
       & info [ "max-attempts" ] ~docv:"N"
           ~doc:
             "Default lease attempts per shard before it is quarantined as \

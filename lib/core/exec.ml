@@ -1,4 +1,4 @@
-type backend = Serial | Parallel of int | Processes of int
+type backend = Serial | Parallel of int
 
 let serial = Serial
 
@@ -14,17 +14,7 @@ let clamp_jobs ?(warn = true) n =
 let backend_of_jobs n =
   if n <= 1 then Serial else Parallel (clamp_jobs ~warn:false n)
 
-let jobs_of_backend = function
-  | Serial -> 1
-  | Parallel n | Processes n -> Int.max 1 n
-
-(* [Processes n] is executed in-process as a single domain: the fan-out
-   across n worker subprocesses happens a layer above (Procs), where the
-   command line needed to self-exec is known.  A child, and the parent's
-   final replay-from-shard-caches pass, both land here. *)
-let domains_of_backend = function
-  | Serial | Processes _ -> 1
-  | Parallel n -> Int.max 1 n
+let domains_of_backend = function Serial -> 1 | Parallel n -> Int.max 1 n
 
 let default_jobs () =
   match Sys.getenv_opt "GPUWMM_JOBS" with
@@ -50,19 +40,16 @@ let plan ~seed payloads =
 type supervision = {
   timeout_s : float option;
   retries : int;
-  backoff_s : float;
   keep_going : bool;
   faults : Fault.plan option;
 }
 
-let supervision ?timeout_s ?(retries = 0) ?(backoff_s = 0.0)
-    ?(keep_going = false) ?faults () =
+let supervision ?timeout_s ?(retries = 0) ?(keep_going = false) ?faults () =
   (match timeout_s with
   | Some t when t <= 0.0 -> invalid_arg "Exec.supervision: timeout must be > 0"
   | Some _ | None -> ());
   if retries < 0 then invalid_arg "Exec.supervision: negative retries";
-  if backoff_s < 0.0 then invalid_arg "Exec.supervision: negative backoff";
-  { timeout_s; retries; backoff_s; keep_going; faults }
+  { timeout_s; retries; keep_going; faults }
 
 type failure = {
   f_label : string;
@@ -254,10 +241,9 @@ let attempt_once ~sup ~slot ~index ~seed ~attempt ~compute =
     end_attempt slot;
     Error (Printexc.to_string e, false)
 
-(* The bounded retry loop.  Retries reuse the job's own planned seed, so
-   a successful retry reproduces the fault-free result bit for bit.  The
-   backoff duration is derived from the job seed (deterministic schedule)
-   but only consumes wall clock, never affects results. *)
+(* The bounded retry loop.  Retries are immediate and reuse the job's
+   own planned seed, so a successful retry reproduces the fault-free
+   result bit for bit. *)
 let supervise ~sup ~slot ~index ~seed ~compute =
   let rec go attempt =
     match attempt_once ~sup ~slot ~index ~seed ~attempt ~compute with
@@ -265,14 +251,6 @@ let supervise ~sup ~slot ~index ~seed ~compute =
     | Error (reason, timed_out) ->
       if attempt < sup.retries then begin
         Atomic.incr retried_count;
-        if sup.backoff_s > 0.0 then begin
-          let rng =
-            Gpusim.Rng.create (Gpusim.Rng.subseed seed (0x5eed + attempt))
-          in
-          let jitter = 0.5 +. Gpusim.Rng.float rng in
-          Unix.sleepf
-            (sup.backoff_s *. float_of_int (1 lsl Int.min attempt 16) *. jitter)
-        end;
         go (attempt + 1)
       end
       else Error (reason, timed_out, attempt + 1)

@@ -30,15 +30,6 @@ type backend =
   | Parallel of int
       (** [Parallel n]: a pool of [n] domains (the caller participates);
           [Parallel 1] behaves like [Serial] *)
-  | Processes of int
-      (** [Processes n]: the campaign is sharded across [n] worker
-          {e subprocesses}, each with its own GC — the escape hatch from
-          OCaml 5's stop-the-world shared minor collector.  The fan-out
-          itself happens a layer above this module ({!Procs}, driven by
-          the CLI, which knows the command line to self-exec with
-          [--shard k/n]); inside [Exec] this backend executes on a
-          single domain, which is exactly what a worker child and the
-          parent's final replay-from-shard-caches pass need. *)
 
 val serial : backend
 
@@ -52,10 +43,6 @@ val clamp_jobs : ?warn:bool -> int -> int
 val backend_of_jobs : int -> backend
 (** [backend_of_jobs n] is [Serial] when [n <= 1], else [Parallel n] with
     [n] silently clamped to {!max_jobs}. *)
-
-val jobs_of_backend : backend -> int
-(** The advertised parallel width ([n] for both [Parallel n] and
-    [Processes n], 1 for [Serial]). *)
 
 val default_jobs : unit -> int
 (** The [GPUWMM_JOBS] environment variable if set to an integer (clamped
@@ -152,10 +139,11 @@ val run :
     [execs_per_job]).
 
     Under an installed {!set_supervision} policy, each job runs as a
-    bounded sequence of attempts (timeout-cancelled, retried with the
-    {e same} seed so a successful retry is bit-identical to a fault-free
-    run).  A job whose attempts are exhausted is {e quarantined} when the
-    policy says [keep_going] and [~quarantine] provides a fallback value:
+    bounded sequence of attempts (timeout-cancelled, retried at once
+    with the {e same} seed so a successful retry is bit-identical to a
+    fault-free run).  A job whose attempts are exhausted is
+    {e quarantined} when the policy says [keep_going] and [~quarantine]
+    provides a fallback value:
     a [failed] record is written to the journal, the failure is added to
     the degradation summary ({!drain_summary}) and the campaign
     continues.  Without [keep_going] (or without a fallback) the engine
@@ -191,19 +179,15 @@ val for_all :
     A process-wide execution policy: per-attempt wall-clock timeout
     enforced by a watchdog domain through cooperative cancellation
     (domains cannot be killed; the simulator polls {!poll} every 1024
-    scheduler ticks), bounded retry with deterministic seed-derived
-    backoff, and quarantine of poison jobs under [keep_going].  An
+    scheduler ticks), bounded immediate retry with the job's own seed,
+    and quarantine of poison jobs under [keep_going].  An
     optional {!Fault.plan} injects executor-level faults for chaos
     testing.  Installed ambiently (like {!set_progress}) so every
     campaign driver inherits it without signature changes. *)
 
 type supervision = {
   timeout_s : float option;  (** per-attempt wall-clock budget *)
-  retries : int;  (** extra attempts after the first *)
-  backoff_s : float;
-      (** base backoff before a retry; the actual sleep is
-          [backoff_s * 2^attempt] scaled by a seed-derived jitter in
-          [\[0.5, 1.5)] — deterministic schedule, wall-clock only *)
+  retries : int;  (** extra attempts after the first, run at once *)
   keep_going : bool;  (** quarantine poison jobs instead of aborting *)
   faults : Fault.plan option;  (** executor-level fault injection *)
 }
@@ -211,13 +195,12 @@ type supervision = {
 val supervision :
   ?timeout_s:float ->
   ?retries:int ->
-  ?backoff_s:float ->
   ?keep_going:bool ->
   ?faults:Fault.plan ->
   unit ->
   supervision
-(** Defaults: no timeout, no retries, no backoff, abort on failure, no
-    faults — equivalent to unsupervised execution. *)
+(** Defaults: no timeout, no retries, abort on failure, no faults —
+    equivalent to unsupervised execution. *)
 
 val set_supervision : supervision option -> unit
 (** Install (or clear) the process-wide policy.  Also clears the pending

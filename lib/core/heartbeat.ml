@@ -188,8 +188,41 @@ let load path =
     close_in ic;
     List.rev !acc
 
+(* The supervisor asks for the newest beat of every live worker on every
+   tick, and an hour-long stream is thousands of records, so read
+   backwards from the end: windows doubling from 4 KiB until one holds
+   a parseable line.  Same line rules as [load]. *)
 let latest path =
-  match load path with [] -> None | l -> Some (List.nth l (List.length l - 1))
+  match open_in_bin path with
+  | exception Sys_error _ -> None
+  | ic ->
+    let parse line =
+      match Json.of_string line with
+      | Ok j -> Result.to_option (of_json j)
+      | Error _ -> None
+    in
+    (* Every line starting at or after [stop] has been tried. *)
+    let rec back stop window =
+      let lo = Int.max 0 (stop - window) in
+      seek_in ic lo;
+      let lines =
+        String.split_on_char '\n' (really_input_string ic (stop - lo))
+      in
+      (* Unless the window reaches the start of the file, its first
+         line may begin before [lo]: leave it to the next window. *)
+      let first, whole =
+        if lo = 0 then ("", lines) else (List.hd lines, List.tl lines)
+      in
+      match List.find_map parse (List.rev whole) with
+      | Some r -> Some r
+      | None when lo = 0 -> None
+      | None -> back (lo + String.length first) (2 * window)
+    in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        try back (in_channel_length ic) 4096
+        with End_of_file | Sys_error _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Staleness                                                            *)
@@ -225,10 +258,10 @@ type emitter = {
    (timestamp, rate, ETA, GC stats) are zeroed in deterministic mode so
    sidecars written by test fixtures stay byte-stable; the campaign
    counters are real either way. *)
-(* A worker respawned by its supervisor (Procs.fan_out or the serve
-   daemon) carries its crash-respawn count in GPUWMM_RESPAWN; stamping
-   it on every beat lets `gpuwmm status` show which shards crashed
-   without any channel back to the parent. *)
+(* A worker respawned by its supervisor (Procs, for local fan-out and
+   the serve daemon alike) carries its crash-respawn count in
+   GPUWMM_RESPAWN; stamping it on every beat lets `gpuwmm status` show
+   which shards crashed without any channel back to the parent. *)
 let env_respawns () =
   match Sys.getenv_opt "GPUWMM_RESPAWN" with
   | Some s -> (

@@ -78,7 +78,8 @@ val load : string -> record list
     stream; torn or foreign lines are skipped. *)
 
 val latest : string -> record option
-(** The newest parseable record of a stream. *)
+(** The newest parseable record of a stream (the last of {!load}),
+    read backwards from the end of the file. *)
 
 val classify : now:float -> record -> liveness
 (** Liveness of the worker behind a stream's newest record at [now]. *)

@@ -1,31 +1,22 @@
-(* Process-level fan-out for sharded campaigns.
+(* The worker supervisor.
 
    OCaml 5 domains share one stop-the-world minor collector, so for
    allocation-heavy simulation the domain pool stops scaling almost
    immediately (bench: speedup_j2 < 1).  The escape hatch is processes:
    the CLI re-executes itself once per shard ([--shard k/N]), each child
-   a plain single-domain run with its own heap, and the parent
-   reassembles the shard ledgers.  This module owns the mechanics —
-   spawning, GC budgeting, ledger-tail progress, reaping and bounded
-   crash recovery — using nothing beyond stdlib [Unix].
+   a plain single-domain run with its own heap, and the shard ledgers
+   are reassembled afterwards.  This module owns the mechanics —
+   spawning, GC budgeting, reaping, liveness, verification and bounded
+   crash recovery — for both the local fan-out and the serve daemon,
+   using nothing beyond stdlib [Unix].
 
-   Why this is safe with domains: [Unix.create_process] forks and execs
-   immediately, so the child never runs OCaml code in the forked image
-   (fork without exec is unsafe once domains have been spawned). *)
+   Why this is safe with domains: [Unix.create_process_env] forks and
+   execs immediately, so the child never runs OCaml code in the forked
+   image (fork without exec is unsafe once domains have been spawned). *)
 
-type status =
-  | Completed  (** exit 0 *)
-  | Degraded  (** exit 3: quarantined jobs, ledger still whole *)
-  | Failed of string
-      (** exhausted its respawn budget; its slice re-runs in the parent *)
+type status = Completed | Degraded | Failed of string
 
-type outcome = {
-  k : int;
-  path : string;  (** the shard's ledger *)
-  status : status;
-  respawns : int;  (** crash respawns consumed *)
-  retried : bool;  (** [respawns > 0] *)
-}
+type outcome = { k : int; path : string; status : status; respawns : int }
 
 let shard_paths ?log ~n () =
   List.init n (fun i ->
@@ -40,19 +31,6 @@ let shard_paths ?log ~n () =
         Sys.remove f;
         f)
 
-(* The respawn budget: how many times a crashed worker is restarted
-   (with [--resume]) before its slice falls back to the parent.  The
-   historical behaviour — exactly one respawn — is the default; the
-   operator overrides it per run with --max-respawns or fleet-wide with
-   GPUWMM_RESPAWNS. *)
-let default_max_respawns () =
-  match Sys.getenv_opt "GPUWMM_RESPAWNS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 0 -> n
-    | _ -> 1)
-  | None -> 1
-
 (* Each worker gets [1/n] of the default per-domain minor heap (floored
    at 1 MiB) unless the operator pinned GPUWMM_GC, so a process-sharded
    campaign keeps roughly the single-process memory budget. *)
@@ -65,15 +43,6 @@ let child_env ~n =
   else
     let words = Int.max 262144 (Exec.default_minor_heap_words / Int.max 1 n) in
     Array.append base [| Printf.sprintf "GPUWMM_GC=%d" words |]
-
-type child = {
-  c_k : int;
-  c_path : string;
-  mutable c_pid : int;
-  mutable c_respawns : int;
-  mutable c_wait_until : float;  (* > 0: crashed, respawn gated by backoff *)
-  mutable c_status : status option;
-}
 
 (* OCaml numbers the portable signals with internal negative codes
    (Sys.sigkill is -7); translate to the numbers people grep dmesg and
@@ -107,43 +76,257 @@ let describe_exit = function
   | Unix.WSIGNALED s -> Printf.sprintf "killed by signal %d" (posix_signal s)
   | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" (posix_signal s)
 
-(* Exponential backoff before the r-th respawn of shard k, with the
-   same seed-derived jitter discipline as Exec retries: deterministic
-   per (shard, respawn), decorrelated across the fleet. *)
-let respawn_backoff_s ~k ~respawn =
-  let rng = Gpusim.Rng.create (Gpusim.Rng.subseed (0x5eed + k) respawn) in
-  let jitter = 0.5 +. Gpusim.Rng.float rng in
-  0.5 *. float_of_int (1 lsl Int.min (respawn - 1) 6) *. jitter
+(* ------------------------------------------------------------------ *)
+(* The lease loop                                                       *)
 
-let fan_out ?(exe = Sys.executable_name)
-    ?(max_respawns = default_max_respawns ()) ~n ~paths ~argv_of () =
+type verdict = Whole of { degraded : bool } | Prefix | Unusable
+
+(* Fail-closed shard completeness: a shard counts as whole only when its
+   ledger loads, passes the same validation `--resume` would apply and
+   carries a footer (interrupted runs have none).  A crashed worker
+   resumes from a prefix only under the same validation — a
+   half-written header or a foreign file means a fresh start, not a
+   wedged respawn loop. *)
+let check_ledger ~campaign ~seed ~grid ~k ~n path =
+  match Runlog.load path with
+  | Error _ -> Unusable
+  | Ok l -> (
+    match
+      Runlog.validate_resume
+        ~shard:(Printf.sprintf "%d/%d" k n)
+        l ~path ~campaign ~seed ~grid
+    with
+    | Error _ -> Unusable
+    | Ok () -> (
+      match l.Runlog.footer with
+      | Some f -> Whole { degraded = f.Runlog.quarantined > 0 }
+      | None -> Prefix))
+
+type shard = { argv : string list; ledger : string; check : unit -> verdict }
+
+type t = {
+  exe : string;
+  log : string -> unit;
+  max_workers : int;
+  lease_s : float;
+  backoff_base_s : float;
+  state : unit -> Queue.state;
+  emit : Queue.event -> unit;
+  shard : Queue.spec -> int -> shard;
+  (* pid per (job id, shard) lease owned by THIS process.  Leases
+     journalled by a previous daemon life are not ours to waitpid. *)
+  children : (string * int, int) Hashtbl.t;
+  devnull : Unix.file_descr;
+}
+
+let default_attempts = 3
+let default_backoff_base_s = 0.5
+
+let create ?(exe = Sys.executable_name) ?(log = ignore) ~max_workers ~lease_s
+    ~backoff_base_s ~state ~emit shard =
+  { exe; log; max_workers; lease_s; backoff_base_s; state; emit; shard;
+    children = Hashtbl.create 16;
+    devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 }
+
+let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
+  if attempt >= spec.max_attempts then begin
+    t.log
+      (Printf.sprintf "job %s shard %d/%d quarantined after %d attempt(s): %s"
+         spec.id k spec.workers attempt reason);
+    t.emit (Queue.Quarantined { t = now; id = spec.id; shard = k; reason })
+  end
+  else begin
+    let backoff =
+      Queue.backoff_s ~base:t.backoff_base_s
+        ~seed:(Gpusim.Rng.subseed spec.seed k)
+        ~attempt
+    in
+    t.log
+      (Printf.sprintf "job %s shard %d/%d failed (%s); retry %d/%d in %.1fs"
+         spec.id k spec.workers reason attempt (spec.max_attempts - 1) backoff);
+    t.emit
+      (Queue.Requeued
+         { t = now; id = spec.id; shard = k; attempt; reason;
+           not_before = now +. backoff })
+  end
+
+let settle t ~now (spec : Queue.spec) k ~attempt status =
+  Hashtbl.remove t.children (spec.id, k);
+  let fail = fail_shard t ~now spec k ~attempt in
+  match status with
+  | Unix.WEXITED 0 -> (
+    (* Trust but verify: exit 0 with an incomplete ledger (disk full,
+       torn footer) must not mark the shard done. *)
+    match (t.shard spec k).check () with
+    | Whole { degraded } ->
+      t.emit (Queue.Shard_done { t = now; id = spec.id; shard = k; degraded })
+    | Prefix | Unusable -> fail ~reason:"exited 0 but ledger incomplete")
+  | Unix.WEXITED 3 ->
+    (* Degraded-but-whole, the exit-code-3 contract: quarantined jobs
+       inside, ledger mergeable. *)
+    t.emit
+      (Queue.Shard_done { t = now; id = spec.id; shard = k; degraded = true })
+  | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
+    fail ~reason:(describe_exit status)
+
+let force pid =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+
+let kill_lease t ~now spec k ~pid ~attempt ~reason =
+  force pid;
+  Hashtbl.remove t.children (spec.Queue.id, k);
+  fail_shard t ~now spec k ~attempt ~reason
+
+(* Heartbeat staleness as a second liveness signal: catches a worker
+   that is alive for waitpid but wedged.  Guarded to real timestamps —
+   deterministic-mode beats carry t = 0 and would always classify Dead —
+   and to the leased pid, so a stale stream from a previous attempt is
+   not charged to this one. *)
+let heartbeat_dead ~now ~pid ledger =
+  match Heartbeat.latest (Heartbeat.hb_path ledger) with
+  | Some r ->
+    r.Heartbeat.t > 0.0 && r.Heartbeat.pid = pid
+    && Heartbeat.classify ~now r = Heartbeat.Dead
+  | None -> false
+
+let watch t ~now (id, k) pid =
+  match Queue.find (t.state ()) id with
+  | None -> Hashtbl.remove t.children (id, k)
+  | Some job -> (
+    match Queue.shard_get job k with
+    | Some (Queue.Leased { attempt; deadline; _ }) -> (
+      let spec = job.spec in
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ ->
+        if now > deadline then
+          kill_lease t ~now spec k ~pid ~attempt
+            ~reason:(Printf.sprintf "lease expired after %.0fs" t.lease_s)
+        else if heartbeat_dead ~now ~pid (t.shard spec k).ledger then
+          kill_lease t ~now spec k ~pid ~attempt ~reason:"heartbeat dead"
+      | _, status -> settle t ~now spec k ~attempt status
+      | exception Unix.Unix_error (e, _, _) ->
+        Hashtbl.remove t.children (id, k);
+        fail_shard t ~now spec k ~attempt
+          ~reason:("waitpid: " ^ Unix.error_message e))
+    | _ -> Hashtbl.remove t.children (id, k))
+
+let spawn t ~now (spec : Queue.spec) k ~attempt (sh : shard) ~resume =
+  let argv = sh.argv @ if resume then [ "--resume"; sh.ledger ] else [] in
+  let env = child_env ~n:spec.workers in
+  let env =
+    (* attempt > 1 means this lease follows at least one failure; stamp
+       the count so the worker's heartbeats carry it and `gpuwmm
+       status` shows which shards crashed without access to us. *)
+    if attempt > 1 then
+      Array.append env [| Printf.sprintf "GPUWMM_RESPAWN=%d" (attempt - 1) |]
+    else env
+  in
+  match
+    Unix.create_process_env t.exe (Array.of_list argv) env t.devnull t.devnull
+      t.devnull
+  with
+  | pid ->
+    Hashtbl.replace t.children (spec.id, k) pid;
+    t.log
+      (Printf.sprintf "job %s shard %d/%d leased to pid %d (attempt %d/%d)"
+         spec.id k spec.workers pid attempt spec.max_attempts);
+    t.emit
+      (Queue.Leased
+         { t = now; id = spec.id; shard = k; pid; attempt;
+           deadline = now +. t.lease_s })
+  | exception Unix.Unix_error (e, _, _) ->
+    fail_shard t ~now spec k ~attempt
+      ~reason:("spawn failed: " ^ Unix.error_message e)
+
+let tick t =
+  let now = Unix.gettimeofday () in
+  Hashtbl.iter (watch t ~now) (Hashtbl.copy t.children);
+  let rec assign () =
+    if Hashtbl.length t.children < t.max_workers then
+      match Queue.next_lease ~now (t.state ()) with
+      | None -> ()
+      | Some (job, k) ->
+        let spec = job.spec in
+        let sh = t.shard spec k in
+        let attempt =
+          match Queue.shard_get job k with
+          | Some (Queue.Pending { attempt; _ }) -> attempt + 1
+          | _ -> 1
+        in
+        (* Only a retried shard's ledger is consulted: it may already
+           be whole (a crash after the footer landed) or hold a prefix
+           worth resuming.  A first attempt always starts fresh. *)
+        (match if attempt > 1 then sh.check () else Unusable with
+        | Whole { degraded } ->
+          t.emit (Queue.Shard_done { t = now; id = spec.id; shard = k; degraded })
+        | v -> spawn t ~now spec k ~attempt sh ~resume:(v = Prefix));
+        assign ()
+  in
+  assign ()
+
+(* Graceful stop: SIGTERM lets the workers' own handlers flush a
+   resumable ledger prefix and a final heartbeat; stragglers are forced
+   after 5 s. *)
+let stop t =
+  let workers = Hashtbl.fold (fun _ pid acc -> pid :: acc) t.children [] in
+  Hashtbl.reset t.children;
+  if workers <> [] then
+    t.log (Printf.sprintf "stopping: signalling %d worker(s)" (List.length workers));
+  List.iter
+    (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
+    workers;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec wait pending =
+    let running pid =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ -> true
+      | _ -> false
+      | exception Unix.Unix_error _ -> false
+    in
+    match List.filter running pending with
+    | [] -> ()
+    | still when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      wait still
+    | still -> List.iter force still
+  in
+  wait workers;
+  try Unix.close t.devnull with Unix.Unix_error _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Local fan-out: the same loop over one in-memory job                  *)
+
+let fan_out ?exe ~campaign ~seed ~grid ~n ~paths ~argv_of () =
   if List.length paths <> n then
     invalid_arg "Procs.fan_out: paths length <> n";
-  let env = child_env ~n in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let spawn ?(respawns = 0) argv =
-    (* A respawned worker carries its count in GPUWMM_RESPAWN, which
-       its heartbeat emitter stamps on every beat — so `gpuwmm status`
-       shows which shards crashed without access to the parent. *)
-    let env =
-      if respawns = 0 then env
-      else Array.append env [| Printf.sprintf "GPUWMM_RESPAWN=%d" respawns |]
-    in
-    Unix.create_process_env exe (Array.of_list argv) env devnull devnull
-      devnull
+  let ledgers = Array.of_list paths in
+  let spec =
+    { Queue.id = campaign; kind = campaign; chip = ""; app = None; runs = 0;
+      env = ""; seed; workers = n; priority = 0;
+      max_attempts = default_attempts }
   in
-  let children =
-    List.mapi
-      (fun i path ->
-        let k = i + 1 in
-        { c_k = k; c_path = path;
-          c_pid = spawn (argv_of ~k ~path);
-          c_respawns = 0; c_wait_until = 0.0; c_status = None })
-      paths
+  let st = ref (Queue.apply Queue.empty (Queue.Submitted { t = 0.0; spec })) in
+  let respawns = Array.make n 0 in
+  let emit ev =
+    (match ev with
+    | Queue.Requeued { shard; _ } ->
+      respawns.(shard - 1) <- respawns.(shard - 1) + 1
+    | _ -> ());
+    st := Queue.apply !st ev
   in
-  let running () =
-    List.filter (fun c -> c.c_status = None) children
+  let shard _ k =
+    let path = ledgers.(k - 1) in
+    { argv = argv_of ~k ~path; ledger = path;
+      check = (fun () -> check_ledger ~campaign ~seed ~grid ~k ~n path) }
   in
+  let t =
+    create ?exe ~log:Exec.info ~max_workers:n ~lease_s:infinity
+      ~backoff_base_s:default_backoff_base_s
+      ~state:(fun () -> !st)
+      ~emit shard
+  in
+  let shards () = (List.hd !st.Queue.jobs).Queue.shards in
   let last_line = ref 0.0 in
   (* Progress goes through the heartbeat sidecars when the workers are
      beating — per-shard rates, a fleet ETA, dead-worker flags — and
@@ -153,100 +336,47 @@ let fan_out ?(exe = Sys.executable_name)
     let now = Unix.gettimeofday () in
     if now -. !last_line >= 1.0 then begin
       last_line := now;
-      let hb_paths =
-        List.map (fun c -> Heartbeat.hb_path c.c_path) children
-      in
-      let fleet = Fleetview.load ~now hb_paths in
+      let fleet = Fleetview.load ~now (List.map Heartbeat.hb_path paths) in
       if fleet.Fleetview.workers <> [] then
         Exec.info (Fleetview.summary_line fleet)
       else
-        let jobs =
-          List.fold_left
-            (fun acc c -> acc + Runlog.count_job_records c.c_path)
-            0 children
-        in
         Exec.info
           (Printf.sprintf
-             "workers: %d job record(s) across %d shard(s), %d running" jobs n
-             (List.length (running ())))
+             "workers: %d job record(s) across %d shard(s), %d running"
+             (List.fold_left (fun acc p -> acc + Runlog.count_job_records p) 0 paths)
+             n (Hashtbl.length t.children))
     end
   in
-  (* A crashed worker resumes from its shard ledger only when the
-     ledger actually made it to disk — a crash before the header line
-     would otherwise wedge every respawn on "cannot resume". *)
-  let resume_argv c =
-    let resumable =
-      Sys.file_exists c.c_path
-      && (try (Unix.stat c.c_path).Unix.st_size > 0
-          with Unix.Unix_error _ -> false)
-    in
-    argv_of ~k:c.c_k ~path:c.c_path
-    @ if resumable then [ "--resume"; c.c_path ] else []
-  in
-  let reap now c =
-    if c.c_wait_until > 0.0 then begin
-      (* Crashed and waiting out its backoff; respawn once it passes.
-         The gate never blocks the drain loop — siblings keep being
-         reaped while this shard waits. *)
-      if now >= c.c_wait_until then begin
-        c.c_wait_until <- 0.0;
-        c.c_pid <- spawn ~respawns:c.c_respawns (resume_argv c)
-      end
-    end
-    else
-      match Unix.waitpid [ Unix.WNOHANG ] c.c_pid with
-      | 0, _ -> ()
-      | _, Unix.WEXITED 0 -> c.c_status <- Some Completed
-      | _, Unix.WEXITED 3 -> c.c_status <- Some Degraded
-      | _, st ->
-        if c.c_respawns >= max_respawns then begin
-          c.c_status <- Some (Failed (describe_exit st));
-          Exec.info
-            (Printf.sprintf
-               "worker %d/%d %s (%d respawn(s) spent); its slice falls \
-                back to the parent"
-               c.c_k n (describe_exit st) c.c_respawns)
-        end
-        else begin
-          c.c_respawns <- c.c_respawns + 1;
-          let backoff = respawn_backoff_s ~k:c.c_k ~respawn:c.c_respawns in
-          c.c_wait_until <- now +. backoff;
-          Exec.info
-            (Printf.sprintf
-               "worker %d/%d %s; respawn %d/%d in %.1fs resuming from %s"
-               c.c_k n (describe_exit st) c.c_respawns max_respawns backoff
-               c.c_path)
-          (* The shard ledger survives the crash (torn tails are dropped
-             on load), so the resume replays the flushed jobs and only
-             the remainder re-runs. *)
-        end
+  let terminal = function
+    | Queue.Done _ | Queue.Quarantined _ -> true
+    | Queue.Pending _ | Queue.Leased _ -> false
   in
   let rec drain () =
-    match running () with
-    | [] -> ()
-    | live ->
-      let now = Unix.gettimeofday () in
-      List.iter (reap now) live;
-      progress ();
-      if running () <> [] then begin
-        ignore (Unix.select [] [] [] 0.1);
-        drain ()
-      end
+    tick t;
+    progress ();
+    if not (Array.for_all terminal (shards ())) then begin
+      Unix.sleepf 0.1;
+      drain ()
+    end
   in
-  Fun.protect ~finally:(fun () -> Unix.close devnull) drain;
-  List.map
-    (fun c ->
-      { k = c.c_k; path = c.c_path;
-        status = Option.value c.c_status ~default:(Failed "not reaped");
-        respawns = c.c_respawns;
-        retried = c.c_respawns > 0 })
-    children
+  Fun.protect ~finally:(fun () -> stop t) drain;
+  List.mapi
+    (fun i path ->
+      let status =
+        match (shards ()).(i) with
+        | Queue.Done { degraded = false } -> Completed
+        | Queue.Done { degraded = true } -> Degraded
+        | Queue.Quarantined { reason } -> Failed reason
+        | Queue.Pending _ | Queue.Leased _ -> Failed "not reaped"
+      in
+      { k = i + 1; path; status; respawns = respawns.(i) })
+    paths
 
 (* Union resume cache over whatever shard ledgers made it to disk.  A
-   shard that exhausted its respawns may be unreadable or half-written;
-   its jobs simply stay uncached and re-run in the parent under the
-   parent's own supervision, which is the crash-reaping story: no shard
-   failure mode can lose a campaign, only slow it down. *)
+   quarantined shard may be unreadable or half-written; its jobs simply
+   stay uncached and re-run in the parent under the parent's own
+   supervision, which is the crash-reaping story: no shard failure mode
+   can lose a campaign, only slow it down. *)
 let merged_cache paths =
   let ledgers =
     List.filter_map

@@ -6,10 +6,9 @@
      submissions and serves the queue and fleet state;
    - a durable queue (Queue): every transition is an append-only
      journal event, applied to an in-memory state under one mutex;
-   - a lease loop that spawns shard workers (self-exec `gpuwmm test
-     --shard k/N`, exactly the argv Procs-backed campaigns use), reaps
-     them, kills deadline overruns and heartbeat-dead workers, requeues
-     failures with capped backoff and quarantines repeat offenders.
+   - the Procs lease loop over that state, spawning shard workers
+     (self-exec `gpuwmm test --shard k/N`, exactly the argv local
+     fan-out uses) under deadlines, then merging finished campaigns.
 
    Crash tolerance is structural rather than defensive: the daemon
    never needs to shut down cleanly, because restart = journal replay
@@ -38,8 +37,8 @@ let default =
     exe = Sys.executable_name;
     max_workers = 2;
     lease_s = 30.0;
-    backoff_base_s = 0.5;
-    max_attempts = 3;
+    backoff_base_s = Procs.default_backoff_base_s;
+    max_attempts = Procs.default_attempts;
     until_idle = false;
     quiet = false }
 
@@ -77,42 +76,18 @@ let worker_argv cfg (spec : Queue.spec) ~k =
     "--log"; shard_path cfg spec.id k ]
   @ match spec.app with Some a -> [ "--app"; a ] | None -> []
 
-(* Fail-closed shard completeness: a shard counts as done only when its
-   ledger loads, carries a footer (interrupted runs have none) and
-   passes the same validation `--resume` would apply.  This is the only
-   way a shard is ever marked Done without the daemon having watched
-   the worker exit — in particular during restart reconciliation. *)
-let shard_outcome cfg (spec : Queue.spec) k =
-  let path = shard_path cfg spec.id k in
-  match Runlog.load path with
-  | Error _ -> None
-  | Ok l -> (
-    match l.Runlog.footer with
-    | None -> None
-    | Some f -> (
-      match
-        Runlog.validate_resume
-          ~shard:(Printf.sprintf "%d/%d" k spec.workers)
-          l ~path ~campaign:spec.kind ~seed:spec.seed ~grid:(grid_of spec)
-      with
-      | Ok () -> Some (f.Runlog.quarantined > 0)
-      | Error _ -> None))
-
-(* A crashed worker resumes from whatever ledger prefix survived, but
-   only when that prefix still validates — a half-written header or a
-   foreign file means a fresh start, not a wedged respawn loop. *)
-let shard_resumable cfg (spec : Queue.spec) k =
-  let path = shard_path cfg spec.id k in
-  match Runlog.load path with
-  | Error _ -> false
-  | Ok l -> (
-    match
-      Runlog.validate_resume
-        ~shard:(Printf.sprintf "%d/%d" k spec.workers)
-        l ~path ~campaign:spec.kind ~seed:spec.seed ~grid:(grid_of spec)
-    with
-    | Ok () -> true
-    | Error _ -> false)
+(* Shard [k] of a campaign for the supervisor.  Its ledger is the
+   truth: the check is the only way a shard is ever marked done without
+   the daemon having watched the worker exit — in particular during
+   restart reconciliation. *)
+let shard cfg (spec : Queue.spec) k =
+  let ledger = shard_path cfg spec.id k in
+  { Procs.argv = worker_argv cfg spec ~k;
+    ledger;
+    check =
+      (fun () ->
+        Procs.check_ledger ~campaign:spec.kind ~seed:spec.seed
+          ~grid:(grid_of spec) ~k ~n:spec.workers ledger) }
 
 (* ------------------------------------------------------------------ *)
 (* Submission parsing                                                   *)
@@ -311,9 +286,6 @@ let run cfg =
       Queue.append ~path:journal ev;
       st := Queue.apply !st ev
     in
-    (* pid per (job id, shard) lease owned by THIS daemon process.
-       Journal pids from a previous life are not ours to waitpid. *)
-    let children : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
     let stopping = Atomic.make false in
     let install_signals () =
       List.iter
@@ -333,135 +305,35 @@ let run cfg =
             Array.iteri
               (fun i sstate ->
                 let k = i + 1 in
+                let id = job.spec.id in
                 match sstate with
-                | Queue.Leased { attempt; _ } -> (
-                  (* The lease's worker belonged to the previous daemon
-                     process.  Its ledger is the only witness: complete
+                | Queue.Done _ | Queue.Quarantined _ -> ()
+                | Queue.Pending _ | Queue.Leased _ -> (
+                  (* The ledger is the only witness.  A lease's worker
+                     belonged to the previous daemon process: a complete
                      ledger means the work survived the crash, anything
-                     else means the lease is revoked and the shard goes
-                     back to the queue. *)
-                  match shard_outcome cfg job.spec k with
-                  | Some degraded ->
-                    emit
-                      (Queue.Shard_done
-                         { t = now; id = job.spec.id; shard = k; degraded })
-                  | None ->
+                     else revokes the lease.  A pending shard's ledger
+                     closes the window between a worker's clean exit and
+                     the Shard_done append. *)
+                  match ((shard cfg job.spec k).check (), sstate) with
+                  | Procs.Whole { degraded }, _ ->
+                    emit (Queue.Shard_done { t = now; id; shard = k; degraded })
+                  | _, Queue.Leased { attempt; _ } ->
                     if attempt >= job.spec.max_attempts then
                       emit
                         (Queue.Quarantined
-                           { t = now; id = job.spec.id; shard = k;
+                           { t = now; id; shard = k;
                              reason = "lease revoked on restart; attempts \
                                        exhausted" })
                     else
                       emit
                         (Queue.Requeued
-                           { t = now; id = job.spec.id; shard = k; attempt;
+                           { t = now; id; shard = k; attempt;
                              reason = "lease revoked on restart";
-                             not_before = now }))
-                | Queue.Pending _ -> (
-                  (* The daemon may have died between a worker's clean
-                     exit and the Shard_done append; the ledger closes
-                     that window too. *)
-                  match shard_outcome cfg job.spec k with
-                  | Some degraded ->
-                    emit
-                      (Queue.Shard_done
-                         { t = now; id = job.spec.id; shard = k; degraded })
-                  | None -> ())
-                | Queue.Done _ | Queue.Quarantined _ -> ())
+                             not_before = now })
+                  | _ -> ()))
               job.shards)
         !st.Queue.jobs
-    in
-    (* --- lease bookkeeping ---------------------------------------- *)
-    let fail_shard ~now (job : Queue.job) k ~attempt ~reason =
-      if attempt >= job.spec.max_attempts then begin
-        log "job %s shard %d/%d quarantined after %d attempt(s): %s"
-          job.spec.id k job.spec.workers attempt reason;
-        emit
-          (Queue.Quarantined { t = now; id = job.spec.id; shard = k; reason })
-      end
-      else begin
-        let backoff =
-          Queue.backoff_s ~base:cfg.backoff_base_s
-            ~seed:(Gpusim.Rng.subseed job.spec.seed k)
-            ~attempt
-        in
-        log "job %s shard %d/%d failed (%s); retry %d/%d in %.1fs"
-          job.spec.id k job.spec.workers reason attempt
-          (job.spec.max_attempts - 1) backoff;
-        emit
-          (Queue.Requeued
-             { t = now; id = job.spec.id; shard = k; attempt; reason;
-               not_before = now +. backoff })
-      end
-    in
-    let settle_exit ~now (job : Queue.job) k ~attempt status =
-      Hashtbl.remove children (job.spec.id, k);
-      match status with
-      | Unix.WEXITED 0 -> (
-        (* Trust but verify: exit 0 with an incomplete ledger (disk
-           full, torn footer) must not mark the shard done. *)
-        match shard_outcome cfg job.spec k with
-        | Some degraded ->
-          emit
-            (Queue.Shard_done { t = now; id = job.spec.id; shard = k; degraded })
-        | None ->
-          fail_shard ~now job k ~attempt
-            ~reason:"exited 0 but ledger incomplete")
-      | Unix.WEXITED 3 ->
-        (* Degraded-but-whole, the exit-code-3 contract: quarantined
-           jobs inside, ledger mergeable. *)
-        emit
-          (Queue.Shard_done
-             { t = now; id = job.spec.id; shard = k; degraded = true })
-      | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
-        fail_shard ~now job k ~attempt ~reason:(Procs.describe_exit status)
-    in
-    let kill_lease ~now (job : Queue.job) k ~pid ~attempt ~reason =
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-      Hashtbl.remove children (job.spec.id, k);
-      fail_shard ~now job k ~attempt ~reason
-    in
-    let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-    let spawn_lease ~now (job : Queue.job) k =
-      let spec = job.spec in
-      let attempt =
-        match Queue.shard_get job k with
-        | Some (Queue.Pending { attempt; _ }) -> attempt + 1
-        | _ -> 1
-      in
-      let argv =
-        worker_argv cfg spec ~k
-        @
-        if shard_resumable cfg spec k then
-          [ "--resume"; shard_path cfg spec.id k ]
-        else []
-      in
-      let env = Procs.child_env ~n:spec.workers in
-      let env =
-        (* attempt > 1 means this lease follows at least one crash;
-           stamp the respawn count so the worker's heartbeats carry it
-           (same contract as Procs.fan_out respawns). *)
-        if attempt > 1 then
-          Array.append env [| Printf.sprintf "GPUWMM_RESPAWN=%d" (attempt - 1) |]
-        else env
-      in
-      match
-        Unix.create_process_env cfg.exe (Array.of_list argv) env devnull
-          devnull devnull
-      with
-      | pid ->
-        Hashtbl.replace children (spec.id, k) pid;
-        log "job %s shard %d/%d leased to pid %d (attempt %d/%d)" spec.id k
-          spec.workers pid attempt spec.max_attempts;
-        emit
-          (Queue.Leased
-             { t = now; id = spec.id; shard = k; pid; attempt;
-               deadline = now +. cfg.lease_s })
-      | exception Unix.Unix_error (e, _, _) ->
-        fail_shard ~now job k ~attempt
-          ~reason:("spawn failed: " ^ Unix.error_message e)
     in
     let finish_ready_jobs ~now () =
       List.iter
@@ -520,89 +392,24 @@ let run cfg =
           end)
         !st.Queue.jobs
     in
-    let tick () =
-      locked (fun () ->
-          let now = Unix.gettimeofday () in
-          (* 1. Reap exited workers. *)
-          Hashtbl.iter
-            (fun (id, k) pid ->
-              match Unix.waitpid [ Unix.WNOHANG ] pid with
-              | 0, _ -> ()
-              | _, status -> (
-                match Queue.find !st id with
-                | None -> Hashtbl.remove children (id, k)
-                | Some job -> (
-                  match Queue.shard_get job k with
-                  | Some (Queue.Leased { attempt; _ }) ->
-                    settle_exit ~now job k ~attempt status
-                  | _ -> Hashtbl.remove children (id, k)))
-              | exception Unix.Unix_error _ ->
-                Hashtbl.remove children (id, k))
-            (Hashtbl.copy children);
-          (* 2. Enforce lease deadlines and heartbeat liveness. *)
-          List.iter
-            (fun (job : Queue.job) ->
-              if job.finished = None then
-                Array.iteri
-                  (fun i sstate ->
-                    let k = i + 1 in
-                    match sstate with
-                    | Queue.Leased { pid; attempt; deadline; _ }
-                      when Hashtbl.mem children (job.spec.id, k) ->
-                      if now > deadline then
-                        kill_lease ~now job k ~pid ~attempt
-                          ~reason:
-                            (Printf.sprintf "lease expired after %.0fs"
-                               cfg.lease_s)
-                      else (
-                        (* Heartbeat staleness as a second liveness
-                           signal: catches a worker that is alive for
-                           waitpid but wedged.  Guarded to real
-                           timestamps — deterministic-mode beats carry
-                           t = 0 and would always classify Dead — and
-                           to the leased pid, so a stale stream from a
-                           previous attempt is not charged to this
-                           one. *)
-                        match
-                          Heartbeat.latest
-                            (Heartbeat.hb_path
-                               (shard_path cfg job.spec.id k))
-                        with
-                        | Some r
-                          when r.Heartbeat.t > 0.0 && r.Heartbeat.pid = pid
-                               && Heartbeat.classify ~now r = Heartbeat.Dead
-                          ->
-                          kill_lease ~now job k ~pid ~attempt
-                            ~reason:"heartbeat dead"
-                        | _ -> ())
-                    | _ -> ())
-                  job.shards)
-            !st.Queue.jobs;
-          (* 3. Hand out leases up to the worker budget. *)
-          let rec assign () =
-            if Hashtbl.length children < cfg.max_workers then
-              match Queue.next_lease ~now !st with
-              | None -> ()
-              | Some (job, k) -> (
-                (* The ledger may already hold this shard complete
-                   (e.g. requeued after a crash that actually landed
-                   the footer); recognise it instead of re-running. *)
-                match shard_outcome cfg job.spec k with
-                | Some degraded ->
-                  emit
-                    (Queue.Shard_done
-                       { t = now; id = job.spec.id; shard = k; degraded });
-                  assign ()
-                | None ->
-                  spawn_lease ~now job k;
-                  assign ())
-          in
-          assign ();
-          (* 4. Merge campaigns whose shards all reached a terminal
-             state. *)
-          finish_ready_jobs ~now ())
-    in
     (* --- HTTP face ------------------------------------------------ *)
+    (* The queue, rendered under the lock, and the live fleet of the
+       unfinished campaigns' workers. *)
+    let observe render =
+      let now = Unix.gettimeofday () in
+      let queue, hb_paths =
+        locked (fun () ->
+            ( render ~now !st,
+              List.concat_map
+                (fun (job : Queue.job) ->
+                  if job.finished = None then
+                    List.init job.spec.workers (fun i ->
+                        Heartbeat.hb_path (shard_path cfg job.spec.id (i + 1)))
+                  else [])
+                !st.Queue.jobs ))
+      in
+      (queue, Fleetview.load ~now hb_paths)
+    in
     let handler (req : Httpd.request) =
       match (req.Httpd.meth, req.Httpd.path) with
       | "POST", "/submit" -> (
@@ -644,20 +451,7 @@ let run cfg =
         in
         Httpd.respond ~content_type:"application/json" (body ^ "\n")
       | ("GET" | "HEAD"), "/status" ->
-        let now = Unix.gettimeofday () in
-        let queue, hb_paths =
-          locked (fun () ->
-              ( queue_json ~now !st,
-                List.concat_map
-                  (fun (job : Queue.job) ->
-                    if job.finished = None then
-                      List.init job.spec.workers (fun i ->
-                          Heartbeat.hb_path
-                            (shard_path cfg job.spec.id (i + 1)))
-                    else [])
-                  !st.Queue.jobs ))
-        in
-        let fleet = Fleetview.load ~now hb_paths in
+        let queue, fleet = observe queue_json in
         let body =
           Json.to_string
             (Json.Assoc
@@ -665,20 +459,7 @@ let run cfg =
         in
         Httpd.respond ~content_type:"application/json" (body ^ "\n")
       | ("GET" | "HEAD"), "/metrics" ->
-        let now = Unix.gettimeofday () in
-        let queue_text, hb_paths =
-          locked (fun () ->
-              ( queue_prometheus ~now !st,
-                List.concat_map
-                  (fun (job : Queue.job) ->
-                    if job.finished = None then
-                      List.init job.spec.workers (fun i ->
-                          Heartbeat.hb_path
-                            (shard_path cfg job.spec.id (i + 1)))
-                    else [])
-                  !st.Queue.jobs ))
-        in
-        let fleet = Fleetview.load ~now hb_paths in
+        let queue_text, fleet = observe queue_prometheus in
         Httpd.respond
           ~content_type:"text/plain; version=0.0.4; charset=utf-8"
           (Telemetry.prometheus (Telemetry.snapshot ())
@@ -704,6 +485,12 @@ let run cfg =
         cfg.addr (Httpd.port server) cfg.dir;
       flush stdout;
       locked reconcile;
+      let sup =
+        Procs.create ~exe:cfg.exe ~log:(log "%s") ~max_workers:cfg.max_workers
+          ~lease_s:cfg.lease_s ~backoff_base_s:cfg.backoff_base_s
+          ~state:(fun () -> !st)
+          ~emit (shard cfg)
+      in
       let queue_drained () =
         locked (fun () ->
             !st.Queue.jobs <> []
@@ -711,73 +498,29 @@ let run cfg =
                  (fun (j : Queue.job) -> j.finished <> None)
                  !st.Queue.jobs)
       in
-      while
-        (not (Atomic.get stopping))
-        && not (cfg.until_idle && queue_drained ())
-      do
-        tick ();
-        if
-          (not (Atomic.get stopping))
-          && not (cfg.until_idle && queue_drained ())
-        then Unix.sleepf 0.1
-      done;
-      (* Graceful stop: SIGTERM the workers so their own handlers flush
-         a resumable ledger prefix and a final heartbeat, give them a
-         moment, then force the stragglers.  No requeue events are
-         written — the next start's reconciliation revokes the leases,
-         which keeps "crash" and "orderly stop" on the same recovery
-         path. *)
-      let workers = Hashtbl.fold (fun _ pid acc -> pid :: acc) children [] in
-      if workers <> [] then begin
-        log "stopping: signalling %d worker(s)" (List.length workers);
-        List.iter
-          (fun pid ->
-            try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-          workers;
-        let deadline = Unix.gettimeofday () +. 5.0 in
-        let rec wait pending =
-          if pending <> [] && Unix.gettimeofday () < deadline then begin
-            let still =
-              List.filter
-                (fun pid ->
-                  match Unix.waitpid [ Unix.WNOHANG ] pid with
-                  | 0, _ -> true
-                  | _ -> false
-                  | exception Unix.Unix_error _ -> false)
-                pending
-            in
-            if still <> [] then begin
-              Unix.sleepf 0.05;
-              wait still
-            end
-          end
-          else
-            List.iter
-              (fun pid ->
-                (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-                try ignore (Unix.waitpid [] pid)
-                with Unix.Unix_error _ -> ())
-              pending
-        in
-        wait workers
-      end;
-      Httpd.stop server;
-      Unix.close devnull;
-      if not cfg.until_idle then 0
-      else
+      let running () =
+        (not (Atomic.get stopping)) && not (cfg.until_idle && queue_drained ())
+      in
+      while running () do
         locked (fun () ->
-            (* Degraded/failed campaigns surface in the drain exit code
-               with the same semantics as a degraded campaign run. *)
-            let drained =
-              !st.Queue.jobs <> []
-              && List.for_all
-                   (fun (j : Queue.job) -> j.finished <> None)
-                   !st.Queue.jobs
-            in
-            if
-              drained
-              && List.exists
-                   (fun (j : Queue.job) -> j.finished <> Some "done")
-                   !st.Queue.jobs
-            then 3
-            else 0)
+            Procs.tick sup;
+            (* Merge campaigns whose shards all reached a terminal
+               state. *)
+            finish_ready_jobs ~now:(Unix.gettimeofday ()) ());
+        if running () then Unix.sleepf 0.1
+      done;
+      (* No requeue events are written on stop — the next start's
+         reconciliation revokes the leases, which keeps "crash" and
+         "orderly stop" on the same recovery path. *)
+      Procs.stop sup;
+      Httpd.stop server;
+      (* Degraded/failed campaigns surface in the drain exit code with
+         the same semantics as a degraded campaign run. *)
+      if
+        cfg.until_idle && queue_drained ()
+        && locked (fun () ->
+               List.exists
+                 (fun (j : Queue.job) -> j.finished <> Some "done")
+                 !st.Queue.jobs)
+      then 3
+      else 0

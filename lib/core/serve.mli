@@ -4,9 +4,9 @@
     campaign submissions over HTTP ([POST /submit]), decomposes each
     into one shard-ledger work unit per worker ({!Shard} semantics,
     identical to [gpuwmm test -j N]), and executes them under {e leases
-    with deadlines}: every work unit is handed to a supervised worker
-    subprocess (self-exec, as in {!Procs}), and a worker that exits
-    abnormally, overruns its lease deadline, or stops heartbeating
+    with deadlines}: the {!Procs} lease loop (shared with local
+    fan-out) hands every work unit to a worker subprocess, and a worker
+    that exits abnormally, overruns its lease deadline, or stops heartbeating
     ({!Heartbeat.classify} = [Dead]) has its shard requeued with capped
     exponential backoff ({!Queue.backoff_s}) and quarantined as failed
     after the submission's attempt budget.

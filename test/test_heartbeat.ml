@@ -95,6 +95,42 @@ let test_stream_round_trip () =
       Alcotest.(check bool) "latest is the newest record" true
         (Core.Heartbeat.latest path = Some r2))
 
+(* [latest] reads the stream backwards; whatever junk, window-straddling
+   long lines or torn tail a stream ends with, it must agree with the
+   forward reader. *)
+let prop_latest_is_last_of_load =
+  let open QCheck.Gen in
+  let junk =
+    let* len = oneof [ int_bound 60; int_range 3000 9000 ] in
+    oneof
+      [ string_size ~gen:(char_range ' ' '~') (return len);
+        return {|{"rec":"job","index":0}|} ]
+  in
+  let line =
+    oneof
+      [ map (fun r -> Core.Json.to_string (Core.Heartbeat.to_json r)) record_gen;
+        junk ]
+  in
+  let torn =
+    option
+      (let* r = record_gen in
+       let s = Core.Json.to_string (Core.Heartbeat.to_json r) in
+       let* cut = int_bound (String.length s) in
+       return (String.sub s 0 cut))
+  in
+  QCheck.Test.make ~name:"Heartbeat: latest = last of load" ~count:200
+    (QCheck.make (pair (list_size (int_bound 30) line) torn))
+    (fun (lines, torn) ->
+      let path = tmp_hb () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          Out_channel.with_open_bin path (fun oc ->
+              List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+              Option.iter (output_string oc) torn);
+          Core.Heartbeat.latest path
+          = List.nth_opt (List.rev (Core.Heartbeat.load path)) 0))
+
 (* ------------------------------------------------------------------ *)
 (* Staleness                                                            *)
 
@@ -384,6 +420,7 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_record_round_trip;
           Alcotest.test_case "rejects foreign records" `Quick
             test_of_json_rejects_foreign;
+          QCheck_alcotest.to_alcotest prop_latest_is_last_of_load;
           Alcotest.test_case "stream round-trip, torn tail" `Quick
             test_stream_round_trip ] );
       ( "staleness",

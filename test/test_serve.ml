@@ -3,7 +3,8 @@
    backoff boundaries), and the crash-replay property — cut the journal
    anywhere, revoke the in-flight leases the way a restarting daemon
    does, and the completed-shard set is exactly what the surviving
-   events recorded. *)
+   events recorded.  Then the one worker supervisor that drives that
+   state machine (Procs), with /bin/sh workers and stub ledger checks. *)
 
 let tmp_journal () =
   let f = Filename.temp_file "gpuwmm-queue" ".jsonl" in
@@ -450,6 +451,217 @@ let test_stats_partition () =
   Alcotest.(check (float 1e-9)) "oldest lease age" 5.0
     s.Core.Queue.s_oldest_lease_age_s
 
+(* ------------------------------------------------------------------ *)
+(* The supervisor: real processes, fake workers                         *)
+
+let tmp_dir () =
+  let d = Filename.temp_file "gpuwmm-procs" "" in
+  Sys.remove d;
+  Sys.mkdir d 0o755;
+  d
+
+let rm_rf d =
+  Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+  Sys.rmdir d
+
+(* Drive a one-shard job through the lease loop until the shard is done
+   or quarantined.  The worker runs [script] under /bin/sh with [$1] a
+   scratch directory; [check dir] stands in for the ledger check.
+   Backoff base 0: a requeued shard is leasable again at once.  Returns
+   the emitted events (oldest first), the shard's final state and what
+   the worker left in [$1/note], if anything. *)
+let supervise ?(lease_s = infinity) ?(max_attempts = 3) ~script ~check () =
+  let dir = tmp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let spec = { sample_spec with Core.Queue.workers = 1; max_attempts } in
+      let st =
+        ref (Core.Queue.apply Core.Queue.empty
+               (Core.Queue.Submitted { t = 0.0; spec }))
+      in
+      let events = ref [] in
+      let emit ev =
+        events := ev :: !events;
+        st := Core.Queue.apply !st ev
+      in
+      let shard _ _ =
+        { Core.Procs.argv = [ "sh"; "-c"; script; "sh"; dir ];
+          ledger = Filename.concat dir "shard.jsonl";
+          check = (fun () -> check dir) }
+      in
+      let sup =
+        Core.Procs.create ~exe:"/bin/sh" ~max_workers:1 ~lease_s
+          ~backoff_base_s:0.0
+          ~state:(fun () -> !st)
+          ~emit shard
+      in
+      let shard1 () = (List.hd !st.Core.Queue.jobs).Core.Queue.shards.(0) in
+      let terminal () =
+        match shard1 () with
+        | Core.Queue.Done _ | Core.Queue.Quarantined _ -> true
+        | Core.Queue.Pending _ | Core.Queue.Leased _ -> false
+      in
+      let give_up = Unix.gettimeofday () +. 20.0 in
+      Fun.protect
+        ~finally:(fun () -> Core.Procs.stop sup)
+        (fun () ->
+          while not (terminal ()) do
+            if Unix.gettimeofday () > give_up then
+              Alcotest.fail "the supervisor never settled the job";
+            Core.Procs.tick sup;
+            if not (terminal ()) then Unix.sleepf 0.02
+          done);
+      let note = Filename.concat dir "note" in
+      ( List.rev !events,
+        shard1 (),
+        if Sys.file_exists note then
+          Some (String.trim (In_channel.with_open_bin note In_channel.input_all))
+        else None ))
+
+let requeue_reasons events =
+  List.filter_map
+    (function Core.Queue.Requeued { reason; _ } -> Some reason | _ -> None)
+    events
+
+let whole = Core.Procs.Whole { degraded = false }
+
+(* A crash, then a clean exit: one requeue, and the second attempt is a
+   respawn — GPUWMM_RESPAWN=1, with --resume <ledger> only when the
+   check accepts the ledger prefix. *)
+let test_crash_then_success () =
+  let script =
+    {|if [ -e "$1/ran" ]; then
+  echo "${GPUWMM_RESPAWN:-0} $2 ${3#$1/}" > "$1/note"; exit 0
+fi
+touch "$1/ran"; exit 1|}
+  in
+  List.iter
+    (fun (prefix, expect) ->
+      let events, shard, note =
+        supervise ~script
+          ~check:(fun dir ->
+            if Sys.file_exists (Filename.concat dir "note") then whole
+            else prefix)
+          ()
+      in
+      Alcotest.(check (list string)) "one requeue, for the crash"
+        [ "exited 1" ] (requeue_reasons events);
+      Alcotest.(check bool) "shard done" true
+        (shard = Core.Queue.Done { degraded = false });
+      Alcotest.(check (option string)) "the respawn's view" (Some expect)
+        note)
+    [ (Core.Procs.Prefix, "1 --resume shard.jsonl"); (Core.Procs.Unusable, "1") ]
+
+(* Every attempt crashes: quarantined after max_attempts, and fan-out
+   (3 attempts, real backoff) reports the shard Failed. *)
+let test_crash_quarantines () =
+  let events, shard, _ =
+    supervise ~max_attempts:2 ~script:"exit 1"
+      ~check:(fun _ -> Core.Procs.Unusable) ()
+  in
+  Alcotest.(check (list string)) "one retry before the budget runs out"
+    [ "exited 1" ] (requeue_reasons events);
+  Alcotest.(check bool) "quarantined with the last exit" true
+    (shard = Core.Queue.Quarantined { reason = "exited 1" });
+  let paths = Core.Procs.shard_paths ~n:1 () in
+  match
+    Core.Procs.fan_out ~exe:"/bin/sh" ~campaign:"test" ~seed:1
+      ~grid:(Core.Json.Assoc []) ~n:1 ~paths
+      ~argv_of:(fun ~k:_ ~path:_ -> [ "sh"; "-c"; "exit 1" ])
+      ()
+  with
+  | [ { Core.Procs.status = Core.Procs.Failed reason; respawns; _ } ] ->
+    Alcotest.(check string) "fan-out names the exit" "exited 1" reason;
+    Alcotest.(check int) "two respawns spent" 2 respawns
+  | _ -> Alcotest.fail "fan-out should report the shard Failed"
+
+(* Exit 0 is trusted only with a whole ledger. *)
+let test_exit0_verified () =
+  let events, shard, _ =
+    supervise ~max_attempts:2 ~script:"exit 0"
+      ~check:(fun _ -> Core.Procs.Prefix) ()
+  in
+  Alcotest.(check (list string)) "requeued, not done"
+    [ "exited 0 but ledger incomplete" ] (requeue_reasons events);
+  Alcotest.(check bool) "never marked done" true
+    (List.for_all
+       (function Core.Queue.Shard_done _ -> false | _ -> true)
+       events);
+  Alcotest.(check bool) "quarantined" true
+    (match shard with Core.Queue.Quarantined _ -> true | _ -> false)
+
+let test_exit3_degraded () =
+  let events, shard, _ =
+    supervise ~script:"exit 3" ~check:(fun _ -> Core.Procs.Unusable) ()
+  in
+  Alcotest.(check (list string)) "no requeue" [] (requeue_reasons events);
+  Alcotest.(check bool) "done and degraded" true
+    (shard = Core.Queue.Done { degraded = true })
+
+(* A worker that overruns its lease is killed (and reaped) and its shard
+   requeued; the respawn then finishes. *)
+let test_lease_deadline () =
+  let script =
+    {|if [ -n "$GPUWMM_RESPAWN" ]; then touch "$1/note"; exit 0; fi
+exec sleep 30|}
+  in
+  let events, shard, _ =
+    supervise ~lease_s:1.0 ~script
+      ~check:(fun dir ->
+        if Sys.file_exists (Filename.concat dir "note") then whole
+        else Core.Procs.Unusable)
+      ()
+  in
+  (match requeue_reasons events with
+  | [ reason ] ->
+    Alcotest.(check bool) ("requeued for the deadline: " ^ reason) true
+      (String.starts_with ~prefix:"lease expired" reason)
+  | rs -> Alcotest.failf "expected one requeue, got %d" (List.length rs));
+  let first_pid =
+    List.find_map
+      (fun (ev : Core.Queue.event) ->
+        match ev with Leased { pid; _ } -> Some pid | _ -> None)
+      events
+  in
+  (match first_pid with
+  | Some pid -> (
+    match Unix.kill pid 0 with
+    | () -> Alcotest.failf "overrunning worker %d still exists" pid
+    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> ())
+  | None -> Alcotest.fail "no lease");
+  Alcotest.(check bool) "respawn finished the shard" true
+    (shard = Core.Queue.Done { degraded = false })
+
+(* An interrupt (the CLI's SIGTERM/SIGINT handlers raise
+   Exec.Interrupted) unwinds fan-out through the stop path: the
+   exception propagates and no worker is left running or unreaped. *)
+let test_fan_out_interrupt () =
+  let paths = Core.Procs.shard_paths ~n:1 () in
+  let previous =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> raise (Core.Exec.Interrupted 14)))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigalrm previous;
+      Core.Procs.cleanup paths)
+    (fun () ->
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL
+           { Unix.it_interval = 0.0; it_value = 0.3 });
+      match
+        Core.Procs.fan_out ~exe:"/bin/sh" ~campaign:"test" ~seed:1
+          ~grid:(Core.Json.Assoc []) ~n:1 ~paths
+          ~argv_of:(fun ~k:_ ~path:_ -> [ "sh"; "-c"; "exec sleep 30" ])
+          ()
+      with
+      | _ -> Alcotest.fail "fan-out outlived the interrupt"
+      | exception Core.Exec.Interrupted 14 -> ());
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "a child (%d) was left behind" pid
+
 let () =
   Alcotest.run "serve-queue"
     [ ( "codec",
@@ -475,4 +687,16 @@ let () =
       );
       ( "replay",
         [ QCheck_alcotest.to_alcotest prop_kill_anywhere_keeps_completions ]
-      ) ]
+      );
+      ( "procs",
+        [ Alcotest.test_case "crash then success respawns" `Quick
+            test_crash_then_success;
+          Alcotest.test_case "crashes quarantine" `Quick
+            test_crash_quarantines;
+          Alcotest.test_case "exit 0 needs a whole ledger" `Quick
+            test_exit0_verified;
+          Alcotest.test_case "exit 3 is done, degraded" `Quick
+            test_exit3_degraded;
+          Alcotest.test_case "lease deadline kills" `Quick test_lease_deadline;
+          Alcotest.test_case "interrupt stops the workers" `Quick
+            test_fan_out_interrupt ] ) ]
