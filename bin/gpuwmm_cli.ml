@@ -2331,7 +2331,10 @@ let serve_cmd =
       value
       & opt int 2
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Concurrent worker leases across all campaigns.")
+          ~doc:
+            (Printf.sprintf
+               "Concurrent worker leases across all campaigns (1..%d)."
+               Core.Exec.max_jobs))
   in
   let lease =
     Arg.(
@@ -2376,7 +2379,9 @@ let serve_cmd =
       { Core.Serve.default with
         Core.Serve.dir;
         port = listen;
-        max_workers = Int.max 1 workers;
+        (* Each worker's exit pipe is select()ed, which cannot watch
+           descriptors at or above 1024. *)
+        max_workers = Core.Exec.clamp_jobs workers;
         lease_s = Float.max 1.0 lease;
         backoff_base_s = Float.max 0.0 backoff;
         max_attempts = Int.max 1 max_attempts;
@@ -2480,11 +2485,11 @@ let submit_cmd =
       chip.Gpusim.Chip.name env_name runs workers;
     if wait then begin
       (* A restarting daemon replays its journal, so the id reappears
-         within a few polls; an id that stays missing means the daemon
-         lost the queue (restarted with a different --dir, journal
-         deleted) and waiting forever would never resolve. *)
-      let max_misses = 20 in
-      let rec poll misses =
+         within seconds; an id still missing after [missing_s] means the
+         daemon lost the queue (restarted with a different --dir,
+         journal deleted) and waiting forever would never resolve. *)
+      let poll_s = 0.1 and missing_s = 10.0 in
+      let rec poll missing_since =
         let _, body = fetch_or_die ~addr ~port "/jobs" in
         let job =
           match Core.Json.of_string body with
@@ -2500,16 +2505,18 @@ let submit_cmd =
         in
         match job with
         | None ->
-          if misses + 1 >= max_misses then begin
+          let now = Unix.gettimeofday () in
+          let since = Option.value missing_since ~default:now in
+          if now -. since >= missing_s then begin
             Fmt.epr
-              "%s missing from the daemon's queue after %d consecutive \
-               polls; the daemon may have restarted with a different \
-               --dir or lost its journal@."
-              id max_misses;
+              "%s missing from the daemon's queue for %.0f s; the daemon \
+               may have restarted with a different --dir or lost its \
+               journal@."
+              id missing_s;
             exit 1
           end;
-          Unix.sleepf 0.5;
-          poll (misses + 1)
+          Unix.sleepf poll_s;
+          poll (Some since)
         | Some item -> (
           let jstr k =
             Option.bind (Core.Json.member k item) Core.Json.to_str
@@ -2524,10 +2531,10 @@ let submit_cmd =
             else if st = "degraded" then exit exit_degraded
             else exit exit_failed
           | _ ->
-            Unix.sleepf 0.5;
-            poll 0)
+            Unix.sleepf poll_s;
+            poll None)
       in
-      poll 0
+      poll None
     end
   in
   Cmd.v

@@ -249,10 +249,18 @@ let liveness_name = function
 (* ------------------------------------------------------------------ *)
 (* The emitter                                                          *)
 
+(* Between beats the emitter sleeps in [select] on its own self-pipe;
+   [stop] writes one byte to it, so the final beat lands, and the
+   process can exit, the moment the campaign ends. *)
 type emitter = {
-  e_stop : bool Atomic.t;
+  e_stop_r : Unix.file_descr;
+  e_stop_w : Unix.file_descr;
   e_domain : unit Domain.t;
 }
+
+(* Until the campaign publishes its plan, the emitter looks for it this
+   often so it can announce it at once. *)
+let announce_poll_s = 0.02
 
 (* Snapshot the process into one record.  Wall-clock-derived fields
    (timestamp, rate, ETA, GC stats) are zeroed in deterministic mode so
@@ -315,7 +323,7 @@ let sample ~det ~shard ~interval_s ~seq ~final ~prev_counters () =
 
 let start ?(interval_s = interval ()) ?shard ~path () =
   let det = Runlog.deterministic_mode () in
-  let stop = Atomic.make false in
+  let stop_r, stop_w = Unix.pipe ~cloexec:true () in
   let dom =
     Domain.spawn (fun () ->
         (* Signal handlers run on whichever domain the runtime picks; a
@@ -343,30 +351,27 @@ let start ?(interval_s = interval ()) ?shard ~path () =
            full interval later: observers summing shard totals then see
            the whole fleet's plan within the workers' startup skew. *)
         let announced = ref (Exec.progress () <> None) in
-        let rec loop () =
-          if not (Atomic.get stop) then begin
-            (* Sleep in short slices so stop is honoured promptly and the
-               final beat lands before the process exits. *)
-            let deadline = Unix.gettimeofday () +. interval_s in
-            let announce = ref false in
-            while
-              (not (Atomic.get stop))
-              && (not !announce)
-              && Unix.gettimeofday () < deadline
-            do
-              Unix.sleepf 0.02;
-              if (not !announced) && Exec.progress () <> None then begin
-                announced := true;
-                announce := true
-              end
-            done;
-            if not (Atomic.get stop) then begin
+        (* Sleep until the next beat is due (or the next look for the
+           plan); a byte on the pipe means stop. *)
+        let rec loop due =
+          let now = Unix.gettimeofday () in
+          let timeout =
+            if !announced then due -. now
+            else Float.min (due -. now) announce_poll_s
+          in
+          match Unix.select [ stop_r ] [] [] (Float.max 0.0 timeout) with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop due
+          | _ :: _, _, _ -> ()
+          | [], _, _ ->
+            let announce = (not !announced) && Exec.progress () <> None in
+            if announce then announced := true;
+            if announce || Unix.gettimeofday () >= due then begin
               beat ~final:false;
-              loop ()
+              loop (Unix.gettimeofday () +. interval_s)
             end
-          end
+            else loop due
         in
-        loop ();
+        loop (Unix.gettimeofday () +. interval_s);
         beat ~final:true
         with _ -> (
           (* Best-effort final beat even on an interrupt path — with the
@@ -374,8 +379,12 @@ let start ?(interval_s = interval ()) ?shard ~path () =
              seq-monotonic and the last interval's deltas are honest. *)
           try beat ~final:true with _ -> ()))
   in
-  { e_stop = stop; e_domain = dom }
+  { e_stop_r = stop_r; e_stop_w = stop_w; e_domain = dom }
 
 let stop e =
-  Atomic.set e.e_stop true;
-  Domain.join e.e_domain
+  (try ignore (Unix.single_write_substring e.e_stop_w "x" 0 1)
+   with Unix.Unix_error _ -> ());
+  Domain.join e.e_domain;
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ e.e_stop_r; e.e_stop_w ]

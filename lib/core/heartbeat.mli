@@ -99,4 +99,6 @@ val start : ?interval_s:float -> ?shard:string -> path:string -> unit -> emitter
 
 val stop : emitter -> unit
 (** Stop the emitter and wait for it; a last record with [final = true]
-    is appended so readers can distinguish completion from death. *)
+    is appended so readers can distinguish completion from death.  The
+    emitter sleeps on a self-pipe that [stop] writes to, so this returns
+    as soon as that beat is written, whatever the interval. *)

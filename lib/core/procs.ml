@@ -104,6 +104,16 @@ let check_ledger ~campaign ~seed ~grid ~k ~n path =
 
 type shard = { argv : string list; ledger : string; check : unit -> verdict }
 
+(* A live worker.  Its stdin is the write end of a pipe whose read end
+   stays here: the pipe reads EOF once the worker (and anything that
+   inherited its stdin) has exited, which wakes [wait] without a poll.
+   Workers never touch stdin, so nothing can block or raise SIGPIPE. *)
+type child = {
+  pid : int;
+  exit_r : Unix.file_descr;
+  mutable eof_at : float option;  (* when [exit_r] read EOF *)
+}
+
 type t = {
   exe : string;
   log : string -> unit;
@@ -113,20 +123,49 @@ type t = {
   state : unit -> Queue.state;
   emit : Queue.event -> unit;
   shard : Queue.spec -> int -> shard;
-  (* pid per (job id, shard) lease owned by THIS process.  Leases
+  (* The worker per (job id, shard) lease owned by THIS process.  Leases
      journalled by a previous daemon life are not ours to waitpid. *)
-  children : (string * int, int) Hashtbl.t;
+  children : (string * int, child) Hashtbl.t;
   devnull : Unix.file_descr;
+  (* Self-pipe: [wake] writes a byte, [wait] selects on the read end. *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  closed : bool Atomic.t;
 }
 
 let default_attempts = 3
 let default_backoff_base_s = 0.5
 
+(* Liveness cadence: lease deadlines, heartbeat staleness, backoff gates
+   and workers that die without an EOF are noticed at this step. *)
+let cadence_s = 0.1
+
+(* A worker's pipe reads EOF a few milliseconds before waitpid can reap
+   it; until then it is re-checked at this step rather than the
+   cadence.  A worker still unreaped a cadence after its EOF (it closed
+   its own stdin) falls back to the cadence. *)
+let recheck_s = 0.001
+
 let create ?(exe = Sys.executable_name) ?(log = ignore) ~max_workers ~lease_s
     ~backoff_base_s ~state ~emit shard =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   { exe; log; max_workers; lease_s; backoff_base_s; state; emit; shard;
     children = Hashtbl.create 16;
-    devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 }
+    devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0;
+    wake_r; wake_w; closed = Atomic.make false }
+
+let close_fd fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* Forget a worker once it has been reaped or forced: only then may its
+   pipe's descriptor number be reused. *)
+let release t key =
+  match Hashtbl.find_opt t.children key with
+  | Some c ->
+    Hashtbl.remove t.children key;
+    close_fd c.exit_r
+  | None -> ()
 
 let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
   if attempt >= spec.max_attempts then begin
@@ -151,7 +190,7 @@ let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
   end
 
 let settle t ~now (spec : Queue.spec) k ~attempt status =
-  Hashtbl.remove t.children (spec.id, k);
+  release t (spec.id, k);
   let fail = fail_shard t ~now spec k ~attempt in
   match status with
   | Unix.WEXITED 0 -> (
@@ -175,7 +214,7 @@ let force pid =
 
 let kill_lease t ~now spec k ~pid ~attempt ~reason =
   force pid;
-  Hashtbl.remove t.children (spec.Queue.id, k);
+  release t (spec.Queue.id, k);
   fail_shard t ~now spec k ~attempt ~reason
 
 (* Heartbeat staleness as a second liveness signal: catches a worker
@@ -190,9 +229,15 @@ let heartbeat_dead ~now ~pid ledger =
     && Heartbeat.classify ~now r = Heartbeat.Dead
   | None -> false
 
-let watch t ~now (id, k) pid =
+let watch t ~now (id, k) { pid; _ } =
+  (* A worker whose lease the queue no longer records has nothing left
+     to do: force it so its pipe can close. *)
+  let orphan () =
+    force pid;
+    release t (id, k)
+  in
   match Queue.find (t.state ()) id with
-  | None -> Hashtbl.remove t.children (id, k)
+  | None -> orphan ()
   | Some job -> (
     match Queue.shard_get job k with
     | Some (Queue.Leased { attempt; deadline; _ }) -> (
@@ -206,10 +251,10 @@ let watch t ~now (id, k) pid =
           kill_lease t ~now spec k ~pid ~attempt ~reason:"heartbeat dead"
       | _, status -> settle t ~now spec k ~attempt status
       | exception Unix.Unix_error (e, _, _) ->
-        Hashtbl.remove t.children (id, k);
+        release t (id, k);
         fail_shard t ~now spec k ~attempt
           ~reason:("waitpid: " ^ Unix.error_message e))
-    | _ -> Hashtbl.remove t.children (id, k))
+    | _ -> orphan ())
 
 let spawn t ~now (spec : Queue.spec) k ~attempt (sh : shard) ~resume =
   let argv = sh.argv @ if resume then [ "--resume"; sh.ledger ] else [] in
@@ -222,12 +267,16 @@ let spawn t ~now (spec : Queue.spec) k ~attempt (sh : shard) ~resume =
       Array.append env [| Printf.sprintf "GPUWMM_RESPAWN=%d" (attempt - 1) |]
     else env
   in
+  let exit_r, exit_w = Unix.pipe ~cloexec:true () in
   match
-    Unix.create_process_env t.exe (Array.of_list argv) env t.devnull t.devnull
-      t.devnull
+    Fun.protect
+      ~finally:(fun () -> close_fd exit_w)
+      (fun () ->
+        Unix.create_process_env t.exe (Array.of_list argv) env exit_w
+          t.devnull t.devnull)
   with
   | pid ->
-    Hashtbl.replace t.children (spec.id, k) pid;
+    Hashtbl.replace t.children (spec.id, k) { pid; exit_r; eof_at = None };
     t.log
       (Printf.sprintf "job %s shard %d/%d leased to pid %d (attempt %d/%d)"
          spec.id k spec.workers pid attempt spec.max_attempts);
@@ -236,6 +285,7 @@ let spawn t ~now (spec : Queue.spec) k ~attempt (sh : shard) ~resume =
          { t = now; id = spec.id; shard = k; pid; attempt;
            deadline = now +. t.lease_s })
   | exception Unix.Unix_error (e, _, _) ->
+    close_fd exit_r;
     fail_shard t ~now spec k ~attempt
       ~reason:("spawn failed: " ^ Unix.error_message e)
 
@@ -265,34 +315,81 @@ let tick t =
   in
   assign ()
 
+(* Block until something may need the loop: a worker's pipe reads EOF
+   (it is exiting; [tick]'s waitpid stays the judge), [wake] is called,
+   or the cadence elapses.  An EOF'd pipe leaves the select set, and
+   its worker is re-checked every [recheck_s] until reaped. *)
+let wait t =
+  let now = Unix.gettimeofday () in
+  let watched, reaping =
+    Hashtbl.fold
+      (fun _ c (watched, reaping) ->
+        match c.eof_at with
+        | None -> (c :: watched, reaping)
+        | Some t0 -> (watched, reaping || now -. t0 < cadence_s))
+      t.children ([], false)
+  in
+  let fds = t.wake_r :: List.map (fun c -> c.exit_r) watched in
+  let buf = Bytes.create 64 in
+  let read fd = Unix.read fd buf 0 (Bytes.length buf) in
+  match Unix.select fds [] [] (if reaping then recheck_s else cadence_s) with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | ready, _, _ ->
+    (* The wake end is non-blocking: drain it until EAGAIN. *)
+    if List.mem t.wake_r ready then
+      (try while read t.wake_r > 0 do () done with Unix.Unix_error _ -> ());
+    List.iter
+      (fun c ->
+        if List.mem c.exit_r ready then
+          match read c.exit_r with
+          | 0 -> c.eof_at <- Some (Unix.gettimeofday ())
+          | _ | (exception Unix.Unix_error _) -> ())
+      watched
+
+let wake t =
+  if not (Atomic.get t.closed) then
+    try ignore (Unix.single_write_substring t.wake_w "x" 0 1)
+    with Unix.Unix_error _ -> ()
+
 (* Graceful stop: SIGTERM lets the workers' own handlers flush a
    resumable ledger prefix and a final heartbeat; stragglers are forced
-   after 5 s. *)
+   after 5 s.  The self-pipe closes last, and [closed] keeps a late
+   [wake] from writing into a reused descriptor number. *)
 let stop t =
-  let workers = Hashtbl.fold (fun _ pid acc -> pid :: acc) t.children [] in
-  Hashtbl.reset t.children;
-  if workers <> [] then
-    t.log (Printf.sprintf "stopping: signalling %d worker(s)" (List.length workers));
-  List.iter
-    (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-    workers;
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec wait pending =
-    let running pid =
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ -> true
-      | _ -> false
-      | exception Unix.Unix_error _ -> false
+  if not (Atomic.get t.closed) then begin
+    let workers () = List.of_seq (Hashtbl.to_seq t.children) in
+    if Hashtbl.length t.children > 0 then
+      t.log
+        (Printf.sprintf "stopping: signalling %d worker(s)"
+           (Hashtbl.length t.children));
+    List.iter
+      (fun (_, c) ->
+        try Unix.kill c.pid Sys.sigterm with Unix.Unix_error _ -> ())
+      (workers ());
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    let rec drain () =
+      List.iter
+        (fun (key, c) ->
+          match Unix.waitpid [ Unix.WNOHANG ] c.pid with
+          | 0, _ -> ()
+          | _ | (exception Unix.Unix_error _) -> release t key)
+        (workers ());
+      if Hashtbl.length t.children > 0 then
+        if Unix.gettimeofday () < deadline then begin
+          wait t;
+          drain ()
+        end
+        else
+          List.iter
+            (fun (key, c) ->
+              force c.pid;
+              release t key)
+            (workers ())
     in
-    match List.filter running pending with
-    | [] -> ()
-    | still when Unix.gettimeofday () < deadline ->
-      Unix.sleepf 0.05;
-      wait still
-    | still -> List.iter force still
-  in
-  wait workers;
-  try Unix.close t.devnull with Unix.Unix_error _ -> ()
+    drain ();
+    Atomic.set t.closed true;
+    List.iter close_fd [ t.wake_r; t.wake_w; t.devnull ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Local fan-out: the same loop over one in-memory job                  *)
@@ -355,7 +452,7 @@ let fan_out ?exe ~campaign ~seed ~grid ~n ~paths ~argv_of () =
     tick t;
     progress ();
     if not (Array.for_all terminal (shards ())) then begin
-      Unix.sleepf 0.1;
+      wait t;
       drain ()
     end
   in

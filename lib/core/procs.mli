@@ -101,12 +101,26 @@ val tick : t -> unit
     retried shard whose ledger is [Whole] is marked done without a
     worker; otherwise its worker gets [GPUWMM_RESPAWN=<failed
     attempts>] and, when the ledger is a [Prefix], [--resume <ledger>].
-    Workers run with stdin/stdout/stderr on [/dev/null] and the
+    Workers run with stdout/stderr on [/dev/null], stdin on the write
+    end of a close-on-exec pipe whose read end {!wait} watches, and the
     environment of {!child_env}. *)
 
+val wait : t -> unit
+(** Block until the loop may have work: a worker's stdin pipe reads EOF
+    (it is exiting; the next {!tick}'s [waitpid] still decides, and an
+    EOF'd worker is re-checked every millisecond until reaped), {!wake}
+    is called, or the 0.1 s liveness cadence elapses (lease deadlines,
+    heartbeat staleness, backoff gates, a worker that exits while a
+    grandchild holds its pipe).  Callers alternate {!tick} and [wait]. *)
+
+val wake : t -> unit
+(** Make the current or next {!wait} return at once.  Safe from another
+    domain and from a signal handler; a no-op after {!stop}. *)
+
 val stop : t -> unit
-(** SIGTERM every live worker, wait up to 5 s for them, SIGKILL the
-    rest.  No event is emitted: the queue still holds their leases. *)
+(** SIGTERM every live worker, wait up to 5 s for them (woken by their
+    exits), SIGKILL the rest, then close the supervisor's descriptors.
+    No event is emitted: the queue still holds their leases.  Idempotent. *)
 
 val fan_out :
   ?exe:string ->

@@ -134,7 +134,8 @@ let parse_submission ~default_max_attempts body : (Queue.spec, string) result
       Error (Printf.sprintf "unsupported campaign kind %S (only \"test\")" kind)
     else if chip = "" then Error "missing required field chip"
     else if runs < 1 then Error "runs must be >= 1"
-    else if workers < 1 then Error "workers must be >= 1"
+    else if workers < 1 || workers > Shard.max_shards then
+      Error (Printf.sprintf "workers must be in 1..%d" Shard.max_shards)
     else if max_attempts < 1 then Error "max_attempts must be >= 1"
     else
       match Gpusim.Chip.by_name chip with
@@ -286,13 +287,22 @@ let run cfg =
       Queue.append ~path:journal ev;
       st := Queue.apply !st ev
     in
+    let sup =
+      Procs.create ~exe:cfg.exe ~log:(log "%s") ~max_workers:cfg.max_workers
+        ~lease_s:cfg.lease_s ~backoff_base_s:cfg.backoff_base_s
+        ~state:(fun () -> !st)
+        ~emit (shard cfg)
+    in
     let stopping = Atomic.make false in
     let install_signals () =
       List.iter
         (fun s ->
           try
             Sys.set_signal s
-              (Sys.Signal_handle (fun _ -> Atomic.set stopping true))
+              (Sys.Signal_handle
+                 (fun _ ->
+                   Atomic.set stopping true;
+                   Procs.wake sup))
           with Invalid_argument _ | Sys_error _ -> ())
         [ Sys.sigterm; Sys.sigint ]
     in
@@ -440,6 +450,8 @@ let run cfg =
                        ("workers", Json.Int spec.Queue.workers);
                        ("status", Json.String "queued") ]))
           in
+          (* Lease it now, not at the next cadence step. *)
+          Procs.wake sup;
           Httpd.respond ~content_type:"application/json" (resp ^ "\n"))
       | ("GET" | "HEAD"), "/jobs" ->
         let body =
@@ -476,7 +488,9 @@ let run cfg =
         None
     in
     match server with
-    | None -> 1
+    | None ->
+      Procs.stop sup;
+      1
     | Some server ->
       install_signals ();
       (* The banner is machine-read (CI parses the port out of it), so
@@ -485,12 +499,6 @@ let run cfg =
         cfg.addr (Httpd.port server) cfg.dir;
       flush stdout;
       locked reconcile;
-      let sup =
-        Procs.create ~exe:cfg.exe ~log:(log "%s") ~max_workers:cfg.max_workers
-          ~lease_s:cfg.lease_s ~backoff_base_s:cfg.backoff_base_s
-          ~state:(fun () -> !st)
-          ~emit (shard cfg)
-      in
       let queue_drained () =
         locked (fun () ->
             !st.Queue.jobs <> []
@@ -501,19 +509,23 @@ let run cfg =
       let running () =
         (not (Atomic.get stopping)) && not (cfg.until_idle && queue_drained ())
       in
+      (* Woken by a worker's exit, a submission or a signal; otherwise
+         at the supervisor's liveness cadence. *)
       while running () do
         locked (fun () ->
             Procs.tick sup;
             (* Merge campaigns whose shards all reached a terminal
                state. *)
             finish_ready_jobs ~now:(Unix.gettimeofday ()) ());
-        if running () then Unix.sleepf 0.1
+        if running () then Procs.wait sup
       done;
-      (* No requeue events are written on stop — the next start's
+      (* The HTTP face stops first: once the supervisor has closed its
+         wake pipe, no /submit may be left to write into it.  No
+         requeue events are written on stop — the next start's
          reconciliation revokes the leases, which keeps "crash" and
          "orderly stop" on the same recovery path. *)
-      Procs.stop sup;
       Httpd.stop server;
+      Procs.stop sup;
       (* Degraded/failed campaigns surface in the drain exit code with
          the same semantics as a degraded campaign run. *)
       if

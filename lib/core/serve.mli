@@ -56,7 +56,19 @@ val run : config -> int
     finished degraded or failed, [1] when the journal is corrupt
     (fail-closed, like [--resume]) or the port cannot be bound.
 
-    SIGTERM/SIGINT stop gracefully: leased workers get SIGTERM (their
-    own handlers flush a resumable ledger prefix and a final
-    heartbeat), the HTTP server stops, and the journal is left for the
-    next start to replay. *)
+    The loop blocks in {!Procs.wait}: a worker's exit, a submission or
+    a signal wakes it at once, and the 0.1 s cadence only serves
+    liveness, lease deadlines and backoff gates.  [max_workers] must
+    not exceed {!Exec.max_jobs} (each worker's pipe is [select]ed).
+
+    SIGTERM/SIGINT stop gracefully: the HTTP server stops, leased
+    workers get SIGTERM (their own handlers flush a resumable ledger
+    prefix and a final heartbeat), and the journal is left for the next
+    start to replay. *)
+
+val parse_submission :
+  default_max_attempts:int -> string -> (Queue.spec, string) result
+(** Validate a [POST /submit] body: a JSON object with [chip]
+    (required), [app], [runs], [env], [seed], [workers] (1 to
+    {!Shard.max_shards}), [priority] and [max_attempts]; [kind] must be
+    ["test"].  The returned spec's [id] is [""], assigned on enqueue. *)

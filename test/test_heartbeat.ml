@@ -168,29 +168,46 @@ let test_eta_cold_start () =
 (* ------------------------------------------------------------------ *)
 (* The emitter                                                          *)
 
+(* A short interval beats several times; a 30 s one is stopped right
+   after its first beat, and stop must still return at once (it wakes
+   the emitter rather than waiting out its sleep) with a final beat. *)
+let emitter_case ~interval_s ~min_beats path =
+  let e = Core.Heartbeat.start ~interval_s ~shard:"1/4" ~path () in
+  if interval_s < 1.0 then Unix.sleepf 0.18
+  else begin
+    let give_up = Unix.gettimeofday () +. 10.0 in
+    while Core.Heartbeat.load path = [] && Unix.gettimeofday () < give_up do
+      Unix.sleepf 0.005
+    done
+  end;
+  let t0 = Unix.gettimeofday () in
+  Core.Heartbeat.stop e;
+  let stop_s = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "stop returns at once (%.3f s)" stop_s)
+    true (stop_s < 0.5);
+  let beats = Core.Heartbeat.load path in
+  Alcotest.(check bool) "several beats landed" true
+    (List.length beats >= min_beats);
+  let last = List.nth beats (List.length beats - 1) in
+  Alcotest.(check bool) "stream ends with a final beat" true
+    last.Core.Heartbeat.final;
+  Alcotest.(check int) "beats carry this process's pid"
+    (Unix.getpid ()) last.Core.Heartbeat.pid;
+  Alcotest.(check (option string)) "beats carry the shard spec"
+    (Some "1/4") last.Core.Heartbeat.shard;
+  List.iteri
+    (fun i b -> Alcotest.(check int) "seq is dense" i b.Core.Heartbeat.seq)
+    beats
+
 let test_emitter_beats_and_finalises () =
-  let path = tmp_hb () in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let e =
-        Core.Heartbeat.start ~interval_s:0.05 ~shard:"1/4" ~path ()
-      in
-      Unix.sleepf 0.18;
-      Core.Heartbeat.stop e;
-      let beats = Core.Heartbeat.load path in
-      Alcotest.(check bool) "several beats landed" true
-        (List.length beats >= 3);
-      let last = List.nth beats (List.length beats - 1) in
-      Alcotest.(check bool) "stream ends with a final beat" true
-        last.Core.Heartbeat.final;
-      Alcotest.(check int) "beats carry this process's pid"
-        (Unix.getpid ()) last.Core.Heartbeat.pid;
-      Alcotest.(check (option string)) "beats carry the shard spec"
-        (Some "1/4") last.Core.Heartbeat.shard;
-      List.iteri
-        (fun i b -> Alcotest.(check int) "seq is dense" i b.Core.Heartbeat.seq)
-        beats)
+  List.iter
+    (fun (interval_s, min_beats) ->
+      let path = tmp_hb () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () -> emitter_case ~interval_s ~min_beats path))
+    [ (0.05, 3); (30.0, 2) ]
 
 (* ------------------------------------------------------------------ *)
 (* Fleet aggregation                                                    *)

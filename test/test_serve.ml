@@ -464,13 +464,20 @@ let rm_rf d =
   Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
   Sys.rmdir d
 
+(* Descriptors this process holds. *)
+let fd_count () = Array.length (Sys.readdir "/proc/self/fd")
+
 (* Drive a one-shard job through the lease loop until the shard is done
-   or quarantined.  The worker runs [script] under /bin/sh with [$1] a
+   or quarantined, alternating [Procs.tick] and [wait] (default
+   [Procs.wait]).  The worker runs [script] under /bin/sh with [$1] a
    scratch directory; [check dir] stands in for the ledger check.
-   Backoff base 0: a requeued shard is leasable again at once.  Returns
-   the emitted events (oldest first), the shard's final state and what
-   the worker left in [$1/note], if anything. *)
-let supervise ?(lease_s = infinity) ?(max_attempts = 3) ~script ~check () =
+   Backoff base 0: a requeued shard is leasable again at once.  After
+   [Procs.stop] the process must hold exactly the descriptors it held
+   before [Procs.create].  Returns the emitted events (oldest first),
+   the shard's final state and what the worker left in [$1/note], if
+   anything. *)
+let supervise ?(lease_s = infinity) ?(max_attempts = 3)
+    ?(wait = Core.Procs.wait) ~script ~check () =
   let dir = tmp_dir () in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
@@ -490,6 +497,7 @@ let supervise ?(lease_s = infinity) ?(max_attempts = 3) ~script ~check () =
           ledger = Filename.concat dir "shard.jsonl";
           check = (fun () -> check dir) }
       in
+      let fds = fd_count () in
       let sup =
         Core.Procs.create ~exe:"/bin/sh" ~max_workers:1 ~lease_s
           ~backoff_base_s:0.0
@@ -510,8 +518,9 @@ let supervise ?(lease_s = infinity) ?(max_attempts = 3) ~script ~check () =
             if Unix.gettimeofday () > give_up then
               Alcotest.fail "the supervisor never settled the job";
             Core.Procs.tick sup;
-            if not (terminal ()) then Unix.sleepf 0.02
+            if not (terminal ()) then wait sup
           done);
+      Alcotest.(check int) "no descriptor leaked" fds (fd_count ());
       let note = Filename.concat dir "note" in
       ( List.rev !events,
         shard1 (),
@@ -635,9 +644,11 @@ exec sleep 30|}
 
 (* An interrupt (the CLI's SIGTERM/SIGINT handlers raise
    Exec.Interrupted) unwinds fan-out through the stop path: the
-   exception propagates and no worker is left running or unreaped. *)
+   exception propagates, no worker is left running or unreaped, and no
+   descriptor stays open. *)
 let test_fan_out_interrupt () =
   let paths = Core.Procs.shard_paths ~n:1 () in
+  let fds = fd_count () in
   let previous =
     Sys.signal Sys.sigalrm
       (Sys.Signal_handle (fun _ -> raise (Core.Exec.Interrupted 14)))
@@ -658,9 +669,99 @@ let test_fan_out_interrupt () =
       with
       | _ -> Alcotest.fail "fan-out outlived the interrupt"
       | exception Core.Exec.Interrupted 14 -> ());
+  Alcotest.(check int) "no descriptor leaked" fds (fd_count ());
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
   | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
   | pid, _ -> Alcotest.failf "a child (%d) was left behind" pid
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Unix.gettimeofday () -. t0
+
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
+
+(* Procs.wait is woken by a worker's exit (its stdin pipe reads EOF) and
+   by Procs.wake from another domain, well inside the 0.1 s cadence it
+   otherwise sleeps out. *)
+let test_wait_wakes () =
+  let on_exit =
+    List.init 5 (fun _ ->
+        let waits = ref [] in
+        let _, shard, _ =
+          supervise ~script:"exit 0"
+            ~check:(fun _ -> whole)
+            ~wait:(fun sup ->
+              waits := timed (fun () -> Core.Procs.wait sup) :: !waits)
+            ()
+        in
+        Alcotest.(check bool) "shard done" true
+          (shard = Core.Queue.Done { degraded = false });
+        (* The first wait follows the spawn. *)
+        List.nth !waits (List.length !waits - 1))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a worker's exit wakes the wait (median %.1f ms)"
+       (1000.0 *. median on_exit))
+    true
+    (median on_exit < 0.05);
+  let fds = fd_count () in
+  let sup =
+    Core.Procs.create ~exe:"/bin/sh" ~max_workers:1 ~lease_s:infinity
+      ~backoff_base_s:0.0
+      ~state:(fun () -> Core.Queue.empty)
+      ~emit:ignore
+      (fun _ _ -> Alcotest.fail "nothing to lease")
+  in
+  Fun.protect
+    ~finally:(fun () -> Core.Procs.stop sup)
+    (fun () ->
+      let idle = timed (fun () -> Core.Procs.wait sup) in
+      Alcotest.(check bool)
+        (Printf.sprintf "an idle wait sits out the cadence (%.1f ms)"
+           (1000.0 *. idle))
+        true
+        (idle >= 0.08);
+      let on_wake =
+        List.init 5 (fun _ ->
+            let d =
+              Domain.spawn (fun () ->
+                  Unix.sleepf 0.01;
+                  Core.Procs.wake sup)
+            in
+            let dt = timed (fun () -> Core.Procs.wait sup) in
+            Domain.join d;
+            dt)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "a wake from another domain ends the wait (median \
+                         %.1f ms)"
+           (1000.0 *. median on_wake))
+        true
+        (median on_wake < 0.05));
+  Core.Procs.wake sup;
+  Alcotest.(check int) "no descriptor leaked, late wake ignored" fds
+    (fd_count ())
+
+(* A submission naming more shards than `--shard k/N` accepts would be
+   queued only to fail every lease. *)
+let test_submission_workers_bounded () =
+  let parse workers =
+    Core.Serve.parse_submission ~default_max_attempts:3
+      (Printf.sprintf {|{"chip":"K20","runs":1,"workers":%d}|} workers)
+  in
+  Alcotest.(check bool) "512 shards accepted" true
+    (match parse Core.Shard.max_shards with
+    | Ok spec -> spec.Core.Queue.workers = 512
+    | Error _ -> false);
+  List.iter
+    (fun workers ->
+      match parse workers with
+      | Ok _ -> Alcotest.failf "%d shards accepted" workers
+      | Error e ->
+        Alcotest.(check bool) ("the error names the range: " ^ e) true
+          (contains ~sub:"1..512" e))
+    [ 513; 0 ]
 
 let () =
   Alcotest.run "serve-queue"
@@ -683,8 +784,9 @@ let () =
             test_backoff_schedule;
           Alcotest.test_case "junk events ignored" `Quick
             test_apply_ignores_junk;
-          Alcotest.test_case "stats partition" `Quick test_stats_partition ]
-      );
+          Alcotest.test_case "stats partition" `Quick test_stats_partition;
+          Alcotest.test_case "submission workers bounded" `Quick
+            test_submission_workers_bounded ] );
       ( "replay",
         [ QCheck_alcotest.to_alcotest prop_kill_anywhere_keeps_completions ]
       );
@@ -699,4 +801,6 @@ let () =
             test_exit3_degraded;
           Alcotest.test_case "lease deadline kills" `Quick test_lease_deadline;
           Alcotest.test_case "interrupt stops the workers" `Quick
-            test_fan_out_interrupt ] ) ]
+            test_fan_out_interrupt;
+          Alcotest.test_case "wait wakes on exit and wake" `Quick
+            test_wait_wakes ] ) ]
