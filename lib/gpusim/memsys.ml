@@ -97,6 +97,106 @@ type stress_state = {
 
 let prev_code = function Load_k -> 1 | Store_k -> 2
 
+(* Threads with pending entries.  [random_background_drain] picks its
+   thread by position in this set, so the set enumerates its members in
+   exactly the order in which the [(int, unit) Hashtbl.t] it replaced,
+   created with 64 buckets and the unseeded [Hashtbl.hash], iterated
+   them: every seeded schedule depends on that order.  The order is
+
+   - buckets by increasing [Hashtbl.hash tid land (buckets - 1)];
+   - newest member first within a bucket (an insertion conses onto its
+     bucket; removals and resizes keep the relative order);
+   - [buckets] doubles when an insertion takes the size past twice the
+     bucket count, splitting each bucket in order, and returns to 64 on
+     a reset.
+
+   [members.(0 .. size-1)] holds the set in that order, so picking the
+   i-th member is one array read, with no closure and no bucket walk.  A
+   new member goes first among its bucket's members and a doubling is a
+   stable sort by the new bucket index; both shift O(size) ints, and
+   size is at most the launch's application thread count.  Hashing with
+   the unseeded hash, where a table would take its seed from
+   OCAMLRUNPARAM=R, keeps the order, and so every campaign, independent
+   of that setting. *)
+type pending_set = {
+  mutable members : int array;
+  mutable size : int;
+  mutable pos : int array;  (* tid -> index in [members], or -1 *)
+  mutable hash : int array;  (* tid -> [Hashtbl.hash tid], computed once *)
+  mutable buckets : int;
+}
+
+let initial_buckets = 64
+
+let ps_create n =
+  { members = Array.make n 0; size = 0; pos = Array.make n (-1);
+    hash = Array.init n Hashtbl.hash; buckets = initial_buckets }
+
+let ps_grow s n =
+  let cap = Array.length s.pos in
+  if cap < n then begin
+    let members = Array.make n 0 and pos = Array.make n (-1) in
+    Array.blit s.members 0 members 0 cap;
+    Array.blit s.pos 0 pos 0 cap;
+    s.members <- members;
+    s.pos <- pos;
+    s.hash <- Array.init n Hashtbl.hash
+  end
+
+let ps_reset s =
+  for i = 0 to s.size - 1 do
+    s.pos.(s.members.(i)) <- -1
+  done;
+  s.size <- 0;
+  s.buckets <- initial_buckets
+
+let[@inline] ps_bucket s tid = s.hash.(tid) land (s.buckets - 1)
+
+let ps_add s tid =
+  if s.pos.(tid) < 0 then begin
+    let b = ps_bucket s tid in
+    let p = ref 0 in
+    while !p < s.size && ps_bucket s s.members.(!p) < b do
+      incr p
+    done;
+    for i = s.size downto !p + 1 do
+      let m = s.members.(i - 1) in
+      s.members.(i) <- m;
+      s.pos.(m) <- i
+    done;
+    s.members.(!p) <- tid;
+    s.pos.(tid) <- !p;
+    s.size <- s.size + 1;
+    if s.size > 2 * s.buckets then begin
+      s.buckets <- 2 * s.buckets;
+      for i = 1 to s.size - 1 do
+        let m = s.members.(i) in
+        let b = ps_bucket s m in
+        let j = ref i in
+        while !j > 0 && ps_bucket s s.members.(!j - 1) > b do
+          s.members.(!j) <- s.members.(!j - 1);
+          decr j
+        done;
+        s.members.(!j) <- m
+      done;
+      for i = 0 to s.size - 1 do
+        s.pos.(s.members.(i)) <- i
+      done
+    end
+  end
+
+let ps_remove s tid =
+  let p = s.pos.(tid) in
+  if p >= 0 then begin
+    for i = p to s.size - 2 do
+      let m = s.members.(i + 1) in
+      s.members.(i) <- m;
+      s.pos.(m) <- i
+    done;
+    s.size <- s.size - 1;
+    s.pos.(tid) <- -1
+  end
+
 type t = {
   chip : Chip.t;
   rng : Rng.t;
@@ -117,7 +217,7 @@ type t = {
   mutable stress_states : stress_state array;
   mutable stress_gen : int array;
   mutable cur_gen : int;
-  nonempty : (int, unit) Hashtbl.t;  (* threads with pending entries *)
+  nonempty : pending_set;  (* threads with pending entries *)
   (* scratch for [attempt_commits]: the partition-head snapshot and the
      seen-partition stamps, preallocated so the hot path allocates
      nothing *)
@@ -159,7 +259,7 @@ let create ~chip ~rng ~words ~nthreads =
       Array.init nthreads (fun _ -> { prev = 0; run = 0; prev_run = 0 });
     stress_gen = Array.make nthreads 0;
     cur_gen = 0;
-    nonempty = Hashtbl.create 64;
+    nonempty = ps_create nthreads;
     heads_scratch = Array.make (Int.max 1 w.queue_cap) dummy_entry;
     seen_stamp = Array.make n 0;
     seen_gen = 0;
@@ -178,6 +278,7 @@ let words t = Array.length t.global
 let set_stress_gain t g = t.stress_gain <- g
 
 let grow_thread_state t ~nthreads =
+  ps_grow t.nonempty nthreads;
   let cap = Array.length t.queues in
   if cap < nthreads then begin
     let old = t.queues in
@@ -201,7 +302,7 @@ let reset_threads t ~nthreads =
   Array.fill t.write_pool 0 (Array.length t.write_pool) 0.0;
   Array.fill t.pool_stamp 0 (Array.length t.pool_stamp) 0;
   t.cur_gen <- t.cur_gen + 1;
-  Hashtbl.reset t.nonempty
+  ps_reset t.nonempty
 
 let reset_device t =
   Array.fill t.global 0 (Array.length t.global) 0;
@@ -210,7 +311,7 @@ let reset_device t =
   Array.fill t.write_pool 0 (Array.length t.write_pool) 0.0;
   Array.fill t.pool_stamp 0 (Array.length t.pool_stamp) 0;
   t.cur_gen <- t.cur_gen + 1;
-  Hashtbl.reset t.nonempty;
+  ps_reset t.nonempty;
   t.seq <- 0;
   t.now <- 0;
   t.n_reorders <- 0;
@@ -259,6 +360,12 @@ let maybe_flip t ~tid ~addr v =
 (* ------------------------------------------------------------------ *)
 (* Contention pools                                                     *)
 
+(* The per-access arithmetic below is [@inline]: without flambda a float
+   passed to or returned from a function that is not inlined is boxed,
+   which cost a few words on every stressing access and commit attempt.
+   Inlined, the floats stay in registers from the pools to [Rng.chance],
+   whose argument is the one box left. *)
+
 let refresh_pool t part =
   let dt = t.now - t.pool_stamp.(part) in
   if dt > 0 then begin
@@ -268,13 +375,13 @@ let refresh_pool t part =
     t.pool_stamp.(part) <- t.now
   end
 
-let add_contention t part ckind amount =
+let[@inline] add_contention t part ckind amount =
   refresh_pool t part;
   match ckind with
   | `Load -> t.read_pool.(part) <- t.read_pool.(part) +. amount
   | `Store -> t.write_pool.(part) <- t.write_pool.(part) +. amount
 
-let contention t ~part ~kind =
+let[@inline] contention t ~part ~kind =
   refresh_pool t part;
   let w = t.chip.Chip.weakness in
   match kind with
@@ -297,13 +404,13 @@ let stress_state t sid =
    pattern so far.  At a loop boundary the pattern linkage to the previous
    iteration is weakened by the chip's boundary factor, which is why
    rotations of a stressing sequence are not equally effective. *)
-let traffic_bump t st k ~boundary =
+let[@inline] traffic_bump t st k ~boundary =
   let tr = t.chip.Chip.traffic in
   let kc = prev_code k in
   let same = st.prev = kc in
   let run = if same then st.run + 1 else 1 in
   let runfac_arr = match k with Load_k -> tr.run_ld | Store_k -> tr.run_st in
-  let runfac = runfac_arr.(min run (Array.length runfac_arr) - 1) in
+  let runfac = runfac_arr.(Int.min run (Array.length runfac_arr) - 1) in
   (* Run lengths persist across loop iterations: an all-store (or
      all-load) loop degenerates to one endless run whose pressure decays
      to the run table's tail, which is why pure sequences are the worst
@@ -317,7 +424,7 @@ let traffic_bump t st k ~boundary =
   in
   let flush =
     if k = Store_k && st.prev = prev_code Load_k then
-      tr.flush_bonus *. float_of_int (min st.run tr.flush_cap) *. bf
+      tr.flush_bonus *. float_of_int (Int.min st.run tr.flush_cap) *. bf
     else 0.0
   in
   if same then st.run <- run
@@ -352,8 +459,7 @@ let app_access t ~kind ~addr =
 let queue t tid = t.queues.(tid)
 
 let mark_nonempty t tid q =
-  if q.live = 0 then Hashtbl.remove t.nonempty tid
-  else Hashtbl.replace t.nonempty tid ()
+  if q.live = 0 then ps_remove t.nonempty tid else ps_add t.nonempty tid
 
 (* Resolve a load's value: forward from the newest older pending store of
    the same thread to the same address, else read memory. *)
@@ -415,7 +521,7 @@ let commit t tid e =
 
 let pending_count t ~tid = (queue t tid).live
 
-let delay_for t e =
+let[@inline] delay_for t e =
   let w = t.chip.Chip.weakness in
   let kind = match e.ekind with Load_k -> `Load | Store_k -> `Store in
   let c = contention t ~part:e.part ~kind in
@@ -495,21 +601,11 @@ let commit_nth t ~tid ~n =
   done;
   commit t tid !chosen
 
-let any_pending t = Hashtbl.length t.nonempty > 0
+let any_pending t = t.nonempty.size > 0
 
 let random_background_drain t =
-  let n = Hashtbl.length t.nonempty in
-  if n > 0 then begin
-    let i = Rng.int t.rng n in
-    let tid = ref (-1) in
-    let j = ref 0 in
-    Hashtbl.iter
-      (fun k () ->
-        if !j = i then tid := k;
-        incr j)
-      t.nonempty;
-    if !tid >= 0 then attempt_commits t ~tid:!tid
-  end
+  let s = t.nonempty in
+  if s.size > 0 then attempt_commits t ~tid:s.members.(Rng.int t.rng s.size)
 
 let fresh_entry t ~addr ~ekind ~store_value =
   let w = t.chip.Chip.weakness in

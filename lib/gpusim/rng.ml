@@ -1,31 +1,48 @@
 (* SplitMix64 (Steele, Lea, Flood; JDK 8).  Small state, good statistical
    quality, and cheap splitting -- ideal for seeding millions of short
-   simulated executions reproducibly. *)
+   simulated executions reproducibly.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in an 8-byte buffer, read and written
+   with the unaligned 64-bit bytes primitives.  Without flambda an [int64]
+   stored in a mutable record field, or returned from a function that is
+   not inlined, is boxed: a [{ mutable state : int64 }] record costs 8
+   minor words per [chance].  Every draw below keeps its arithmetic in
+   one inlined chain from load to store, so only [int64] and [float]
+   allocate, and only the box of their result. *)
+
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let[@inline] of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
+
+let create seed = of_state (mix (Int64.of_int seed))
 
 (* In-place [create]: restart an existing generator on a fresh seed
-   without allocating a new state record. *)
-let reseed t seed = t.state <- mix (Int64.of_int seed)
+   without allocating a new state buffer. *)
+let reseed t seed = set_state t 0 (mix (Int64.of_int seed))
 
-let copy t = { state = t.state }
+let copy t = Bytes.copy t
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] int64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix s
 
-let split t = { state = mix (int64 t) }
+let split t = of_state (mix (int64 t))
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
+let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)
 
 let subseed seed i =
   if i < 0 then invalid_arg "Rng.subseed: negative index";
@@ -43,21 +60,21 @@ let int t n =
   (* Rejection sampling over 30 bits avoids modulo bias for the small
      bounds used throughout the simulator. *)
   if n > 1 lsl 29 then invalid_arg "Rng.int: bound too large";
-  let mask =
-    let rec widen m = if m >= n - 1 then m else widen ((m lsl 1) lor 1) in
-    widen 1
-  in
-  let rec draw () =
-    let v = bits30 t land mask in
-    if v < n then v else draw ()
-  in
-  draw ()
+  let mask = ref 1 in
+  while !mask < n - 1 do
+    mask := (!mask lsl 1) lor 1
+  done;
+  let v = ref (bits30 t land !mask) in
+  while !v >= n do
+    v := bits30 t land !mask
+  done;
+  !v
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t =
+let[@inline] float t =
   let bits = Int64.to_int (Int64.shift_right_logical (int64 t) 11) in
   float_of_int bits *. 0x1.0p-53
 

@@ -3,7 +3,14 @@
     All randomness in the simulator and in experiment campaigns flows from
     values of type {!t}, so that any experiment is exactly reproducible from
     its seed.  The generator is mutable; use {!split} to derive independent
-    streams for sub-experiments without sharing state. *)
+    streams for sub-experiments without sharing state.
+
+    Draws allocate nothing: the 64-bit state is held unboxed, so
+    {!bits30}, {!int}, {!int_in}, {!bool} and {!chance} allocate no heap
+    words, and {!int64} and {!float} allocate only their boxed result
+    (OCaml boxes an [int64] or [float] returned from a function that the
+    caller does not inline).  The scheduler draws several times per
+    simulated tick. *)
 
 type t
 

@@ -220,6 +220,17 @@ let owner_attempt_probability = 0.5
 
 exception Stop of outcome
 
+(* Follow a thread's jump chain from [pc] to its next real operation,
+   which is free: only real operations cost a tick.  Top level, not local
+   to [launch]'s step, so that a step allocates no closure. *)
+let rec fetch th pc fuel =
+  if fuel = 0 then raise (Code.Trap "jump cycle");
+  match th.code.Code.ops.(pc) with
+  | Code.Ojump target -> fetch th target (fuel - 1)
+  | op ->
+    th.pc <- pc;
+    op
+
 (* Compiled code is a pure function of (kernel, args) — parameters are
    bound at compile time, all device state flows in through the
    per-thread ctx — so a recycled simulator that launches the same few
@@ -425,16 +436,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let exec th =
     let ctx = th.ctx in
     let gid = ctx.Code.gid in
-    (* Follow jump chains for free; only "real" operations cost a tick. *)
-    let rec fetch pc fuel =
-      if fuel = 0 then raise (Code.Trap "jump cycle");
-      match th.code.Code.ops.(pc) with
-      | Code.Ojump target -> fetch target (fuel - 1)
-      | op ->
-        th.pc <- pc;
-        op
-    in
-    match fetch th.pc (Array.length th.code.Code.ops + 1) with
+    match fetch th th.pc (Array.length th.code.Code.ops + 1) with
     | Code.Ojump _ -> assert false
     | Code.Oassign (i, f) ->
       ctx.Code.regs.(i) <- Code.Val (f ctx);
@@ -565,6 +567,14 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let outcome = ref Timeout in
   let cursor_app = ref 0 in
   let cursor_daemon = ref 0 in
+  (* The next thread of one runnable class: the class's cursor continues
+     its burst or jumps at random. *)
+  let pick ~base count cursor =
+    if !cursor >= !count || not (Rng.chance t.rng burst_continue) then
+      cursor := Rng.int t.rng !count
+    else cursor := (!cursor + 1) mod !count;
+    runnable.(base + !cursor)
+  in
   (try
      let ticks = ref 0 in
      while !n_run_app > 0 || !n_run_daemon > 0 do
@@ -597,14 +607,10 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
          else if !ticks <= warmup then true
          else Rng.chance t.rng daemon_share
        in
-       let base, count, cursor =
-         if pick_daemon then (n_app, n_run_daemon, cursor_daemon)
-         else (0, n_run_app, cursor_app)
+       let gid =
+         if pick_daemon then pick ~base:n_app n_run_daemon cursor_daemon
+         else pick ~base:0 n_run_app cursor_app
        in
-       if !cursor >= !count || not (Rng.chance t.rng burst_continue) then
-         cursor := Rng.int t.rng !count
-       else cursor := (!cursor + 1) mod !count;
-       let gid = runnable.(base + !cursor) in
        let th = threads.(gid) in
        step th;
        if

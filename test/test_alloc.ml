@@ -84,29 +84,36 @@ let test_reset_equals_create () =
   done
 
 (* The committed per-run minor-heap budget, in words.  Measured at
-   ~0.8k words/run when the budget was last tightened (ring-buffer
+   ~0.4k words/run when the budget was last tightened (ring-buffer
    queues, recycled simulator, memoised kernel ASTs, per-sim compiled
    code cache, one-word shared arrays for the shared-memory-free litmus
-   kernels); the ceiling leaves ~3x headroom for noise and compiler
-   drift but fails on any structural regression — per-run kernel
-   compilation alone costs several hundred words, and per-run device
-   creation >2k words of arrays. *)
-let per_run_budget_words = 2_500.0
+   kernels, unboxed rng state, allocation-free scheduler tick); the
+   ceiling leaves ~3x headroom for noise and compiler drift but fails on
+   any structural regression — per-run kernel compilation alone costs
+   several hundred words, and per-run device creation >2k words of
+   arrays. *)
+let per_run_budget_words = 1_250.0
 
 let batch_runs = 400
 
-let test_minor_words_budget () =
-  (* Warm the arena, kernel compilation paths and any memo tables so the
-     measured window sees only steady-state per-run cost. *)
+(* Minor words per call of [run] over seeds [1 .. runs], after warming
+   the arena, kernel compilation paths and any memo tables so the
+   measured window sees only steady-state per-run cost. *)
+let minor_words_per_run ~runs run =
   for seed = 1 to 50 do
-    ignore (Litmus.Runner.run_once ~chip ~seed inst)
+    run ~seed
   done;
   let before = Gc.minor_words () in
-  for seed = 1 to batch_runs do
-    ignore (Litmus.Runner.run_once ~chip ~seed inst)
+  for seed = 1 to runs do
+    run ~seed
   done;
-  let after = Gc.minor_words () in
-  let per_run = (after -. before) /. float_of_int batch_runs in
+  (Gc.minor_words () -. before) /. float_of_int runs
+
+let test_minor_words_budget () =
+  let per_run =
+    minor_words_per_run ~runs:batch_runs (fun ~seed ->
+        ignore (Litmus.Runner.run_once ~chip ~seed inst))
+  in
   Printf.printf "alloc: %.0f minor words/run (budget %.0f)\n%!" per_run
     per_run_budget_words;
   if per_run > per_run_budget_words then
@@ -114,6 +121,38 @@ let test_minor_words_budget () =
       "per-run minor allocation %.0f words exceeds the committed budget of \
        %.0f words — did a hot path start allocating per run again?"
       per_run per_run_budget_words
+
+(* The same budget for a stressed launch, the shape Sec. 3 tuning runs
+   hundreds of thousands of times: K20 under the tuned sys-str+ litmus
+   environment, MP at distance 64, two application threads plus the
+   stressing blocks for a few hundred scheduler ticks.  Unlike the run
+   above, the scheduler's tick loop dominates, so this budget is the one
+   that catches per-tick allocation: a boxed rng draw, a closure or a
+   tuple per step, or a float boxed by the contention arithmetic.
+   Measured at ~2.6k words per launch (~7 per tick), most of it the
+   launch's thread records and contexts; the per-tick allocation it
+   replaced made it 14.5k.  The ceiling is about twice the measured
+   figure. *)
+let stressed_budget_words = 5_000.0
+
+let test_stressed_launch_budget () =
+  let env =
+    Core.Environment.for_litmus
+      (Core.Environment.sys_plus ~tuned:(Core.Tuning.shipped ~chip))
+  in
+  let inst = { Litmus.Test.idiom = Litmus.Test.MP; distance = 64 } in
+  let per_launch =
+    minor_words_per_run ~runs:batch_runs (fun ~seed ->
+        ignore (Litmus.Runner.run_once ~chip ~seed ~env inst))
+  in
+  Printf.printf "alloc: %.0f minor words/stressed launch (budget %.0f)\n%!"
+    per_launch stressed_budget_words;
+  if per_launch > stressed_budget_words then
+    Alcotest.failf
+      "stressed-launch minor allocation %.0f words exceeds the committed \
+       budget of %.0f words — did the scheduler tick start allocating \
+       again?"
+      per_launch stressed_budget_words
 
 let () =
   Alcotest.run "alloc"
@@ -123,4 +162,6 @@ let () =
           Alcotest.test_case "reset = create under environment" `Quick
             test_reset_equals_create;
           Alcotest.test_case "minor-words budget per litmus run" `Quick
-            test_minor_words_budget ] ) ]
+            test_minor_words_budget;
+          Alcotest.test_case "minor-words budget per stressed launch" `Quick
+            test_stressed_launch_budget ] ) ]

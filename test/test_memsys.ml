@@ -202,7 +202,8 @@ module Model = struct
       pool_stamp = Array.make n 0;
       decay_pow;
       stress_states = Hashtbl.create 64;
-      nonempty = Hashtbl.create 64;
+      (* unseeded even under OCAMLRUNPARAM=R, like the real set *)
+      nonempty = Hashtbl.create ~random:false 64;
       sink = Trace.create ();
       n_reorders = 0;
       n_stress = 0;
@@ -212,6 +213,14 @@ module Model = struct
   let read t addr = t.global.(addr)
   let words t = Array.length t.global
   let tick t = t.now <- t.now + 1
+
+  let reset_threads t ~nthreads =
+    t.queues <- Array.init nthreads (fun _ -> ref []);
+    Array.fill t.read_pool 0 (Array.length t.read_pool) 0.0;
+    Array.fill t.write_pool 0 (Array.length t.write_pool) 0.0;
+    Array.fill t.pool_stamp 0 (Array.length t.pool_stamp) 0;
+    Hashtbl.reset t.stress_states;
+    Hashtbl.reset t.nonempty
   let sink t = t.sink
 
   let observe_access t ~tid ~addr ~write ~atomic =
@@ -492,6 +501,7 @@ type mop =
   | M_background
   | M_stress of int * [ `Load | `Store ] * int * bool
   | M_app of [ `Load | `Store ] * int
+  | M_reset  (* reset_threads: a new launch on the same device *)
 
 (* One driver for both implementations, via a record of operations. *)
 type ('m, 'p) impl = {
@@ -509,6 +519,7 @@ type ('m, 'p) impl = {
     'm -> sid:int -> kind:[ `Load | `Store ] -> addr:int -> boundary:bool ->
     unit;
   i_app : 'm -> kind:[ `Load | `Store ] -> addr:int -> unit;
+  i_reset : 'm -> nthreads:int -> unit;
   i_pending : 'm -> tid:int -> int;
   i_read : 'm -> int -> int;
   i_words : 'm -> int;
@@ -532,6 +543,7 @@ let real_impl : (Gpusim.Memsys.t, Gpusim.Memsys.pending) impl =
     i_background = Gpusim.Memsys.random_background_drain;
     i_stress = Gpusim.Memsys.stress_access;
     i_app = Gpusim.Memsys.app_access;
+    i_reset = Gpusim.Memsys.reset_threads;
     i_pending = Gpusim.Memsys.pending_count;
     i_read = Gpusim.Memsys.read;
     i_words = Gpusim.Memsys.words;
@@ -554,6 +566,7 @@ let model_impl : (Model.t, Model.pending) impl =
     i_background = Model.random_background_drain;
     i_stress = Model.stress_access;
     i_app = Model.app_access;
+    i_reset = Model.reset_threads;
     i_pending = Model.pending_count;
     i_read = Model.read;
     i_words = Model.words;
@@ -568,7 +581,7 @@ let model_words = 256
 
 (* Run the op sequence and render every observation into one string;
    equality of the two strings is the property. *)
-let run_ops (type m p) (impl : (m, p) impl) (m : m) ops =
+let run_ops (type m p) ~nthreads (impl : (m, p) impl) (m : m) ops =
   Gpusim.Trace.enable (impl.i_sink m);
   let buf = Buffer.create 1024 in
   let obs fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -591,13 +604,14 @@ let run_ops (type m p) (impl : (m, p) impl) (m : m) ops =
       | M_background -> impl.i_background m
       | M_stress (sid, kind, addr, boundary) ->
         impl.i_stress m ~sid ~kind ~addr ~boundary
-      | M_app (kind, addr) -> impl.i_app m ~kind ~addr);
-      for tid = 0 to model_nthreads - 1 do
+      | M_app (kind, addr) -> impl.i_app m ~kind ~addr
+      | M_reset -> impl.i_reset m ~nthreads);
+      for tid = 0 to nthreads - 1 do
         obs "p%d," (impl.i_pending m ~tid)
       done;
       obs "%b;" (impl.i_any_pending m))
     ops;
-  for tid = 0 to model_nthreads - 1 do
+  for tid = 0 to nthreads - 1 do
     obs "d%d;" (impl.i_drain m ~tid)
   done;
   for a = 0 to impl.i_words m - 1 do
@@ -617,9 +631,9 @@ let run_ops (type m p) (impl : (m, p) impl) (m : m) ops =
     (Gpusim.Trace.records (impl.i_sink m));
   Buffer.contents buf
 
-let mop_gen =
+let mop_gen ?(nthreads = model_nthreads) ?(background = 2) () =
   let open QCheck.Gen in
-  let tid = int_range 0 (model_nthreads - 1) in
+  let tid = int_range 0 (nthreads - 1) in
   let addr = int_range 0 (model_words - 1) in
   let kind = oneofl [ `Load; `Store ] in
   frequency
@@ -631,7 +645,7 @@ let mop_gen =
       (1, map (fun t -> M_step t) tid);
       (2, map (fun t -> M_attempt t) tid);
       (3, return M_tick);
-      (2, return M_background);
+      (background, return M_background);
       ( 2,
         map3
           (fun s (k, a) b -> M_stress (s, k, a, b))
@@ -641,30 +655,77 @@ let mop_gen =
 let scenario_gen =
   QCheck.Gen.(
     triple (int_range 1 1_000_000) bool
-      (list_size (int_range 1 150) mop_gen))
+      (list_size (int_range 1 150) (mop_gen ())))
+
+let equivalent ?(nthreads = model_nthreads) (seed, quirky, ops) =
+  (* gtx980 exercises the same-partition leak quirk (extra rng draws per
+     entry); k20 is the common case. *)
+  let chip = if quirky then Gpusim.Chip.gtx980 else Gpusim.Chip.k20 in
+  let real =
+    Gpusim.Memsys.create ~chip ~rng:(Gpusim.Rng.create seed)
+      ~words:model_words ~nthreads
+  in
+  let model =
+    Model.create ~chip ~rng:(Gpusim.Rng.create seed) ~words:model_words
+      ~nthreads
+  in
+  let a = run_ops ~nthreads real_impl real ops in
+  let b = run_ops ~nthreads model_impl model ops in
+  if String.equal a b then true
+  else
+    QCheck.Test.fail_reportf
+      "Memsys diverged from the list-based model@.real:  %s@.model: %s" a b
 
 let model_equiv =
   QCheck.Test.make ~count:300 ~name:"ring-buffer queues = list-based model"
-    (QCheck.make scenario_gen) (fun (seed, quirky, ops) ->
-      (* gtx980 exercises the same-partition leak quirk (extra rng
-         draws per entry); k20 is the common case. *)
-      let chip = if quirky then Gpusim.Chip.gtx980 else Gpusim.Chip.k20 in
-      let real =
-        Gpusim.Memsys.create ~chip ~rng:(Gpusim.Rng.create seed)
-          ~words:model_words ~nthreads:model_nthreads
-      in
-      let model =
-        Model.create ~chip ~rng:(Gpusim.Rng.create seed) ~words:model_words
-          ~nthreads:model_nthreads
-      in
-      let a = run_ops real_impl real ops in
-      let b = run_ops model_impl model ops in
-      if String.equal a b then true
-      else
-        QCheck.Test.fail_reportf
-          "ring-buffer implementation diverged from the list model@.real:  \
-           %s@.model: %s"
-          a b)
+    (QCheck.make scenario_gen) equivalent
+
+(* The same equivalence with many threads pending at once.  The real
+   [random_background_drain] picks its thread by position in an
+   array-backed set that reproduces the iteration order of the model's
+   [Hashtbl] (bucket by bucket, newest first), including the table's
+   order-preserving doubling once it holds more than twice its 64
+   buckets, and its return to 64 buckets on [reset_threads].  No app has
+   more than 32 threads, so only this property reaches the doublings.
+   Each phase leaves three to nine threads in ten with a pending store,
+   in random order and with background drains interleaved, so picks
+   happen at every set size on the way up; then it runs the usual mix
+   with background drains weighted up.  Phases are separated by
+   [reset_threads].  With 300 threads a full phase crosses both 128 and
+   256 members. *)
+let wide_nthreads = 300
+
+let wide_phase_gen =
+  let open QCheck.Gen in
+  let fill tenths =
+    flatten_l
+      (List.init wide_nthreads (fun tid ->
+           map3
+             (fun r addr v -> if r < tenths then [ M_store (tid, addr, v) ] else [])
+             (int_range 0 9)
+             (int_range 0 (model_words - 1))
+             (int_range 0 99)))
+  in
+  int_range 3 9 >>= fun tenths ->
+  fill tenths >>= fun stores ->
+  shuffle_l (List.concat stores @ List.init 24 (fun _ -> M_background))
+  >>= fun filled ->
+  map
+    (fun ops -> filled @ ops)
+    (list_size (int_range 1 80)
+       (mop_gen ~nthreads:wide_nthreads ~background:12 ()))
+
+let wide_scenario_gen =
+  QCheck.Gen.(
+    triple (int_range 1 1_000_000) bool
+      (map (fun phases -> List.concat_map (fun p -> p @ [ M_reset ]) phases)
+         (list_size (int_range 1 3) wide_phase_gen)))
+
+let model_equiv_wide =
+  QCheck.Test.make ~count:25
+    ~name:"pending-thread set = Hashtbl order, 300 threads, resets"
+    (QCheck.make wide_scenario_gen)
+    (equivalent ~nthreads:wide_nthreads)
 
 let () =
   Alcotest.run "memsys"
@@ -685,4 +746,6 @@ let () =
           Alcotest.test_case "contention decay" `Quick test_contention_decay;
           Alcotest.test_case "stress gain" `Quick test_stress_gain_scales;
           Alcotest.test_case "pure runs decay" `Quick test_pure_run_decays ] );
-      ("model", [ QCheck_alcotest.to_alcotest model_equiv ]) ]
+      ( "model",
+        [ QCheck_alcotest.to_alcotest model_equiv;
+          QCheck_alcotest.to_alcotest model_equiv_wide ] ) ]
