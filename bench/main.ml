@@ -12,19 +12,18 @@
    successive commits have a machine-readable perf trajectory.
 
    `--quick` restricts the run to the perf-critical subset (the
-   tracing/observability overhead ratios, the --jobs and worker-process
-   scaling sweeps, and the hot-path micro-benchmarks) at reduced
-   budgets — minutes, not tens of minutes — and `--gate BASELINE.json`
-   then compares the run against a committed baseline: the gate fails
-   if two worker processes do not beat serial on the Table 5 campaign
-   (speedup_p2, from the same sweep the run records; skipped on
-   single-core machines), if a hot-path micro-benchmark regressed by
-   more than the tolerance (20% by default; GPUWMM_PERF_TOLERANCE
-   overrides, e.g. 0.5 for noisy CI runners), or if either
-   observability overhead ratio (trace_overhead_ratio,
-   hb_overhead_ratio) exceeds its absolute cap.  `--snapshot` forces
-   the numbered BENCH_<n>.json snapshot that full runs drop alongside
-   --json. *)
+   tracing/observability overhead ratios, the --jobs scaling sweep, and
+   the hot-path micro-benchmarks) at reduced budgets — minutes, not tens
+   of minutes — and `--gate BASELINE.json` then compares the run against
+   a committed baseline: the gate fails if two domains do not beat
+   serial on the Table 5 campaign (speedup_j2, from the same sweep the
+   run records; skipped on single-core machines), if a hot-path
+   micro-benchmark regressed by more than the tolerance (20% by
+   default; GPUWMM_PERF_TOLERANCE overrides, e.g. 0.5 for noisy CI
+   runners), or if either observability overhead ratio
+   (trace_overhead_ratio, hb_overhead_ratio) exceeds its absolute cap.
+   `--snapshot` forces the numbered BENCH_<n>.json snapshot that full
+   runs drop alongside --json. *)
 
 open Bechamel
 open Toolkit
@@ -299,8 +298,8 @@ let sweep_jobs = if quick_mode then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ]
 let sweep_runs = if quick_mode then 8 else campaign_runs
 let sweep_chips = if quick_mode then [ Gpusim.Chip.titan ] else bench_chips
 
-let sweep_campaign ?backend ?journal () =
-  Core.Campaign.run ?backend ?journal ~chips:sweep_chips
+let sweep_campaign ?backend () =
+  Core.Campaign.run ?backend ~chips:sweep_chips
     ~environments_for:(fun chip ->
       Core.Environment.all ~tuned:(Core.Tuning.shipped ~chip))
     ~apps:Apps.Registry.all ~runs:sweep_runs ~seed ()
@@ -385,112 +384,6 @@ let jobs_sweep () =
       if r <> serial then
         failwith
           (Printf.sprintf "--jobs %d: campaign results diverge from serial" n))
-    sweep_jobs;
-  serial
-
-(* ------------------------------------------------------------------ *)
-(* Part 3b: worker-process scaling sweep                                 *)
-
-(* The same Table 5 campaign fanned out across worker processes — the
-   backend `--jobs` now picks for campaign-scale work.  Each worker is a
-   re-exec of this binary in the hidden `--procs-worker K/N` mode below;
-   it writes a deterministic shard ledger, the parent unions the shard
-   caches and replays them through one final (cheap) campaign pass, and
-   the rows must be identical to serial.  Each point records
-   [speedup_p<N>]; the perf gate reads [speedup_p2] from this very
-   sweep. *)
-
-(* The grid the sweep's shard ledgers record; the parent verifies the
-   workers' ledgers against it. *)
-let sweep_grid =
-  Core.Json.Assoc
-    [ ( "chips",
-        Core.Json.List
-          (List.map (fun c -> Core.Json.String c.Gpusim.Chip.name) sweep_chips)
-      );
-      ("runs", Core.Json.Int sweep_runs) ]
-
-let worker_flag = "--procs-worker"
-let worker_log_flag = "--procs-log"
-
-(* Hidden entry point: `bench --procs-worker K/N --procs-log FILE`.
-   Runs the sweep campaign as shard K/N into a deterministic shard
-   ledger at FILE and exits; a `--resume FILE` appended by the
-   supervisor replays whatever the crashed predecessor flushed. *)
-let procs_worker_main spec log =
-  let sh =
-    match Core.Shard.parse spec with
-    | Ok sh -> sh
-    | Error e ->
-      prerr_endline e;
-      exit 2
-  in
-  let cache =
-    match flag_value "--resume" with
-    | None -> None
-    | Some path -> (
-      match Core.Runlog.load path with
-      | Ok l -> Some (Core.Runlog.cache_of_ledger l)
-      | Error _ -> None)
-  in
-  let header =
-    Core.Runlog.make_header ~shard:spec ~campaign:"bench-table5" ~seed
-      ~grid:sweep_grid ()
-  in
-  let sink = Core.Runlog.create ~deterministic:true ~path:log header in
-  let journal = Core.Runlog.journal ~sink ?cache ~origin:"bench worker" "" in
-  Core.Shard.set_ambient (Some sh);
-  ignore (sweep_campaign ~journal ());
-  Core.Runlog.close sink;
-  exit 0
-
-let procs_sweep serial =
-  section "Executor scaling: Table 5 campaign across worker processes";
-  let ts = List.assoc "table5_campaign_serial_s" !recorded in
-  List.iter
-    (fun n ->
-      let key = Printf.sprintf "table5_campaign_p%d_s" n in
-      let r =
-        timed key (fun () ->
-            let paths = Core.Procs.shard_paths ~n () in
-            Fun.protect
-              ~finally:(fun () -> Core.Procs.cleanup paths)
-              (fun () ->
-                let outcomes =
-                  Core.Procs.fan_out ~campaign:"bench-table5" ~seed
-                    ~grid:sweep_grid ~n ~paths
-                    ~argv_of:(fun ~k ~path ->
-                      [ Sys.executable_name; worker_flag;
-                        Printf.sprintf "%d/%d" k n; worker_log_flag; path ]
-                      @ (if quick_mode then [ "--quick" ] else []))
-                    ()
-                in
-                List.iter
-                  (fun o ->
-                    match o.Core.Procs.status with
-                    | Core.Procs.Failed msg ->
-                      Fmt.epr
-                        "worker %d/%d failed (%s); its slice re-runs in the \
-                         parent@."
-                        o.Core.Procs.k n msg
-                    | Core.Procs.Completed | Core.Procs.Degraded -> ())
-                  outcomes;
-                let cache = Core.Procs.merged_cache paths in
-                sweep_campaign
-                  ~journal:
-                    (Core.Runlog.journal ~cache ~origin:"bench workers" "")
-                  ()))
-      in
-      let tn = List.assoc key !recorded in
-      let sp = if tn > 0.0 then ts /. tn else 0.0 in
-      record (Printf.sprintf "speedup_p%d" n) sp;
-      Fmt.pr "%-12s %6.2f s | speedup %.2fx | identical to serial: %b@."
-        (Printf.sprintf "%d proc(s)" n)
-        tn sp (r = serial);
-      if r <> serial then
-        failwith
-          (Printf.sprintf
-             "%d worker process(es): campaign results diverge from serial" n))
     sweep_jobs
 
 (* Full runs additionally cross-check the Sec. 3 tuning sweep across
@@ -600,14 +493,12 @@ let gate_tolerance () =
 (* The perf gate, run against a committed baseline snapshot.  Two
    checks, both about the refactor's headline promises:
 
-   - two worker processes must beat serial on the Table 5 campaign
-     ([speedup_p2 > 1.0], read from the sweep this very run recorded —
+   - two domains must beat serial on the Table 5 campaign
+     ([speedup_j2 > 1.0], read from the sweep this very run recorded —
      the gate guards the numbers the snapshot publishes, not a separate
      measurement) — skipped on single-core machines, where no backend
-     can win.  The domain pool's [speedup_j2] is printed for the record
-     but not gated: its shared minor collector is why the process
-     backend exists (BENCH_1.json recorded speedup_j2 = 0.83 while the
-     old gate, timing a separate pair of runs, still passed);
+     can win.  The pool is the only local backend, so this is the rule
+     that says `--jobs` pays;
    - the hot-path micro-benchmarks must be within [1 + tolerance]
      of the baseline's absolute times.  The committed baseline was
      recorded on a modest container, so faster CI machines pass with
@@ -636,26 +527,21 @@ let run_gate baseline_path =
   in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* Check 1: two worker processes beat serial, per the recorded sweep. *)
-  (if Domain.recommended_domain_count () >= 2 then begin
-     (match lookup "speedup_j2" entries with
-     | Some sj ->
-       Fmt.pr "domain pool  --jobs 2: speedup %.2fx (informational)@." sj
-     | None -> ());
-     match lookup "speedup_p2" entries with
+  (* Check 1: two domains beat serial, per the recorded sweep. *)
+  (if Domain.recommended_domain_count () >= 2 then
+     match lookup "speedup_j2" entries with
      | Some sp ->
-       Fmt.pr "worker procs x2      : speedup %.2fx: %s@." sp
+       Fmt.pr "domain pool --jobs 2: speedup %.2fx: %s@." sp
          (if sp > 1.0 then "ok" else "NOT FASTER THAN SERIAL");
        if sp <= 1.0 then
          fail
-           "2 worker processes (speedup %.2fx) do not beat serial: the \
-            process backend is not paying for its fan-out"
+           "--jobs 2 (speedup %.2fx) does not beat serial: the domain pool \
+            is not paying for its domains"
            sp
-     | None -> fail "gate needs the procs sweep; run with the sweep enabled"
-   end
+     | None -> fail "gate needs the --jobs sweep; run with the sweep enabled"
    else
      Fmt.pr
-       "single core: skipping the processes-vs-serial check (cannot show \
+       "single core: skipping the pool-vs-serial check (cannot show \
         speedup on this machine)@.");
   (* Check 2: hot-path micro-benchmarks vs the committed baseline. *)
   let tol = gate_tolerance () in
@@ -796,20 +682,11 @@ let write_snapshot () =
     Fmt.pr "wrote %s@." path
 
 let () =
-  (* Worker processes spawned by the procs sweep re-enter here; they
-     run one shard of the sweep campaign and exit before any printing. *)
-  (match (flag_value worker_flag, flag_value worker_log_flag) with
-  | Some spec, Some log -> procs_worker_main spec log
-  | Some _, None ->
-    prerr_endline (worker_flag ^ " requires " ^ worker_log_flag ^ " FILE");
-    exit 2
-  | None, _ -> ());
   let t0 = Unix.gettimeofday () in
   if quick_mode then begin
     tracing_overhead ();
     observability_overhead ();
-    let serial = jobs_sweep () in
-    procs_sweep serial;
+    jobs_sweep ();
     run_bechamel ~tests:hot_path_tests ()
   end
   else begin
@@ -823,8 +700,7 @@ let () =
     timed "fig5_s" (fun () -> print_fig5 harden_results);
     tracing_overhead ();
     observability_overhead ();
-    let serial = jobs_sweep () in
-    procs_sweep serial;
+    jobs_sweep ();
     tuning_backend_check ();
     run_bechamel ~tests:bench_tests ()
   end;

@@ -123,14 +123,7 @@ let budget_term =
   in
   let make full scale =
     let b = if full then Core.Budget.paper else Core.Budget.default in
-    let b = if scale = 1.0 then b else Core.Budget.scale_runs b scale in
-    (* The raw flags ride along so a sharded worker subprocess can be
-       spawned with a byte-identical parameter grid. *)
-    let argv =
-      (if full then [ "--full" ] else [])
-      @ if scale = 1.0 then [] else [ "--runs-scale"; string_of_float scale ]
-    in
-    (b, argv)
+    if scale = 1.0 then b else Core.Budget.scale_runs b scale
   in
   Term.(const make $ full $ scale)
 
@@ -214,23 +207,8 @@ let spans_term =
         ~doc:
           "Record per-job execution spans and write a Chrome trace-event \
            sidecar $(b,LEDGER.spans.json) next to the ledger (requires \
-           $(b,--log)).  Under the process backend each worker writes its \
-           own sidecar; unify them with $(b,gpuwmm trace --merge).")
-
-(* Campaign-scale work defaults to the process backend: worker
-   subprocesses dodge OCaml 5's shared stop-the-world minor GC, which
-   caps the in-process domain pool below 1x on this workload.  A fresh,
-   unsharded run with two or more jobs fans out; GPUWMM_PROCS=off
-   forces the in-process domain pool even then. *)
-let fan_out_width ~jobs ~shard ~resume =
-  let n =
-    match jobs with
-    | Some n -> Core.Exec.clamp_jobs n
-    | None -> Core.Exec.default_jobs ()
-  in
-  match Sys.getenv_opt "GPUWMM_PROCS" with
-  | Some ("0" | "off" | "no" | "false") -> None
-  | _ -> if n >= 2 && shard = None && resume = None then Some n else None
+           $(b,--log)).  Each $(b,--shard) run writes its own sidecar; \
+           unify them with $(b,gpuwmm trace --merge).")
 
 let strict_term =
   Arg.(
@@ -534,22 +512,13 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    result record — `gpuwmm merge` reassembles the canonical ledger from
    the full shard set.
 
-   With ~procs (worker count n and the self-exec argv builder) the
-   campaign fans out across n worker subprocesses first — each a
-   single-domain `--shard k/n` run with its own GC — and the body then
-   executes against the union resume cache of their shard ledgers:
-   cached jobs replay, anything a quarantined shard failed to flush
-   re-runs here, and the resulting ledger is indistinguishable from a
-   single-process run.  Callers pass ~procs as fan_out_width allows.
-
    Observability, all opt-in and result-neutral: every ledgered process
    beats on a <ledger>.hb sidecar (Core.Heartbeat; GPUWMM_HEARTBEAT=off
-   disables); ~listen serves /metrics, /status and /healthz over the
-   known sidecars for the campaign's duration; ~spans records per-job
-   spans and writes a Chrome trace sidecar <ledger>.spans.json with
-   absolute timestamps, mergeable across workers by `gpuwmm trace
-   --merge`. *)
-let with_ledger ?shard ?procs ?listen ?(spans = false)
+   disables); ~listen serves /metrics, /status and /healthz over that
+   sidecar for the campaign's duration; ~spans records per-job spans
+   and writes a Chrome trace sidecar <ledger>.spans.json with absolute
+   timestamps, mergeable across shard runs by `gpuwmm trace --merge`. *)
+let with_ledger ?shard ?listen ?(spans = false)
     ~campaign ~seed ~jobs ~grid ~log ~resume ~kind ~encode f =
   let shard =
     match shard with
@@ -574,25 +543,23 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
   | _ -> ());
   let shard_spec = Option.map Core.Shard.to_string shard in
   if spans then Core.Telemetry.set_spans true;
-  (* Heartbeat sidecars this campaign is known to write: the worker
-     shard set under fan-out, plus this process's own once its ledger
-     path is settled.  The HTTP handler domain reads the list live on
-     every scrape while this domain updates it, so it lives in an
-     Atomic (like Exec's progress cell) rather than a plain ref. *)
-  let hb_paths = Atomic.make [] in
+  (* The ledger this process writes, and so the heartbeat sidecar the
+     HTTP endpoints read. *)
+  let ledger = match log with Some _ -> log | None -> resume in
+  let hb_paths = Option.to_list (Option.map Core.Heartbeat.hb_path ledger) in
   let observability_handler req =
     let now =
       if Core.Runlog.deterministic_mode () then 0.0 else Unix.gettimeofday ()
     in
     match req with
     | "/metrics" ->
-      let fleet = Core.Fleetview.load ~now (Atomic.get hb_paths) in
+      let fleet = Core.Fleetview.load ~now hb_paths in
       Core.Httpd.respond
         ~content_type:"text/plain; version=0.0.4; charset=utf-8"
         (Core.Telemetry.prometheus (Core.Telemetry.snapshot ())
         ^ Core.Fleetview.prometheus fleet)
     | "/" | "/status" ->
-      let fleet = Core.Fleetview.load ~now (Atomic.get hb_paths) in
+      let fleet = Core.Fleetview.load ~now hb_paths in
       Core.Httpd.respond ~content_type:"application/json"
         (Core.Json.to_string (Core.Fleetview.render_json fleet) ^ "\n")
     | "/healthz" -> Core.Httpd.respond "ok\n"
@@ -612,52 +579,12 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
         Fmt.epr "--listen %d: %s@." port (Unix.error_message e);
         exit 2)
   in
-  let fan =
-    Option.map
-      (fun (n, argv_of) -> (n, argv_of, Core.Procs.shard_paths ?log ~n ()))
-      procs
-  in
-  (* Temp shard files go even when the fan-out itself is interrupted. *)
-  let tmp = match (fan, log) with Some (_, _, ps), None -> ps | _ -> [] in
   Fun.protect
-    ~finally:(fun () ->
-      Option.iter Core.Httpd.stop server;
-      Core.Procs.cleanup tmp)
+    ~finally:(fun () -> Option.iter Core.Httpd.stop server)
     (fun () ->
-      let procs_cache =
-        Option.map
-          (fun (n, argv_of, paths) ->
-            Atomic.set hb_paths (List.map Core.Heartbeat.hb_path paths);
-            Logs.info (fun f -> f "fanning out %d worker processes" n);
-            List.iter
-              (fun (o : Core.Procs.outcome) ->
-                (match o.Core.Procs.status with
-                | Core.Procs.Failed reason ->
-                  Logs.warn (fun f ->
-                      f "shard %d/%d failed (%s); its jobs re-run in this \
-                         process"
-                        o.Core.Procs.k n reason)
-                | _ -> ());
-                if o.Core.Procs.respawns > 0 then
-                  Logs.info (fun f ->
-                      f "shard %d/%d needed %d crash respawn(s)" o.Core.Procs.k
-                        n o.Core.Procs.respawns))
-              (Core.Procs.fan_out ~campaign ~seed ~grid ~n ~paths ~argv_of ());
-            Core.Procs.merged_cache paths)
-          fan
-      in
-      match (log, resume) with
-      | None, None -> (
-        match procs_cache with
-        | None -> ignore (f None)
-        | Some cache ->
-          (* No ledger requested: the workers' shard ledgers are still
-             the cache, so the reduce replays their results without
-             re-executing. *)
-          ignore
-            (f (Some (Core.Runlog.journal ~cache ~origin:"worker shards" ""))))
-      | _ ->
-        let path = match log with Some p -> p | None -> Option.get resume in
+      match ledger with
+      | None -> ignore (f None)
+      | Some path ->
         let loaded =
           match resume with
           | None -> None
@@ -705,23 +632,16 @@ let with_ledger ?shard ?procs ?listen ?(spans = false)
               Core.Runlog.make_header ?jobs ?shard:shard_spec ~campaign ~seed
                 ~grid ()
           in
-          let cache =
-            match loaded with
-            | Some l -> Some (Core.Runlog.cache_of_ledger l)
-            | None -> procs_cache
-          in
+          let cache = Option.map Core.Runlog.cache_of_ledger loaded in
           Option.iter
             (fun c ->
               Logs.info (fun f ->
-                  f "resuming from %s: %d completed job record(s)"
-                    (if resume = None then "worker shards" else path)
+                  f "resuming from %s: %d completed job record(s)" path
                     (Core.Runlog.cache_size c)))
             cache;
           let sink = Core.Runlog.create ~path header in
           let journal = Core.Runlog.journal ~sink ?cache ~origin:path "" in
           Core.Shard.set_ambient shard;
-          Atomic.set hb_paths
-            (Atomic.get hb_paths @ [ Core.Heartbeat.hb_path path ]);
           let emitter =
             if Core.Heartbeat.enabled () then
               Some
@@ -904,7 +824,7 @@ let check_cmd =
       $ json_flag $ out_term)
 
 let tune_cmd =
-  let run verbose quiet seed chip (budget, _budget_argv) jobs log resume shard
+  let run verbose quiet seed chip budget jobs log resume shard
       timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
@@ -970,36 +890,9 @@ let test_cmd =
             ("apps", json_strs (app_names apps));
             ("runs", Core.Json.Int runs) ]
       in
-      let procs_n = fan_out_width ~jobs ~shard ~resume in
-      let child_argv n ~k ~path =
-        [ Sys.executable_name; "test";
-          "--chip"; chip.Gpusim.Chip.name;
-          "--runs"; string_of_int runs;
-          "--env"; env_name;
-          "--seed"; string_of_int seed;
-          "-j"; "1"; "-q";
-          "--shard"; Printf.sprintf "%d/%d" k n;
-          "--log"; path ]
-        @ (match app with
-          | Some a -> [ "--app"; a.Apps.App.name ]
-          | None -> [])
-        @ (if spans then [ "--spans" ] else [])
-        @ (if strict then [ "--strict" ] else [])
-        @ (match timeout with
-          | Some t -> [ "--timeout"; string_of_float t ]
-          | None -> [])
-        @ (if retries > 0 then [ "--retries"; string_of_int retries ] else [])
-        @ if keep_going then [ "--keep-going" ] else []
-      in
-      (* Under fan-out the parent only replays the workers' shard
-         ledgers, single-domain. *)
-      let backend =
-        if procs_n = None then backend_of jobs else Core.Exec.Serial
-      in
+      let backend = backend_of jobs in
       guarded (fun () ->
-          with_ledger ?shard
-            ?procs:(Option.map (fun n -> (n, child_argv n)) procs_n)
-            ?listen ~spans
+          with_ledger ?shard ?listen ~spans
             ~campaign:"test" ~seed ~jobs ~grid ~log ~resume ~kind:"campaign"
             ~encode:Core.Campaign.rows_to_json (fun journal ->
               let rows =
@@ -1465,7 +1358,7 @@ let table_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table number (1-6).")
   in
   let runs = Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N") in
-  let run verbose quiet seed chips all number (budget, budget_argv) runs jobs
+  let run verbose quiet seed chips all number budget runs jobs
       log resume shard listen spans strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();
@@ -1477,32 +1370,7 @@ let table_cmd =
           ("budget", Core.Budget.to_json budget);
           ("runs", Core.Json.Int runs) ]
     in
-    (* Only the Table 5 campaign is a flat independent grid today, so it
-       alone defaults to the process backend (see `test`); the adaptive
-       tables keep the domain pool. *)
-    let procs_n =
-      if number = 5 then fan_out_width ~jobs ~shard ~resume else None
-    in
-    let child_argv n ~k ~path =
-      [ Sys.executable_name; "table"; string_of_int number;
-        "--chips"; String.concat "," (chip_names chips);
-        "--runs"; string_of_int runs;
-        "--seed"; string_of_int seed;
-        "-j"; "1"; "-q";
-        "--shard"; Printf.sprintf "%d/%d" k n;
-        "--log"; path ]
-      @ budget_argv
-      @ (if spans then [ "--spans" ] else [])
-      @ (if strict then [ "--strict" ] else [])
-      @ (match timeout with
-        | Some t -> [ "--timeout"; string_of_float t ]
-        | None -> [])
-      @ (if retries > 0 then [ "--retries"; string_of_int retries ] else [])
-      @ if keep_going then [ "--keep-going" ] else []
-    in
-    let backend =
-      if procs_n = None then backend_of jobs else Core.Exec.Serial
-    in
+    let backend = backend_of jobs in
     let ledgered :
         type a.
         kind:string ->
@@ -1511,9 +1379,7 @@ let table_cmd =
         unit =
      fun ~kind ~encode f ->
       guarded (fun () ->
-          with_ledger ?shard
-            ?procs:(Option.map (fun n -> (n, child_argv n)) procs_n)
-            ?listen ~spans
+          with_ledger ?shard ?listen ~spans
             ~campaign:(Printf.sprintf "table%d" number)
             ~seed ~jobs ~grid ~log ~resume ~kind ~encode f);
       conclude_supervised ()
@@ -1607,7 +1473,7 @@ let figure_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure number (3-5).")
   in
   let runs = Arg.(value & opt int 30 & info [ "runs" ] ~docv:"N") in
-  let run verbose quiet seed chips all number (budget, _budget_argv) runs csv
+  let run verbose quiet seed chips all number budget runs csv
       jobs log resume shard strict timeout retries keep_going =
     setup_log ~quiet verbose;
     setup_supervision ~timeout ~retries ~keep_going ();

@@ -402,43 +402,15 @@ let make_ticker ~label ~execs_per_job ~total ~cached ~skipped =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain GC tuning                                                 *)
+(* GC settings                                                          *)
 
-(* The default 256k-word minor heap forces a collection every few
-   simulated executions; under OCaml 5's stop-the-world parallel minor
-   collector each of those synchronises every domain, which is the prime
-   suspect for parallel slowdown on allocation-heavy workloads.  A large
-   minor heap amortises the synchronisation to the point where domains
-   mostly run undisturbed.  Override the size (in words) with
-   [GPUWMM_GC=<words>], or disable tuning entirely with [GPUWMM_GC=off]. *)
-let default_minor_heap_words = 2 * 1024 * 1024 (* 16 MiB per domain *)
-
-let gc_tuned : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
-let tune_gc () =
-  let tuned = Domain.DLS.get gc_tuned in
-  if not !tuned then begin
-    tuned := true;
-    match Sys.getenv_opt "GPUWMM_GC" with
-    | Some "off" -> ()
-    | gc_env ->
-      let minor =
-        match gc_env with
-        | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n when n > 0 -> n
-          | Some _ | None -> default_minor_heap_words)
-        | None -> default_minor_heap_words
-      in
-      let g = Gc.get () in
-      if g.Gc.minor_heap_size < minor then
-        Gc.set
-          { g with
-            Gc.minor_heap_size = minor;
-            (* Simulator state is long-lived and reused; trading major-heap
-               slack for fewer slices suits the workload. *)
-            space_overhead = Int.max g.Gc.space_overhead 200 }
-  end
+(* Every backend runs at the runtime's default GC settings: now that
+   the simulator's tick allocates little, a 16 MiB minor heap no longer
+   speeds up the measured campaigns and costs resident memory in every
+   domain (DESIGN.md §6a records what was measured, and the two
+   micro-benchmarks it still helped).  Kept for callers outside the
+   library. *)
+let tune_gc () = ()
 
 (* ------------------------------------------------------------------ *)
 (* The worker pool                                                      *)
@@ -448,13 +420,15 @@ let tune_gc () =
    Indexes are handed out in chunks from a shared atomic counter; [stop]
    lets callers abort early (used by [for_all]).  The first exception is
    captured and re-raised on the calling domain after every worker has
-   drained. *)
+   drained.  Helpers are spawned until the runtime refuses one: OCaml
+   caps a process's live domains (128 in 5.1) and the heartbeat, HTTP
+   and watchdog domains count against that cap.  No result depends on
+   which worker ran a job, so a smaller pool changes only the speed. *)
 let pool_iter ~domains ~stop ~process len =
   let next = Atomic.make 0 in
   let error = Atomic.make None in
   let chunk = Int.max 1 (len / (domains * 8)) in
   let worker w =
-    tune_gc ();
     let rec loop () =
       if Atomic.get error = None && not (stop ()) then begin
         let start = Atomic.fetch_and_add next chunk in
@@ -472,9 +446,17 @@ let pool_iter ~domains ~stop ~process len =
     in
     loop ()
   in
-  let helpers =
-    List.init (domains - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
+  let rec spawn w helpers =
+    if w >= domains then helpers
+    else
+      match Domain.spawn (fun () -> worker w) with
+      | d -> spawn (w + 1) (d :: helpers)
+      | exception Failure _ ->
+        Logs.info (fun m ->
+            m "runtime domain limit: the pool runs %d of %d domains" w domains);
+        helpers
   in
+  let helpers = spawn 1 [] in
   worker 0;
   List.iter Domain.join helpers;
   match Atomic.get error with Some e -> raise e | None -> ()
@@ -503,7 +485,6 @@ let instrumented ?label ~f ~queued_at =
     (r, ended_at -. started_at)
 
 let map ?(backend = Serial) ?label ?(execs_per_job = 1) ~f jobs =
-  tune_gc ();
   let arr = Array.of_list jobs in
   let len = Array.length arr in
   let tick = make_ticker ~label ~execs_per_job ~total:len ~cached:0 ~skipped:0 in
@@ -532,7 +513,6 @@ let map ?(backend = Serial) ?label ?(execs_per_job = 1) ~f jobs =
 
 let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
     ?quarantine ?shard_placeholder ~seed ~f payloads =
-  tune_gc ();
   let jobs = plan ~seed payloads in
   let arr = Array.of_list jobs in
   let len = Array.length arr in
@@ -704,7 +684,6 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
   end
 
 let for_all ?(backend = Serial) ~seed ~f payloads =
-  tune_gc ();
   let jobs = plan ~seed payloads in
   let njobs = List.length jobs in
   if njobs = 0 then true

@@ -28,8 +28,9 @@
 type backend =
   | Serial  (** run jobs in plan order on the calling domain *)
   | Parallel of int
-      (** [Parallel n]: a pool of [n] domains (the caller participates);
-          [Parallel 1] behaves like [Serial] *)
+      (** [Parallel n]: a pool of [n] domains (the caller participates),
+          or as many as the runtime's domain limit still allows (128 live
+          domains in OCaml 5.1); [Parallel 1] behaves like [Serial] *)
 
 val serial : backend
 
@@ -52,20 +53,12 @@ val default_jobs : unit -> int
 val default_backend : unit -> backend
 (** [backend_of_jobs (default_jobs ())]. *)
 
-val default_minor_heap_words : int
-(** The minor-heap size {!tune_gc} installs by default (16 MiB per
-    domain).  {!Procs} divides it across worker subprocesses so a
-    process-sharded campaign keeps the same total memory budget. *)
-
 val tune_gc : unit -> unit
-(** Tune the calling domain's GC for campaign throughput (idempotent per
-    domain; every executor entry point and worker calls it).  Grows the
-    minor heap — 16 MiB per domain by default — so that OCaml 5's
-    stop-the-world minor collections stop serialising worker domains,
-    which is the dominant parallel-scaling cost for allocation-heavy
-    simulation.  [GPUWMM_GC=<words>] overrides the minor-heap size;
-    [GPUWMM_GC=off] leaves the runtime defaults untouched.  Never affects
-    results, only scheduling of collections. *)
+(** A no-op, kept for callers that still invoke it.  Every backend runs
+    at the runtime's default GC settings: now that the simulator's
+    per-tick path allocates little, a 16 MiB minor heap no longer speeds
+    up the measured campaigns and costs resident memory in every domain
+    (DESIGN.md §6a). *)
 
 type 'a job = {
   index : int;  (** position in the plan, [0..n-1] *)

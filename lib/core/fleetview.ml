@@ -2,18 +2,17 @@
    into one picture.
 
    Every consumer of cross-process progress goes through this module so
-   they all agree: the parent's fan-out ticker (one summary line), the
-   `gpuwmm status` subcommand (full per-shard table, ascii or JSON) and
-   the /status and /metrics HTTP endpoints.  The inputs are plain .hb
-   files, so the view works on a live campaign, on a finished one, and
-   on artifacts copied off the machine.
+   they all agree: the `gpuwmm status` subcommand (full per-shard table,
+   ascii or JSON) and the /status and /metrics HTTP endpoints.  The
+   inputs are plain .hb files, so the view works on a live campaign, on
+   a finished one, and on artifacts copied off the machine.
 
    Aggregation rule: the fleet totals sum the *shard workers* (records
    carrying a shard spec) when any exist, because their shard-local
    counts partition the campaign plan exactly; a driver row (no shard
-   spec — the parent, or a plain unsharded campaign) joins the totals
-   only when no shard rows are present, since the parent's replay pass
-   spans the whole plan and would double-count the workers. *)
+   spec — a plain unsharded campaign) joins the totals only when no
+   shard rows are present, since it spans the whole plan and would
+   double-count the shards. *)
 
 type worker = {
   w_path : string;  (* the .hb stream *)

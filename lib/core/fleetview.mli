@@ -1,16 +1,15 @@
 (** Fleet view: join heartbeat sidecars ([<ledger>.hb]) into one
     cross-process picture of a campaign.
 
-    All consumers of fleet progress — the {!Procs} fan-out ticker,
-    `gpuwmm status`, and the {!Httpd} [/status] and [/metrics]
-    endpoints — share this module, so a campaign looks the same from
-    every vantage point.
+    All consumers of fleet progress — `gpuwmm status` and the {!Httpd}
+    [/status] and [/metrics] endpoints — share this module, so a
+    campaign looks the same from every vantage point.
 
     Totals sum the shard workers (records carrying a shard spec) when
     any exist; a driver row (no shard spec) is displayed but excluded
-    from the totals then, because the parent's replay pass spans the
-    whole plan and would double-count the workers.  For an unsharded
-    campaign the single driver row {e is} the fleet. *)
+    from the totals then, because it spans the whole plan and would
+    double-count the shards.  For an unsharded campaign the single
+    driver row {e is} the fleet. *)
 
 type worker = {
   w_path : string;  (** the .hb stream this row was read from *)
@@ -46,7 +45,7 @@ val load : now:float -> string list -> fleet
     (their timestamps are all [0.0]). *)
 
 val summary_line : fleet -> string
-(** One line for the parent's fan-out ticker:
+(** The fleet summary, the first line of {!render_ascii}:
     ["fleet: 37/96 jobs (38%) | 12.1 jobs/s | ETA 5s | 4 worker(s), 1 DEAD"]. *)
 
 val worker_line : ?width:int -> worker -> string

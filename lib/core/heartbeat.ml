@@ -266,10 +266,10 @@ let announce_poll_s = 0.02
    (timestamp, rate, ETA, GC stats) are zeroed in deterministic mode so
    sidecars written by test fixtures stay byte-stable; the campaign
    counters are real either way. *)
-(* A worker respawned by its supervisor (Procs, for local fan-out and
-   the serve daemon alike) carries its crash-respawn count in
-   GPUWMM_RESPAWN; stamping it on every beat lets `gpuwmm status` show
-   which shards crashed without any channel back to the parent. *)
+(* A worker respawned by its supervisor (Procs, under the serve
+   daemon) carries its crash-respawn count in GPUWMM_RESPAWN; stamping
+   it on every beat lets `gpuwmm status` show which shards crashed
+   without any channel back to the parent. *)
 let env_respawns () =
   match Sys.getenv_opt "GPUWMM_RESPAWN" with
   | Some s -> (

@@ -1,48 +1,19 @@
-(* The worker supervisor.
+(* The worker supervisor of the [gpuwmm serve] daemon.
 
-   OCaml 5 domains share one stop-the-world minor collector, so for
-   allocation-heavy simulation the domain pool stops scaling almost
-   immediately (bench: speedup_j2 < 1).  The escape hatch is processes:
-   the CLI re-executes itself once per shard ([--shard k/N]), each child
-   a plain single-domain run with its own heap, and the shard ledgers
-   are reassembled afterwards.  This module owns the mechanics —
-   spawning, GC budgeting, reaping, liveness, verification and bounded
-   crash recovery — for both the local fan-out and the serve daemon,
-   using nothing beyond stdlib [Unix].
+   Local parallelism is the in-process domain pool ([Exec.Parallel]);
+   the daemon alone runs campaigns as worker processes, because a
+   process is what can be isolated: a leased shard whose worker
+   crashes, wedges or overruns its lease can be killed, requeued and
+   resumed from its ledger prefix while the rest of the campaign runs
+   on.  The CLI re-executes itself once per shard ([--shard k/N]), each
+   worker a plain single-domain run writing its own shard ledger, and
+   the daemon merges the ledgers afterwards.  This module owns the
+   mechanics — spawning, reaping, liveness, verification and bounded
+   crash recovery — using nothing beyond stdlib [Unix].
 
    Why this is safe with domains: [Unix.create_process_env] forks and
    execs immediately, so the child never runs OCaml code in the forked
    image (fork without exec is unsafe once domains have been spawned). *)
-
-type status = Completed | Degraded | Failed of string
-
-type outcome = { k : int; path : string; status : status; respawns : int }
-
-let shard_paths ?log ~n () =
-  List.init n (fun i ->
-      let k = i + 1 in
-      match log with
-      | Some l -> Printf.sprintf "%s.shard%d" l k
-      | None ->
-        let f = Filename.temp_file "gpuwmm-shard" ".jsonl" in
-        (* temp_file creates the file; a stale empty ledger would fail
-           the child's header parse on --resume paths, so remove it and
-           let the child create it. *)
-        Sys.remove f;
-        f)
-
-(* Each worker gets [1/n] of the default per-domain minor heap (floored
-   at 1 MiB) unless the operator pinned GPUWMM_GC, so a process-sharded
-   campaign keeps roughly the single-process memory budget. *)
-let child_env ~n =
-  let base = Unix.environment () in
-  let has_gc =
-    Array.exists (fun kv -> String.length kv >= 10 && String.sub kv 0 10 = "GPUWMM_GC=") base
-  in
-  if has_gc then base
-  else
-    let words = Int.max 262144 (Exec.default_minor_heap_words / Int.max 1 n) in
-    Array.append base [| Printf.sprintf "GPUWMM_GC=%d" words |]
 
 (* OCaml numbers the portable signals with internal negative codes
    (Sys.sigkill is -7); translate to the numbers people grep dmesg and
@@ -258,7 +229,7 @@ let watch t ~now (id, k) { pid; _ } =
 
 let spawn t ~now (spec : Queue.spec) k ~attempt (sh : shard) ~resume =
   let argv = sh.argv @ if resume then [ "--resume"; sh.ledger ] else [] in
-  let env = child_env ~n:spec.workers in
+  let env = Unix.environment () in
   let env =
     (* attempt > 1 means this lease follows at least one failure; stamp
        the count so the worker's heartbeats carry it and `gpuwmm
@@ -390,111 +361,3 @@ let stop t =
     Atomic.set t.closed true;
     List.iter close_fd [ t.wake_r; t.wake_w; t.devnull ]
   end
-
-(* ------------------------------------------------------------------ *)
-(* Local fan-out: the same loop over one in-memory job                  *)
-
-let fan_out ?exe ~campaign ~seed ~grid ~n ~paths ~argv_of () =
-  if List.length paths <> n then
-    invalid_arg "Procs.fan_out: paths length <> n";
-  let ledgers = Array.of_list paths in
-  let spec =
-    { Queue.id = campaign; kind = campaign; chip = ""; app = None; runs = 0;
-      env = ""; seed; workers = n; priority = 0;
-      max_attempts = default_attempts }
-  in
-  let st = ref (Queue.apply Queue.empty (Queue.Submitted { t = 0.0; spec })) in
-  let respawns = Array.make n 0 in
-  let emit ev =
-    (match ev with
-    | Queue.Requeued { shard; _ } ->
-      respawns.(shard - 1) <- respawns.(shard - 1) + 1
-    | _ -> ());
-    st := Queue.apply !st ev
-  in
-  let shard _ k =
-    let path = ledgers.(k - 1) in
-    { argv = argv_of ~k ~path; ledger = path;
-      check = (fun () -> check_ledger ~campaign ~seed ~grid ~k ~n path) }
-  in
-  let t =
-    create ?exe ~log:Exec.info ~max_workers:n ~lease_s:infinity
-      ~backoff_base_s:default_backoff_base_s
-      ~state:(fun () -> !st)
-      ~emit shard
-  in
-  let shards () = (List.hd !st.Queue.jobs).Queue.shards in
-  let last_line = ref 0.0 in
-  (* Progress goes through the heartbeat sidecars when the workers are
-     beating — per-shard rates, a fleet ETA, dead-worker flags — and
-     falls back to the blind ledger-tail count until the first beat
-     lands (or when heartbeats are disabled). *)
-  let progress () =
-    let now = Unix.gettimeofday () in
-    if now -. !last_line >= 1.0 then begin
-      last_line := now;
-      let fleet = Fleetview.load ~now (List.map Heartbeat.hb_path paths) in
-      if fleet.Fleetview.workers <> [] then
-        Exec.info (Fleetview.summary_line fleet)
-      else
-        Exec.info
-          (Printf.sprintf
-             "workers: %d job record(s) across %d shard(s), %d running"
-             (List.fold_left (fun acc p -> acc + Runlog.count_job_records p) 0 paths)
-             n (Hashtbl.length t.children))
-    end
-  in
-  let terminal = function
-    | Queue.Done _ | Queue.Quarantined _ -> true
-    | Queue.Pending _ | Queue.Leased _ -> false
-  in
-  let rec drain () =
-    tick t;
-    progress ();
-    if not (Array.for_all terminal (shards ())) then begin
-      wait t;
-      drain ()
-    end
-  in
-  Fun.protect ~finally:(fun () -> stop t) drain;
-  List.mapi
-    (fun i path ->
-      let status =
-        match (shards ()).(i) with
-        | Queue.Done { degraded = false } -> Completed
-        | Queue.Done { degraded = true } -> Degraded
-        | Queue.Quarantined { reason } -> Failed reason
-        | Queue.Pending _ | Queue.Leased _ -> Failed "not reaped"
-      in
-      { k = i + 1; path; status; respawns = respawns.(i) })
-    paths
-
-(* Union resume cache over whatever shard ledgers made it to disk.  A
-   quarantined shard may be unreadable or half-written; its jobs simply
-   stay uncached and re-run in the parent under the parent's own
-   supervision, which is the crash-reaping story: no shard failure mode
-   can lose a campaign, only slow it down. *)
-let merged_cache paths =
-  let ledgers =
-    List.filter_map
-      (fun p ->
-        match Runlog.load p with
-        | Ok l -> Some l
-        | Error e ->
-          Exec.info
-            (Printf.sprintf "shard ledger %s unreadable (%s); its jobs re-run"
-               p e);
-          None)
-      paths
-  in
-  Runlog.cache_of_ledgers ledgers
-
-let cleanup paths =
-  let rm p = try Sys.remove p with Sys_error _ -> () in
-  List.iter
-    (fun p ->
-      rm p;
-      (* Observability sidecars ride along with temp shard ledgers. *)
-      rm (Heartbeat.hb_path p);
-      rm (p ^ ".spans.json"))
-    paths

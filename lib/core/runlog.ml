@@ -416,27 +416,6 @@ let load file =
   | exception Sys_error e -> Error e
   | text -> parse text
 
-(* A cheap live progress probe: count durably flushed job records by
-   their line prefix, without parsing.  Safe against a concurrent
-   writer because job lines are single [output_string] appends — the
-   only torn line can be the last, which the prefix test then skips. *)
-let count_job_records path =
-  match open_in path with
-  | exception Sys_error _ -> 0
-  | ic ->
-    let prefix = {|{"rec":"job","|} in
-    let plen = String.length prefix in
-    let n = ref 0 in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.length line >= plen && String.sub line 0 plen = prefix
-         then incr n
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !n
-
 (* ------------------------------------------------------------------ *)
 (* Resumption                                                           *)
 
@@ -445,19 +424,6 @@ type cache = (string * int, job) Hashtbl.t
 let cache_of_ledger l =
   let c = Hashtbl.create (List.length l.jobs) in
   List.iter (fun (j : job) -> Hashtbl.replace c (j.phase, j.index) j) l.jobs;
-  c
-
-(* Union cache over several (typically shard) ledgers.  Keys never
-   overlap for well-formed shards; if they do, the last ledger wins,
-   which `merge` independently rejects fail-closed. *)
-let cache_of_ledgers ls =
-  let c = Hashtbl.create 256 in
-  List.iter
-    (fun l ->
-      List.iter
-        (fun (j : job) -> Hashtbl.replace c (j.phase, j.index) j)
-        l.jobs)
-    ls;
   c
 
 let cache_size = Hashtbl.length

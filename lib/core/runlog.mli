@@ -154,22 +154,10 @@ val parse : string -> (ledger, string) result
 val load : string -> (ledger, string) result
 (** {!parse} the file at a path. *)
 
-val count_job_records : string -> int
-(** Count the job records durably flushed to a (possibly still growing)
-    ledger by line prefix, without parsing.  [0] for a missing file.
-    The fan-out parent's fallback progress probe when a worker has not
-    yet produced a heartbeat. *)
-
 type cache
 (** Completed job records keyed by (phase, index). *)
 
 val cache_of_ledger : ledger -> cache
-
-val cache_of_ledgers : ledger list -> cache
-(** Union cache over several ledgers (the process backend resolves its
-    children's shard ledgers through this before the final in-process
-    pass).  Well-formed shards never collide; on a collision the last
-    ledger wins — [merge] independently rejects overlaps fail-closed. *)
 
 val cache_size : cache -> int
 

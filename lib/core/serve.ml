@@ -7,8 +7,8 @@
    - a durable queue (Queue): every transition is an append-only
      journal event, applied to an in-memory state under one mutex;
    - the Procs lease loop over that state, spawning shard workers
-     (self-exec `gpuwmm test --shard k/N`, exactly the argv local
-     fan-out uses) under deadlines, then merging finished campaigns.
+     (self-exec `gpuwmm test --shard k/N`, the argv a shard run across
+     machines uses) under deadlines, then merging finished campaigns.
 
    Crash tolerance is structural rather than defensive: the daemon
    never needs to shut down cleanly, because restart = journal replay

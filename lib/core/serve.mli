@@ -3,10 +3,10 @@
     [run] turns the process into a long-lived server that accepts
     campaign submissions over HTTP ([POST /submit]), decomposes each
     into one shard-ledger work unit per worker ({!Shard} semantics,
-    identical to [gpuwmm test -j N]), and executes them under {e leases
-    with deadlines}: the {!Procs} lease loop (shared with local
-    fan-out) hands every work unit to a worker subprocess, and a worker
-    that exits abnormally, overruns its lease deadline, or stops heartbeating
+    identical to [gpuwmm test --shard k/N]), and executes them under
+    {e leases with deadlines}: the {!Procs} lease loop hands every work
+    unit to a worker subprocess, and a worker that exits abnormally,
+    overruns its lease deadline, or stops heartbeating
     ({!Heartbeat.classify} = [Dead]) has its shard requeued with capped
     exponential backoff ({!Queue.backoff_s}) and quarantined as failed
     after the submission's attempt budget.

@@ -178,6 +178,30 @@ let test_clamp_jobs () =
     [ (0, 1); (-5, 1); (1, 1); (7, 7); (512, 512); (513, 512);
       (100000, 512) ]
 
+let test_pool_past_domain_limit () =
+  (* The widest accepted pool asks for more domains than the runtime
+     starts (128 live in OCaml 5.1).  Helpers hold their first job until
+     the calling domain runs one, which it does only after spawning every
+     helper it could, so the spawns really reach the limit; the pool must
+     then run on the domains it got, with the serial results. *)
+  let payloads = List.init 600 Fun.id in
+  let f ~seed p = (seed * 31) + p in
+  let serial = Core.Exec.run ~backend:Core.Exec.Serial ~seed:12 ~f payloads in
+  let caller = Domain.self () in
+  let released = Atomic.make false in
+  let held ~seed p =
+    if Domain.self () = caller then Atomic.set released true
+    else
+      while not (Atomic.get released) do
+        Unix.sleepf 0.001
+      done;
+    f ~seed p
+  in
+  Alcotest.(check (list int)) "Parallel max_jobs = serial" serial
+    (Core.Exec.run
+       ~backend:(Core.Exec.Parallel Core.Exec.max_jobs)
+       ~seed:12 ~f:held payloads)
+
 (* ------------------------------------------------------------------ *)
 (* Supervised execution: deterministic retry, quarantine, watchdog.    *)
 
@@ -453,7 +477,9 @@ let () =
             test_ticker_rate_limited;
           Alcotest.test_case "for_all across backends" `Quick
             test_for_all_agrees_across_backends;
-          Alcotest.test_case "clamp_jobs" `Quick test_clamp_jobs ] );
+          Alcotest.test_case "clamp_jobs" `Quick test_clamp_jobs;
+          Alcotest.test_case "pool past the domain limit" `Quick
+            test_pool_past_domain_limit ] );
       ( "supervision",
         [ Alcotest.test_case "retry heals bit-identically" `Quick
             test_retry_heals_bit_identical;

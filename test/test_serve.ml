@@ -562,8 +562,7 @@ touch "$1/ran"; exit 1|}
         note)
     [ (Core.Procs.Prefix, "1 --resume shard.jsonl"); (Core.Procs.Unusable, "1") ]
 
-(* Every attempt crashes: quarantined after max_attempts, and fan-out
-   (3 attempts, real backoff) reports the shard Failed. *)
+(* Every attempt crashes: quarantined after max_attempts. *)
 let test_crash_quarantines () =
   let events, shard, _ =
     supervise ~max_attempts:2 ~script:"exit 1"
@@ -572,18 +571,7 @@ let test_crash_quarantines () =
   Alcotest.(check (list string)) "one retry before the budget runs out"
     [ "exited 1" ] (requeue_reasons events);
   Alcotest.(check bool) "quarantined with the last exit" true
-    (shard = Core.Queue.Quarantined { reason = "exited 1" });
-  let paths = Core.Procs.shard_paths ~n:1 () in
-  match
-    Core.Procs.fan_out ~exe:"/bin/sh" ~campaign:"test" ~seed:1
-      ~grid:(Core.Json.Assoc []) ~n:1 ~paths
-      ~argv_of:(fun ~k:_ ~path:_ -> [ "sh"; "-c"; "exit 1" ])
-      ()
-  with
-  | [ { Core.Procs.status = Core.Procs.Failed reason; respawns; _ } ] ->
-    Alcotest.(check string) "fan-out names the exit" "exited 1" reason;
-    Alcotest.(check int) "two respawns spent" 2 respawns
-  | _ -> Alcotest.fail "fan-out should report the shard Failed"
+    (shard = Core.Queue.Quarantined { reason = "exited 1" })
 
 (* Exit 0 is trusted only with a whole ledger. *)
 let test_exit0_verified () =
@@ -642,32 +630,28 @@ exec sleep 30|}
   Alcotest.(check bool) "respawn finished the shard" true
     (shard = Core.Queue.Done { degraded = false })
 
-(* An interrupt (the CLI's SIGTERM/SIGINT handlers raise
-   Exec.Interrupted) unwinds fan-out through the stop path: the
-   exception propagates, no worker is left running or unreaped, and no
-   descriptor stays open. *)
-let test_fan_out_interrupt () =
-  let paths = Core.Procs.shard_paths ~n:1 () in
+(* Stopping the tick/wait loop mid-lease: an Exec.Interrupted (what the
+   CLI's SIGTERM/SIGINT handlers raise) unwinds it into Procs.stop, the
+   call the daemon makes on SIGTERM.  The exception propagates, no
+   worker is left running or unreaped, and no descriptor stays open. *)
+let test_interrupt_stops_workers () =
   let fds = fd_count () in
   let previous =
     Sys.signal Sys.sigalrm
       (Sys.Signal_handle (fun _ -> raise (Core.Exec.Interrupted 14)))
   in
   Fun.protect
-    ~finally:(fun () ->
-      Sys.set_signal Sys.sigalrm previous;
-      Core.Procs.cleanup paths)
+    ~finally:(fun () -> Sys.set_signal Sys.sigalrm previous)
     (fun () ->
       ignore
         (Unix.setitimer Unix.ITIMER_REAL
            { Unix.it_interval = 0.0; it_value = 0.3 });
       match
-        Core.Procs.fan_out ~exe:"/bin/sh" ~campaign:"test" ~seed:1
-          ~grid:(Core.Json.Assoc []) ~n:1 ~paths
-          ~argv_of:(fun ~k:_ ~path:_ -> [ "sh"; "-c"; "exec sleep 30" ])
+        supervise ~script:"exec sleep 30"
+          ~check:(fun _ -> Core.Procs.Unusable)
           ()
       with
-      | _ -> Alcotest.fail "fan-out outlived the interrupt"
+      | _ -> Alcotest.fail "the lease loop outlived the interrupt"
       | exception Core.Exec.Interrupted 14 -> ());
   Alcotest.(check int) "no descriptor leaked" fds (fd_count ());
   match Unix.waitpid [ Unix.WNOHANG ] (-1) with
@@ -801,6 +785,6 @@ let () =
             test_exit3_degraded;
           Alcotest.test_case "lease deadline kills" `Quick test_lease_deadline;
           Alcotest.test_case "interrupt stops the workers" `Quick
-            test_fan_out_interrupt;
+            test_interrupt_stops_workers;
           Alcotest.test_case "wait wakes on exit and wake" `Quick
             test_wait_wakes ] ) ]
