@@ -8,8 +8,7 @@
      gpuwmm table 2 --all-chips --full
 
    With `--json FILE` (or `dune exec bench/main.exe -- --json FILE`), all
-   wall-clock and Bechamel timings are also written to FILE as JSON, so
-   successive commits have a machine-readable perf trajectory.
+   wall-clock and Bechamel timings are also written to FILE as JSON.
 
    `--quick` restricts the run to the perf-critical subset (the
    tracing/observability overhead ratios, the --jobs scaling sweep, and
@@ -21,9 +20,7 @@
    micro-benchmark regressed by more than the tolerance (20% by
    default; GPUWMM_PERF_TOLERANCE overrides, e.g. 0.5 for noisy CI
    runners), or if either observability overhead ratio
-   (trace_overhead_ratio, hb_overhead_ratio) exceeds its absolute cap.
-   `--snapshot` forces the numbered BENCH_<n>.json snapshot that full
-   runs drop alongside --json. *)
+   (trace_overhead_ratio, hb_overhead_ratio) exceeds its absolute cap. *)
 
 open Bechamel
 open Toolkit
@@ -292,7 +289,7 @@ let bench_tests =
 (* The Table 5 campaign across --jobs 1/2/4/8 (1/2/4 under --quick).
    Every point must be bit-identical to serial — the executor guarantee —
    and each point records both its wall-clock and its speedup_j<N>
-   against serial, so BENCH snapshots carry the scaling trajectory. *)
+   against serial in the --json document. *)
 
 let sweep_jobs = if quick_mode then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ]
 let sweep_runs = if quick_mode then 8 else campaign_runs
@@ -495,7 +492,7 @@ let gate_tolerance () =
 
    - two domains must beat serial on the Table 5 campaign
      ([speedup_j2 > 1.0], read from the sweep this very run recorded —
-     the gate guards the numbers the snapshot publishes, not a separate
+     the gate guards the numbers --json publishes, not a separate
      measurement) — skipped on single-core machines, where no backend
      can win.  The pool is the only local backend, so this is the rule
      that says `--jobs` pays;
@@ -613,74 +610,6 @@ let write_json path =
   close_out oc;
   Fmt.pr "wrote %s@." path
 
-(* Perf-trajectory snapshots: alongside --json FILE, a numbered
-   BENCH_<n>.json is dropped at the repository root, so successive
-   commits accumulate a machine-readable perf history (the snapshot
-   schema is documented in DESIGN.md). *)
-
-let repo_root () =
-  let rec up dir =
-    if Sys.file_exists (Filename.concat dir "dune-project") then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else up parent
-  in
-  up (Sys.getcwd ())
-
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> Some line
-    | _ -> None
-  with _ -> None
-
-let next_bench_index root =
-  Sys.readdir root |> Array.to_list
-  |> List.filter_map (fun f ->
-         try Some (Scanf.sscanf f "BENCH_%d.json%!" Fun.id)
-         with _ -> None)
-  |> List.fold_left (fun acc n -> Int.max acc (n + 1)) 0
-
-let write_snapshot () =
-  match repo_root () with
-  | None ->
-    Fmt.epr "no dune-project above %s; skipping the BENCH snapshot@."
-      (Sys.getcwd ())
-  | Some root ->
-    let path =
-      Filename.concat root
-        (Printf.sprintf "BENCH_%d.json" (next_bench_index root))
-    in
-    let entries = List.rev !recorded in
-    let doc =
-      Core.Json.Assoc
-        [ ("schema", Core.Json.Int 1);
-          ( "commit",
-            match git_commit () with
-            | Some c -> Core.Json.String c
-            | None -> Core.Json.Null );
-          ("unix_time", Core.Json.Float (Unix.time ()));
-          ( "trace_overhead_ratio",
-            match List.assoc_opt "trace_overhead_ratio" entries with
-            | Some r -> Core.Json.Float r
-            | None -> Core.Json.Null );
-          ( "hb_overhead_ratio",
-            match List.assoc_opt "hb_overhead_ratio" entries with
-            | Some r -> Core.Json.Float r
-            | None -> Core.Json.Null );
-          ( "timings",
-            Core.Json.Assoc
-              (List.map (fun (name, v) -> (name, Core.Json.Float v)) entries)
-          ) ]
-    in
-    let oc = open_out path in
-    output_string oc (Core.Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    Fmt.pr "wrote %s@." path
-
 let () =
   let t0 = Unix.gettimeofday () in
   if quick_mode then begin
@@ -706,11 +635,5 @@ let () =
   end;
   record "total_s" (Unix.gettimeofday () -. t0);
   Fmt.pr "@.total bench time: %.1f s@." (Unix.gettimeofday () -. t0);
-  Option.iter
-    (fun path ->
-      write_json path;
-      (* --snapshot forces a numbered BENCH_<n>.json even from --quick
-         runs (full runs always drop one alongside --json). *)
-      if (not quick_mode) || has_flag "--snapshot" then write_snapshot ())
-    (json_out ());
+  Option.iter write_json (json_out ());
   Option.iter run_gate (flag_value "--gate")

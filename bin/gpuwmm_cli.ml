@@ -50,17 +50,17 @@ let jobs_term =
         ~docv:"N"
         ~env:(Cmd.Env.info "GPUWMM_JOBS")
         ~doc:
-          "Worker domains for campaign execution.  Defaults to \
-           $(b,GPUWMM_JOBS) if set, else the runtime's recommended domain \
-           count.  $(docv) = 1 selects the serial backend.  Results are \
-           bit-identical for every job count at a given --seed.")
+          "Worker domains for campaign execution, the calling one \
+           included.  Defaults to $(b,GPUWMM_JOBS) if set, else the \
+           runtime's recommended domain count.  $(docv) = 1 runs every \
+           job on the calling domain.  Results are bit-identical for \
+           every job count at a given --seed.")
 
-let backend_of jobs =
-  match jobs with
-  | Some n ->
-    (* clamp_jobs warns when the requested value is outside 1..512. *)
-    Core.Exec.backend_of_jobs (Core.Exec.clamp_jobs n)
-  | None -> Core.Exec.default_backend ()
+(* The --jobs value in 1..512; clamp_jobs warns when the requested value
+   is outside that range. *)
+let jobs_of = function
+  | Some n -> Core.Exec.clamp_jobs n
+  | None -> Core.Exec.default_jobs ()
 
 let chip_conv =
   let parse s =
@@ -180,12 +180,12 @@ let shard_term =
     & opt (some string) None
     & info [ "shard" ] ~docv:"K/N"
         ~doc:
-          "Run only shard $(docv) of the campaign's job plan (1-based; \
-           append $(b,:contiguous) for block partitioning instead of the \
-           default stride).  Requires $(b,--log): the shard ledger records \
-           just this shard's jobs, at their unsharded seeds, and carries no \
-           result record.  Combine the N shard ledgers with $(b,gpuwmm \
-           merge) into one canonical ledger.")
+          "Run only shard $(docv) of the campaign's job plan (1-based): \
+           shard K owns the jobs whose plan index is K-1 mod N.  Requires \
+           $(b,--log): the shard ledger records just this shard's jobs, at \
+           their unsharded seeds, and carries no result record.  Combine \
+           the N shard ledgers with $(b,gpuwmm merge) into one canonical \
+           ledger.")
 
 let listen_term =
   Arg.(
@@ -512,12 +512,12 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    result record — `gpuwmm merge` reassembles the canonical ledger from
    the full shard set.
 
-   Observability, all opt-in and result-neutral: every ledgered process
-   beats on a <ledger>.hb sidecar (Core.Heartbeat; GPUWMM_HEARTBEAT=off
-   disables); ~listen serves /metrics, /status and /healthz over that
-   sidecar for the campaign's duration; ~spans records per-job spans
-   and writes a Chrome trace sidecar <ledger>.spans.json with absolute
-   timestamps, mergeable across shard runs by `gpuwmm trace --merge`. *)
+   Observability, all result-neutral: every ledgered process beats once
+   a second on a <ledger>.hb sidecar (Core.Heartbeat); opt-in, ~listen
+   serves /metrics, /status and /healthz over that sidecar for the
+   campaign's duration, and ~spans records per-job spans and writes a
+   Chrome trace sidecar <ledger>.spans.json with absolute timestamps,
+   mergeable across shard runs by `gpuwmm trace --merge`. *)
 let with_ledger ?shard ?listen ?(spans = false)
     ~campaign ~seed ~jobs ~grid ~log ~resume ~kind ~encode f =
   let shard =
@@ -643,11 +643,8 @@ let with_ledger ?shard ?listen ?(spans = false)
           let journal = Core.Runlog.journal ~sink ?cache ~origin:path "" in
           Core.Shard.set_ambient shard;
           let emitter =
-            if Core.Heartbeat.enabled () then
-              Some
-                (Core.Heartbeat.start ?shard:shard_spec
-                   ~path:(Core.Heartbeat.hb_path path) ())
-            else None
+            Core.Heartbeat.start ?shard:shard_spec
+              ~path:(Core.Heartbeat.hb_path path) ()
           in
           let write_spans () =
             if spans then
@@ -662,7 +659,7 @@ let with_ledger ?shard ?listen ?(spans = false)
             Fun.protect
               ~finally:(fun () ->
                 Core.Shard.set_ambient None;
-                Option.iter Core.Heartbeat.stop emitter)
+                Core.Heartbeat.stop emitter)
               (fun () -> f (Some journal))
           with
           | v -> (
@@ -788,11 +785,7 @@ let check_cmd =
   in
   let run verbose chip k jobs distances json out =
     setup_log verbose;
-    let jobs =
-      match jobs with
-      | Some n -> Core.Exec.clamp_jobs n
-      | None -> Core.Exec.default_jobs ()
-    in
+    let jobs = jobs_of jobs in
     guarded (fun () ->
         let r =
           Core.Check.run_litmus ~chip ~max_reorderings:k ~jobs ?distances ()
@@ -837,8 +830,9 @@ let tune_cmd =
         with_ledger ?shard ~campaign:"tune" ~seed ~jobs ~grid ~log ~resume
           ~kind:"tuning" ~encode:tuning_to_json (fun journal ->
             let r =
-              Core.Tuning.run ~backend:(backend_of jobs) ?journal ~chip ~seed
-                ~budget ()
+              Core.Tuning.run
+                ~backend:(Core.Exec.backend_of_jobs (jobs_of jobs))
+                ?journal ~chip ~seed ~budget ()
             in
             let minutes = r.Core.Tuning.elapsed_s /. 60.0 in
             if shard = None then begin
@@ -890,7 +884,7 @@ let test_cmd =
             ("apps", json_strs (app_names apps));
             ("runs", Core.Json.Int runs) ]
       in
-      let backend = backend_of jobs in
+      let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
       guarded (fun () ->
           with_ledger ?shard ?listen ~spans
             ~campaign:"test" ~seed ~jobs ~grid ~log ~resume ~kind:"campaign"
@@ -961,7 +955,8 @@ let harden_cmd =
         with_ledger ?shard ~campaign:"harden" ~seed ~jobs ~grid ~log ~resume
           ~kind:"harden" ~encode:Core.Harden.results_to_json (fun journal ->
             let r =
-              Core.Harden.insert ~chip ~config ~backend:(backend_of jobs)
+              Core.Harden.insert ~chip ~config
+                ~backend:(Core.Exec.backend_of_jobs (jobs_of jobs))
                 ?journal ~app ~seed ()
             in
             if shard = None then begin
@@ -1370,7 +1365,7 @@ let table_cmd =
           ("budget", Core.Budget.to_json budget);
           ("runs", Core.Json.Int runs) ]
     in
-    let backend = backend_of jobs in
+    let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
     let ledgered :
         type a.
         kind:string ->
@@ -1479,7 +1474,7 @@ let figure_cmd =
     setup_supervision ~timeout ~retries ~keep_going ();
     Core.Tuning.set_strict strict;
     let chips = resolve_chips chips all in
-    let backend = backend_of jobs in
+    let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
     let grid =
       Core.Json.Assoc
         [ ("chips", json_strs (chip_names chips));
@@ -1509,38 +1504,45 @@ let figure_cmd =
       ledgered ~kind:"patch"
         ~encode:(chipped_to_json Core.Patch_finder.result_to_json)
         (fun journal ->
-          List.map
-            (fun chip ->
-              let r =
-                Core.Patch_finder.run ~backend
-                  ?journal:(per_chip journal chip)
-                  ~chip ~seed ~budget ()
-              in
-              Core.Report.figure3 Fmt.stdout ~chip:chip.Gpusim.Chip.name r;
-              write_csv csv (Core.Report.patch_csv r);
-              (chip.Gpusim.Chip.name, r))
-            chips)
+          let results =
+            List.map
+              (fun chip ->
+                let r =
+                  Core.Patch_finder.run ~backend
+                    ?journal:(per_chip journal chip)
+                    ~chip ~seed ~budget ()
+                in
+                Core.Report.figure3 Fmt.stdout ~chip:chip.Gpusim.Chip.name r;
+                (chip.Gpusim.Chip.name, r))
+              chips
+          in
+          write_csv csv (Core.Report.patches_csv results);
+          results)
     | 4 ->
       ledgered ~kind:"spread"
         ~encode:(chipped_to_json Core.Spread_finder.result_to_json)
         (fun journal ->
-          List.map
-            (fun chip ->
-              let journal = per_chip journal chip in
-              let patch =
-                Core.Patch_finder.run ~backend ?journal ~chip ~seed ~budget ()
-              in
-              let sequence =
-                (Core.Tuning.shipped ~chip).Core.Stress.sequence
-              in
-              let r =
-                Core.Spread_finder.run ~backend ?journal ~chip ~seed ~budget
-                  ~patch:patch.Core.Patch_finder.chosen ~sequence ()
-              in
-              Core.Report.figure4 Fmt.stdout ~chip:chip.Gpusim.Chip.name r;
-              write_csv csv (Core.Report.spread_csv r);
-              (chip.Gpusim.Chip.name, r))
-            chips)
+          let results =
+            List.map
+              (fun chip ->
+                let journal = per_chip journal chip in
+                let patch =
+                  Core.Patch_finder.run ~backend ?journal ~chip ~seed ~budget
+                    ()
+                in
+                let sequence =
+                  (Core.Tuning.shipped ~chip).Core.Stress.sequence
+                in
+                let r =
+                  Core.Spread_finder.run ~backend ?journal ~chip ~seed ~budget
+                    ~patch:patch.Core.Patch_finder.chosen ~sequence ()
+                in
+                Core.Report.figure4 Fmt.stdout ~chip:chip.Gpusim.Chip.name r;
+                (chip.Gpusim.Chip.name, r))
+              chips
+          in
+          write_csv csv (Core.Report.spreads_csv results);
+          results)
     | 5 ->
       ledgered ~kind:"cost" ~encode:Core.Cost.points_to_json (fun journal ->
           let apps = Apps.Registry.fence_free in
@@ -1678,7 +1680,7 @@ let chaos_cmd =
       exit 1
     | Some env -> (
       let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
-      let backend = backend_of jobs in
+      let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
       (* Soft errors are simulator-level and deterministic per device seed,
          so they are armed for the reference run too: the invariants below
          measure executor faults only. *)

@@ -1,7 +1,5 @@
 type backend = Serial | Parallel of int
 
-let serial = Serial
-
 let max_jobs = 512
 
 let clamp_jobs ?(warn = true) n =
@@ -16,15 +14,7 @@ let backend_of_jobs n =
 
 let domains_of_backend = function Serial -> 1 | Parallel n -> Int.max 1 n
 
-let default_jobs () =
-  match Sys.getenv_opt "GPUWMM_JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n -> clamp_jobs n
-    | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
-
-let default_backend () = backend_of_jobs (default_jobs ())
+let default_jobs () = Domain.recommended_domain_count ()
 
 type 'a job = { index : int; seed : int; payload : 'a }
 
@@ -155,11 +145,9 @@ let set_supervision s =
     (match s with Some { timeout_s = Some _; _ } -> Some poll | _ -> None);
   ignore (drain_summary ())
 
-let supervised () = Atomic.get supervision_hook
-
 let with_watchdog ~sup slots body =
   match sup with
-  | Some { timeout_s = Some _; _ } when Array.length slots > 0 ->
+  | Some { timeout_s = Some _; _ } ->
     let stop = Atomic.make false in
     let dog =
       Domain.spawn (fun () ->
@@ -302,8 +290,6 @@ let progress_cell : progress option Atomic.t = Atomic.make None
 
 let progress () = Atomic.get progress_cell
 
-let clear_progress () = Atomic.set progress_cell None
-
 (* An ETA needs a warm EWMA *and* at least two live (non-cached)
    completions: the first inter-tick sample extrapolates a whole
    campaign from a single job, which produced wild initial estimates on
@@ -423,7 +409,9 @@ let tune_gc () = ()
    drained.  Helpers are spawned until the runtime refuses one: OCaml
    caps a process's live domains (128 in 5.1) and the heartbeat, HTTP
    and watchdog domains count against that cap.  No result depends on
-   which worker ran a job, so a smaller pool changes only the speed. *)
+   which worker ran a job, so a smaller pool changes only the speed.
+   With one domain no helper is spawned and the caller runs every index
+   in order. *)
 let pool_iter ~domains ~stop ~process len =
   let next = Atomic.make 0 in
   let error = Atomic.make None in
@@ -466,11 +454,10 @@ let pool_iter ~domains ~stop ~process len =
    span with its schedule (worker slot, queue wait, run time).  None of
    this touches the job's result, so the backend determinism guarantee
    is unaffected. *)
-let instrumented ?label ~f ~queued_at =
+let instrumented ~label ~f ~queued_at =
   let jobs_c = Telemetry.counter "exec.jobs" in
   let run_h = Telemetry.histogram "exec.run_seconds" in
   let wait_h = Telemetry.histogram "exec.queue_wait_seconds" in
-  let label = match label with Some l -> l | None -> "map" in
   fun ~worker j ->
     let started_at = Unix.gettimeofday () in
     let r = f j in
@@ -484,32 +471,75 @@ let instrumented ?label ~f ~queued_at =
           ended_at };
     (r, ended_at -. started_at)
 
+(* The one execution loop behind [map], [run] and [for_all].  [Serial]
+   is the pool with the calling domain as its only worker.  Each job is
+   instrumented and, under an installed supervision policy, runs as a
+   bounded sequence of watchdog-guarded attempts.  [on_result k v]
+   receives the value of [jobs.(k)] with its run time and attempts; a
+   job whose attempts are exhausted goes to [on_quarantine] when the
+   policy says [keep_going] and the caller gave one, and raises
+   {!Job_failed} otherwise.  The callbacks run on worker domains. *)
+let execute ~backend ~label ?(stop = fun () -> false) ?on_quarantine ~f
+    ~on_result jobs =
+  let len = Array.length jobs in
+  if len > 0 then begin
+    let sup = Atomic.get supervision_hook in
+    let domains = Int.min (domains_of_backend backend) len in
+    let slots =
+      match sup with
+      | Some _ -> Array.init domains (fun _ -> make_slot ())
+      | None -> [||]
+    in
+    let exec = instrumented ~label ~f ~queued_at:(Unix.gettimeofday ()) in
+    let process ~worker k =
+      let j = jobs.(k) in
+      match sup with
+      | None ->
+        let v, duration_s = exec ~worker j in
+        on_result k v ~duration_s ~attempts:1
+      | Some s -> (
+        let slot = slots.(worker) in
+        Domain.DLS.set slot_key (Some slot);
+        let t0 = Unix.gettimeofday () in
+        match
+          supervise ~sup:s ~slot ~index:j.index ~seed:j.seed
+            ~compute:(fun ~seed -> exec ~worker { j with seed })
+        with
+        | Ok ((v, duration_s), attempts) -> on_result k v ~duration_s ~attempts
+        | Error (reason, timed_out, attempts) -> (
+          let fl =
+            { f_label = label; f_index = j.index; f_seed = j.seed;
+              f_attempts = attempts; f_reason = reason;
+              f_timed_out = timed_out }
+          in
+          match on_quarantine with
+          | Some q when s.keep_going ->
+            note_quarantine fl;
+            q k fl ~duration_s:(Unix.gettimeofday () -. t0)
+          | Some _ | None -> raise (Job_failed fl)))
+    in
+    with_watchdog ~sup slots (fun () -> pool_iter ~domains ~stop ~process len);
+    (* The caller domain keeps its DLS across runs; clear the slot so a
+       later unsupervised poll can never see a stale cancellation. *)
+    if sup <> None then Domain.DLS.set slot_key None
+  end
+
+let results_list results =
+  Array.to_list
+    (Array.map (function Some v -> v | None -> assert false) results)
+
 let map ?(backend = Serial) ?label ?(execs_per_job = 1) ~f jobs =
   let arr = Array.of_list jobs in
   let len = Array.length arr in
+  let results = Array.make len None in
   let tick = make_ticker ~label ~execs_per_job ~total:len ~cached:0 ~skipped:0 in
-  let domains = Int.min (domains_of_backend backend) (Int.max 1 len) in
-  let exec = instrumented ?label ~f ~queued_at:(Unix.gettimeofday ()) in
-  if domains <= 1 then
-    List.mapi
-      (fun i j ->
-        let r, _ = exec ~worker:0 j in
-        tick (i + 1) None;
-        r)
-      jobs
-  else begin
-    let results = Array.make len None in
-    let completed = Atomic.make 0 in
-    pool_iter ~domains
-      ~stop:(fun () -> false)
-      ~process:(fun ~worker i ->
-        let r, _ = exec ~worker arr.(i) in
-        results.(i) <- Some r;
-        tick (1 + Atomic.fetch_and_add completed 1) None)
-      len;
-    Array.to_list
-      (Array.map (function Some v -> v | None -> assert false) results)
-  end
+  let completed = Atomic.make 0 in
+  execute ~backend ~label:(Option.value label ~default:"map") ~f
+    ~on_result:(fun k v ~duration_s:_ ~attempts:_ ->
+      results.(k) <- Some v;
+      tick (1 + Atomic.fetch_and_add completed 1) None)
+    arr;
+  results_list results
 
 let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
     ?quarantine ?shard_placeholder ~seed ~f payloads =
@@ -518,7 +548,9 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
   let len = Array.length arr in
   let results = Array.make len None in
   let errors = Atomic.make 0 in
-  let count_errors = Option.is_some codec in
+  let errors_so_far () =
+    if Option.is_some codec then Some (Atomic.get errors) else None
+  in
   (* Under an ambient k/N shard, only the owned slice of the plan is
      journalled (at its dense shard-local flush rank); with a
      [shard_placeholder] the non-owned jobs are not even executed — the
@@ -581,166 +613,55 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
   let fresh =
     Array.of_list (List.filter (fun j -> Option.is_none results.(j.index)) jobs)
   in
-  let exec =
-    instrumented ?label
-      ~f:(fun j -> f ~seed:j.seed j.payload)
-      ~queued_at:(Unix.gettimeofday ())
+  (* A fully cached resume starts no pool and no watchdog and never
+     calls [f]; only the final progress tick is emitted. *)
+  if Array.length fresh = 0 && len > 0 then tick len (errors_so_far ());
+  let errors_of v =
+    match codec with Some c -> c.Runlog.errors_of v | None -> 0
   in
-  let reduce () =
-    Array.to_list
-      (Array.map (function Some v -> v | None -> assert false) results)
+  let finish j v errs =
+    results.(j.index) <- Some v;
+    ignore (Atomic.fetch_and_add errors errs);
+    tick (1 + Atomic.fetch_and_add completed 1) (errors_so_far ())
   in
-  let flen = Array.length fresh in
-  if flen = 0 then begin
-    (* Fully cached resume: a no-op fast path.  No pool, no watchdog, no
-       supervision — [f] is never called; only the final progress tick is
-       emitted. *)
-    if len > 0 then
-      tick len (if count_errors then Some (Atomic.get errors) else None);
-    reduce ()
-  end
-  else begin
-    let finish_job j v duration_s ~attempts =
-      let errs =
-        match codec with Some c -> c.Runlog.errors_of v | None -> 0
-      in
-      (match (journal, journal_pos j.index) with
-      | Some jn, Some pos ->
-        let c = Option.get codec in
-        Runlog.record jn ?pos ~index:j.index ~seed:j.seed ~errors:errs
-          ~duration_s ~attempts
-          (c.Runlog.encode v)
-      | _ -> ());
-      results.(j.index) <- Some v;
-      if count_errors then ignore (Atomic.fetch_and_add errors errs);
-      tick
-        (1 + Atomic.fetch_and_add completed 1)
-        (if count_errors then Some (Atomic.get errors) else None)
-    in
-    let sup = Atomic.get supervision_hook in
-    let domains = Int.min (domains_of_backend backend) flen in
-    let slots =
-      match sup with
-      | Some _ -> Array.init (Int.max 1 domains) (fun _ -> make_slot ())
-      | None -> [||]
-    in
-    let label_str = match label with Some l -> l | None -> "run" in
-    let process ~worker k =
+  execute ~backend ~label:(Option.value label ~default:"run")
+    ~f:(fun j -> f ~seed:j.seed j.payload)
+    ~on_result:(fun k v ~duration_s ~attempts ->
       let j = fresh.(k) in
-      match sup with
-      | None ->
-        let v, duration_s = exec ~worker j in
-        finish_job j v duration_s ~attempts:1
-      | Some s -> (
-        let slot = slots.(worker) in
-        Domain.DLS.set slot_key (Some slot);
-        let t0 = Unix.gettimeofday () in
-        match
-          supervise ~sup:s ~slot ~index:j.index ~seed:j.seed
-            ~compute:(fun ~seed -> exec ~worker { j with seed })
-        with
-        | Ok ((v, duration_s), attempts) -> finish_job j v duration_s ~attempts
-        | Error (reason, timed_out, attempts) -> (
-          let fl =
-            { f_label = label_str; f_index = j.index; f_seed = j.seed;
-              f_attempts = attempts; f_reason = reason; f_timed_out = timed_out }
-          in
-          match quarantine with
-          | Some q when s.keep_going ->
-            (* Quarantine the poison job: a failed ledger record keeps the
-               plan-order stream whole (and is re-run on resume), the
-               caller's fallback value keeps the reduction total. *)
-            note_quarantine fl;
-            (match (journal, journal_pos j.index) with
-            | Some jn, Some pos ->
-              Runlog.record_failure jn ?pos ~index:j.index ~seed:j.seed
-                ~attempts
-                ~duration_s:(Unix.gettimeofday () -. t0)
-                reason
-            | _ -> ());
-            let v = q j.payload fl in
-            results.(j.index) <- Some v;
-            if count_errors then
-              ignore
-                (Atomic.fetch_and_add errors
-                   (match codec with
-                   | Some c -> c.Runlog.errors_of v
-                   | None -> 0));
-            tick
-              (1 + Atomic.fetch_and_add completed 1)
-              (if count_errors then Some (Atomic.get errors) else None)
-          | Some _ | None -> raise (Job_failed fl)))
-    in
-    with_watchdog ~sup slots (fun () ->
-        if domains <= 1 then
-          for k = 0 to flen - 1 do
-            process ~worker:0 k
-          done
-        else pool_iter ~domains ~stop:(fun () -> false) ~process flen);
-    (* The caller domain keeps its DLS across runs; clear the slot so a
-       later unsupervised poll can never see a stale cancellation. *)
-    if sup <> None then Domain.DLS.set slot_key None;
-    reduce ()
-  end
+      let errs = errors_of v in
+      (match (journal, codec, journal_pos j.index) with
+      | Some jn, Some c, Some pos ->
+        Runlog.record jn ?pos ~index:j.index ~seed:j.seed ~errors:errs
+          ~duration_s ~attempts (c.Runlog.encode v)
+      | _ -> ());
+      finish j v errs)
+    ?on_quarantine:
+      (Option.map
+         (fun q k fl ~duration_s ->
+           (* Quarantine the poison job: a failed ledger record keeps the
+              plan-order stream whole (and is re-run on resume), the
+              caller's fallback value keeps the reduction total. *)
+           let j = fresh.(k) in
+           (match (journal, journal_pos j.index) with
+           | Some jn, Some pos ->
+             Runlog.record_failure jn ?pos ~index:j.index ~seed:j.seed
+               ~attempts:fl.f_attempts ~duration_s fl.f_reason
+           | _ -> ());
+           let v = q j.payload fl in
+           finish j v (errors_of v))
+         quarantine)
+    fresh;
+  results_list results
 
 let for_all ?(backend = Serial) ~seed ~f payloads =
-  let jobs = plan ~seed payloads in
-  let njobs = List.length jobs in
-  if njobs = 0 then true
-  else begin
-    let sup = Atomic.get supervision_hook in
-    let domains = Int.min (domains_of_backend backend) njobs in
-    let slots =
-      match sup with
-      | Some _ -> Array.init (Int.max 1 domains) (fun _ -> make_slot ())
-      | None -> [||]
-    in
-    let eval ~worker j =
-      match sup with
-      | None -> f ~seed:j.seed j.payload
-      | Some s -> (
-        let slot = slots.(worker) in
-        Domain.DLS.set slot_key (Some slot);
-        match
-          supervise ~sup:s ~slot ~index:j.index ~seed:j.seed
-            ~compute:(fun ~seed -> f ~seed j.payload)
-        with
-        | Ok (b, _) -> b
-        | Error (reason, timed_out, attempts) ->
-          let fl =
-            { f_label = "for_all"; f_index = j.index; f_seed = j.seed;
-              f_attempts = attempts; f_reason = reason; f_timed_out = timed_out }
-          in
-          if s.keep_going then begin
-            (* Quarantined check: conservatively counted as a failure of
-               the universal property. *)
-            note_quarantine fl;
-            false
-          end
-          else raise (Job_failed fl))
-    in
-    let failed = Atomic.make false in
-    let body () =
-      if domains <= 1 then (
-        try
-          List.iter
-            (fun j ->
-              if not (eval ~worker:0 j) then begin
-                Atomic.set failed true;
-                raise Exit
-              end)
-            jobs
-        with Exit -> ())
-      else begin
-        let arr = Array.of_list jobs in
-        pool_iter ~domains
-          ~stop:(fun () -> Atomic.get failed)
-          ~process:(fun ~worker i ->
-            if not (eval ~worker arr.(i)) then Atomic.set failed true)
-          njobs
-      end
-    in
-    with_watchdog ~sup slots body;
-    if sup <> None then Domain.DLS.set slot_key None;
-    not (Atomic.get failed)
-  end
+  let failed = Atomic.make false in
+  let fail () = Atomic.set failed true in
+  execute ~backend ~label:"for_all"
+    ~stop:(fun () -> Atomic.get failed)
+    ~f:(fun j -> f ~seed:j.seed j.payload)
+    ~on_result:(fun _ holds ~duration_s:_ ~attempts:_ ->
+      if not holds then fail ())
+    (* A quarantined check counts as a failure of the universal property. *)
+    ~on_quarantine:(fun _ _ ~duration_s:_ -> fail ())
+    (Array.of_list (plan ~seed payloads));
+  not (Atomic.get failed)

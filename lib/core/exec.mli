@@ -11,9 +11,12 @@
        payloads; {!plan} assigns each job a pre-derived seed
        ([Rng.subseed master_seed index]), so a job's result is a pure
        function of [(seed, payload)] — never of execution order.}
-    {- {b Execute}: a pluggable {!backend} runs the jobs — [Serial] on
-       the calling domain, or [Parallel n] on a fixed pool of OCaml 5
-       domains pulling index chunks from a shared atomic work queue.}
+    {- {b Execute}: one loop runs the jobs of {!map}, {!run} and
+       {!for_all} on a pool of OCaml 5 domains pulling index chunks from
+       a shared atomic work queue.  The {!backend} sizes the pool:
+       [Serial] is the pool with the calling domain as its only worker,
+       [Parallel n] adds helper domains.  Supervision ({!set_supervision}),
+       telemetry and spans apply to every job of every entry point.}
     {- {b Reduce}: results are returned in plan order regardless of
        completion order, so drivers merge them back into their result
        types deterministically.}}
@@ -26,13 +29,11 @@
     drivers no longer thread ad-hoc [~progress] callbacks. *)
 
 type backend =
-  | Serial  (** run jobs in plan order on the calling domain *)
+  | Serial  (** the calling domain alone runs the jobs, in plan order *)
   | Parallel of int
       (** [Parallel n]: a pool of [n] domains (the caller participates),
           or as many as the runtime's domain limit still allows (128 live
-          domains in OCaml 5.1); [Parallel 1] behaves like [Serial] *)
-
-val serial : backend
+          domains in OCaml 5.1); [Parallel 1] is [Serial] *)
 
 val max_jobs : int
 (** 512 — the upper bound of the sane [--jobs] range. *)
@@ -46,12 +47,8 @@ val backend_of_jobs : int -> backend
     [n] silently clamped to {!max_jobs}. *)
 
 val default_jobs : unit -> int
-(** The [GPUWMM_JOBS] environment variable if set to an integer (clamped
-    into [1 .. max_jobs], with a warning when out of range), else
-    [Domain.recommended_domain_count ()]. *)
-
-val default_backend : unit -> backend
-(** [backend_of_jobs (default_jobs ())]. *)
+(** [Domain.recommended_domain_count ()]: the CLI's [--jobs] value when
+    neither the flag nor its environment variable is set. *)
 
 val tune_gc : unit -> unit
 (** A no-op, kept for callers that still invoke it.  Every backend runs
@@ -84,7 +81,9 @@ val map :
     guarantee to hold.  [label] names the campaign in progress messages
     and in recorded spans; [execs_per_job] scales the reported execs/sec
     throughput.  An exception raised by any job is re-raised after the
-    pool drains.
+    pool drains.  Under an installed {!set_supervision} policy each job
+    is retried and timed out as in {!run}; a job that exhausts its
+    attempts raises {!Job_failed}, since [map] has no fallback value.
 
     Every completed job bumps the [exec.jobs] counter and the
     [exec.run_seconds] / [exec.queue_wait_seconds] histograms in
@@ -93,7 +92,7 @@ val map :
     never affects results. *)
 
 type failure = {
-  f_label : string;  (** campaign label (or ["for_all"], ["run"]) *)
+  f_label : string;  (** campaign label (or ["map"], ["run"], ["for_all"]) *)
   f_index : int;  (** plan index of the poison job *)
   f_seed : int;
   f_attempts : int;  (** attempts consumed, including the first *)
@@ -160,12 +159,13 @@ val for_all :
   f:(seed:int -> 'a -> bool) ->
   'a list ->
   bool
-(** [true] iff [f] holds for every planned job.  Both backends
-    short-circuit once a failure is known (serially by early exit, in
-    parallel via a shared abort flag); the boolean is bit-identical
-    across backends because it does not depend on which jobs were
-    skipped.  Under supervision, a quarantined job counts as [false]
-    when the policy says [keep_going], else {!Job_failed} is raised. *)
+(** [true] iff [f] holds for every planned job.  Workers stop taking
+    jobs once a failure is known, through a shared abort flag; the
+    boolean is bit-identical across backends because it does not depend
+    on which jobs were skipped.  Its jobs count in the telemetry like
+    those of {!map}.  Under supervision, a quarantined job counts as
+    [false] when the policy says [keep_going], else {!Job_failed} is
+    raised. *)
 
 (** {1 Supervision}
 
@@ -198,8 +198,6 @@ val supervision :
 val set_supervision : supervision option -> unit
 (** Install (or clear) the process-wide policy.  Also clears the pending
     degradation summary and installs/removes the simulator poll hook. *)
-
-val supervised : unit -> supervision option
 
 exception Job_failed of failure
 (** Raised (after the pool drains) when a job exhausts its attempts and
@@ -284,8 +282,6 @@ type progress = {
 
 val progress : unit -> progress option
 (** The most recent snapshot, or [None] before any ticked campaign. *)
-
-val clear_progress : unit -> unit
 
 val eta_of : live_done:int -> remaining:int -> ewma:float -> float option
 (** The ticker's ETA rule: [Some (remaining / ewma)] only once at least

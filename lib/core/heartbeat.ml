@@ -47,23 +47,6 @@ type record = {
 
 let hb_path ledger = ledger ^ ".hb"
 
-(* GPUWMM_HEARTBEAT=off disables the sidecar; a numeric value overrides
-   the beat interval in seconds. *)
-let enabled () =
-  match Sys.getenv_opt "GPUWMM_HEARTBEAT" with
-  | Some ("0" | "off" | "no" | "false") -> false
-  | _ -> true
-
-let default_interval = 1.0
-
-let interval () =
-  match Sys.getenv_opt "GPUWMM_HEARTBEAT" with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f when f > 0.0 -> f
-    | _ -> default_interval)
-  | None -> default_interval
-
 (* ------------------------------------------------------------------ *)
 (* Codec                                                                *)
 
@@ -321,7 +304,7 @@ let sample ~det ~shard ~interval_s ~seq ~final ~prev_counters () =
     major_collections = (if det then 0 else gc.Gc.major_collections);
     counters = deltas }
 
-let start ?(interval_s = interval ()) ?shard ~path () =
+let start ?(interval_s = 1.0) ?shard ~path () =
   let det = Runlog.deterministic_mode () in
   let stop_r, stop_w = Unix.pipe ~cloexec:true () in
   let dom =

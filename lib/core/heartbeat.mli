@@ -53,16 +53,6 @@ type record = {
 val hb_path : string -> string
 (** The sidecar stream path for a ledger: [<ledger>.hb]. *)
 
-val enabled : unit -> bool
-(** [false] iff [GPUWMM_HEARTBEAT] is [off]/[0]/[no]/[false]. *)
-
-val default_interval : float
-(** 1.0 second. *)
-
-val interval : unit -> float
-(** The beat interval: a positive numeric [GPUWMM_HEARTBEAT] value, else
-    {!default_interval}. *)
-
 val to_json : record -> Json.t
 
 val of_json : Json.t -> (record, string) result
@@ -93,9 +83,10 @@ type emitter
 
 val start : ?interval_s:float -> ?shard:string -> path:string -> unit -> emitter
 (** Spawn a background domain that appends one beat immediately and then
-    one per interval, sampling {!Exec.progress}, {!Exec.summary_counts},
-    [Gc.quick_stat] and the telemetry counters.  The emitter never
-    raises into the campaign: write failures are swallowed. *)
+    one every [interval_s] seconds (default 1.0), sampling
+    {!Exec.progress}, {!Exec.summary_counts}, [Gc.quick_stat] and the
+    telemetry counters.  The emitter never raises into the campaign:
+    write failures are swallowed. *)
 
 val stop : emitter -> unit
 (** Stop the emitter and wait for it; a last record with [final = true]

@@ -74,10 +74,10 @@ let load_shard path =
   in
   Ok { src_path = path; src_shard = sh; src_ledger = l }
 
-(* The shard set must be exactly {1..N} of one N and one strategy, and
-   every shard must describe the same plan (schema, campaign kind, seed,
-   grid — the fields validate_resume checks; argv/created legitimately
-   differ between worker processes). *)
+(* The shard set must be exactly {1..N} of one N, and every shard must
+   describe the same plan (schema, campaign kind, seed, grid — the
+   fields validate_resume checks; argv/created legitimately differ
+   between worker processes). *)
 let validate_set srcs =
   let* first =
     match srcs with
@@ -85,20 +85,18 @@ let validate_set srcs =
     | s :: _ -> Ok s
   in
   let n = first.src_shard.Shard.n in
-  let strategy = first.src_shard.Shard.strategy in
   let h0 = first.src_ledger.Runlog.header in
   let* () =
     List.fold_left
       (fun acc s ->
         let* () = acc in
         let sh = s.src_shard in
-        if sh.Shard.n <> n || sh.Shard.strategy <> strategy then
-          err "%s: shard %s does not belong to the same %d-way %s split \
-               as %s (%s)"
+        if sh.Shard.n <> n then
+          err "%s: shard %s does not belong to the same %d-way split as %s \
+               (%s)"
             s.src_path
             (Shard.to_string sh)
             n
-            (Shard.strategy_name strategy)
             first.src_path
             (Shard.to_string first.src_shard)
         else
@@ -213,17 +211,11 @@ let merge_phase srcs phase =
              (last in %s) — overlapping shards"
           phase i s.src_path
       else if i > expect then
-        let owner =
-          match s.src_shard.Shard.strategy with
-          | Shard.Stride ->
-            Printf.sprintf " (stride shard %d/%d owns it)"
-              ((expect mod s.src_shard.Shard.n) + 1)
-              s.src_shard.Shard.n
-          | Shard.Contiguous -> ""
-        in
-        err "phase %S: job %d is missing%s — resume the interrupted \
-             shard before merging"
-          phase expect owner
+        err "phase %S: job %d is missing (stride shard %d/%d owns it) — \
+             resume the interrupted shard before merging"
+          phase expect
+          ((expect mod s.src_shard.Shard.n) + 1)
+          s.src_shard.Shard.n
       else check (expect + 1) tl
   in
   let* () = check 0 sorted in

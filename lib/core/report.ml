@@ -297,32 +297,6 @@ let figure5 ppf points =
   Fmt.pf ppf "maxima:  emp +%.1f%%, cons +%.1f%% runtime@."
     s.Cost.max_emp_runtime_pct s.Cost.max_cons_runtime_pct
 
-let patch_csv (r : Patch_finder.result) =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "idiom,distance,location,weak\n";
-  List.iter
-    (fun c ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s,%d,%d,%d\n"
-           (Litmus.Test.idiom_name c.Patch_finder.idiom)
-           c.Patch_finder.distance c.Patch_finder.location c.Patch_finder.weak))
-    r.Patch_finder.cells;
-  Buffer.contents buf
-
-let spread_csv (r : Spread_finder.result) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "spread,idiom,score\n";
-  List.iter
-    (fun p ->
-      List.iter
-        (fun (idiom, v) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%d,%s,%d\n" p.Spread_finder.spread
-               (Litmus.Test.idiom_name idiom) v))
-        p.Spread_finder.scores)
-    r.Spread_finder.points;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Ledger-backed rendering                                              *)
 

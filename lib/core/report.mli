@@ -36,8 +36,6 @@ val figure4 :
 val figure5 : Format.formatter -> Cost.point list -> unit
 (** Fence-cost scatter data and medians (Fig. 5). *)
 
-val patch_csv : Patch_finder.result -> string
-val spread_csv : Spread_finder.result -> string
 val cost_csv : Cost.point list -> string
 
 (** {1 Ledger-backed rendering}
@@ -70,10 +68,12 @@ val table6_csv : Harden.result list -> string
     [';']-separated. *)
 
 val patches_csv : (string * Patch_finder.result) list -> string
-(** {!patch_csv} with a chip column, for multi-chip ledgers. *)
+(** One line per (chip, idiom, distance, location) cell of Fig. 3 with
+    its weak count. *)
 
 val spreads_csv : (string * Spread_finder.result) list -> string
-(** {!spread_csv} with a chip column, for multi-chip ledgers. *)
+(** One line per (chip, spread, idiom) point of Fig. 4 with its
+    score. *)
 
 (** {1 Campaign comparison}
 

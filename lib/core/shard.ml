@@ -1,110 +1,59 @@
 (* Deterministic partitioning of an Exec plan into k/N shards.
 
-   A shard is a pure function of (k, N, strategy) over plan indices —
-   per-job seeds are pre-derived from the plan index (Exec.plan), so a
-   shard executes exactly the jobs it owns with exactly the seeds the
-   unsharded run would have used.  Two strategies:
-
-   - [Stride] (the default): shard k of N owns indices congruent to
-     k-1 mod N.  Ownership is independent of the plan length, so it
-     also applies to adaptive job streams whose total is unknown up
-     front, and it balances heterogeneous grids (neighbouring cells of
-     a campaign land on different shards).
-   - [Contiguous]: shard k owns the k-th of N contiguous chunks
-     (the first [total mod N] chunks are one longer).  Better locality
-     when neighbouring jobs share warmed state.
+   A shard is a pure function of (k, N) over plan indices — per-job
+   seeds are pre-derived from the plan index (Exec.plan), so a shard
+   executes exactly the jobs it owns with exactly the seeds the
+   unsharded run would have used.  Shard k of N owns the indices
+   congruent to k-1 mod N.  Ownership is independent of the plan
+   length, so it also applies to adaptive job streams whose total is
+   unknown up front, and it balances heterogeneous grids (neighbouring
+   cells of a campaign land on different shards).
 
    [rank] maps an owned plan index to its position within the shard's
    own ledger stream (0, 1, 2, ...): shard ledgers are written in rank
    order, and `gpuwmm merge` interleaves them back into plan order. *)
 
-type strategy = Stride | Contiguous
-
-type t = { k : int; n : int; strategy : strategy }
+type t = { k : int; n : int }
 
 let max_shards = 512
 
-let make ?(strategy = Stride) ~k ~n () =
+let make ~k ~n () =
   if n < 1 || n > max_shards then
     invalid_arg
       (Printf.sprintf "Shard.make: N must be in 1..%d (got %d)" max_shards n);
   if k < 1 || k > n then
     invalid_arg
       (Printf.sprintf "Shard.make: k must be in 1..%d (got %d)" n k);
-  { k; n; strategy }
+  { k; n }
 
-let strategy_name = function Stride -> "stride" | Contiguous -> "contiguous"
+let to_string t = Printf.sprintf "%d/%d" t.k t.n
 
-let to_string t =
-  match t.strategy with
-  | Stride -> Printf.sprintf "%d/%d" t.k t.n
-  | Contiguous -> Printf.sprintf "%d/%d:contiguous" t.k t.n
+let parse_error s =
+  Printf.sprintf "invalid shard spec %S: expected k/N with 1 <= k <= N <= %d"
+    s max_shards
 
 let parse s =
-  let fail () =
-    Error
-      (Printf.sprintf
-         "invalid shard spec %S: expected k/N with 1 <= k <= N <= %d, \
-          optionally suffixed :stride or :contiguous"
-         s max_shards)
-  in
-  let spec, strategy =
-    match String.index_opt s ':' with
-    | None -> (Some s, Some Stride)
-    | Some i -> (
-      let head = String.sub s 0 i in
-      let tail = String.sub s (i + 1) (String.length s - i - 1) in
-      match String.lowercase_ascii tail with
-      | "stride" -> (Some head, Some Stride)
-      | "contiguous" | "contig" -> (Some head, Some Contiguous)
-      | _ -> (None, None))
-  in
-  match (spec, strategy) with
-  | Some spec, Some strategy -> (
-    match String.split_on_char '/' spec with
-    | [ ks; ns ] -> (
-      match (int_of_string_opt (String.trim ks), int_of_string_opt (String.trim ns)) with
-      | Some k, Some n when n >= 1 && n <= max_shards && k >= 1 && k <= n ->
-        Ok { k; n; strategy }
-      | _ -> fail ())
-    | _ -> fail ())
-  | _ -> fail ()
-
-(* Contiguous chunk bounds: the first [total mod n] chunks get one extra
-   index, so sizes differ by at most one. *)
-let chunk_start t ~total =
-  let base = total / t.n and rem = total mod t.n in
-  ((t.k - 1) * base) + Int.min (t.k - 1) rem
-
-let chunk_stop t ~total =
-  let base = total / t.n and rem = total mod t.n in
-  (t.k * base) + Int.min t.k rem
+  let int_of x = int_of_string_opt (String.trim x) in
+  match String.split_on_char '/' s with
+  | [ ks; ns ] -> (
+    match (int_of ks, int_of ns) with
+    | Some k, Some n when n >= 1 && n <= max_shards && k >= 1 && k <= n ->
+      Ok { k; n }
+    | _ -> Error (parse_error s))
+  | _ -> Error (parse_error s)
 
 let count t ~total =
-  if total <= 0 then 0
-  else
-    match t.strategy with
-    | Stride ->
-      if total > t.k - 1 then ((total - t.k) / t.n) + 1 else 0
-    | Contiguous -> chunk_stop t ~total - chunk_start t ~total
+  if total > t.k - 1 then ((total - t.k) / t.n) + 1 else 0
 
 let owns t ~total index =
-  index >= 0 && index < total
-  &&
-  match t.strategy with
-  | Stride -> index mod t.n = t.k - 1
-  | Contiguous ->
-    index >= chunk_start t ~total && index < chunk_stop t ~total
+  index >= 0 && index < total && index mod t.n = t.k - 1
 
 let rank t ~total index =
   if not (owns t ~total index) then
     invalid_arg
       (Printf.sprintf "Shard.rank: shard %s does not own index %d (total %d)"
          (to_string t) index total)
-  else
-    match t.strategy with
-    | Stride -> index / t.n
-    | Contiguous -> index - chunk_start t ~total
+  else index / t.n
 
 let indices t ~total =
   let rec go i acc =

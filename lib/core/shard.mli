@@ -7,26 +7,20 @@
     position in the shard's own ledger stream; `gpuwmm merge`
     interleaves shard ledgers back into plan order. *)
 
-type strategy =
-  | Stride  (** shard [k] of [N] owns indices congruent to [k-1] mod [N] *)
-  | Contiguous  (** shard [k] owns the [k]-th of [N] contiguous chunks *)
-
-type t = private { k : int; n : int; strategy : strategy }
+type t = private { k : int; n : int }
+(** Shard [k] of [N] owns the plan indices congruent to [k-1] mod [N]. *)
 
 val max_shards : int
 (** Upper bound on [N] (matches the Exec jobs clamp). *)
 
-val make : ?strategy:strategy -> k:int -> n:int -> unit -> t
+val make : k:int -> n:int -> unit -> t
 (** Raises [Invalid_argument] unless [1 <= k <= n <= max_shards]. *)
 
 val parse : string -> (t, string) result
-(** Parse ["k/N"], ["k/N:stride"], ["k/N:contiguous"] (or [:contig]). *)
+(** Parse ["k/N"]. *)
 
 val to_string : t -> string
-(** Canonical rendering; [parse (to_string t) = Ok t].  Stride shards
-    render as ["k/N"], contiguous ones as ["k/N:contiguous"]. *)
-
-val strategy_name : strategy -> string
+(** Canonical rendering ["k/N"]; [parse (to_string t) = Ok t]. *)
 
 val owns : t -> total:int -> int -> bool
 (** [owns t ~total i]: does this shard own plan index [i] of a

@@ -220,6 +220,13 @@ let sup_run ?quarantine ~jobs () =
 
 let sup_reference = lazy (sup_run ~jobs:1 ())
 
+(* The same jobs through [Exec.map], which obeys the policy too. *)
+let sup_map ~jobs () =
+  Core.Exec.map
+    ~backend:(Core.Exec.backend_of_jobs jobs)
+    ~f:(fun j -> sup_f ~seed:j.Core.Exec.seed j.Core.Exec.payload)
+    (Core.Exec.plan ~seed:3 sup_payloads)
+
 let test_retry_heals_bit_identical () =
   (* faulty_attempts 1 with one retry: every faulted job heals on its
      second attempt, which reuses the planned seed — the supervised run
@@ -238,16 +245,22 @@ let test_retry_heals_bit_identical () =
   in
   Alcotest.(check bool) "the plan actually faults some jobs" true
     (expected_retries > 0);
+  let reference = Lazy.force sup_reference in
   with_supervision (Core.Exec.supervision ~retries:1 ~faults:plan ())
   @@ fun () ->
-  let r = sup_run ~jobs:4 () in
-  let s = Core.Exec.drain_summary () in
-  Alcotest.(check bool) "healed run = unsupervised run" true
-    (r = Lazy.force sup_reference);
-  Alcotest.(check int) "retry count matches the fault plan"
-    expected_retries s.Core.Exec.retried;
-  Alcotest.(check int) "nothing quarantined" 0
-    (List.length s.Core.Exec.quarantined)
+  List.iter
+    (fun (what, run) ->
+      let r = run ~jobs:4 () in
+      let s = Core.Exec.drain_summary () in
+      Alcotest.(check bool)
+        (Printf.sprintf "healed %s = unsupervised run" what)
+        true (r = reference);
+      Alcotest.(check int)
+        (Printf.sprintf "%s: retry count matches the fault plan" what)
+        expected_retries s.Core.Exec.retried;
+      Alcotest.(check int) "nothing quarantined" 0
+        (List.length s.Core.Exec.quarantined))
+    [ ("run", fun ~jobs () -> sup_run ~jobs ()); ("map", sup_map) ]
 
 let test_quarantine_matches_prediction () =
   (* No retries against a two-attempt fault window: predicted-fatal jobs
@@ -343,14 +356,21 @@ let test_poison_job_raises_without_keep_going () =
   with_supervision
     (Core.Exec.supervision ~retries:1 ~keep_going:false ~faults:plan ())
   @@ fun () ->
-  match sup_run ~quarantine:(fun _ _ -> -1) ~jobs:2 () with
-  | _ -> Alcotest.fail "a poison job without keep_going must raise"
-  | exception Core.Exec.Job_failed fl ->
-    ignore (Core.Exec.drain_summary ());
-    Alcotest.(check int) "both attempts were consumed" 2
-      fl.Core.Exec.f_attempts;
-    Alcotest.(check bool) "the reason names the injected fault" true
-      (Test_util.contains fl.Core.Exec.f_reason "injected fault: job crash")
+  List.iter
+    (fun (what, run) ->
+      match run () with
+      | _ -> Alcotest.failf "a poison %s job without keep_going must raise" what
+      | exception Core.Exec.Job_failed fl ->
+        ignore (Core.Exec.drain_summary ());
+        Alcotest.(check string) "the failure names the entry point" what
+          fl.Core.Exec.f_label;
+        Alcotest.(check int) "both attempts were consumed" 2
+          fl.Core.Exec.f_attempts;
+        Alcotest.(check bool) "the reason names the injected fault" true
+          (Test_util.contains fl.Core.Exec.f_reason
+             "injected fault: job crash"))
+    [ ("run", sup_run ~quarantine:(fun _ _ -> -1) ~jobs:2);
+      ("map", sup_map ~jobs:2) ]
 
 (* Satellite: a fully cached journal must answer without calling [f]
    (and hence without starting the pool). *)

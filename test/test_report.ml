@@ -76,8 +76,17 @@ let test_figure3_and_csv () =
   Alcotest.(check bool) "chip named" true (Test_util.contains s "Titan");
   Alcotest.(check bool) "patch size" true
     (Test_util.contains s "critical patch size: 32");
-  let csv = Core.Report.patch_csv r in
-  Alcotest.(check bool) "csv rows" true (Test_util.contains csv "MP,0,0,5")
+  let r2 =
+    { r with
+      Core.Patch_finder.cells =
+        [ { Core.Patch_finder.idiom = Litmus.Test.LB; distance = 64;
+            location = 16; weak = 2 } ] }
+  in
+  let csv = Core.Report.patches_csv [ ("Titan", r); ("C2075", r2) ] in
+  Alcotest.(check bool) "first chip's rows" true
+    (Test_util.contains csv "Titan,MP,0,0,5");
+  Alcotest.(check bool) "second chip's rows" true
+    (Test_util.contains csv "C2075,LB,64,16,2")
 
 let test_figure4_and_csv () =
   let r =
@@ -93,8 +102,17 @@ let test_figure4_and_csv () =
   let s = render (fun ppf -> Core.Report.figure4 ppf ~chip:"980" r) in
   Alcotest.(check bool) "winner shown" true
     (Test_util.contains s "most effective spread: 2");
-  let csv = Core.Report.spread_csv r in
-  Alcotest.(check bool) "csv rows" true (Test_util.contains csv "2,MP,9")
+  let r2 =
+    { r with
+      Core.Spread_finder.points =
+        [ { Core.Spread_finder.spread = 4;
+            scores = List.map (fun i -> (i, 1)) Litmus.Test.idioms } ] }
+  in
+  let csv = Core.Report.spreads_csv [ ("980", r); ("K20", r2) ] in
+  Alcotest.(check bool) "first chip's rows" true
+    (Test_util.contains csv "980,2,MP,9");
+  Alcotest.(check bool) "second chip's rows" true
+    (Test_util.contains csv "K20,4,MP,1")
 
 (* ------------------------------------------------------------------ *)
 (* Golden renderings and ledger comparison                             *)

@@ -1,5 +1,5 @@
 (* Core.Shard and gpuwmm merge: exact partitioning for any plan and any
-   N (property-tested, both strategies), shard-then-merge ledgers
+   N (property-tested), shard-then-merge ledgers
    byte-identical to the serial deterministic ledger (including after a
    shard is killed mid-run and resumed), and fail-closed merge
    validation for every refusal case. *)
@@ -43,41 +43,31 @@ let test_parse () =
   Alcotest.(check int) "n" 8 sh.Core.Shard.n;
   Alcotest.(check string) "stride renders bare" "3/8"
     (Core.Shard.to_string sh);
-  let c = shard "2/4:contiguous" in
-  Alcotest.(check string) "contiguous renders suffixed" "2/4:contiguous"
-    (Core.Shard.to_string c);
-  Alcotest.(check string) "contig abbreviation" "2/4:contiguous"
-    (Core.Shard.to_string (shard "2/4:contig"));
+  (* k/N is the whole spec: no partition-strategy suffix parses. *)
   List.iter
     (fun bad ->
       match Core.Shard.parse bad with
       | Ok _ -> Alcotest.failf "%S parsed" bad
       | Error _ -> ())
-    [ "0/4"; "5/4"; "1/0"; "1/513"; "x/4"; "1-4"; "1/4:zigzag"; "" ]
+    ([ "0/4"; "5/4"; "1/0"; "1/513"; "x/4"; "1-4"; "" ]
+    @ List.map (( ^ ) "2/4:") [ "contiguous"; "stride"; "zigzag" ])
 
 (* ------------------------------------------------------------------ *)
 (* Exact partition (property)                                          *)
 
 let partition_prop =
   QCheck.Test.make ~count:300 ~name:"every job in exactly one shard"
-    QCheck.(
-      triple (int_range 0 200) (int_range 1 64) bool)
-    (fun (total, n, contiguous) ->
-      let strategy =
-        if contiguous then Core.Shard.Contiguous else Core.Shard.Stride
-      in
-      let shards =
-        List.init n (fun i -> Core.Shard.make ~strategy ~k:(i + 1) ~n ())
-      in
+    QCheck.(pair (int_range 0 200) (int_range 1 64))
+    (fun (total, n) ->
+      let shards = List.init n (fun i -> Core.Shard.make ~k:(i + 1) ~n ()) in
       (* Each index owned exactly once. *)
       for i = 0 to total - 1 do
         let owners =
           List.filter (fun sh -> Core.Shard.owns sh ~total i) shards
         in
         if List.length owners <> 1 then
-          QCheck.Test.fail_reportf "index %d of %d has %d owners (n=%d %s)"
+          QCheck.Test.fail_reportf "index %d of %d has %d owners (n=%d)"
             i total (List.length owners) n
-            (if contiguous then "contiguous" else "stride")
       done;
       (* Ranks are dense 0..count-1 in increasing index order, and
          [indices] inverts [rank]. *)
@@ -163,10 +153,10 @@ let full =
      Sys.remove path;
      (text, rows))
 
-let write_shards ?(strategy = "") ~n () =
+let write_shards ~n () =
   List.init n (fun i ->
       let path = temp () in
-      let sh = shard (Printf.sprintf "%d/%d%s" (i + 1) n strategy) in
+      let sh = shard (Printf.sprintf "%d/%d" (i + 1) n) in
       ignore (run_campaign ~shard:sh ~path ());
       path)
 
@@ -180,19 +170,19 @@ let cleanup paths = List.iter Sys.remove paths
 let test_merge_identity () =
   let reference, _ = Lazy.force full in
   List.iter
-    (fun (n, strategy) ->
-      let paths = write_shards ~strategy ~n () in
+    (fun n ->
+      let paths = write_shards ~n () in
       let out, r = merge_to paths in
       (match r with
-      | Error e -> Alcotest.failf "merge (n=%d%s) failed: %s" n strategy e
+      | Error e -> Alcotest.failf "merge (n=%d) failed: %s" n e
       | Ok o ->
         Alcotest.(check bool)
           "result reconstructed" true o.Core.Merge.result_written);
       Alcotest.(check string)
-        (Printf.sprintf "merged = serial (n=%d%s)" n strategy)
+        (Printf.sprintf "merged = serial (n=%d)" n)
         reference (read_all out);
       cleanup (out :: paths))
-    [ (2, ""); (3, ""); (4, ""); (3, ":contiguous") ]
+    [ 2; 3; 4 ]
 
 (* Kill shard 2 mid-run (simulated by truncating its ledger inside the
    job stream), verify the merge refuses, resume the shard, and verify
@@ -245,10 +235,10 @@ let test_merge_fail_closed () =
   expect_error ~what:"an incomplete shard set" (List.tl paths);
   (* duplicated shard *)
   expect_error ~what:"a duplicated shard" (List.hd paths :: paths);
-  (* mixed strategies *)
-  let contig = write_shards ~strategy:":contiguous" ~n:3 () in
-  expect_error ~what:"mixed strategies"
-    [ List.nth paths 0; List.nth contig 1; List.nth paths 2 ];
+  (* mixed N: shard 2/4 inside a 3-way set *)
+  let four = write_shards ~n:4 () in
+  expect_error ~what:"mixed shard counts"
+    [ List.nth paths 0; List.nth four 1; List.nth paths 2 ];
   (* plan-header mismatch: swap in a shard whose seed differs *)
   let rogue = temp () in
   let rogue_header =
@@ -263,7 +253,7 @@ let test_merge_fail_closed () =
   let sink = Core.Runlog.create ~deterministic:true ~path:plain (header ()) in
   Core.Runlog.close sink;
   expect_error ~what:"an unsharded ledger" [ plain ];
-  cleanup (rogue :: plain :: (paths @ contig))
+  cleanup (rogue :: plain :: (paths @ four))
 
 (* ------------------------------------------------------------------ *)
 (* Merged-ledger provenance (outside deterministic mode)               *)

@@ -303,7 +303,14 @@ let test_exec_counters_move () =
     (List.assoc "exec.jobs" s.Core.Telemetry.counters);
   let run_h = List.assoc "exec.run_seconds" s.Core.Telemetry.histograms in
   Alcotest.(check int) "run histogram sees each job" 7
-    run_h.Core.Telemetry.count
+    run_h.Core.Telemetry.count;
+  Alcotest.(check bool) "every check holds" true
+    (Core.Exec.for_all ~backend:Core.Exec.Serial ~seed:1
+       ~f:(fun ~seed:_ p -> p >= 0)
+       (List.init 7 Fun.id));
+  let s = Core.Telemetry.snapshot () in
+  Alcotest.(check int) "for_all jobs count in exec.jobs" 14
+    (List.assoc "exec.jobs" s.Core.Telemetry.counters)
 
 let () =
   Alcotest.run "telemetry"
