@@ -1,33 +1,23 @@
-(* Benchmark harness: regenerates every table and figure of the paper at a
-   scaled-down budget (part 1), times the code behind each experiment
-   with Bechamel, one Test.make per table/figure (part 2), and compares
-   the serial and parallel execution backends on the two heaviest
-   campaigns (part 3).
+(* The perf gate's benchmark: the tracing and observability overhead
+   ratios, the Table 5 campaign across --jobs 1/2/4 (each point checked
+   bit-identical to serial), and Bechamel timings of three hot paths.
+   The paper's tables and figures are printed by `gpuwmm table N` and
+   `gpuwmm figure N`, not here.
 
-   Paper-scale budgets are available from the CLI, e.g.:
-     gpuwmm table 2 --all-chips --full
-
-   With `--json FILE` (or `dune exec bench/main.exe -- --json FILE`), all
-   wall-clock and Bechamel timings are also written to FILE as JSON.
-
-   `--quick` restricts the run to the perf-critical subset (the
-   tracing/observability overhead ratios, the --jobs scaling sweep, and
-   the hot-path micro-benchmarks) at reduced budgets — minutes, not tens
-   of minutes — and `--gate BASELINE.json` then compares the run against
-   a committed baseline: the gate fails if two domains do not beat
-   serial on the Table 5 campaign (speedup_j2, from the same sweep the
-   run records; skipped on single-core machines), if a hot-path
-   micro-benchmark regressed by more than the tolerance (20% by
-   default; GPUWMM_PERF_TOLERANCE overrides, e.g. 0.5 for noisy CI
-   runners), or if either observability overhead ratio
-   (trace_overhead_ratio, hb_overhead_ratio) exceeds its absolute cap. *)
+   `--json FILE` writes every wall-clock and Bechamel timing to FILE as
+   JSON.  `--gate BASELINE.json` then compares the run against a
+   committed baseline: the gate fails if two domains do not beat serial
+   on the Table 5 campaign (speedup_j2, from the same sweep the run
+   records; skipped on single-core machines), if a hot-path
+   micro-benchmark regressed by more than the tolerance (20% by default;
+   GPUWMM_PERF_TOLERANCE overrides, e.g. 0.5 for noisy CI runners), or
+   if either observability overhead ratio (trace_overhead_ratio,
+   hb_overhead_ratio) exceeds its absolute cap. *)
 
 open Bechamel
 open Toolkit
 
 let seed = 42
-
-let has_flag name = Array.exists (String.equal name) Sys.argv
 
 let flag_value name =
   let rec go i =
@@ -37,8 +27,6 @@ let flag_value name =
     else go (i + 1)
   in
   go 1
-
-let quick_mode = has_flag "--quick"
 
 (* Machine-readable timing collection for --json. *)
 let recorded : (string * float) list ref = ref []
@@ -51,142 +39,21 @@ let timed name f =
   record name (Unix.gettimeofday () -. t0);
   r
 
-(* Two chips covering both patch-size architectures keep the printing
-   phase inside minutes; the CLI reproduces everything on all seven. *)
-let bench_chips = [ Gpusim.Chip.titan; Gpusim.Chip.c2075 ]
-
-let bench_budget = Core.Budget.default
-
 let section title =
   Fmt.pr "@.==================================================================@.";
   Fmt.pr "%s@." title;
   Fmt.pr "==================================================================@."
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: print the (scaled) tables and figures                        *)
-
-let print_table1 () =
-  section "Table 1 (chip inventory)";
-  Core.Report.table1 Fmt.stdout
-
-let print_fig3 () =
-  section
-    (Printf.sprintf
-       "Figure 3 (patch finding; %d runs/point, locations at stride %d)"
-       bench_budget.Core.Budget.runs_patch
-       bench_budget.Core.Budget.location_stride);
-  List.map
-    (fun chip ->
-      let r = Core.Patch_finder.run ~chip ~seed ~budget:bench_budget () in
-      Core.Report.figure3 Fmt.stdout ~chip:chip.Gpusim.Chip.name r;
-      (chip, r))
-    bench_chips
-
-let print_table2_3 patches =
-  section "Tables 2 and 3 (tuned parameters; scaled campaign)";
-  let results =
-    List.map
-      (fun (chip, patch) ->
-        let t0 = Unix.gettimeofday () in
-        let sequences =
-          Core.Seq_finder.run ~chip ~seed ~budget:bench_budget
-            ~patch:patch.Core.Patch_finder.chosen ()
-        in
-        let spreads =
-          Core.Spread_finder.run ~chip ~seed ~budget:bench_budget
-            ~patch:patch.Core.Patch_finder.chosen
-            ~sequence:sequences.Core.Seq_finder.winner ()
-        in
-        let tuned =
-          { Core.Stress.sequence = sequences.Core.Seq_finder.winner;
-            spread = spreads.Core.Spread_finder.winner;
-            regions = bench_budget.Core.Budget.max_spread }
-        in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        ( { Core.Tuning.chip = chip.Gpusim.Chip.name; patch; sequences;
-            spreads; tuned; elapsed_s = elapsed },
-          elapsed /. 60.0 ))
-      patches
-  in
-  Core.Report.table2 Fmt.stdout results;
-  (match results with
-  | (r, _) :: _ -> Core.Report.table3 Fmt.stdout r.Core.Tuning.sequences
-  | [] -> ());
-  results
-
-let print_fig4 results =
-  section "Figure 4 (spread finding)";
-  List.iter
-    (fun ((r : Core.Tuning.result), _) ->
-      Core.Report.figure4 Fmt.stdout ~chip:r.Core.Tuning.chip
-        r.Core.Tuning.spreads)
-    results
-
-let print_table4 () =
-  section "Table 4 (application case studies)";
-  Core.Report.table4 Fmt.stdout
-
-let campaign_runs = 25
-
-let print_table5 () =
-  section
-    (Printf.sprintf "Table 5 (testing environments; %d runs per combination)"
-       campaign_runs);
-  let rows =
-    Core.Campaign.run ~chips:bench_chips
-      ~environments_for:(fun chip ->
-        Core.Environment.all ~tuned:(Core.Tuning.shipped ~chip))
-      ~apps:Apps.Registry.all ~runs:campaign_runs ~seed ()
-  in
-  Core.Report.table5 Fmt.stdout rows
-
-let harden_config chip =
-  { (Core.Harden.default_config ~chip) with stability_runs = 100 }
-
-let print_table6 () =
-  section "Table 6 (empirical fence insertion)";
-  let results =
-    List.concat_map
-      (fun app ->
-        List.map
-          (fun chip ->
-            Core.Harden.insert ~chip ~config:(harden_config chip) ~app ~seed ())
-          bench_chips)
-      Apps.Registry.fence_free
-  in
-  Core.Report.table6 Fmt.stdout results;
-  results
-
-let print_fig5 harden_results =
-  section "Figure 5 (cost of fences)";
-  let emp_for chip app =
-    match
-      List.find_opt
-        (fun r ->
-          r.Core.Harden.app = app.Apps.App.name
-          && r.Core.Harden.chip = chip.Gpusim.Chip.name)
-        harden_results
-    with
-    | Some r -> r.Core.Harden.fences
-    | None -> []
-  in
-  let points =
-    Core.Cost.run ~chips:bench_chips ~apps:Apps.Registry.fence_free ~emp_for
-      ~runs:15 ~seed ()
-  in
-  Core.Report.figure5 Fmt.stdout points
-
-(* ------------------------------------------------------------------ *)
-(* Part 1b: tracing overhead                                            *)
+(* Tracing overhead                                                     *)
 
 (* The observability layer promises to be free when off: every emit site
    in the simulator is guarded by one cached boolean.  Measure a Table 5
    cell (the heaviest per-execution workload) untraced and with the ring
    buffer enabled, and report the ratio — regressions here mean an emit
-   site started allocating outside its guard. *)
-(* Same rep count under --quick: the measurement is a ratio of two
-   ~50 ms loops, and halving them doubles the noise band the gate
-   then has to absorb. *)
+   site started allocating outside its guard.  The ratio is of two
+   ~50 ms loops; halving them would double the noise band the gate has
+   to absorb. *)
 let overhead_reps = 40
 
 (* One Table 5 cell (the heaviest per-execution workload), repeated. *)
@@ -217,13 +84,11 @@ let tracing_overhead () =
     overhead_reps toff ton ratio
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel micro-benchmarks, one per table/figure              *)
+(* Hot-path micro-benchmarks                                            *)
 
-let quick = Core.Budget.quick
-
-(* The two hot-path micro-benchmarks the perf gate watches: the litmus
-   inner loop (the 7.4µs/run path behind every tuning campaign) and one
-   Table 5 campaign cell (the heaviest per-execution workload). *)
+(* The hot paths the perf gate watches: one Table 5 campaign cell (the
+   heaviest per-execution workload), the litmus inner loop (the path
+   behind every tuning campaign) and one model-checker verdict. *)
 let hot_path_tests =
   let chip = Gpusim.Chip.titan in
   let app = Option.get (Apps.Registry.by_name "cbe-dot") in
@@ -248,58 +113,22 @@ let hot_path_tests =
                 { Litmus.Test.idiom = Litmus.Test.MP; distance = 31 }
                 ~fenced:false))) ]
 
-let bench_tests =
-  let chip = Gpusim.Chip.titan in
-  let app = Option.get (Apps.Registry.by_name "cbe-dot") in
-  let tuned = Core.Tuning.shipped ~chip in
-  hot_path_tests
-  @ [ Test.make ~name:"table1_chips"
-      (Staged.stage (fun () -> Fmt.str "%t" Core.Report.table1));
-    Test.make ~name:"fig3_patch_finding"
-      (Staged.stage (fun () ->
-           Core.Patch_finder.run ~chip ~seed:1 ~budget:quick ()));
-    Test.make ~name:"table2_tuning"
-      (Staged.stage (fun () -> Core.Tuning.run ~chip ~seed:1 ~budget:quick ()));
-    Test.make ~name:"table3_sequences"
-      (Staged.stage (fun () ->
-           Core.Seq_finder.run ~chip ~seed:1 ~budget:quick ~patch:32 ()));
-    Test.make ~name:"fig4_spread"
-      (Staged.stage (fun () ->
-           Core.Spread_finder.run ~chip ~seed:1 ~budget:quick ~patch:32
-             ~sequence:tuned.Core.Stress.sequence ()));
-    Test.make ~name:"table4_app_execution"
-      (Staged.stage (fun () ->
-           let sim = Gpusim.Sim.create ~chip ~seed:1 () in
-           app.Apps.App.run sim Apps.App.Original));
-    Test.make ~name:"table6_harden"
-      (Staged.stage (fun () ->
-           Core.Harden.insert ~chip
-             ~config:
-               { (Core.Harden.default_config ~chip) with
-                 initial_iterations = 8; stability_runs = 16 }
-             ~app ~seed:1 ()));
-      Test.make ~name:"fig5_cost_point"
-        (Staged.stage (fun () ->
-             Core.Cost.measure ~chip ~app ~fencing:Apps.App.Conservative
-               ~runs:3 ~seed:1)) ]
-
 (* ------------------------------------------------------------------ *)
-(* Part 3: --jobs scaling sweep                                         *)
+(* --jobs scaling sweep                                                 *)
 
-(* The Table 5 campaign across --jobs 1/2/4/8 (1/2/4 under --quick).
-   Every point must be bit-identical to serial — the executor guarantee —
-   and each point records both its wall-clock and its speedup_j<N>
-   against serial in the --json document. *)
+(* The Table 5 campaign across --jobs 1/2/4.  Every point must be
+   bit-identical to serial — the executor guarantee — and each point
+   records both its wall-clock and its speedup_j<N> against serial in the
+   --json document. *)
 
-let sweep_jobs = if quick_mode then [ 1; 2; 4 ] else [ 1; 2; 4; 8 ]
-let sweep_runs = if quick_mode then 8 else campaign_runs
-let sweep_chips = if quick_mode then [ Gpusim.Chip.titan ] else bench_chips
+let sweep_jobs = [ 1; 2; 4 ]
+let sweep_runs = 8
+let sweep_chips = [ Gpusim.Chip.titan ]
 
 let sweep_campaign ?backend () =
   Core.Campaign.run ?backend ~chips:sweep_chips
-    ~environments_for:(fun chip ->
-      Core.Environment.all ~tuned:(Core.Tuning.shipped ~chip))
-    ~apps:Apps.Registry.all ~runs:sweep_runs ~seed ()
+    ~environments_for:Core.Campaign.environments ~apps:Apps.Registry.all
+    ~runs:sweep_runs ~seed ()
 
 (* The fleet-observability layer's cost on the whole Table 5 campaign
    (the unit it actually monitors), at a denser load than any real
@@ -383,54 +212,20 @@ let jobs_sweep () =
           (Printf.sprintf "--jobs %d: campaign results diverge from serial" n))
     sweep_jobs
 
-(* Full runs additionally cross-check the Sec. 3 tuning sweep across
-   backends (wall-clock fields are excluded from the comparison). *)
-let tuning_backend_check () =
-  section "Executor backends: Sec. 3 tuning sweep, serial vs parallel";
-  let cores = Domain.recommended_domain_count () in
-  let jobs = Int.max 2 (Int.min 4 cores) in
-  let run backend =
-    Core.Tuning.run ~backend ~chip:Gpusim.Chip.titan ~seed ~budget:bench_budget
-      ()
-  in
-  let rs = timed "sec3_tuning_sweep_serial_s" (fun () -> run Core.Exec.Serial) in
-  let rp =
-    timed
-      (Printf.sprintf "sec3_tuning_sweep_parallel%d_s" jobs)
-      (fun () -> run (Core.Exec.Parallel jobs))
-  in
-  let equal (a : Core.Tuning.result) b =
-    a.Core.Tuning.patch = b.Core.Tuning.patch
-    && a.Core.Tuning.sequences = b.Core.Tuning.sequences
-    && a.Core.Tuning.spreads = b.Core.Tuning.spreads
-    && a.Core.Tuning.tuned = b.Core.Tuning.tuned
-  in
-  let ts = List.assoc "sec3_tuning_sweep_serial_s" !recorded in
-  let tp =
-    List.assoc (Printf.sprintf "sec3_tuning_sweep_parallel%d_s" jobs) !recorded
-  in
-  Fmt.pr
-    "serial %6.2f s | parallel (%d jobs) %6.2f s | speedup %.2fx | identical \
-     results: %b@."
-    ts jobs tp
-    (if tp > 0.0 then ts /. tp else 0.0)
-    (equal rs rp);
-  if not (equal rs rp) then
-    failwith "sec3_tuning_sweep: serial and parallel results diverge"
-
-let run_bechamel ~tests () =
+let run_bechamel () =
   section "Bechamel micro-benchmarks";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Instance.[ monotonic_clock ] in
-  (* The gate compares absolute times, so quick runs buy stability with a
-     longer quota per test (there are only two of them). *)
-  let quota = if quick_mode then 3.0 else 0.5 in
+  (* The gate compares absolute times, so each test buys stability with a
+     long quota. *)
   let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second quota) ~stabilize:false ()
+    Benchmark.cfg ~limit:500 ~quota:(Time.second 3.0) ~stabilize:false ()
   in
-  let grouped = Test.make_grouped ~name:"gpuwmm" ~fmt:"%s/%s" tests in
+  let grouped =
+    Test.make_grouped ~name:"gpuwmm" ~fmt:"%s/%s" hot_path_tests
+  in
   let raw = Benchmark.all cfg instances grouped in
   let results = Analyze.all ols Instance.monotonic_clock raw in
   let rows =
@@ -487,8 +282,8 @@ let gate_tolerance () =
       Fmt.epr "ignoring malformed GPUWMM_PERF_TOLERANCE=%s@." s;
       0.20)
 
-(* The perf gate, run against a committed baseline snapshot.  Two
-   checks, both about the refactor's headline promises:
+(* The perf gate, run against a committed baseline snapshot.  Three
+   checks:
 
    - two domains must beat serial on the Table 5 campaign
      ([speedup_j2 > 1.0], read from the sweep this very run recorded —
@@ -499,7 +294,9 @@ let gate_tolerance () =
    - the hot-path micro-benchmarks must be within [1 + tolerance]
      of the baseline's absolute times.  The committed baseline was
      recorded on a modest container, so faster CI machines pass with
-     margin; the tolerance exists for same-machine noise. *)
+     margin; the tolerance exists for same-machine noise;
+   - the observability overhead ratios must stay under an absolute
+     cap. *)
 let run_gate baseline_path =
   section (Printf.sprintf "Perf gate (baseline %s)" baseline_path);
   let entries = List.rev !recorded in
@@ -535,7 +332,7 @@ let run_gate baseline_path =
            "--jobs 2 (speedup %.2fx) does not beat serial: the domain pool \
             is not paying for its domains"
            sp
-     | None -> fail "gate needs the --jobs sweep; run with the sweep enabled"
+     | None -> fail "speedup_j2 was not measured in this run"
    else
      Fmt.pr
        "single core: skipping the pool-vs-serial check (cannot show \
@@ -589,8 +386,6 @@ let run_gate baseline_path =
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                          *)
 
-let json_out () = flag_value "--json"
-
 let write_json path =
   let entries = List.rev !recorded in
   let doc =
@@ -612,28 +407,11 @@ let write_json path =
 
 let () =
   let t0 = Unix.gettimeofday () in
-  if quick_mode then begin
-    tracing_overhead ();
-    observability_overhead ();
-    jobs_sweep ();
-    run_bechamel ~tests:hot_path_tests ()
-  end
-  else begin
-    timed "table1_s" print_table1;
-    let patches = timed "fig3_s" print_fig3 in
-    let tuning = timed "table2_3_s" (fun () -> print_table2_3 patches) in
-    timed "fig4_s" (fun () -> print_fig4 tuning);
-    timed "table4_s" print_table4;
-    timed "table5_s" print_table5;
-    let harden_results = timed "table6_s" print_table6 in
-    timed "fig5_s" (fun () -> print_fig5 harden_results);
-    tracing_overhead ();
-    observability_overhead ();
-    jobs_sweep ();
-    tuning_backend_check ();
-    run_bechamel ~tests:bench_tests ()
-  end;
+  tracing_overhead ();
+  observability_overhead ();
+  jobs_sweep ();
+  run_bechamel ();
   record "total_s" (Unix.gettimeofday () -. t0);
   Fmt.pr "@.total bench time: %.1f s@." (Unix.gettimeofday () -. t0);
-  Option.iter write_json (json_out ());
+  Option.iter write_json (flag_value "--json");
   Option.iter run_gate (flag_value "--gate")

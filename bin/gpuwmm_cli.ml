@@ -517,7 +517,10 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    serves /metrics, /status and /healthz over that sidecar for the
    campaign's duration, and ~spans records per-job spans and writes a
    Chrome trace sidecar <ledger>.spans.json with absolute timestamps,
-   mergeable across shard runs by `gpuwmm trace --merge`. *)
+   mergeable across shard runs by `gpuwmm trace --merge`.
+
+   Returns the body's value, or None when a complete ledger was only
+   re-rendered. *)
 let with_ledger ?shard ?listen ?(spans = false)
     ~campaign ~seed ~jobs ~grid ~log ~resume ~kind ~encode f =
   let shard =
@@ -583,7 +586,7 @@ let with_ledger ?shard ?listen ?(spans = false)
     ~finally:(fun () -> Option.iter Core.Httpd.stop server)
     (fun () ->
       match ledger with
-      | None -> ignore (f None)
+      | None -> Some (f None)
       | Some path ->
         let loaded =
           match resume with
@@ -622,7 +625,8 @@ let with_ledger ?shard ?listen ?(spans = false)
         if complete then begin
           let l = Option.get loaded in
           Fmt.epr "%s is already complete; nothing to re-run@." path;
-          render_ledger_result ~path l
+          render_ledger_result ~path l;
+          None
         end
         else begin
           let header =
@@ -662,8 +666,8 @@ let with_ledger ?shard ?listen ?(spans = false)
                 Core.Heartbeat.stop emitter)
               (fun () -> f (Some journal))
           with
-          | v -> (
-            match shard_spec with
+          | v ->
+            (match shard_spec with
             | Some spec ->
               (* A shard ledger carries no result record: its reduce saw
                  placeholder values for the cells it did not own. *)
@@ -679,11 +683,68 @@ let with_ledger ?shard ?listen ?(spans = false)
               Core.Runlog.append_result sink ~kind (encode v);
               Core.Runlog.close sink;
               write_spans ();
-              Logs.info (fun f -> f "ledger written to %s" path))
+              Logs.info (fun f -> f "ledger written to %s" path));
+            Some v
           | exception e ->
             Core.Runlog.abort sink;
             raise e
         end)
+
+(* The flags every ledgered campaign command shares. *)
+type campaign_flags = {
+  verbose : bool;
+  quiet : bool;
+  seed : int;
+  jobs : int option;
+  log : string option;
+  resume : string option;
+  shard : string option;
+  timeout : float option;
+  retries : int;
+  keep_going : bool;
+}
+
+let campaign_flags =
+  let make verbose quiet seed jobs log resume shard timeout retries keep_going
+      =
+    { verbose; quiet; seed; jobs; log; resume; shard; timeout; retries;
+      keep_going }
+  in
+  Term.(
+    const make $ verbose $ quiet $ seed $ jobs_term $ log_term $ resume_term
+    $ shard_term $ timeout_term $ retries_term $ keep_going_term)
+
+(* The one ledgered-run sequence of tune, test, harden, table and figure:
+   logging and the supervision policy, then the campaign under
+   [with_ledger] and [guarded], then the degradation summary's exit code.
+   [body] is staged: applied to the backend first, once logging is up, so
+   it can reject bad arguments before any ledger exists, then to the
+   journal. *)
+let run_campaign ?listen ?spans ?(strict = false) c ~campaign ~grid ~kind
+    ~encode body =
+  setup_log ~quiet:c.quiet c.verbose;
+  setup_supervision ~timeout:c.timeout ~retries:c.retries
+    ~keep_going:c.keep_going ();
+  Core.Tuning.set_strict strict;
+  let body = body (Core.Exec.backend_of_jobs (jobs_of c.jobs)) in
+  guarded (fun () ->
+      ignore
+        (with_ledger ?shard:c.shard ?listen ?spans ~campaign ~seed:c.seed
+           ~jobs:c.jobs ~grid ~log:c.log ~resume:c.resume ~kind ~encode body));
+  conclude_supervised ()
+
+(* A per-chip (or per-app-and-chip) journal prefix for campaigns that run
+   one driver per chip. *)
+let sub_journal journal prefix =
+  Option.map (fun j -> Core.Runlog.extend j (prefix ^ "/")) journal
+
+(* The testing environment [label] on [chip]; exit 1 if there is none. *)
+let env_of chip label =
+  match Core.Campaign.environment ~chip label with
+  | Some env -> env
+  | None ->
+    Fmt.epr "unknown environment %s@." label;
+    exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                             *)
@@ -695,9 +756,6 @@ let chips_cmd =
   in
   Cmd.v (Cmd.info "chips" ~doc:"List the seven simulated GPUs (Table 1).")
     Term.(const run $ verbose)
-
-let tuned_envs chip =
-  Core.Environment.all ~tuned:(Core.Tuning.shipped ~chip)
 
 let litmus_cmd =
   let idiom_conv =
@@ -725,26 +783,19 @@ let litmus_cmd =
   in
   let run verbose seed chip idiom distance runs env_name =
     setup_log verbose;
-    let envs = tuned_envs chip in
-    match
-      List.find_opt (fun e -> e.Core.Environment.label = env_name) envs
-    with
-    | None ->
-      Fmt.epr "unknown environment %s@." env_name;
-      exit 1
-    | Some env ->
-      let inst = { Litmus.Test.idiom; distance } in
-      let weak =
-        Litmus.Runner.count_weak ~chip ~seed
-          ~env:(Core.Environment.for_litmus env)
-          ~runs inst
-      in
-      Fmt.pr "%s with d=%d on %s under %s: %d/%d weak@."
-        (Litmus.Test.idiom_name idiom)
-        distance chip.Gpusim.Chip.name env_name weak runs;
-      Fmt.pr "SC-reachable outcomes: %a@."
-        Fmt.(list ~sep:sp (parens (pair ~sep:comma int int)))
-        (Litmus.Test.sc_outcomes inst)
+    let env = env_of chip env_name in
+    let inst = { Litmus.Test.idiom; distance } in
+    let weak =
+      Litmus.Runner.count_weak ~chip ~seed
+        ~env:(Core.Environment.for_litmus env)
+        ~runs inst
+    in
+    Fmt.pr "%s with d=%d on %s under %s: %d/%d weak@."
+      (Litmus.Test.idiom_name idiom)
+      distance chip.Gpusim.Chip.name env_name weak runs;
+    Fmt.pr "SC-reachable outcomes: %a@."
+      Fmt.(list ~sep:sp (parens (pair ~sep:comma int int)))
+      (Litmus.Test.sc_outcomes inst)
   in
   Cmd.v
     (Cmd.info "litmus"
@@ -817,38 +868,28 @@ let check_cmd =
       $ json_flag $ out_term)
 
 let tune_cmd =
-  let run verbose quiet seed chip budget jobs log resume shard
-      timeout retries keep_going =
-    setup_log ~quiet verbose;
-    setup_supervision ~timeout ~retries ~keep_going ();
+  let run c chip budget =
     let grid =
       Core.Json.Assoc
         [ ("chips", json_strs (chip_names [ chip ]));
           ("budget", Core.Budget.to_json budget) ]
     in
-    guarded (fun () ->
-        with_ledger ?shard ~campaign:"tune" ~seed ~jobs ~grid ~log ~resume
-          ~kind:"tuning" ~encode:tuning_to_json (fun journal ->
-            let r =
-              Core.Tuning.run
-                ~backend:(Core.Exec.backend_of_jobs (jobs_of jobs))
-                ?journal ~chip ~seed ~budget ()
-            in
-            let minutes = r.Core.Tuning.elapsed_s /. 60.0 in
-            if shard = None then begin
-              Core.Report.table2 Fmt.stdout [ (r, minutes) ];
-              Core.Report.table3 Fmt.stdout r.Core.Tuning.sequences
-            end;
-            [ (r, minutes) ]));
-    conclude_supervised ()
+    run_campaign c ~campaign:"tune" ~grid ~kind:"tuning"
+      ~encode:tuning_to_json (fun backend journal ->
+        let r =
+          Core.Tuning.run ~backend ?journal ~chip ~seed:c.seed ~budget ()
+        in
+        let minutes = r.Core.Tuning.elapsed_s /. 60.0 in
+        if c.shard = None then begin
+          Core.Report.table2 Fmt.stdout [ (r, minutes) ];
+          Core.Report.table3 Fmt.stdout r.Core.Tuning.sequences
+        end;
+        [ (r, minutes) ])
   in
   Cmd.v
     (Cmd.info "tune"
        ~doc:"Run the full Sec. 3 tuning pipeline for one chip.")
-    Term.(
-      const run $ verbose $ quiet $ seed $ chip $ budget_term $ jobs_term
-      $ log_term $ resume_term $ shard_term $ timeout_term $ retries_term
-      $ keep_going_term)
+    Term.(const run $ campaign_flags $ chip $ budget_term)
 
 let test_cmd =
   let app_term =
@@ -861,72 +902,50 @@ let test_cmd =
   let env_name =
     Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
   in
-  let run verbose quiet seed chip app runs env_name jobs log resume shard
-      listen spans strict timeout retries keep_going =
-    setup_log ~quiet verbose;
-    setup_supervision ~timeout ~retries ~keep_going ();
-    Core.Tuning.set_strict strict;
-    let envs = tuned_envs chip in
-    match
-      List.find_opt (fun e -> e.Core.Environment.label = env_name) envs
-    with
-    | None ->
-      Fmt.epr "unknown environment %s@." env_name;
-      exit 1
-    | Some env ->
-      let apps =
-        match app with Some a -> [ a ] | None -> Apps.Registry.all
-      in
-      let grid =
-        Core.Json.Assoc
-          [ ("chips", json_strs (chip_names [ chip ]));
-            ("envs", json_strs [ env_name ]);
-            ("apps", json_strs (app_names apps));
-            ("runs", Core.Json.Int runs) ]
-      in
-      let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
-      guarded (fun () ->
-          with_ledger ?shard ?listen ~spans
-            ~campaign:"test" ~seed ~jobs ~grid ~log ~resume ~kind:"campaign"
-            ~encode:Core.Campaign.rows_to_json (fun journal ->
-              let rows =
-                Core.Campaign.run ~backend ?journal ~chips:[ chip ]
-                  ~environments_for:(fun _ -> [ env ])
-                  ~apps ~runs ~seed ()
-              in
-              if shard = None then
+  let run c chip app runs env_name listen spans strict =
+    let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
+    let grid =
+      Core.Campaign.test_grid ~chip:chip.Gpusim.Chip.name ~env:env_name
+        ~apps:(app_names apps) ~runs
+    in
+    run_campaign ?listen ~spans ~strict c ~campaign:"test" ~grid
+      ~kind:"campaign" ~encode:Core.Campaign.rows_to_json (fun backend ->
+        let env = env_of chip env_name in
+        fun journal ->
+          let rows =
+            Core.Campaign.run ~backend ?journal ~chips:[ chip ]
+              ~environments_for:(fun _ -> [ env ])
+              ~apps ~runs ~seed:c.seed ()
+          in
+          if c.shard = None then
+            List.iter
+              (fun row ->
                 List.iter
-                  (fun row ->
-                    List.iter
-                      (fun cell ->
-                        match cell.Core.Campaign.quarantined with
-                        | Some reason ->
-                          Fmt.pr "%-12s %s %s: QUARANTINED (%s)@."
-                            cell.Core.Campaign.app chip.Gpusim.Chip.name
-                            env_name reason
-                        | None ->
-                          Fmt.pr "%-12s %s %s: %d/%d erroneous runs%s@."
-                            cell.Core.Campaign.app chip.Gpusim.Chip.name
-                            env_name cell.Core.Campaign.errors
-                            cell.Core.Campaign.runs
-                            (match Core.Campaign.dominant cell with
-                            | None -> ""
-                            | Some (msg, n) ->
-                              Printf.sprintf "  (dominant: %s x%d)" msg n))
-                      row.Core.Campaign.cells)
-                  rows;
-              rows));
-      conclude_supervised ()
+                  (fun cell ->
+                    match cell.Core.Campaign.quarantined with
+                    | Some reason ->
+                      Fmt.pr "%-12s %s %s: QUARANTINED (%s)@."
+                        cell.Core.Campaign.app chip.Gpusim.Chip.name env_name
+                        reason
+                    | None ->
+                      Fmt.pr "%-12s %s %s: %d/%d erroneous runs%s@."
+                        cell.Core.Campaign.app chip.Gpusim.Chip.name env_name
+                        cell.Core.Campaign.errors cell.Core.Campaign.runs
+                        (match Core.Campaign.dominant cell with
+                        | None -> ""
+                        | Some (msg, n) ->
+                          Printf.sprintf "  (dominant: %s x%d)" msg n))
+                  row.Core.Campaign.cells)
+              rows;
+          rows)
   in
   Cmd.v
     (Cmd.info "test"
        ~doc:"Repeatedly execute applications under a testing environment \
              and count erroneous runs (Sec. 4).")
     Term.(
-      const run $ verbose $ quiet $ seed $ chip $ app_term $ runs $ env_name
-      $ jobs_term $ log_term $ resume_term $ shard_term $ listen_term
-      $ spans_term $ strict_term $ timeout_term $ retries_term
-      $ keep_going_term)
+      const run $ campaign_flags $ chip $ app_term $ runs $ env_name
+      $ listen_term $ spans_term $ strict_term)
 
 let harden_cmd =
   let app_term =
@@ -938,51 +957,40 @@ let harden_cmd =
   let stability =
     Arg.(value & opt int 200 & info [ "stability-runs" ] ~docv:"N")
   in
-  let run verbose quiet seed chip app stability jobs log resume shard timeout
-      retries keep_going =
-    setup_log ~quiet verbose;
-    setup_supervision ~timeout ~retries ~keep_going ();
-    let config =
-      { (Core.Harden.default_config ~chip) with stability_runs = stability }
-    in
+  let run c chip app stability =
     let grid =
       Core.Json.Assoc
         [ ("chips", json_strs (chip_names [ chip ]));
           ("apps", json_strs (app_names [ app ]));
           ("stability_runs", Core.Json.Int stability) ]
     in
-    guarded (fun () ->
-        with_ledger ?shard ~campaign:"harden" ~seed ~jobs ~grid ~log ~resume
-          ~kind:"harden" ~encode:Core.Harden.results_to_json (fun journal ->
-            let r =
-              Core.Harden.insert ~chip ~config
-                ~backend:(Core.Exec.backend_of_jobs (jobs_of jobs))
-                ?journal ~app ~seed ()
-            in
-            if shard = None then begin
-              Core.Report.table6 Fmt.stdout [ r ];
-              (* Show the hardened kernels. *)
-              List.iter
-                (fun k ->
-                  let fenced =
-                    Apps.App.apply_fencing
-                      (Apps.App.Sites r.Core.Harden.fences) k
-                  in
-                  if Gpusim.Kernel.fence_sites fenced <> [] then
-                    Fmt.pr "@.%s@."
-                      (Gpusim.Kernel_pp.to_string ~sids:true fenced))
-                app.Apps.App.kernels
-            end;
-            [ r ]));
-    conclude_supervised ()
+    run_campaign c ~campaign:"harden" ~grid ~kind:"harden"
+      ~encode:Core.Harden.results_to_json (fun backend journal ->
+        let config =
+          { (Core.Harden.default_config ~chip) with stability_runs = stability }
+        in
+        let r =
+          Core.Harden.insert ~chip ~config ~backend ?journal ~app ~seed:c.seed
+            ()
+        in
+        if c.shard = None then begin
+          Core.Report.table6 Fmt.stdout [ r ];
+          (* Show the hardened kernels. *)
+          List.iter
+            (fun k ->
+              let fenced =
+                Apps.App.apply_fencing (Apps.App.Sites r.Core.Harden.fences) k
+              in
+              if Gpusim.Kernel.fence_sites fenced <> [] then
+                Fmt.pr "@.%s@." (Gpusim.Kernel_pp.to_string ~sids:true fenced))
+            app.Apps.App.kernels
+        end;
+        [ r ])
   in
   Cmd.v
     (Cmd.info "harden"
        ~doc:"Empirical fence insertion (Alg. 1) for one application.")
-    Term.(
-      const run $ verbose $ quiet $ seed $ chip $ app_term $ stability
-      $ jobs_term $ log_term $ resume_term $ shard_term $ timeout_term
-      $ retries_term $ keep_going_term)
+    Term.(const run $ campaign_flags $ chip $ app_term $ stability)
 
 let inspect_cmd =
   let app_term =
@@ -1216,33 +1224,25 @@ let trace_cmd =
       Fmt.epr "--capacity must be positive@.";
       exit 1
     end;
-    match
-      List.find_opt
-        (fun e -> e.Core.Environment.label = env_name)
-        (tuned_envs chip)
-    with
-    | None ->
-      Fmt.epr "unknown environment %s@." env_name;
-      exit 1
-    | Some env ->
-      let sim = Gpusim.Sim.create ~chip ~seed () in
-      Gpusim.Sim.set_environment sim (Core.Environment.for_app env);
-      let sink = Gpusim.Sim.trace sim in
-      Gpusim.Trace.enable ~capacity sink;
-      let outcome = app.Apps.App.run sim Apps.App.Original in
-      let records = Gpusim.Trace.records sink in
-      Fmt.pr "%s on %s under %s: %s@." app.Apps.App.name
-        chip.Gpusim.Chip.name env_name
-        (match outcome with Ok () -> "ok" | Error e -> "ERROR " ^ e);
-      Fmt.pr "%d event(s) recorded (%d emitted, %d dropped by the ring)@."
-        (List.length records)
-        (Gpusim.Trace.emitted sink)
-        (Gpusim.Trace.dropped sink);
-      write_file out
-        (Core.Json.to_string (Core.Telemetry.chrome_trace records) ^ "\n");
-      Option.iter
-        (fun p -> write_file p (Core.Telemetry.jsonl records))
-        jsonl_out
+    let env = env_of chip env_name in
+    let sim = Gpusim.Sim.create ~chip ~seed () in
+    Gpusim.Sim.set_environment sim (Core.Environment.for_app env);
+    let sink = Gpusim.Sim.trace sim in
+    Gpusim.Trace.enable ~capacity sink;
+    let outcome = app.Apps.App.run sim Apps.App.Original in
+    let records = Gpusim.Trace.records sink in
+    Fmt.pr "%s on %s under %s: %s@." app.Apps.App.name
+      chip.Gpusim.Chip.name env_name
+      (match outcome with Ok () -> "ok" | Error e -> "ERROR " ^ e);
+    Fmt.pr "%d event(s) recorded (%d emitted, %d dropped by the ring)@."
+      (List.length records)
+      (Gpusim.Trace.emitted sink)
+      (Gpusim.Trace.dropped sink);
+    write_file out
+      (Core.Json.to_string (Core.Telemetry.chrome_trace records) ^ "\n");
+    Option.iter
+      (fun p -> write_file p (Core.Telemetry.jsonl records))
+      jsonl_out
     end
   in
   Cmd.v
@@ -1319,26 +1319,18 @@ let run_litmus_cmd =
     | Error e ->
       Fmt.epr "%s: %s@." file e;
       exit 1
-    | Ok t -> (
+    | Ok t ->
       Fmt.pr "%a@." Litmus.Lang.pp t;
       let sc = Litmus.Lang.sc_allows t in
       Fmt.pr "condition reachable under SC: %b@." sc;
-      match
-        List.find_opt
-          (fun e -> e.Core.Environment.label = env_name)
-          (tuned_envs chip)
-      with
-      | None ->
-        Fmt.epr "unknown environment %s@." env_name;
-        exit 1
-      | Some env ->
-        let n =
-          Litmus.Lang.count_satisfied ~chip ~seed
-            ~env:(Core.Environment.for_litmus env) ~runs t
-        in
-        Fmt.pr "observed on %s under %s: %d/%d%s@." chip.Gpusim.Chip.name
-          env_name n runs
-          (if (not sc) && n > 0 then "  ** WEAK BEHAVIOUR **" else ""))
+      let env = env_of chip env_name in
+      let n =
+        Litmus.Lang.count_satisfied ~chip ~seed
+          ~env:(Core.Environment.for_litmus env) ~runs t
+      in
+      Fmt.pr "observed on %s under %s: %d/%d%s@." chip.Gpusim.Chip.name
+        env_name n runs
+        (if (not sc) && n > 0 then "  ** WEAK BEHAVIOUR **" else "")
   in
   Cmd.v
     (Cmd.info "run-litmus"
@@ -1353,11 +1345,7 @@ let table_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table number (1-6).")
   in
   let runs = Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N") in
-  let run verbose quiet seed chips all number budget runs jobs
-      log resume shard listen spans strict timeout retries keep_going =
-    setup_log ~quiet verbose;
-    setup_supervision ~timeout ~retries ~keep_going ();
-    Core.Tuning.set_strict strict;
+  let run c chips all number budget runs listen spans strict =
     let chips = resolve_chips chips all in
     let grid =
       Core.Json.Assoc
@@ -1365,41 +1353,27 @@ let table_cmd =
           ("budget", Core.Budget.to_json budget);
           ("runs", Core.Json.Int runs) ]
     in
-    let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
-    let ledgered :
-        type a.
-        kind:string ->
-        encode:(a -> Core.Json.t) ->
-        (Core.Runlog.journal option -> a) ->
-        unit =
-     fun ~kind ~encode f ->
-      guarded (fun () ->
-          with_ledger ?shard ?listen ~spans
-            ~campaign:(Printf.sprintf "table%d" number)
-            ~seed ~jobs ~grid ~log ~resume ~kind ~encode f);
-      conclude_supervised ()
+    let ledgered ~kind ~encode body =
+      run_campaign ?listen ~spans ~strict c
+        ~campaign:(Printf.sprintf "table%d" number)
+        ~grid ~kind ~encode body
     in
     let static render =
-      if log <> None || resume <> None then
+      if c.log <> None || c.resume <> None then
         Fmt.epr "table %d is static; --log/--resume ignored@." number;
       render Fmt.stdout
-    in
-    let per_chip journal chip =
-      Option.map
-        (fun j -> Core.Runlog.extend j (chip.Gpusim.Chip.name ^ "/"))
-        journal
     in
     match number with
     | 1 -> static Core.Report.table1
     | 2 ->
-      ledgered ~kind:"tuning" ~encode:tuning_to_json (fun journal ->
+      ledgered ~kind:"tuning" ~encode:tuning_to_json (fun backend journal ->
           let results =
             List.map
               (fun chip ->
                 let r =
                   Core.Tuning.run ~backend
-                    ?journal:(per_chip journal chip)
-                    ~chip ~seed ~budget ()
+                    ?journal:(sub_journal journal chip.Gpusim.Chip.name)
+                    ~chip ~seed:c.seed ~budget ()
                 in
                 (r, r.Core.Tuning.elapsed_s /. 60.0))
               chips
@@ -1407,13 +1381,14 @@ let table_cmd =
           Core.Report.table2 Fmt.stdout results;
           results)
     | 3 ->
-      ledgered ~kind:"seq" ~encode:seq_to_json (fun journal ->
+      ledgered ~kind:"seq" ~encode:seq_to_json (fun backend journal ->
           let chip = List.hd chips in
           let patch =
-            Core.Patch_finder.run ~backend ?journal ~chip ~seed ~budget ()
+            Core.Patch_finder.run ~backend ?journal ~chip ~seed:c.seed ~budget
+              ()
           in
           let r =
-            Core.Seq_finder.run ~backend ?journal ~chip ~seed ~budget
+            Core.Seq_finder.run ~backend ?journal ~chip ~seed:c.seed ~budget
               ~patch:patch.Core.Patch_finder.chosen ()
           in
           Core.Report.table3 Fmt.stdout r;
@@ -1421,31 +1396,28 @@ let table_cmd =
     | 4 -> static Core.Report.table4
     | 5 ->
       ledgered ~kind:"campaign" ~encode:Core.Campaign.rows_to_json
-        (fun journal ->
+        (fun backend journal ->
           let rows =
             Core.Campaign.run ~backend ?journal ~chips
-              ~environments_for:tuned_envs ~apps:Apps.Registry.all ~runs
-              ~seed ()
+              ~environments_for:Core.Campaign.environments
+              ~apps:Apps.Registry.all ~runs ~seed:c.seed ()
           in
-          if shard = None then Core.Report.table5 Fmt.stdout rows;
+          if c.shard = None then Core.Report.table5 Fmt.stdout rows;
           rows)
     | 6 ->
       ledgered ~kind:"harden" ~encode:Core.Harden.results_to_json
-        (fun journal ->
+        (fun backend journal ->
           let results =
             List.concat_map
               (fun app ->
                 List.map
                   (fun chip ->
                     let journal =
-                      Option.map
-                        (fun j ->
-                          Core.Runlog.extend j
-                            (app.Apps.App.name ^ "/" ^ chip.Gpusim.Chip.name
-                           ^ "/"))
-                        journal
+                      sub_journal journal
+                        (app.Apps.App.name ^ "/" ^ chip.Gpusim.Chip.name)
                     in
-                    Core.Harden.insert ~chip ~backend ?journal ~app ~seed ())
+                    Core.Harden.insert ~chip ~backend ?journal ~app
+                      ~seed:c.seed ())
                   chips)
               Apps.Registry.fence_free
           in
@@ -1458,59 +1430,38 @@ let table_cmd =
   Cmd.v
     (Cmd.info "table" ~doc:"Reproduce a table of the paper.")
     Term.(
-      const run $ verbose $ quiet $ seed $ chips $ all_chips $ number
-      $ budget_term $ runs $ jobs_term $ log_term $ resume_term $ shard_term
-      $ listen_term $ spans_term $ strict_term $ timeout_term $ retries_term
-      $ keep_going_term)
+      const run $ campaign_flags $ chips $ all_chips $ number $ budget_term
+      $ runs $ listen_term $ spans_term $ strict_term)
 
 let figure_cmd =
   let number =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure number (3-5).")
   in
   let runs = Arg.(value & opt int 30 & info [ "runs" ] ~docv:"N") in
-  let run verbose quiet seed chips all number budget runs csv
-      jobs log resume shard strict timeout retries keep_going =
-    setup_log ~quiet verbose;
-    setup_supervision ~timeout ~retries ~keep_going ();
-    Core.Tuning.set_strict strict;
+  let run c chips all number budget runs csv strict =
     let chips = resolve_chips chips all in
-    let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
     let grid =
       Core.Json.Assoc
         [ ("chips", json_strs (chip_names chips));
           ("budget", Core.Budget.to_json budget);
           ("runs", Core.Json.Int runs) ]
     in
-    let ledgered :
-        type a.
-        kind:string ->
-        encode:(a -> Core.Json.t) ->
-        (Core.Runlog.journal option -> a) ->
-        unit =
-     fun ~kind ~encode f ->
-      guarded (fun () ->
-          with_ledger ?shard
-            ~campaign:(Printf.sprintf "figure%d" number)
-            ~seed ~jobs ~grid ~log ~resume ~kind ~encode f);
-      conclude_supervised ()
-    in
-    let per_chip journal chip =
-      Option.map
-        (fun j -> Core.Runlog.extend j (chip.Gpusim.Chip.name ^ "/"))
-        journal
+    let ledgered ~kind ~encode body =
+      run_campaign ~strict c ~campaign:(Printf.sprintf "figure%d" number)
+        ~grid ~kind ~encode body
     in
     match number with
     | 3 ->
       ledgered ~kind:"patch"
         ~encode:(chipped_to_json Core.Patch_finder.result_to_json)
-        (fun journal ->
+        (fun backend journal ->
           let results =
             List.map
               (fun chip ->
                 let r =
                   Core.Patch_finder.run ~backend
-                    ?journal:(per_chip journal chip)
-                    ~chip ~seed ~budget ()
+                    ?journal:(sub_journal journal chip.Gpusim.Chip.name)
+                    ~chip ~seed:c.seed ~budget ()
                 in
                 Core.Report.figure3 Fmt.stdout ~chip:chip.Gpusim.Chip.name r;
                 (chip.Gpusim.Chip.name, r))
@@ -1521,21 +1472,21 @@ let figure_cmd =
     | 4 ->
       ledgered ~kind:"spread"
         ~encode:(chipped_to_json Core.Spread_finder.result_to_json)
-        (fun journal ->
+        (fun backend journal ->
           let results =
             List.map
               (fun chip ->
-                let journal = per_chip journal chip in
+                let journal = sub_journal journal chip.Gpusim.Chip.name in
                 let patch =
-                  Core.Patch_finder.run ~backend ?journal ~chip ~seed ~budget
-                    ()
+                  Core.Patch_finder.run ~backend ?journal ~chip ~seed:c.seed
+                    ~budget ()
                 in
                 let sequence =
                   (Core.Tuning.shipped ~chip).Core.Stress.sequence
                 in
                 let r =
-                  Core.Spread_finder.run ~backend ?journal ~chip ~seed ~budget
-                    ~patch:patch.Core.Patch_finder.chosen ~sequence ()
+                  Core.Spread_finder.run ~backend ?journal ~chip ~seed:c.seed
+                    ~budget ~patch:patch.Core.Patch_finder.chosen ~sequence ()
                 in
                 Core.Report.figure4 Fmt.stdout ~chip:chip.Gpusim.Chip.name r;
                 (chip.Gpusim.Chip.name, r))
@@ -1544,16 +1495,17 @@ let figure_cmd =
           write_csv csv (Core.Report.spreads_csv results);
           results)
     | 5 ->
-      ledgered ~kind:"cost" ~encode:Core.Cost.points_to_json (fun journal ->
+      ledgered ~kind:"cost" ~encode:Core.Cost.points_to_json
+        (fun backend journal ->
           let apps = Apps.Registry.fence_free in
           (* emp_for runs inside a Cost job; keep the nested hardening serial
              so a parallel cost campaign does not oversubscribe domains. *)
           let emp_for chip app =
-            (Core.Harden.insert ~chip ~app ~seed ()).Core.Harden.fences
+            (Core.Harden.insert ~chip ~app ~seed:c.seed ()).Core.Harden.fences
           in
           let points =
-            Core.Cost.run ~backend ?journal ~chips ~apps ~emp_for ~runs ~seed
-              ()
+            Core.Cost.run ~backend ?journal ~chips ~apps ~emp_for ~runs
+              ~seed:c.seed ()
           in
           Core.Report.figure5 Fmt.stdout points;
           write_csv csv (Core.Report.cost_csv points);
@@ -1565,10 +1517,8 @@ let figure_cmd =
   Cmd.v
     (Cmd.info "figure" ~doc:"Reproduce a figure of the paper.")
     Term.(
-      const run $ verbose $ quiet $ seed $ chips $ all_chips $ number
-      $ budget_term $ runs $ csv_out $ jobs_term $ log_term $ resume_term
-      $ shard_term $ strict_term $ timeout_term $ retries_term
-      $ keep_going_term)
+      const run $ campaign_flags $ chips $ all_chips $ number $ budget_term
+      $ runs $ csv_out $ strict_term)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos testing: deterministic fault injection                         *)
@@ -1666,229 +1616,196 @@ let chaos_cmd =
       | Some _ -> timeout
       | None -> if List.mem Core.Fault.Hang kinds then Some 5.0 else None
     in
-    if retries < 0 then begin
-      Fmt.epr "--retries must be non-negative@.";
-      exit 2
-    end;
-    match
-      List.find_opt
-        (fun e -> e.Core.Environment.label = env_name)
-        (tuned_envs chip)
-    with
-    | None ->
-      Fmt.epr "unknown environment %s@." env_name;
-      exit 1
-    | Some env -> (
-      let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
-      let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
-      (* Soft errors are simulator-level and deterministic per device seed,
-         so they are armed for the reference run too: the invariants below
-         measure executor faults only. *)
-      if soft_rate > 0.0 then
-        Gpusim.Sim.set_soft_error_default (Some (soft_rate, fault_seed));
-      Fmt.pr "chaos: fault plan: %a@." Core.Fault.pp plan;
-      let campaign_rows journal =
-        Core.Campaign.run ~backend ?journal ~chips:[ chip ]
-          ~environments_for:(fun _ -> [ env ])
-          ~apps ~runs ~seed ()
-      in
-      let cells_of rows =
-        List.concat_map (fun r -> r.Core.Campaign.cells) rows
-      in
-      (* 1. Fault-free reference at the same seeds. *)
-      Core.Exec.set_supervision None;
+    (* The faulted campaign's policy; the fault-free reference runs
+       after it, unsupervised. *)
+    setup_supervision ~faults:plan ~timeout ~retries ~keep_going ();
+    let env = env_of chip env_name in
+    let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
+    let backend = Core.Exec.backend_of_jobs (jobs_of jobs) in
+    (* Soft errors are simulator-level and deterministic per device seed,
+       so they are armed for the reference run too: the invariants below
+       measure executor faults only. *)
+    if soft_rate > 0.0 then
+      Gpusim.Sim.set_soft_error_default (Some (soft_rate, fault_seed));
+    Fmt.pr "chaos: fault plan: %a@." Core.Fault.pp plan;
+    let campaign_rows journal =
+      Core.Campaign.run ~backend ?journal ~chips:[ chip ]
+        ~environments_for:(fun _ -> [ env ])
+        ~apps ~runs ~seed ()
+    in
+    let cells_of rows =
+      List.concat_map (fun r -> r.Core.Campaign.cells) rows
+    in
+    (* 1. Pure predictions from the fault plan (one job per application),
+       computed before the faulted run, never from its observations. *)
+    let n_jobs = List.length apps in
+    let predictions =
+      List.init n_jobs (fun i -> Core.Fault.predict plan ~retries ~index:i)
+    in
+    let predicted o =
+      List.concat
+        (List.mapi
+           (fun i (p : Core.Fault.prediction) ->
+             if p.Core.Fault.outcome = o then [ i ] else [])
+           predictions)
+    in
+    let pred_quarantined = predicted `Quarantined in
+    let pred_corrupted = predicted `Corrupted in
+    let pred_retried =
+      List.fold_left
+        (fun acc (p : Core.Fault.prediction) ->
+          acc + p.Core.Fault.attempts - 1)
+        0 predictions
+    in
+    Fmt.pr
+      "chaos: %d job(s); predicting %d quarantine(s), %d corrupted \
+       result(s), %d retry attempt(s)@."
+      n_jobs
+      (List.length pred_quarantined)
+      (List.length pred_corrupted)
+      pred_retried;
+    (* 2. The campaign under the fault plan, supervised and ledgered as a
+       `test` campaign, so `gpuwmm test --resume` takes the ledger. *)
+    let grid =
+      Core.Campaign.test_grid ~chip:chip.Gpusim.Chip.name ~env:env_name
+        ~apps:(app_names apps) ~runs
+    in
+    let ledgered ~resume path =
+      Option.get
+        (with_ledger ~campaign:"test" ~seed ~jobs ~grid ~log:(Some path)
+           ~resume ~kind:"campaign" ~encode:Core.Campaign.rows_to_json
+           campaign_rows)
+    in
+    let outcome =
+      match ledgered ~resume:None log with
+      | rows -> Ok rows
+      | exception Core.Exec.Job_failed fl -> Error fl
+    in
+    (* set_supervision resets the summary, so drain first. *)
+    let summary = Core.Exec.drain_summary () in
+    Core.Exec.set_supervision None;
+    match outcome with
+    | Error fl ->
+      Fmt.epr "failed: %a@." pp_failure fl;
+      Fmt.epr
+        "chaos: campaign aborted on a poison job (no --keep-going); %s \
+         is footer-less and resumable@."
+        log;
+      exit exit_failed
+    | Ok rows ->
+      let chaos_cells = cells_of rows in
+      (* 3. Fault-free reference at the same seeds. *)
       let ref_cells = cells_of (campaign_rows None) in
-      let n_jobs = List.length ref_cells in
-      (* 2. Pure predictions from the fault plan — computed before the
-         faulted run, never from its observations. *)
-      let predictions =
-        List.init n_jobs (fun i -> Core.Fault.predict plan ~retries ~index:i)
+      let violations = ref 0 in
+      let check name ok detail =
+        if ok then Fmt.pr "  ok: %s@." name
+        else begin
+          incr violations;
+          Fmt.pr "  VIOLATED: %s (%s)@." name (detail ())
+        end
       in
-      let predicted o =
-        List.concat
-          (List.mapi
-             (fun i (p : Core.Fault.prediction) ->
-               if p.Core.Fault.outcome = o then [ i ] else [])
-             predictions)
+      let ints l = String.concat "," (List.map string_of_int l) in
+      Fmt.pr "chaos: checking invariants@.";
+      let actual_q =
+        List.sort compare
+          (List.map
+             (fun fl -> fl.Core.Exec.f_index)
+             summary.Core.Exec.quarantined)
       in
-      let pred_quarantined = predicted `Quarantined in
-      let pred_corrupted = predicted `Corrupted in
-      let pred_retried =
-        List.fold_left
-          (fun acc (p : Core.Fault.prediction) ->
-            acc + p.Core.Fault.attempts - 1)
-          0 predictions
-      in
-      Fmt.pr
-        "chaos: %d job(s); predicting %d quarantine(s), %d corrupted \
-         result(s), %d retry attempt(s)@."
-        n_jobs
-        (List.length pred_quarantined)
-        (List.length pred_corrupted)
-        pred_retried;
-      (* 3. The same campaign under the fault plan, supervised and
-         ledgered. *)
-      Core.Exec.set_supervision
-        (Some
-           (Core.Exec.supervision ?timeout_s:timeout ~retries ~keep_going
-              ~faults:plan ()));
-      let grid =
-        Core.Json.Assoc
-          [ ("chips", json_strs (chip_names [ chip ]));
-            ("envs", json_strs [ env_name ]);
-            ("apps", json_strs (app_names apps));
-            ("runs", Core.Json.Int runs) ]
-      in
-      let header =
-        Core.Runlog.make_header ?jobs ~campaign:"test" ~seed ~grid ()
-      in
-      let sink = Core.Runlog.create ~path:log header in
-      let journal = Core.Runlog.journal ~sink "" in
-      let outcome =
-        match campaign_rows (Some journal) with
-        | rows ->
-          Core.Runlog.append_result sink ~kind:"campaign"
-            (Core.Campaign.rows_to_json rows);
-          Core.Runlog.close sink;
-          Ok rows
-        | exception Core.Exec.Job_failed fl ->
-          Core.Runlog.abort sink;
-          Error fl
-      in
-      (* set_supervision resets the summary, so drain first. *)
-      let summary = Core.Exec.drain_summary () in
-      Core.Exec.set_supervision None;
-      match outcome with
-      | Error fl ->
-        Fmt.epr "failed: %a@." pp_failure fl;
-        Fmt.epr
-          "chaos: campaign aborted on a poison job (no --keep-going); %s \
-           is footer-less and resumable@."
-          log;
-        exit exit_failed
-      | Ok rows ->
-        let chaos_cells = cells_of rows in
-        let violations = ref 0 in
-        let check name ok detail =
-          if ok then Fmt.pr "  ok: %s@." name
-          else begin
-            incr violations;
-            Fmt.pr "  VIOLATED: %s (%s)@." name (detail ())
-          end
-        in
-        let ints l = String.concat "," (List.map string_of_int l) in
-        Fmt.pr "chaos: checking invariants@.";
-        let actual_q =
+      check "quarantine set matches the pure fault-plan prediction"
+        (actual_q = pred_quarantined)
+        (fun () ->
+          Printf.sprintf "predicted [%s], observed [%s]"
+            (ints pred_quarantined) (ints actual_q));
+      check "retry count matches prediction"
+        (summary.Core.Exec.retried = pred_retried)
+        (fun () ->
+          Printf.sprintf "predicted %d, observed %d" pred_retried
+            summary.Core.Exec.retried);
+      let identical = ref true in
+      let first_diff = ref (-1) in
+      List.iteri
+        (fun i (p : Core.Fault.prediction) ->
+          if
+            p.Core.Fault.outcome = `Clean
+            && List.nth chaos_cells i <> List.nth ref_cells i
+          then begin
+            identical := false;
+            if !first_diff < 0 then first_diff := i
+          end)
+        predictions;
+      check
+        "surviving jobs are bit-identical to the fault-free reference \
+         (retries reuse the planned seed)"
+        !identical
+        (fun () -> Printf.sprintf "cell %d differs" !first_diff);
+      check "quarantined cells carry no measurements"
+        (List.for_all
+           (fun i ->
+             let c = List.nth chaos_cells i in
+             c.Core.Campaign.quarantined <> None && c.Core.Campaign.runs = 0)
+           pred_quarantined)
+        (fun () -> "a quarantined cell has data");
+      (match Core.Runlog.load log with
+      | Error e -> check "ledger reloads" false (fun () -> e)
+      | Ok l ->
+        let failed_idx =
           List.sort compare
-            (List.map
-               (fun fl -> fl.Core.Exec.f_index)
-               summary.Core.Exec.quarantined)
+            (List.filter_map
+               (fun (j : Core.Runlog.job) ->
+                 if j.Core.Runlog.failed <> None then
+                   Some j.Core.Runlog.index
+                 else None)
+               l.Core.Runlog.jobs)
         in
-        check "quarantine set matches the pure fault-plan prediction"
-          (actual_q = pred_quarantined)
+        check "ledger records every quarantined job"
+          (failed_idx = pred_quarantined)
           (fun () ->
-            Printf.sprintf "predicted [%s], observed [%s]"
-              (ints pred_quarantined) (ints actual_q));
-        check "retry count matches prediction"
-          (summary.Core.Exec.retried = pred_retried)
-          (fun () ->
-            Printf.sprintf "predicted %d, observed %d" pred_retried
-              summary.Core.Exec.retried);
-        let identical = ref true in
-        let first_diff = ref (-1) in
+            Printf.sprintf "ledger has failed records [%s]"
+              (ints failed_idx));
+        check "ledger footer counts the quarantined jobs"
+          (match l.Core.Runlog.footer with
+          | Some ft ->
+            ft.Core.Runlog.quarantined = List.length pred_quarantined
+          | None -> false)
+          (fun () -> "footer missing or wrong count");
+        (* 4. Resume the chaos ledger with faults cleared: quarantined
+           jobs re-run clean and recover the reference result;
+           corrupted records persist (they were recorded as
+           successes — silent corruption survives resume). *)
+        let resumed_path = log ^ ".resumed" in
+        let cells2 = cells_of (ledgered ~resume:(Some log) resumed_path) in
+        let recovered = ref true in
+        let first_bad = ref (-1) in
         List.iteri
           (fun i (p : Core.Fault.prediction) ->
-            if
-              p.Core.Fault.outcome = `Clean
-              && List.nth chaos_cells i <> List.nth ref_cells i
-            then begin
-              identical := false;
-              if !first_diff < 0 then first_diff := i
+            let expect =
+              if p.Core.Fault.outcome = `Corrupted then
+                List.nth chaos_cells i
+              else List.nth ref_cells i
+            in
+            if List.nth cells2 i <> expect then begin
+              recovered := false;
+              if !first_bad < 0 then first_bad := i
             end)
           predictions;
-        check
-          "surviving jobs are bit-identical to the fault-free reference \
-           (retries reuse the planned seed)"
-          !identical
-          (fun () -> Printf.sprintf "cell %d differs" !first_diff);
-        check "quarantined cells carry no measurements"
-          (List.for_all
-             (fun i ->
-               let c = List.nth chaos_cells i in
-               c.Core.Campaign.quarantined <> None && c.Core.Campaign.runs = 0)
-             pred_quarantined)
-          (fun () -> "a quarantined cell has data");
-        (match Core.Runlog.load log with
-        | Error e -> check "ledger reloads" false (fun () -> e)
-        | Ok l ->
-          let failed_idx =
-            List.sort compare
-              (List.filter_map
-                 (fun (j : Core.Runlog.job) ->
-                   if j.Core.Runlog.failed <> None then
-                     Some j.Core.Runlog.index
-                   else None)
-                 l.Core.Runlog.jobs)
-          in
-          check "ledger records every quarantined job"
-            (failed_idx = pred_quarantined)
-            (fun () ->
-              Printf.sprintf "ledger has failed records [%s]"
-                (ints failed_idx));
-          check "ledger footer counts the quarantined jobs"
-            (match l.Core.Runlog.footer with
-            | Some ft ->
-              ft.Core.Runlog.quarantined = List.length pred_quarantined
-            | None -> false)
-            (fun () -> "footer missing or wrong count");
-          (* 5. Resume the chaos ledger with faults cleared: quarantined
-             jobs re-run clean and recover the reference result;
-             corrupted records persist (they were recorded as
-             successes — silent corruption survives resume). *)
-          let resumed_path = log ^ ".resumed" in
-          let cache = Core.Runlog.cache_of_ledger l in
-          let sink2 =
-            Core.Runlog.create ~path:resumed_path l.Core.Runlog.header
-          in
-          let journal2 =
-            Core.Runlog.journal ~sink:sink2 ~cache ~origin:log ""
-          in
-          let rows2 = campaign_rows (Some journal2) in
-          Core.Runlog.append_result sink2 ~kind:"campaign"
-            (Core.Campaign.rows_to_json rows2);
-          Core.Runlog.close sink2;
-          let cells2 = cells_of rows2 in
-          let recovered = ref true in
-          let first_bad = ref (-1) in
-          List.iteri
-            (fun i (p : Core.Fault.prediction) ->
-              let expect =
-                if p.Core.Fault.outcome = `Corrupted then
-                  List.nth chaos_cells i
-                else List.nth ref_cells i
-              in
-              if List.nth cells2 i <> expect then begin
-                recovered := false;
-                if !first_bad < 0 then first_bad := i
-              end)
-            predictions;
-          check "fault-free resume recovers every quarantined cell"
-            !recovered
-            (fun () -> Printf.sprintf "cell %d" !first_bad);
-          Fmt.pr "chaos: resumed ledger written to %s@." resumed_path);
-        Core.Report.table5 Fmt.stdout rows;
-        if !violations > 0 then begin
-          Fmt.epr "chaos: %d invariant violation(s)@." !violations;
-          exit exit_failed
-        end;
-        if pred_quarantined <> [] then begin
-          Fmt.epr
-            "degraded: %d cell(s) quarantined (as planned); recover with: \
-             gpuwmm test --resume %s [same parameters]@."
-            (List.length pred_quarantined)
-            log;
-          exit exit_degraded
-        end)
+        check "fault-free resume recovers every quarantined cell"
+          !recovered
+          (fun () -> Printf.sprintf "cell %d" !first_bad);
+        Fmt.pr "chaos: resumed ledger written to %s@." resumed_path);
+      Core.Report.table5 Fmt.stdout rows;
+      if !violations > 0 then begin
+        Fmt.epr "chaos: %d invariant violation(s)@." !violations;
+        exit exit_failed
+      end;
+      if pred_quarantined <> [] then begin
+        Fmt.epr
+          "degraded: %d cell(s) quarantined (as planned); recover with: \
+           gpuwmm test --resume %s [same parameters]@."
+          (List.length pred_quarantined)
+          log;
+        exit exit_degraded
+      end
   in
   Cmd.v
     (Cmd.info "chaos"

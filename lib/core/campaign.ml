@@ -244,3 +244,14 @@ let run ?backend ?journal ~chips ~environments_for ~apps ~runs ~seed () =
   rows [] plan_rows cells
 
 let sys_tuned_for chip = Tuning.shipped ~chip
+
+let environments chip = Environment.all ~tuned:(Tuning.shipped ~chip)
+
+let environment ~chip label =
+  List.find_opt (fun e -> e.Environment.label = label) (environments chip)
+
+let test_grid ~chip ~env ~apps ~runs =
+  let strs l = Json.List (List.map (fun s -> Json.String s) l) in
+  Json.Assoc
+    [ ("chips", strs [ chip ]); ("envs", strs [ env ]); ("apps", strs apps);
+      ("runs", Json.Int runs) ]

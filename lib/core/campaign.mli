@@ -105,3 +105,16 @@ val rows_of_json : Json.t -> (row list, string) result
 val sys_tuned_for : Gpusim.Chip.t -> Stress.tuned
 (** The shipped Table 2 parameters for a chip (used when the caller does
     not re-run tuning). *)
+
+val environments : Gpusim.Chip.t -> Environment.t list
+(** The eight Table 5 environments with the chip's shipped parameters. *)
+
+val environment : chip:Gpusim.Chip.t -> string -> Environment.t option
+(** The environment of {!environments} with this label, if any. *)
+
+val test_grid :
+  chip:string -> env:string -> apps:string list -> runs:int -> Json.t
+(** The ledger parameter grid of a [gpuwmm test] campaign.  [gpuwmm
+    test], [gpuwmm chaos] and the [serve] daemon's shard checks all
+    build it here, so their ledgers and resume validation agree byte for
+    byte. *)

@@ -269,9 +269,7 @@ let reconstruct_result header (jobs : Runlog.job list) =
           | Some c -> c
           | None -> List.hd Gpusim.Chip.all
         in
-        List.map
-          (fun e -> e.Environment.label)
-          (Environment.all ~tuned:(Tuning.shipped ~chip))
+        List.map (fun e -> e.Environment.label) (Campaign.environments chip)
     in
     let apps_per_row =
       match strs "apps" with

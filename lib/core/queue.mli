@@ -125,9 +125,9 @@ val next_lease : now:float -> state -> (job * int) option
 val backoff_s : base:float -> seed:int -> attempt:int -> float
 (** Capped exponential backoff before re-leasing a failed shard:
     [base * 2^min(attempt-1, 6)] scaled by a seed-derived jitter in
-    [0.5, 1.5) — the same discipline as {!Exec} retries, so the
-    schedule is deterministic per (seed, attempt) but fleet-wide
-    thundering herds decorrelate. *)
+    [0.5, 1.5), so the schedule is deterministic per (seed, attempt)
+    but fleet-wide thundering herds decorrelate.  {!Exec} retries run
+    at once, with no backoff. *)
 
 (** {1 Queue metrics} *)
 

@@ -43,10 +43,11 @@ let default =
     quiet = false }
 
 (* ------------------------------------------------------------------ *)
-(* Campaign geometry: paths, argv and the parameter grid must mirror
-   the `gpuwmm test` sharding path exactly, or the merged ledger would
-   not be byte-identical to a single-process run and resume validation
-   would refuse perfectly good shards.                                  *)
+(* Campaign geometry: paths and argv must mirror the `gpuwmm test`
+   sharding path exactly, and the grid is that command's own
+   Campaign.test_grid, or the merged ledger would not be byte-identical
+   to a single-process run and resume validation would refuse
+   perfectly good shards.                                               *)
 
 let ledger_path cfg id = Filename.concat cfg.dir (id ^ ".jsonl")
 let shard_path cfg id k = Printf.sprintf "%s.shard%d" (ledger_path cfg id) k
@@ -58,12 +59,8 @@ let app_names (spec : Queue.spec) =
   | None -> List.map (fun a -> a.Apps.App.name) Apps.Registry.all
 
 let grid_of (spec : Queue.spec) =
-  let strs l = Json.List (List.map (fun s -> Json.String s) l) in
-  Json.Assoc
-    [ ("chips", strs [ spec.chip ]);
-      ("envs", strs [ spec.env ]);
-      ("apps", strs (app_names spec));
-      ("runs", Json.Int spec.runs) ]
+  Campaign.test_grid ~chip:spec.chip ~env:spec.env ~apps:(app_names spec)
+    ~runs:spec.runs
 
 let worker_argv cfg (spec : Queue.spec) ~k =
   [ cfg.exe; "test";
@@ -141,10 +138,7 @@ let parse_submission ~default_max_attempts body : (Queue.spec, string) result
       match Gpusim.Chip.by_name chip with
       | None -> Error (Printf.sprintf "unknown chip %S" chip)
       | Some c -> (
-        let envs =
-          Environment.all ~tuned:(Tuning.shipped ~chip:c)
-        in
-        if not (List.exists (fun e -> e.Environment.label = env) envs) then
+        if Campaign.environment ~chip:c env = None then
           Error (Printf.sprintf "unknown environment %S" env)
         else
           match app with

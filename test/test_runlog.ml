@@ -348,7 +348,10 @@ let resume_prop =
 
 (* ------------------------------------------------------------------ *)
 (* Multi-phase resume: tuning (patch -> seq -> spread) and hardening's
-   sequential memoised check stream.                                   *)
+   sequential memoised check stream.  The tuning run is journalled on
+   two domains and recomputed serially from each prefix; the empty
+   prefix recomputes all three stages, so it also checks that a whole
+   tuning run is identical on both backends.                           *)
 
 let test_tuning_resume () =
   with_deterministic_env @@ fun () ->
@@ -391,7 +394,7 @@ let test_tuning_resume () =
         (Printf.sprintf "resume at %d/%d job(s): same bytes" k total)
         true
         (read_all path = full_text))
-    [ 1; 2; 3 ];
+    [ 0; 1; 2; 3 ];
   Sys.remove path
 
 let test_harden_memo_resume () =
