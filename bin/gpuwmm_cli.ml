@@ -129,6 +129,13 @@ let budget_term =
 
 let resolve_chips chips all = if all then Gpusim.Chip.all else chips
 
+(* A campaign over no chip would print empty tables (table 3 crashed). *)
+let require_chips = function
+  | [] ->
+    Fmt.epr "--chips: the chip list is empty; name at least one chip@.";
+    exit 2
+  | _ -> ()
+
 let csv_out =
   Arg.(
     value
@@ -1354,6 +1361,7 @@ let table_cmd =
           ("runs", Core.Json.Int runs) ]
     in
     let ledgered ~kind ~encode body =
+      require_chips chips;
       run_campaign ?listen ~spans ~strict c
         ~campaign:(Printf.sprintf "table%d" number)
         ~grid ~kind ~encode body
@@ -1447,6 +1455,7 @@ let figure_cmd =
           ("runs", Core.Json.Int runs) ]
     in
     let ledgered ~kind ~encode body =
+      require_chips chips;
       run_campaign ~strict c ~campaign:(Printf.sprintf "figure%d" number)
         ~grid ~kind ~encode body
     in
@@ -1934,7 +1943,7 @@ let compare_cmd =
         | Some (k, _) ->
           Fmt.epr
             "%s holds a %S result; compare needs campaign ledgers (from \
-             $(b,test) or $(b,table 5))@."
+             test or table 5)@."
             path k;
           exit 2
         | None ->

@@ -6,17 +6,16 @@
    ([<ledger>.hb]) about once a second: pid and shard, jobs done/total,
    the EWMA rate and ETA the ticker already maintains, retry and
    quarantine counts, GC pressure, and the deltas of the telemetry
-   counters since the previous beat.  Readers (the parent's fleet
-   ticker, `gpuwmm status`, the /status and /metrics endpoints) join
-   the sidecars back into one fleet view — and classify a worker whose
-   stream has gone quiet for two intervals as dead, which is how a
-   `kill -9`'d worker is flagged without waiting on the parent's
-   waitpid.
+   counters since the previous beat.  Readers (`gpuwmm status`, the
+   /status and /metrics endpoints, the serve supervisor's per-tick
+   check) join the sidecars back into one fleet view — and classify a
+   worker whose stream has gone quiet for two intervals as dead, which
+   flags a hung or `kill -9`'d worker from its stream alone.
 
    The stream is append-only and crash-tolerant like the ledger itself:
-   each beat is one line, written with a single [output_string] on a
-   freshly opened descriptor, and readers drop unparseable (torn)
-   lines.  Heartbeats never influence results; under
+   each beat is one line appended in one write by [Jsonl.append], which
+   heals a torn tail first, and readers skip unparseable (torn) or
+   foreign lines.  Heartbeats never influence results; under
    [GPUWMM_LEDGER_DETERMINISTIC] every wall-clock-derived field is
    zeroed so test fixtures stay byte-stable. *)
 
@@ -74,22 +73,6 @@ let to_json r =
 
 let of_json j =
   let open Runlog.Dec in
-  let opt_float k =
-    match Json.member k j with
-    | None -> Ok None
-    | Some v -> (
-      match Json.to_float v with
-      | Some f -> Ok (Some f)
-      | None -> Error (Printf.sprintf "field %s is not a number" k))
-  in
-  let opt_bool k ~default =
-    match Json.member k j with
-    | None -> Ok default
-    | Some v -> (
-      match Json.to_bool v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "field %s is not a boolean" k))
-  in
   let* tag = str "rec" j in
   if tag <> "hb" then Error (Printf.sprintf "not a heartbeat record: %S" tag)
   else
@@ -98,24 +81,17 @@ let of_json j =
     let* seq = int "seq" j in
     let* t = float "t" j in
     let* interval_s = float "interval_s" j in
-    let* final = opt_bool "final" ~default:false in
+    let* final = opt_bool "final" j in
     let* label = str "label" j in
     let* jobs_done = int "done" j in
     let* jobs_total = int "total" j in
     let* cached = int "cached" j in
     let* errors = int "errors" j in
     let* rate = float "rate" j in
-    let* eta_s = opt_float "eta_s" in
+    let* eta_s = opt_float "eta_s" j in
     let* retried = int "retried" j in
     let* quarantined = int "quarantined" j in
-    let* respawns =
-      match Json.member "respawns" j with
-      | None -> Ok 0
-      | Some v -> (
-        match Json.to_int v with
-        | Some n -> Ok n
-        | None -> Error "field respawns is not an integer")
-    in
+    let* respawns = opt_int "respawns" j in
     let* minor_words = float "minor_words" j in
     let* minor_collections = int "minor_collections" j in
     let* major_collections = int "major_collections" j in
@@ -131,81 +107,19 @@ let of_json j =
       | _ -> Error "missing or mistyped field counters"
     in
     Ok
-      { pid; shard; seq; t; interval_s; final; label; jobs_done; jobs_total;
-        cached; errors; rate; eta_s; retried; quarantined; respawns;
-        minor_words; minor_collections; major_collections; counters }
+      { pid; shard; seq; t; interval_s;
+        final = Option.value final ~default:false; label; jobs_done;
+        jobs_total; cached; errors; rate; eta_s; retried; quarantined;
+        respawns = Option.value respawns ~default:0; minor_words;
+        minor_collections; major_collections; counters }
 
 (* ------------------------------------------------------------------ *)
-(* Stream I/O                                                           *)
+(* Stream I/O, through Jsonl: observers skip torn or foreign lines, and
+   a worker respawned onto a torn stream heals it on its first beat.    *)
 
-(* One open-append-write-close per beat: the line lands in one write so
-   a concurrent reader never sees half a record except after a crash
-   mid-write, and crashes leave no dangling descriptor. *)
-let append ~path r =
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json r) ^ "\n");
-      flush oc)
-
-(* Every parseable record of a stream, oldest first.  Torn or foreign
-   lines are skipped, mirroring the ledger reader's crash tolerance. *)
-let load path =
-  match open_in path with
-  | exception Sys_error _ -> []
-  | ic ->
-    let acc = ref [] in
-    (try
-       while true do
-         let line = input_line ic in
-         if String.trim line <> "" then
-           match Json.of_string line with
-           | Error _ -> ()
-           | Ok j -> (
-             match of_json j with Ok r -> acc := r :: !acc | Error _ -> ())
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
-
-(* The supervisor asks for the newest beat of every live worker on every
-   tick, and an hour-long stream is thousands of records, so read
-   backwards from the end: windows doubling from 4 KiB until one holds
-   a parseable line.  Same line rules as [load]. *)
-let latest path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let parse line =
-      match Json.of_string line with
-      | Ok j -> Result.to_option (of_json j)
-      | Error _ -> None
-    in
-    (* Every line starting at or after [stop] has been tried. *)
-    let rec back stop window =
-      let lo = Int.max 0 (stop - window) in
-      seek_in ic lo;
-      let lines =
-        String.split_on_char '\n' (really_input_string ic (stop - lo))
-      in
-      (* Unless the window reaches the start of the file, its first
-         line may begin before [lo]: leave it to the next window. *)
-      let first, whole =
-        if lo = 0 then ("", lines) else (List.hd lines, List.tl lines)
-      in
-      match List.find_map parse (List.rev whole) with
-      | Some r -> Some r
-      | None when lo = 0 -> None
-      | None -> back (lo + String.length first) (2 * window)
-    in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try back (in_channel_length ic) 4096
-        with End_of_file | Sys_error _ -> None)
+let append ~path r = Jsonl.append path (to_json r)
+let load path = Jsonl.lenient of_json path
+let latest path = Jsonl.last of_json path
 
 (* ------------------------------------------------------------------ *)
 (* Staleness                                                            *)
@@ -324,7 +238,7 @@ let start ?(interval_s = 1.0) ?shard ~path () =
                  ())
           with
           | () -> incr seq
-          | exception Sys_error _ -> ()
+          | exception Unix.Unix_error _ -> ()
         in
         try
         beat ~final:false;

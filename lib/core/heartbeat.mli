@@ -1,16 +1,16 @@
 (** Worker heartbeats: periodic per-process progress/health records on a
     sidecar JSONL stream next to the campaign ledger.
 
-    Each campaign process (shard workers and the driving parent alike)
-    appends one {!record} about every {!interval} seconds to
+    Each campaign process (a ledgered run, or a [--shard k/N] worker
+    under [gpuwmm serve]) appends one {!record} every [interval_s] to
     [<ledger>.hb]: pid and shard spec, the engine's live progress
     ({!Exec.progress}), retry/quarantine counts, GC pressure from
     [Gc.quick_stat], and the deltas of the {!Telemetry} counters since
     the previous beat.  Readers ({!Fleetview}, `gpuwmm status`, the
     {!Httpd} endpoints) reassemble the sidecars into a fleet view and
     use beat {e staleness} to flag dead workers: a stream quiet for two
-    intervals is classified {!Dead}, so a [kill -9]'d worker is exposed
-    without waiting on the parent's [waitpid].
+    intervals is classified {!Dead}, so a hung or [kill -9]'d worker is
+    exposed from its stream alone.
 
     Under [GPUWMM_LEDGER_DETERMINISTIC] every wall-clock-derived field
     (timestamp, rate, ETA, GC stats) is written as zero, keeping test
@@ -60,12 +60,13 @@ val of_json : Json.t -> (record, string) result
     [eta_s], [respawns]) are omitted at their defaults. *)
 
 val append : path:string -> record -> unit
-(** Append one record (one line, one write) to the stream, creating it
-    if needed. *)
+(** Append one record with {!Jsonl.append}, creating the stream if
+    needed and healing a torn tail first.  Raises [Unix.Unix_error]
+    when the stream cannot be written. *)
 
 val load : string -> record list
-(** Every parseable record, oldest first.  A missing file is an empty
-    stream; torn or foreign lines are skipped. *)
+(** Every parseable record, oldest first ({!Jsonl.lenient}).  A missing
+    file is an empty stream; torn or foreign lines are skipped. *)
 
 val latest : string -> record option
 (** The newest parseable record of a stream (the last of {!load}),

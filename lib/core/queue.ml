@@ -105,14 +105,6 @@ let spec_of_json j =
 
 let event_of_json j =
   let open Runlog.Dec in
-  let opt_bool k ~default =
-    match Json.member k j with
-    | None -> Ok default
-    | Some v -> (
-      match Json.to_bool v with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "field %s is not a boolean" k))
-  in
   let* ev = str "ev" j in
   let* t = float "t" j in
   match ev with
@@ -129,7 +121,8 @@ let event_of_json j =
   | "done" ->
     let* id = str "id" j in
     let* shard = int "shard" j in
-    let* degraded = opt_bool "degraded" ~default:false in
+    let* degraded = opt_bool "degraded" j in
+    let degraded = Option.value degraded ~default:false in
     Ok (Shard_done { t; id; shard; degraded })
   | "requeue" ->
     let* id = str "id" j in
@@ -151,109 +144,16 @@ let event_of_json j =
   | k -> Error (Printf.sprintf "unknown queue event %S" k)
 
 (* ------------------------------------------------------------------ *)
-(* Journal I/O — one open-append-write-close per event, like the
-   heartbeat stream: each event lands in a single write, and a crash
-   leaves at worst one torn final line.                                 *)
+(* Journal I/O: one line per event through Jsonl, whose [append] heals
+   a torn tail before it writes.                                        *)
 
-let append ~path ev =
-  let fd =
-    Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (* A crash can leave the file without a trailing newline (a torn
-         fragment, or a full line cut just before its '\n').  Lead with
-         one so this event starts on a fresh line instead of gluing
-         onto the fragment — the glued line would fail the *next*
-         load's mid-file check and wedge the queue. *)
-      let needs_nl =
-        (Unix.fstat fd).Unix.st_size > 0
-        && begin
-             ignore (Unix.lseek fd (-1) Unix.SEEK_END);
-             let b = Bytes.create 1 in
-             Unix.read fd b 0 1 = 1 && Bytes.get b 0 <> '\n'
-           end
-      in
-      let line = Json.to_string (event_to_json ev) ^ "\n" in
-      let line = if needs_nl then "\n" ^ line else line in
-      let n = String.length line in
-      let rec w off =
-        if off < n then w (off + Unix.write_substring fd line off (n - off))
-      in
-      w 0)
+let append ~path ev = Jsonl.append path (event_to_json ev)
 
 let load path =
-  match open_in path with
-  | exception Sys_error _ -> Ok ([], false)
-  | ic ->
-    let lines = ref [] in
-    (try
-       while true do
-         let l = input_line ic in
-         if String.trim l <> "" then lines := l :: !lines
-       done
-     with End_of_file -> ());
-    close_in ic;
-    let lines = Array.of_list (List.rev !lines) in
-    let n = Array.length lines in
-    let rec go i acc =
-      if i >= n then Ok (List.rev acc, false)
-      else
-        match Json.of_string lines.(i) with
-        | Error e ->
-          if i = n - 1 then
-            (* Killed mid-write: the torn tail is dropped, everything
-               durably flushed before it survives. *)
-            Ok (List.rev acc, true)
-          else Error (Printf.sprintf "%s: line %d: %s" path (i + 1) e)
-        | Ok j -> (
-          match event_of_json j with
-          | Ok ev -> go (i + 1) (ev :: acc)
-          | Error e ->
-            if i = n - 1 then Ok (List.rev acc, true)
-            else Error (Printf.sprintf "%s: line %d: %s" path (i + 1) e))
-    in
-    go 0 []
-
-(* When [load] reports a torn tail it only drops the fragment *in
-   memory*; the bytes stay on disk.  If the daemon then appends, the
-   fragment becomes a malformed mid-file line and the next restart
-   fails closed.  [repair] truncates the journal to the newline after
-   the last valid event (adding the newline if the last valid line was
-   itself cut short of its '\n') so appends always start clean. *)
-let repair path =
-  match open_in_bin path with
-  | exception Sys_error _ -> ()
-  | ic ->
-    let size = in_channel_length ic in
-    let good_end = ref 0 and newline_terminated = ref true in
-    (try
-       while true do
-         let start = pos_in ic in
-         let l = input_line ic in
-         let fin = pos_in ic in
-         if String.trim l <> "" then
-           match Json.of_string l with
-           | Ok j when Result.is_ok (event_of_json j) ->
-             let had_nl = fin > start + String.length l in
-             good_end := (if had_nl then start + String.length l + 1 else fin);
-             newline_terminated := had_nl
-           | Ok _ | Error _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    if !good_end < size || not !newline_terminated then begin
-      let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.ftruncate fd !good_end;
-          if not !newline_terminated then begin
-            ignore (Unix.lseek fd 0 Unix.SEEK_END);
-            ignore (Unix.write_substring fd "\n" 0 1)
-          end)
-    end
+  match Jsonl.read path with
+  | Error _ -> Ok ([], false)
+  | Ok text ->
+    Result.map_error (( ^ ) (path ^ ": ")) (Jsonl.parse event_of_json text)
 
 (* ------------------------------------------------------------------ *)
 (* The lease state machine                                              *)

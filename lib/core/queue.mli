@@ -1,9 +1,9 @@
 (** The durable campaign job queue behind [gpuwmm serve].
 
     The daemon's only persistent state is an append-only JSONL journal
-    of {!event}s, written with the same discipline as the run ledger
-    ({!Runlog}): one line per event, one write per line, torn tails
-    dropped on load.  Replaying the journal rebuilds the full queue
+    of {!event}s, written and read through {!Jsonl}: one line per
+    event, one write per line, a torn tail dropped on load and healed
+    by the next append.  Replaying the journal rebuilds the full queue
     {!state} — which campaigns were submitted, which shard work units
     are pending, leased, done or quarantined — so a daemon killed at
     any point restarts into exactly the state it had durably reached.
@@ -56,29 +56,25 @@ type event =
       ledger : string option;  (** the merged ledger, when one was written *)
     }
 
+val spec_to_fields : spec -> (string * Json.t) list
+(** The spec's fields as the [submit] event writes them (and [/jobs]
+    lists them), [app] only when set. *)
+
 val event_to_json : event -> Json.t
 
 val event_of_json : Json.t -> (event, string) result
 (** Exact inverse of {!event_to_json} (qcheck round-trip tested). *)
 
 val append : path:string -> event -> unit
-(** Append one event (one line, one write) to the journal, creating it
-    if needed.  If a crash left the file without a trailing newline, a
-    leading ['\n'] is written first so the event never glues onto a
-    torn fragment. *)
+(** Append one event to the journal with {!Jsonl.append}, creating it
+    if needed.  A torn tail a crash left behind is healed first, so
+    the event never glues onto a fragment. *)
 
 val load : string -> (event list * bool, string) result
 (** Parse a journal, oldest first.  A missing file is an empty journal.
     The flag is [true] when a trailing torn line was dropped (the
     daemon died mid-write); a malformed line anywhere {e else} is an
-    error — same contract as {!Runlog.parse}. *)
-
-val repair : string -> unit
-(** Truncate the journal to the end of its last valid event line.
-    Call when {!load} reported a torn tail, before appending: [load]
-    only drops the fragment in memory, and leaving it on disk would
-    turn it into a fatal mid-file malformed line once new events are
-    appended after it.  A missing file is a no-op. *)
+    error naming the journal and the line ({!Jsonl.parse}). *)
 
 (** {1 The lease state machine} *)
 

@@ -27,21 +27,18 @@ module Dec = struct
   let str k j = typed "string" Json.to_str k j
   let list k j = typed "list" Json.to_list k j
 
-  let opt_int k j =
+  let opt name conv k j =
     match Json.member k j with
     | None | Some Json.Null -> Ok None
     | Some v -> (
-      match Json.to_int v with
-      | Some n -> Ok (Some n)
-      | None -> Error (Printf.sprintf "mistyped int field %S" k))
+      match conv v with
+      | Some x -> Ok (Some x)
+      | None -> Error (Printf.sprintf "mistyped %s field %S" name k))
 
-  let opt_str k j =
-    match Json.member k j with
-    | None | Some Json.Null -> Ok None
-    | Some v -> (
-      match Json.to_str v with
-      | Some s -> Ok (Some s)
-      | None -> Error (Printf.sprintf "mistyped string field %S" k))
+  let opt_int k j = opt "int" Json.to_int k j
+  let opt_float k j = opt "number" Json.to_float k j
+  let opt_bool k j = opt "bool" Json.to_bool k j
+  let opt_str k j = opt "string" Json.to_str k j
 
   let all f xs =
     List.fold_right
@@ -242,7 +239,7 @@ type ledger = {
 (* Writing                                                              *)
 
 type t = {
-  oc : out_channel;
+  oc : Jsonl.writer;
   file : string;
   mu : Mutex.t;
   deterministic : bool;
@@ -256,24 +253,17 @@ type t = {
   mutable closed : bool;
 }
 
-let emit_line t json =
-  output_string t.oc (Json.to_string json);
-  output_char t.oc '\n'
-
 let create ?deterministic ~path header =
   let deterministic =
     match deterministic with Some d -> d | None -> deterministic_mode ()
   in
-  let oc = open_out path in
-  let t =
-    { oc; file = path; mu = Mutex.create (); deterministic; phase = "";
-      next = 0; pending = Hashtbl.create 64; jobs_written = 0;
-      errors_sum = 0; failed_sum = 0; t0 = Unix.gettimeofday ();
-      closed = false }
-  in
-  emit_line t (header_to_json header);
-  flush oc;
-  t
+  let oc = Jsonl.create path in
+  Jsonl.output oc (header_to_json header);
+  Jsonl.flush oc;
+  { oc; file = path; mu = Mutex.create (); deterministic; phase = "";
+    next = 0; pending = Hashtbl.create 64; jobs_written = 0;
+    errors_sum = 0; failed_sum = 0; t0 = Unix.gettimeofday ();
+    closed = false }
 
 let path t = t.file
 
@@ -306,24 +296,24 @@ let append_job ?pos t (job : job) =
   while Hashtbl.mem t.pending t.next do
     let j = Hashtbl.find t.pending t.next in
     Hashtbl.remove t.pending t.next;
-    emit_line t (job_to_json j);
+    Jsonl.output t.oc (job_to_json j);
     t.jobs_written <- t.jobs_written + 1;
     t.errors_sum <- t.errors_sum + j.errors;
     if j.failed <> None then t.failed_sum <- t.failed_sum + 1;
     t.next <- t.next + 1;
     drained := true
   done;
-  if !drained then flush t.oc
+  if !drained then Jsonl.flush t.oc
 
 let append_result t ~kind data =
   locked t @@ fun () ->
   if t.closed then invalid_arg "Runlog.append_result: ledger is closed";
-  emit_line t
+  Jsonl.output t.oc
     (Json.Assoc
        [ ("rec", Json.String "result");
          ("kind", Json.String kind);
          ("data", data) ]);
-  flush t.oc
+  Jsonl.flush t.oc
 
 let close t =
   locked t @@ fun () ->
@@ -340,81 +330,54 @@ let close t =
       if t.deterministic then Json.Null
       else Telemetry.snapshot_to_json (Telemetry.snapshot ())
     in
-    emit_line t
+    Jsonl.output t.oc
       (footer_to_json
          { total_jobs = t.jobs_written; total_errors = t.errors_sum;
            quarantined = t.failed_sum; wall_s; telemetry });
-    flush t.oc;
-    close_out t.oc;
+    Jsonl.close t.oc;
     t.closed <- true
   end
 
 let abort t =
   locked t @@ fun () ->
   if not t.closed then begin
-    flush t.oc;
-    close_out t.oc;
+    Jsonl.close t.oc;
     t.closed <- true
   end
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                              *)
 
-let parse text =
-  let lines =
-    String.split_on_char '\n' text
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  match lines with
-  | [] -> Error "empty ledger"
-  | first :: rest ->
-    let* hj = Json.of_string first in
-    let* header =
-      match Json.member "rec" hj with
-      | Some (Json.String "header") -> header_of_json hj
-      | _ -> Error "first ledger line is not a header record"
-    in
-    let n = List.length rest in
-    let rec go i jobs result footer = function
-      | [] -> Ok { header; jobs = List.rev jobs; result; footer; torn = false }
-      | line :: tl -> (
-        let parsed =
-          let* j = Json.of_string line in
-          match Json.member "rec" j with
-          | Some (Json.String "job") ->
-            let* job = job_of_json j in
-            Ok (`Job job)
-          | Some (Json.String "result") ->
-            let* kind = str "kind" j in
-            let* data = field "data" j in
-            Ok (`Result (kind, data))
-          | Some (Json.String "footer") ->
-            let* f = footer_of_json j in
-            Ok (`Footer f)
-          | _ -> Error "unknown record type"
-        in
-        match parsed with
-        | Ok (`Job job) -> go (i + 1) (job :: jobs) result footer tl
-        | Ok (`Result r) -> go (i + 1) jobs (Some r) footer tl
-        | Ok (`Footer f) -> go (i + 1) jobs result (Some f) tl
-        | Error e ->
-          if i = n - 1 then
-            (* The last line is allowed to be torn: a kill can land
-               mid-write.  Everything before it must be intact. *)
-            Ok { header; jobs = List.rev jobs; result; footer; torn = true }
-          else Error (Printf.sprintf "ledger line %d: %s" (i + 2) e))
-    in
-    go 0 [] None None rest
+let record_of_json j =
+  match Json.member "rec" j with
+  | Some (Json.String "header") ->
+    Result.map (fun h -> `Header h) (header_of_json j)
+  | Some (Json.String "job") -> Result.map (fun job -> `Job job) (job_of_json j)
+  | Some (Json.String "result") ->
+    let* kind = str "kind" j in
+    let* data = field "data" j in
+    Ok (`Result (kind, data))
+  | Some (Json.String "footer") ->
+    Result.map (fun f -> `Footer f) (footer_of_json j)
+  | _ -> Error "unknown record type"
 
-let load file =
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error e
-  | text -> parse text
+let parse text =
+  match Jsonl.parse record_of_json text with
+  | Error e -> Error ("ledger " ^ e)
+  | Ok ([], false) -> Error "empty ledger"
+  | Ok (`Header header :: rest, torn) ->
+    let rec go line jobs result footer = function
+      | [] -> Ok { header; jobs = List.rev jobs; result; footer; torn }
+      | `Job job :: tl -> go (line + 1) (job :: jobs) result footer tl
+      | `Result r :: tl -> go (line + 1) jobs (Some r) footer tl
+      | `Footer f :: tl -> go (line + 1) jobs result (Some f) tl
+      | `Header _ :: _ ->
+        Error (Printf.sprintf "ledger line %d: a second header record" line)
+    in
+    go 2 [] None None rest
+  | Ok _ -> Error "first ledger line is not a header record"
+
+let load file = Result.bind (Jsonl.read file) parse
 
 (* ------------------------------------------------------------------ *)
 (* Resumption                                                           *)

@@ -147,9 +147,10 @@ val abort : t -> unit
 (** {1 Loading and resumption} *)
 
 val parse : string -> (ledger, string) result
-(** Parse ledger text.  The first line must be a header.  A final line
-    that fails to parse is dropped and flagged [torn] (the process was
-    killed mid-write); a malformed line anywhere else is an error. *)
+(** Parse ledger text with the {!Jsonl} strict reader.  The first line
+    must be a header.  A final line that fails to parse is dropped and
+    flagged [torn] (the process was killed mid-write); a malformed line
+    anywhere else is an error that names the line. *)
 
 val load : string -> (ledger, string) result
 (** {!parse} the file at a path. *)
@@ -267,8 +268,10 @@ module Dec : sig
   val list : string -> Json.t -> (Json.t list, string) result
 
   val opt_int : string -> Json.t -> (int option, string) result
-  (** [Null] or absent is [None]. *)
+  (** [Null] or absent is [None]; so for every [opt_]. *)
 
+  val opt_float : string -> Json.t -> (float option, string) result
+  val opt_bool : string -> Json.t -> (bool option, string) result
   val opt_str : string -> Json.t -> (string option, string) result
 
   val all : ('a -> ('b, string) result) -> 'a list ->

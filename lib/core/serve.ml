@@ -173,7 +173,6 @@ let shard_state_json (s : Queue.shard_state) =
 
 let job_json (j : Queue.job) =
   let open Json in
-  let s = j.spec in
   let sdone =
     Array.fold_left
       (fun acc st -> match st with Queue.Done _ -> acc + 1 | _ -> acc)
@@ -187,12 +186,8 @@ let job_json (j : Queue.job) =
               then "queued" else "running"
   in
   Assoc
-    ([ ("id", String s.id); ("kind", String s.kind); ("chip", String s.chip) ]
-    @ (match s.app with Some a -> [ ("app", String a) ] | None -> [])
-    @ [ ("runs", Int s.runs); ("env", String s.env); ("seed", Int s.seed);
-        ("workers", Int s.workers); ("priority", Int s.priority);
-        ("max_attempts", Int s.max_attempts); ("status", String status);
-        ("shards_done", Int sdone) ]
+    (Queue.spec_to_fields j.spec
+    @ [ ("status", String status); ("shards_done", Int sdone) ]
     @ (match j.ledger with Some l -> [ ("ledger", String l) ] | None -> [])
     @ [ ("shards", List (Array.to_list (Array.map shard_state_json j.shards)))
       ])
@@ -262,12 +257,8 @@ let run cfg =
     prerr_endline ("gpuwmm serve: corrupt queue journal: " ^ e);
     1
   | Ok (events, torn) ->
-    if torn then begin
-      (* The fragment must come off disk before the first append, or it
-         becomes a fatal mid-file malformed line on the next restart. *)
-      Queue.repair journal;
-      log "dropped a torn trailing journal line (crash mid-write)"
-    end;
+    (* The fragment stays on disk until the first append heals it. *)
+    if torn then log "dropped a torn trailing journal line (crash mid-write)";
     let st = ref (Queue.replay events) in
     let mu = Mutex.create () in
     let locked f =

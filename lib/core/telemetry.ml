@@ -364,22 +364,6 @@ let jsonl ?pid ?shard records =
     records;
   Buffer.contents buf
 
-let jsonl_parse text =
-  let lines = String.split_on_char '\n' text in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      if String.trim line = "" then go acc rest
-      else (
-        match Json.of_string line with
-        | Error e -> Error e
-        | Ok j -> (
-          match record_of_json j with
-          | Error e -> Error e
-          | Ok r -> go (r :: acc) rest))
-  in
-  go [] lines
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event export                                            *)
 

@@ -108,10 +108,8 @@ val jsonl : ?pid:int -> ?shard:string -> Gpusim.Trace.record list -> string
 (** One {!record_to_json} object per line, newline-terminated.  [?pid]
     and [?shard] prepend provenance fields to every line, so lines from
     several worker processes stay attributable after concatenation;
-    {!record_of_json} ignores them, keeping the round-trip lossless. *)
-
-val jsonl_parse : string -> (Gpusim.Trace.record list, string) result
-(** Inverse of {!jsonl}; blank lines are skipped. *)
+    {!record_of_json} ignores them, so [Jsonl.parse record_of_json]
+    reads the export back losslessly. *)
 
 val chrome_trace :
   ?pid:int ->

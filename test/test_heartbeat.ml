@@ -95,6 +95,28 @@ let test_stream_round_trip () =
       Alcotest.(check bool) "latest is the newest record" true
         (Core.Heartbeat.latest path = Some r2))
 
+(* A worker respawned onto a stream its predecessor's crash cut short:
+   whatever byte the cut fell on, the new beat must survive whole, and
+   the reload keeps exactly the beats written wholly before the cut. *)
+let prop_cut_anywhere =
+  QCheck.Test.make ~name:"stream: cut anywhere, append, reload" ~count:200
+    QCheck.(
+      make
+        Gen.(triple (list_size (int_range 1 6) record_gen) record_gen
+               (int_bound 1_000_000)))
+    (fun (rs, extra, cut) ->
+      let path = tmp_hb () in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          let expect =
+            Test_util.cut_and_append ~path
+              ~append:(Core.Heartbeat.append ~path)
+              ~to_json:Core.Heartbeat.to_json rs extra cut
+          in
+          Core.Heartbeat.load path = expect
+          && Core.Heartbeat.latest path = Some extra))
+
 (* [latest] reads the stream backwards; whatever junk, window-straddling
    long lines or torn tail a stream ends with, it must agree with the
    forward reader. *)
@@ -411,8 +433,8 @@ let test_stamped_exports () =
   Alcotest.(check bool) "jsonl lines carry the stamp" true
     (contains text "\"pid\":7" && contains text "\"shard\":\"1/2\"");
   (* Stamps are transparent to the decoder: the round-trip still holds. *)
-  (match Core.Telemetry.jsonl_parse text with
-  | Ok [ r ] ->
+  (match Core.Jsonl.parse Core.Telemetry.record_of_json text with
+  | Ok ([ r ], false) ->
     Alcotest.(check bool) "stamped record round-trips" true (r = sample_record)
   | _ -> Alcotest.fail "stamped jsonl failed to parse");
   let spans =
@@ -438,6 +460,7 @@ let () =
           Alcotest.test_case "rejects foreign records" `Quick
             test_of_json_rejects_foreign;
           QCheck_alcotest.to_alcotest prop_latest_is_last_of_load;
+          QCheck_alcotest.to_alcotest prop_cut_anywhere;
           Alcotest.test_case "stream round-trip, torn tail" `Quick
             test_stream_round_trip ] );
       ( "staleness",

@@ -125,18 +125,43 @@ let test_load_roundtrip () =
     | Some (k, _) -> Alcotest.failf "unexpected result kind %S" k
     | None -> Alcotest.fail "result record missing")
 
-let test_torn_tail_tolerated () =
-  let full_text, _ = Lazy.force full in
-  let ls = String.split_on_char '\n' full_text in
-  let text =
-    String.concat "\n" (take 3 ls) ^ "\n{\"rec\":\"job\",\"phase\""
-  in
-  match Core.Runlog.parse text with
-  | Error e -> Alcotest.fail e
-  | Ok l ->
-    Alcotest.(check bool) "flagged torn" true l.Core.Runlog.torn;
-    Alcotest.(check int) "intact records kept" 2
-      (List.length l.Core.Runlog.jobs)
+(* Kill the writer at any byte after the header line: the ledger keeps
+   every record whose text lies wholly before the cut, and is torn only
+   when the cut splits a line (one cut just before a '\n' leaves a
+   whole record). *)
+let prop_torn_tail_tolerated =
+  QCheck.Test.make ~name:"torn tail tolerated" ~count:200
+    QCheck.(make Gen.(int_bound 1_000_000))
+    (fun c ->
+      let full_text, _ = Lazy.force full in
+      let full_l =
+        match Core.Runlog.parse full_text with
+        | Ok l -> l
+        | Error e -> failwith e
+      in
+      let lines =
+        List.filter (( <> ) "") (String.split_on_char '\n' full_text)
+      in
+      let hlen = String.length (List.hd lines) in
+      let cut = hlen + (c mod (String.length full_text - hlen + 1)) in
+      let rec count off whole = function
+        | [] -> (whole, false)
+        | l :: rest ->
+          let stop = off + String.length l in
+          if stop <= cut then count (stop + 1) (whole + 1) rest
+          else (whole, off < cut)
+      in
+      let whole, torn = count 0 0 lines in
+      match Core.Runlog.parse (String.sub full_text 0 cut) with
+      | Error _ -> false
+      | Ok l ->
+        let open Core.Runlog in
+        let n = List.length l.jobs in
+        l.torn = torn
+        && l.jobs = take n full_l.jobs
+        && 1 + n + Bool.to_int (l.result <> None)
+           + Bool.to_int (l.footer <> None)
+           = whole)
 
 let test_malformed_middle_rejected () =
   let full_text, _ = Lazy.force full in
@@ -441,8 +466,8 @@ let () =
     [ ( "ledger",
         [ Alcotest.test_case "load round-trip, report identity" `Slow
             test_load_roundtrip;
-          Alcotest.test_case "torn tail tolerated" `Slow
-            test_torn_tail_tolerated;
+          QCheck_alcotest.to_alcotest ~speed_level:`Slow
+            prop_torn_tail_tolerated;
           Alcotest.test_case "malformed middle rejected" `Slow
             test_malformed_middle_rejected;
           Alcotest.test_case "seed mismatch fails closed" `Slow

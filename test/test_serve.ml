@@ -114,35 +114,31 @@ let test_journal_torn_tail () =
       Alcotest.(check bool) "torn tail dropped, torn flag set" true
         (Core.Queue.load path = Ok (sample_events, true)))
 
-let test_journal_repair_after_torn () =
+let test_journal_append_after_torn () =
   with_journal (fun path ->
       List.iter (Core.Queue.append ~path) sample_events;
       let oc = open_out_gen [ Open_append ] 0o644 path in
       output_string oc "{\"ev\":\"lease\",\"t\":9";
       close_out oc;
-      (* The restarting daemon's discipline: load flags the torn tail,
-         repair takes the fragment off disk, and only then do appends
-         resume.  Without the repair the first append would bury the
-         fragment as a fatal mid-file line. *)
+      (* The restarting daemon's path: load flags the torn tail, and the
+         first append cuts the fragment off before it writes, so it is
+         never buried as a fatal mid-file line. *)
       Alcotest.(check bool) "torn flagged on load" true
         (Core.Queue.load path = Ok (sample_events, true));
-      Core.Queue.repair path;
-      Alcotest.(check bool) "repair drops the fragment on disk" true
-        (Core.Queue.load path = Ok (sample_events, false));
       let extra =
         Core.Queue.Finished
           { t = 4.0; id = "job-1"; status = "done"; ledger = None }
       in
       Core.Queue.append ~path extra;
-      Alcotest.(check bool) "append after repair reloads cleanly" true
+      Alcotest.(check bool) "append after a torn tail reloads cleanly" true
         (Core.Queue.load path = Ok (sample_events @ [ extra ], false)))
 
 let test_journal_append_no_trailing_newline () =
   with_journal (fun path ->
       List.iter (Core.Queue.append ~path) sample_events;
       (* A write cut just before its '\n' leaves a *valid* last line
-         with no trailing newline — load reports torn=false, so repair
-         never runs; append itself must not glue onto it. *)
+         with no trailing newline — load reports torn=false, and append
+         must complete that line rather than glue onto it. *)
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
       Unix.ftruncate fd ((Unix.fstat fd).Unix.st_size - 1);
       Unix.close fd;
@@ -155,6 +151,23 @@ let test_journal_append_no_trailing_newline () =
       Core.Queue.append ~path extra;
       Alcotest.(check bool) "append starts a fresh line" true
         (Core.Queue.load path = Ok (sample_events @ [ extra ], false)))
+
+(* Cut the journal at any byte, append one more event, reload: the
+   events whose text lies wholly before the cut survive, then the new
+   one, and the reload neither fails nor reports a torn tail. *)
+let prop_cut_anywhere =
+  QCheck.Test.make ~name:"journal: cut anywhere, append, reload" ~count:200
+    QCheck.(
+      make
+        Gen.(triple (list_size (int_range 1 6) event_gen) event_gen
+               (int_bound 1_000_000)))
+    (fun (evs, extra, cut) ->
+      with_journal (fun path ->
+          let expect =
+            Test_util.cut_and_append ~path ~append:(Core.Queue.append ~path)
+              ~to_json:Core.Queue.event_to_json evs extra cut
+          in
+          Core.Queue.load path = Ok (expect, false)))
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -756,9 +769,10 @@ let () =
           Alcotest.test_case "torn tail tolerated" `Quick
             test_journal_torn_tail;
           Alcotest.test_case "repair then append after torn restart" `Quick
-            test_journal_repair_after_torn;
+            test_journal_append_after_torn;
           Alcotest.test_case "append after newline-less valid tail" `Quick
             test_journal_append_no_trailing_newline;
+          QCheck_alcotest.to_alcotest prop_cut_anywhere;
           Alcotest.test_case "corrupt middle line fails closed" `Quick
             test_journal_rejects_corrupt_middle ] );
       ( "state",

@@ -112,9 +112,10 @@ let test_jsonl_round_trip () =
     (List.length all_event_records)
     (List.length
        (List.filter (fun l -> l <> "") (String.split_on_char '\n' text)));
-  match Core.Telemetry.jsonl_parse text with
-  | Error e -> Alcotest.failf "jsonl_parse failed: %s" e
-  | Ok records ->
+  match Core.Jsonl.parse Core.Telemetry.record_of_json text with
+  | Error e -> Alcotest.failf "Jsonl.parse failed: %s" e
+  | Ok (records, torn) ->
+    Alcotest.(check bool) "no torn tail" false torn;
     Alcotest.(check bool) "records survive the round-trip" true
       (records = all_event_records)
 

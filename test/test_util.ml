@@ -26,3 +26,20 @@ let run_sc ?(grid = 1) ?(block = 1) ?(shared_words = 64) kernel args =
 let sys_plus_env chip =
   Core.Environment.for_app
     (Core.Environment.sys_plus ~tuned:(Core.Tuning.shipped ~chip))
+
+(* The crash drill for any JSONL state file: [append] every record of
+   [records] to [path], cut the file at byte [cut mod (size + 1)],
+   [append] [extra], and return what a reload must then yield: the
+   records whose text lies wholly before the cut, then [extra]. *)
+let cut_and_append ~path ~append ~to_json records extra cut =
+  List.iter append records;
+  let cut = cut mod ((Unix.stat path).Unix.st_size + 1) in
+  Unix.truncate path cut;
+  append extra;
+  let rec whole off = function
+    | [] -> []
+    | r :: rest ->
+      let stop = off + String.length (Core.Json.to_string (to_json r)) in
+      if stop <= cut then r :: whole (stop + 1) rest else []
+  in
+  whole 0 records @ [ extra ]
