@@ -187,12 +187,13 @@ let shard_term =
     & opt (some string) None
     & info [ "shard" ] ~docv:"K/N"
         ~doc:
-          "Run only shard $(docv) of the campaign's job plan (1-based): \
-           shard K owns the jobs whose plan index is K-1 mod N.  Requires \
-           $(b,--log): the shard ledger records just this shard's jobs, at \
-           their unsharded seeds, and carries no result record.  Combine \
-           the N shard ledgers with $(b,gpuwmm merge) into one canonical \
-           ledger.")
+          "Run only shard $(docv) of the campaign's cells (1-based): shard \
+           K owns the cells whose plan index is K-1 mod N.  Only $(b,test) \
+           and $(b,table 5) shard, because their cells are independent of \
+           each other.  Requires $(b,--log): the shard ledger records just \
+           this shard's cells, at their unsharded seeds, and carries no \
+           result record.  Combine the N shard ledgers with \
+           $(b,gpuwmm merge) into one canonical ledger.")
 
 let listen_term =
   Arg.(
@@ -410,16 +411,27 @@ let seq_of_json j =
   let* r = Core.Seq_finder.result_of_json rj in
   Ok (chip, r)
 
-(* Render a ledger's reduced result record — the body of `gpuwmm report
-   --from`, also used by --resume's complete-ledger fast path. *)
-let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
-  match l.Core.Runlog.result with
+(* A ledger with no result record is a shard awaiting its merge or an
+   interrupted run; say which, and what finishes it.  Exits 2. *)
+let no_result ~path (h : Core.Runlog.header) =
+  (match h.Core.Runlog.shard with
+  | Some spec ->
+    Fmt.epr
+      "%s is shard %s of a campaign, with no result record of its own; \
+       combine the full shard set with `gpuwmm merge` first@."
+      path spec
   | None ->
     Fmt.epr
       "%s has no result record: the campaign was interrupted; finish it \
        first with --resume %s@."
-      path path;
-    exit 2
+      path path);
+  exit 2
+
+(* Render a ledger's reduced result record — the body of `gpuwmm report
+   --from`, also used by --resume's complete-ledger fast path. *)
+let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
+  match l.Core.Runlog.result with
+  | None -> no_result ~path l.Core.Runlog.header
   | Some (kind, data) ->
     Core.Report.provenance Fmt.stdout ~path l.Core.Runlog.header;
     let fail e =
@@ -512,12 +524,12 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    records quarantined jobs) takes the normal path instead, so its
    quarantined jobs re-run and can recover.
 
-   With ~shard (a parsed --shard K/N) the run covers only the owned
-   slice of the plan: the header records the shard, the ambient shard is
-   installed around the body so Exec journals just the owned jobs (at
-   dense shard-local flush ranks), and the ledger is closed without a
-   result record — `gpuwmm merge` reassembles the canonical ledger from
-   the full shard set.
+   With ~shard (a --shard K/N spec, test and table 5 only) the run
+   covers only the owned slice of the plan: the header records the
+   shard, the journal handed to the body carries it so Exec runs and
+   journals just the owned cells (at dense shard-local flush ranks), and
+   the ledger is closed without a result record — `gpuwmm merge`
+   reassembles the canonical ledger from the full shard set.
 
    Observability, all result-neutral: every ledgered process beats once
    a second on a <ledger>.hb sidecar (Core.Heartbeat); opt-in, ~listen
@@ -651,8 +663,9 @@ let with_ledger ?shard ?listen ?(spans = false)
                     (Core.Runlog.cache_size c)))
             cache;
           let sink = Core.Runlog.create ~path header in
-          let journal = Core.Runlog.journal ~sink ?cache ~origin:path "" in
-          Core.Shard.set_ambient shard;
+          let journal =
+            Core.Runlog.journal ~sink ?cache ~origin:path ?shard ""
+          in
           let emitter =
             Core.Heartbeat.start ?shard:shard_spec
               ~path:(Core.Heartbeat.hb_path path) ()
@@ -668,9 +681,7 @@ let with_ledger ?shard ?listen ?(spans = false)
           in
           match
             Fun.protect
-              ~finally:(fun () ->
-                Core.Shard.set_ambient None;
-                Core.Heartbeat.stop emitter)
+              ~finally:(fun () -> Core.Heartbeat.stop emitter)
               (fun () -> f (Some journal))
           with
           | v ->
@@ -705,21 +716,18 @@ type campaign_flags = {
   jobs : int option;
   log : string option;
   resume : string option;
-  shard : string option;
   timeout : float option;
   retries : int;
   keep_going : bool;
 }
 
 let campaign_flags =
-  let make verbose quiet seed jobs log resume shard timeout retries keep_going
-      =
-    { verbose; quiet; seed; jobs; log; resume; shard; timeout; retries;
-      keep_going }
+  let make verbose quiet seed jobs log resume timeout retries keep_going =
+    { verbose; quiet; seed; jobs; log; resume; timeout; retries; keep_going }
   in
   Term.(
     const make $ verbose $ quiet $ seed $ jobs_term $ log_term $ resume_term
-    $ shard_term $ timeout_term $ retries_term $ keep_going_term)
+    $ timeout_term $ retries_term $ keep_going_term)
 
 (* The one ledgered-run sequence of tune, test, harden, table and figure:
    logging and the supervision policy, then the campaign under
@@ -727,8 +735,8 @@ let campaign_flags =
    [body] is staged: applied to the backend first, once logging is up, so
    it can reject bad arguments before any ledger exists, then to the
    journal. *)
-let run_campaign ?listen ?spans ?(strict = false) c ~campaign ~grid ~kind
-    ~encode body =
+let run_campaign ?shard ?listen ?spans ?(strict = false) c ~campaign ~grid
+    ~kind ~encode body =
   setup_log ~quiet:c.quiet c.verbose;
   setup_supervision ~timeout:c.timeout ~retries:c.retries
     ~keep_going:c.keep_going ();
@@ -736,7 +744,7 @@ let run_campaign ?listen ?spans ?(strict = false) c ~campaign ~grid ~kind
   let body = body (Core.Exec.backend_of_jobs (jobs_of c.jobs)) in
   guarded (fun () ->
       ignore
-        (with_ledger ?shard:c.shard ?listen ?spans ~campaign ~seed:c.seed
+        (with_ledger ?shard ?listen ?spans ~campaign ~seed:c.seed
            ~jobs:c.jobs ~grid ~log:c.log ~resume:c.resume ~kind ~encode body));
   conclude_supervised ()
 
@@ -887,10 +895,8 @@ let tune_cmd =
           Core.Tuning.run ~backend ?journal ~chip ~seed:c.seed ~budget ()
         in
         let minutes = r.Core.Tuning.elapsed_s /. 60.0 in
-        if c.shard = None then begin
-          Core.Report.table2 Fmt.stdout [ (r, minutes) ];
-          Core.Report.table3 Fmt.stdout r.Core.Tuning.sequences
-        end;
+        Core.Report.table2 Fmt.stdout [ (r, minutes) ];
+        Core.Report.table3 Fmt.stdout r.Core.Tuning.sequences;
         [ (r, minutes) ])
   in
   Cmd.v
@@ -909,13 +915,13 @@ let test_cmd =
   let env_name =
     Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
   in
-  let run c chip app runs env_name listen spans strict =
+  let run c shard chip app runs env_name listen spans strict =
     let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
     let grid =
       Core.Campaign.test_grid ~chip:chip.Gpusim.Chip.name ~env:env_name
         ~apps:(app_names apps) ~runs
     in
-    run_campaign ?listen ~spans ~strict c ~campaign:"test" ~grid
+    run_campaign ?shard ?listen ~spans ~strict c ~campaign:"test" ~grid
       ~kind:"campaign" ~encode:Core.Campaign.rows_to_json (fun backend ->
         let env = env_of chip env_name in
         fun journal ->
@@ -924,7 +930,7 @@ let test_cmd =
               ~environments_for:(fun _ -> [ env ])
               ~apps ~runs ~seed:c.seed ()
           in
-          if c.shard = None then
+          if shard = None then
             List.iter
               (fun row ->
                 List.iter
@@ -951,8 +957,8 @@ let test_cmd =
        ~doc:"Repeatedly execute applications under a testing environment \
              and count erroneous runs (Sec. 4).")
     Term.(
-      const run $ campaign_flags $ chip $ app_term $ runs $ env_name
-      $ listen_term $ spans_term $ strict_term)
+      const run $ campaign_flags $ shard_term $ chip $ app_term $ runs
+      $ env_name $ listen_term $ spans_term $ strict_term)
 
 let harden_cmd =
   let app_term =
@@ -980,18 +986,16 @@ let harden_cmd =
           Core.Harden.insert ~chip ~config ~backend ?journal ~app ~seed:c.seed
             ()
         in
-        if c.shard = None then begin
-          Core.Report.table6 Fmt.stdout [ r ];
-          (* Show the hardened kernels. *)
-          List.iter
-            (fun k ->
-              let fenced =
-                Apps.App.apply_fencing (Apps.App.Sites r.Core.Harden.fences) k
-              in
-              if Gpusim.Kernel.fence_sites fenced <> [] then
-                Fmt.pr "@.%s@." (Gpusim.Kernel_pp.to_string ~sids:true fenced))
-            app.Apps.App.kernels
-        end;
+        Core.Report.table6 Fmt.stdout [ r ];
+        (* Show the hardened kernels. *)
+        List.iter
+          (fun k ->
+            let fenced =
+              Apps.App.apply_fencing (Apps.App.Sites r.Core.Harden.fences) k
+            in
+            if Gpusim.Kernel.fence_sites fenced <> [] then
+              Fmt.pr "@.%s@." (Gpusim.Kernel_pp.to_string ~sids:true fenced))
+          app.Apps.App.kernels;
         [ r ])
   in
   Cmd.v
@@ -1352,7 +1356,11 @@ let table_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table number (1-6).")
   in
   let runs = Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N") in
-  let run c chips all number budget runs listen spans strict =
+  let run c shard chips all number budget runs listen spans strict =
+    if shard <> None && number <> 5 then begin
+      Fmt.epr "--shard: only test and table 5 shard, not table %d@." number;
+      exit 2
+    end;
     let chips = resolve_chips chips all in
     let grid =
       Core.Json.Assoc
@@ -1362,7 +1370,7 @@ let table_cmd =
     in
     let ledgered ~kind ~encode body =
       require_chips chips;
-      run_campaign ?listen ~spans ~strict c
+      run_campaign ?shard ?listen ~spans ~strict c
         ~campaign:(Printf.sprintf "table%d" number)
         ~grid ~kind ~encode body
     in
@@ -1410,7 +1418,7 @@ let table_cmd =
               ~environments_for:Core.Campaign.environments
               ~apps:Apps.Registry.all ~runs ~seed:c.seed ()
           in
-          if c.shard = None then Core.Report.table5 Fmt.stdout rows;
+          if shard = None then Core.Report.table5 Fmt.stdout rows;
           rows)
     | 6 ->
       ledgered ~kind:"harden" ~encode:Core.Harden.results_to_json
@@ -1438,8 +1446,8 @@ let table_cmd =
   Cmd.v
     (Cmd.info "table" ~doc:"Reproduce a table of the paper.")
     Term.(
-      const run $ campaign_flags $ chips $ all_chips $ number $ budget_term
-      $ runs $ listen_term $ spans_term $ strict_term)
+      const run $ campaign_flags $ shard_term $ chips $ all_chips $ number
+      $ budget_term $ runs $ listen_term $ spans_term $ strict_term)
 
 let figure_cmd =
   let number =
@@ -1863,22 +1871,22 @@ let merge_cmd =
            Printf.sprintf
              " — %d quarantined job(s); finish it with --resume %s"
              o.Core.Merge.quarantined o.Core.Merge.out_path
-         else if not o.Core.Merge.result_written then
-           " — no result record yet; finish it with --resume"
          else "");
       if o.Core.Merge.quarantined > 0 then exit exit_degraded
   in
   Cmd.v
     (Cmd.info "merge"
        ~doc:
-         "Combine the shard ledgers of a $(b,--shard)-partitioned campaign \
-          into one canonical ledger.  Under \
-          $(b,GPUWMM_LEDGER_DETERMINISTIC) the output is byte-identical to \
-          a single-process run of the same campaign, so $(b,report), \
-          $(b,compare) and $(b,--resume) work on it unchanged.  Fails \
-          closed — writing nothing — on a missing or duplicated shard, \
-          overlapping or missing jobs (resume the interrupted shard \
-          first), or shards whose plan headers disagree.")
+         "Combine the shard ledgers of a $(b,--shard)-partitioned \
+          $(b,test) or $(b,table 5) campaign into one canonical ledger.  \
+          Under $(b,GPUWMM_LEDGER_DETERMINISTIC) the output is \
+          byte-identical to a single-process run of the same campaign, so \
+          $(b,report), $(b,compare) and $(b,--resume) work on it \
+          unchanged.  Fails closed — writing nothing — on an output that \
+          is one of the inputs, another campaign kind, a missing or \
+          duplicated shard, overlapping or missing jobs (resume the \
+          interrupted shard first), or shards whose plan headers \
+          disagree.")
     Term.(const run $ verbose $ inputs $ out_term)
 
 let report_cmd =
@@ -1946,9 +1954,7 @@ let compare_cmd =
              test or table 5)@."
             path k;
           exit 2
-        | None ->
-          Fmt.epr "%s has no result record (interrupted campaign?)@." path;
-          exit 2)
+        | None -> no_result ~path l.Core.Runlog.header)
     in
     let bh, baseline = rows_of base in
     let ch, candidate = rows_of cand in

@@ -271,7 +271,7 @@ let format_eta seconds =
    the cross-process observability channel.  The ticker keeps it fresh
    (about once a second) even when no progress reporter is installed, so
    quiet shard workers still expose live state to their heartbeat
-   emitter and the /status endpoint.  Under an ambient shard the
+   emitter and the /status endpoint.  Under a shard journal the
    counts are shard-local: placeholder-skipped jobs are excluded from
    both [p_done] and [p_total], so summing worker snapshots yields the
    campaign plan's totals. *)
@@ -551,60 +551,55 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
   let errors_so_far () =
     if Option.is_some codec then Some (Atomic.get errors) else None
   in
-  (* Under an ambient k/N shard, only the owned slice of the plan is
-     journalled (at its dense shard-local flush rank); with a
-     [shard_placeholder] the non-owned jobs are not even executed — the
-     driver's reduce sees placeholders there, and the real values are
-     reconstructed from the sibling shards at merge time. *)
-  let shard = Shard.ambient () in
-  let journal_pos j_index =
-    match shard with
-    | None -> Some None
-    | Some sh ->
-      if Shard.owns sh ~total:len j_index then
-        Some (Some (Shard.rank sh ~total:len j_index))
-      else None
+  (* A k/N shard journal executes and journals only the jobs its shard
+     owns, each at its dense shard-local flush rank; the caller's reduce
+     sees [shard_placeholder] values in the other slots, and the real
+     ones are reassembled from the sibling shards at merge time.  A
+     campaign without a placeholder has cells that depend on each
+     other, so it cannot shard. *)
+  let skipped = ref 0 in
+  let rank =
+    match (Option.bind journal (fun jn -> jn.Runlog.shard), shard_placeholder)
+    with
+    | None, _ -> Fun.id
+    | Some _, None ->
+      invalid_arg "Exec.run: a shard journal requires ~shard_placeholder"
+    | Some sh, Some ph ->
+      Array.iter
+        (fun j ->
+          if not (Shard.owns sh ~total:len j.index) then begin
+            results.(j.index) <- Some (ph j.payload);
+            incr skipped
+          end)
+        arr;
+      Shard.rank sh ~total:len
   in
   (* Resolve cached jobs from the resume ledger up front: their results
      are replayed into the new ledger verbatim and their executions are
      skipped entirely. *)
-  (match (journal, codec) with
-  | Some jn, Some c ->
-    Array.iter
-      (fun j ->
-        match Runlog.cached_value jn ~codec:c ~index:j.index ~seed:j.seed with
-        | Some (v, r) ->
-          results.(j.index) <- Some v;
-          ignore (Atomic.fetch_and_add errors r.Runlog.errors);
-          (match journal_pos j.index with
-          | Some pos -> Runlog.replay ?pos jn r
-          | None -> ())
-        | None -> ())
-      arr
-  | Some _, None -> invalid_arg "Exec.run: ~journal requires ~codec"
-  | None, _ -> ());
   let cached =
-    Array.fold_left
-      (fun n r -> if Option.is_some r then n + 1 else n)
-      0 results
+    match (journal, codec) with
+    | Some jn, Some c ->
+      Array.fold_left
+        (fun n j ->
+          if Option.is_some results.(j.index) then n
+          else
+            match
+              Runlog.cached_value jn ~codec:c ~index:j.index ~seed:j.seed
+            with
+            | Some (v, r) ->
+              results.(j.index) <- Some v;
+              ignore (Atomic.fetch_and_add errors r.Runlog.errors);
+              Runlog.replay ~pos:(rank j.index) jn r;
+              n + 1
+            | None -> n)
+        0 arr
+    | Some _, None -> invalid_arg "Exec.run: ~journal requires ~codec"
+    | None, _ -> 0
   in
   (match label with
   | Some l when cached > 0 ->
     info (Printf.sprintf "%s: resuming with %d/%d cached job(s)" l cached len)
-  | _ -> ());
-  let skipped = ref 0 in
-  (match (shard, shard_placeholder) with
-  | Some sh, Some ph ->
-    Array.iter
-      (fun j ->
-        if
-          (not (Shard.owns sh ~total:len j.index))
-          && Option.is_none results.(j.index)
-        then begin
-          results.(j.index) <- Some (ph j.payload);
-          incr skipped
-        end)
-      arr
   | _ -> ());
   let tick =
     make_ticker ~label ~execs_per_job ~total:len ~cached ~skipped:!skipped
@@ -629,10 +624,10 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
     ~on_result:(fun k v ~duration_s ~attempts ->
       let j = fresh.(k) in
       let errs = errors_of v in
-      (match (journal, codec, journal_pos j.index) with
-      | Some jn, Some c, Some pos ->
-        Runlog.record jn ?pos ~index:j.index ~seed:j.seed ~errors:errs
-          ~duration_s ~attempts (c.Runlog.encode v)
+      (match (journal, codec) with
+      | Some jn, Some c ->
+        Runlog.record jn ~pos:(rank j.index) ~index:j.index ~seed:j.seed
+          ~errors:errs ~duration_s ~attempts (c.Runlog.encode v)
       | _ -> ());
       finish j v errs)
     ?on_quarantine:
@@ -642,11 +637,12 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
               plan-order stream whole (and is re-run on resume), the
               caller's fallback value keeps the reduction total. *)
            let j = fresh.(k) in
-           (match (journal, journal_pos j.index) with
-           | Some jn, Some pos ->
-             Runlog.record_failure jn ?pos ~index:j.index ~seed:j.seed
-               ~attempts:fl.f_attempts ~duration_s fl.f_reason
-           | _ -> ());
+           Option.iter
+             (fun jn ->
+               Runlog.record_failure jn ~pos:(rank j.index) ~index:j.index
+                 ~seed:j.seed ~attempts:fl.f_attempts ~duration_s
+                 fl.f_reason)
+             journal;
            let v = q j.payload fl in
            finish j v (errors_of v))
          quarantine)

@@ -141,17 +141,15 @@ val run :
     continues.  Without [keep_going] (or without a fallback) the engine
     raises {!Job_failed}.
 
-    Under an ambient {!Shard.set_ambient} [k/N] shard, only the owned
-    slice of the plan is journalled, each record keyed at its dense
+    Under a journal whose [shard] is [k/N], only the owned slice of the
+    plan is executed and journalled, each record keyed at its dense
     shard-local flush rank ({!Shard.rank}) so the shard ledger streams
-    gap-free; per-job seeds are the unsharded ones.  With
-    [~shard_placeholder] the non-owned jobs are not executed at all —
-    their result slots are filled with the (cheap, never-journalled)
-    placeholder, which is what gives a shard its [1/N] runtime; the true
-    values are reassembled from the sibling shards by [gpuwmm merge].
-    Drivers whose later phases depend on every result (the adaptive
-    finders) simply omit it: every shard then executes the full plan but
-    still journals only its own slice. *)
+    gap-free; per-job seeds are the unsharded ones.  The other result
+    slots are filled with [shard_placeholder] (cheap, never journalled),
+    and [gpuwmm merge] reassembles the true values from the sibling
+    shards.  A shard journal without [~shard_placeholder] raises
+    [Invalid_argument] before any job runs: only a campaign whose cells
+    are independent of each other supplies one. *)
 
 val for_all :
   ?backend:backend ->
@@ -269,7 +267,7 @@ val format_eta : float -> string
 
 type progress = {
   p_label : string;  (** campaign label *)
-  p_total : int;  (** planned jobs (shard-local under an ambient shard) *)
+  p_total : int;  (** planned jobs (shard-local under a shard journal) *)
   p_done : int;  (** completed jobs, including cached replays *)
   p_cached : int;  (** jobs replayed from a resume cache *)
   p_errors : int;  (** erroneous executions so far (0 when uncountable) *)

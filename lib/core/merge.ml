@@ -13,13 +13,14 @@
      the merge strips;
    - the footer totals are sums over the written job records, and a
      partition sums to the same totals;
-   - for campaign-kind ledgers the result record is a pure function of
-     the plan-order cell list (Campaign.rows_of_cells), so it can be
-     reconstructed without re-running anything.
+   - only test and table 5 campaigns shard, and their result record is
+     a pure function of the plan-order cell list
+     (Campaign.rows_of_cells), so it can be reconstructed without
+     re-running anything.
 
-   Everything else is fail-closed: a missing shard, an overlapping or
-   missing job, or shards whose plan headers disagree abort the merge
-   with no output file written. *)
+   Everything else is fail-closed: another campaign kind, a missing
+   shard, an overlapping or missing job, or shards whose plan headers
+   disagree abort the merge with no output file written. *)
 
 let ( let* ) = Result.bind
 
@@ -28,7 +29,6 @@ type outcome = {
   shards : int;
   jobs : int;
   quarantined : int;
-  result_written : bool;
 }
 
 let err fmt = Printf.ksprintf (fun s -> Error s) fmt
@@ -59,10 +59,18 @@ let load_shard path =
     | Ok sh -> Ok sh
     | Error e -> err "%s: %s" path e
   in
+  let* () =
+    match l.Runlog.header.Runlog.campaign with
+    | "test" | "table5" -> Ok ()
+    | kind ->
+      err "%s: a %S campaign does not merge: only test and table 5 \
+           campaigns shard"
+        path kind
+  in
   (* A shard that finished writes a footer; a killed or still-running
      worker does not.  Refusing footer-less shards here catches tail
-     truncation that the per-phase gap walk cannot see (the last owned
-     jobs of a shard are simply absent, not out of sequence). *)
+     truncation that the gap walk cannot see (the last owned jobs of a
+     shard are simply absent, not out of sequence). *)
   let* () =
     match l.Runlog.footer with
     | Some _ when not l.Runlog.torn -> Ok ()
@@ -149,52 +157,25 @@ let validate_set srcs =
 (* ------------------------------------------------------------------ *)
 (* Interleaving the job streams                                         *)
 
-(* Phase order is taken from shard 1: both strategies assign plan index
-   0 (and adaptive memo streams entirely) to shard 1, so every
-   non-empty phase appears there, in canonical order. *)
-let phase_order srcs =
-  let shard1 =
-    List.find (fun s -> s.src_shard.Shard.k = 1) srcs
-  in
-  let seen = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (j : Runlog.job) ->
-      if not (Hashtbl.mem seen j.Runlog.phase) then begin
-        Hashtbl.add seen j.Runlog.phase ();
-        order := j.Runlog.phase :: !order
-      end)
-    shard1.src_ledger.Runlog.jobs;
-  let order = List.rev !order in
-  let* () =
-    List.fold_left
-      (fun acc s ->
-        let* () = acc in
-        List.fold_left
-          (fun acc (j : Runlog.job) ->
-            let* () = acc in
-            if Hashtbl.mem seen j.Runlog.phase then Ok ()
-            else
-              err
-                "%s records phase %S which is absent from shard 1 (%s) — \
-                 resume the interrupted shard before merging"
-                s.src_path j.Runlog.phase shard1.src_path)
-          (Ok ()) s.src_ledger.Runlog.jobs)
-      (Ok ()) srcs
-  in
-  Ok order
-
-(* One phase's merged stream: every shard's records for the phase,
-   sorted by global plan index, checked for overlaps and gaps. *)
-let merge_phase srcs phase =
+(* The one job stream: every shard's records sorted by global plan
+   index, checked for overlaps and gaps.  A test or table 5 ledger
+   records only campaign cells. *)
+let interleave srcs =
   let tagged =
     List.concat_map
-      (fun s ->
-        List.filter_map
-          (fun (j : Runlog.job) ->
-            if j.Runlog.phase = phase then Some (j, s) else None)
-          s.src_ledger.Runlog.jobs)
+      (fun s -> List.map (fun j -> (j, s)) s.src_ledger.Runlog.jobs)
       srcs
+  in
+  let* () =
+    match
+      List.find_opt
+        (fun ((j : Runlog.job), _) -> j.Runlog.phase <> "campaign")
+        tagged
+    with
+    | Some (j, s) ->
+      err "%s: job %d has phase %S, not a campaign cell" s.src_path
+        j.Runlog.index j.Runlog.phase
+    | None -> Ok ()
   in
   let sorted =
     List.stable_sort
@@ -207,13 +188,13 @@ let merge_phase srcs phase =
     | ((j : Runlog.job), (s : src)) :: tl ->
       let i = j.Runlog.index in
       if i < expect then
-        err "phase %S: job %d appears in more than one shard ledger \
-             (last in %s) — overlapping shards"
-          phase i s.src_path
+        err "job %d appears in more than one shard ledger (last in %s) — \
+             overlapping shards"
+          i s.src_path
       else if i > expect then
-        err "phase %S: job %d is missing (stride shard %d/%d owns it) — \
-             resume the interrupted shard before merging"
-          phase expect
+        err "job %d is missing (stride shard %d/%d owns it) — resume the \
+             interrupted shard before merging"
+          expect
           ((expect mod s.src_shard.Shard.n) + 1)
           s.src_shard.Shard.n
       else check (expect + 1) tl
@@ -224,13 +205,9 @@ let merge_phase srcs phase =
 (* ------------------------------------------------------------------ *)
 (* Result reconstruction                                                *)
 
-(* Campaign-kind ledgers ("test", "table5") reduce to Table 5 rows by a
-   pure regrouping of the plan-order cells, so a merged ledger can carry
-   the same result record the single-process run would have written.
-   Other kinds (tuning, hardening, the finders) reduce through adaptive
-   driver state; their merged ledgers are left result-less and are
-   finished by `--resume`, which replays every job from cache and only
-   re-runs the reduce. *)
+(* A test or table 5 campaign reduces to Table 5 rows by a pure
+   regrouping of the plan-order cells, so the merged ledger carries the
+   result record the single-process run would have written. *)
 let reconstruct_result header (jobs : Runlog.job list) =
   let grid = header.Runlog.grid in
   let strs key =
@@ -238,52 +215,58 @@ let reconstruct_result header (jobs : Runlog.job list) =
     | Some (Json.List xs) -> Some (List.filter_map Json.to_str xs)
     | _ -> None
   in
-  match header.Runlog.campaign with
-  | "test" | "table5" -> (
-    let cells_r =
-      List.filter (fun (j : Runlog.job) -> j.Runlog.phase = "campaign") jobs
-    in
-    let* cells =
-      List.fold_left
-        (fun acc (j : Runlog.job) ->
-          let* acc = acc in
-          match Campaign.cell_of_json j.Runlog.result with
-          | Ok c -> Ok (c :: acc)
-          | Error e -> err "campaign job %d does not decode: %s" j.Runlog.index e)
-        (Ok []) cells_r
-    in
-    let cells = List.rev cells in
-    let* chips =
-      match strs "chips" with
-      | Some cs when cs <> [] -> Ok cs
-      | _ -> Error "grid has no chips list"
-    in
-    let envs =
-      match strs "envs" with
-      | Some es when es <> [] -> es
-      | _ ->
-        (* Table 5 grids don't list environments: the driver uses the
-           fixed 8-environment sweep, whose labels are chip-independent. *)
-        let chip =
-          match Option.bind (List.nth_opt chips 0) Gpusim.Chip.by_name with
-          | Some c -> c
-          | None -> List.hd Gpusim.Chip.all
-        in
-        List.map (fun e -> e.Environment.label) (Campaign.environments chip)
-    in
-    let apps_per_row =
-      match strs "apps" with
-      | Some apps when apps <> [] -> List.length apps
-      | _ -> List.length Apps.Registry.all
-    in
-    let* rows = Campaign.rows_of_cells ~chips ~envs ~apps_per_row cells in
-    Ok (Some ("campaign", Campaign.rows_to_json rows)))
-  | _ -> Ok None
+  let* cells =
+    List.fold_left
+      (fun acc (j : Runlog.job) ->
+        let* acc = acc in
+        match Campaign.cell_of_json j.Runlog.result with
+        | Ok c -> Ok (c :: acc)
+        | Error e -> err "campaign job %d does not decode: %s" j.Runlog.index e)
+      (Ok []) jobs
+  in
+  let cells = List.rev cells in
+  let* chips =
+    match strs "chips" with
+    | Some cs when cs <> [] -> Ok cs
+    | _ -> Error "grid has no chips list"
+  in
+  let envs =
+    match strs "envs" with
+    | Some es when es <> [] -> es
+    | _ ->
+      (* Table 5 grids don't list environments: the campaign uses the
+         fixed 8-environment sweep, whose labels are chip-independent. *)
+      let chip =
+        match Option.bind (List.nth_opt chips 0) Gpusim.Chip.by_name with
+        | Some c -> c
+        | None -> List.hd Gpusim.Chip.all
+      in
+      List.map (fun e -> e.Environment.label) (Campaign.environments chip)
+  in
+  let apps_per_row =
+    match strs "apps" with
+    | Some apps when apps <> [] -> List.length apps
+    | _ -> List.length Apps.Registry.all
+  in
+  let* rows = Campaign.rows_of_cells ~chips ~envs ~apps_per_row cells in
+  Ok ("campaign", Campaign.rows_to_json rows)
 
 (* ------------------------------------------------------------------ *)
 (* The merge                                                            *)
 
+(* [out] names an input under another spelling (./a, a symlink, a hard
+   link) exactly when both resolve to the same inode. *)
+let same_file a b =
+  match (Unix.stat a, Unix.stat b) with
+  | sa, sb -> sa.Unix.st_dev = sb.Unix.st_dev && sa.Unix.st_ino = sb.Unix.st_ino
+  | exception Unix.Unix_error _ -> false
+
 let merge ~out paths =
+  let* () =
+    match List.find_opt (same_file out) paths with
+    | Some p -> err "output %s is the shard ledger %s" out p
+    | None -> Ok ()
+  in
   let* srcs =
     List.fold_left
       (fun acc p ->
@@ -292,35 +275,19 @@ let merge ~out paths =
         Ok (s :: acc))
       (Ok []) paths
   in
-  let srcs = List.rev srcs in
-  let* srcs = validate_set srcs in
-  let* () =
-    if List.exists (fun s -> String.length s.src_path > 0 && s.src_path = out) srcs
-    then err "output %s is one of the shard ledgers" out
-    else Ok ()
-  in
-  let* phases = phase_order srcs in
-  let* streams =
-    List.fold_left
-      (fun acc phase ->
-        let* acc = acc in
-        let* stream = merge_phase srcs phase in
-        Ok ((phase, stream) :: acc))
-      (Ok []) phases
-  in
-  let streams = List.rev streams in
-  let jobs = List.concat_map snd streams in
+  let* srcs = validate_set (List.rev srcs) in
+  let* jobs = interleave srcs in
   let quarantined =
     List.length (List.filter (fun (j : Runlog.job) -> j.Runlog.failed <> None) jobs)
   in
-  let h0 =
-    (List.find (fun s -> s.src_shard.Shard.k = 1) srcs).src_ledger.Runlog.header
-  in
+  (* validate_set orders the set by k: the head is shard 1. *)
+  let h0 = (List.hd srcs).src_ledger.Runlog.header in
   (* Quarantined shards merge to a quarantined (degraded) ledger with no
      result record; `--resume` re-runs exactly those jobs and completes
      it, as for a single-process degraded run. *)
   let* result =
-    if quarantined > 0 then Ok None else reconstruct_result h0 jobs
+    if quarantined > 0 then Ok None
+    else Result.map Option.some (reconstruct_result h0 jobs)
   in
   let header =
     { h0 with
@@ -334,17 +301,14 @@ let merge ~out paths =
   in
   let sink = Runlog.create ~path:out header in
   match
-    List.iter
-      (fun (_phase, stream) ->
-        List.iter (fun j -> Runlog.append_job sink j) stream)
-      streams;
+    List.iter (Runlog.append_job sink) jobs;
     Option.iter (fun (kind, data) -> Runlog.append_result sink ~kind data) result;
     Runlog.close sink
   with
   | () ->
     Ok
       { out_path = out; shards = List.length srcs; jobs = List.length jobs;
-        quarantined; result_written = result <> None }
+        quarantined }
   | exception e ->
     Runlog.abort sink;
     err "writing %s failed: %s" out (Printexc.to_string e)

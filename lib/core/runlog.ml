@@ -395,10 +395,12 @@ type journal = {
   sink : t option;
   cache : cache option;
   origin : string option;  (* the resume ledger's path, for messages *)
+  shard : Shard.t option;
   phase : string;
 }
 
-let journal ?sink ?cache ?origin phase = { sink; cache; origin; phase }
+let journal ?sink ?cache ?origin ?shard phase =
+  { sink; cache; origin; shard; phase }
 let extend j suffix = { j with phase = j.phase ^ suffix }
 
 let origin_name jn = Option.value ~default:"resume ledger" jn.origin
@@ -502,16 +504,7 @@ let validate_resume ?shard (l : ledger) ~path ~campaign ~seed ~grid =
          path (Json.to_string h.grid) (Json.to_string grid))
   else Ok ()
 
-(* Adaptive sequential streams (hardening's check sequence) cannot be
-   partitioned — every shard must execute them to reach the same next
-   step — so under an ambient shard only shard 1 journals them: the
-   merged ledger then carries the stream exactly once. *)
 let memo journal ~codec ~index ~seed f =
-  let journal =
-    match Shard.ambient () with
-    | Some s when s.Shard.k <> 1 -> None
-    | _ -> journal
-  in
   match journal with
   | None -> f ()
   | Some jn -> (

@@ -176,10 +176,15 @@ type journal = {
   origin : string option;
       (** path of the ledger the cache was loaded from, so mismatch
           messages can name it *)
+  shard : Shard.t option;
+      (** [Some s]: the ledger records only shard [s]'s slice of the
+          plan ({!Exec.run} executes and journals just that slice) *)
   phase : string;
 }
 
-val journal : ?sink:t -> ?cache:cache -> ?origin:string -> string -> journal
+val journal :
+  ?sink:t -> ?cache:cache -> ?origin:string -> ?shard:Shard.t -> string ->
+  journal
 val extend : journal -> string -> journal
 (** [extend j s] appends [s] to the phase prefix. *)
 
@@ -247,10 +252,7 @@ val memo :
 (** Journal one sequential computation: replay it from cache when
     available, otherwise run it, record it, and return it.  Used by
     drivers whose unit of work is not an [Exec.run] job (hardening's
-    adaptive check sequence).  Under an ambient {!Shard} other than
-    shard 1 the journal is ignored — adaptive streams cannot be
-    partitioned, so every shard executes them but only shard 1 journals
-    them (the merged ledger then carries the stream exactly once). *)
+    adaptive check sequence). *)
 
 (** {1 Decoding helpers}
 

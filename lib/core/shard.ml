@@ -4,10 +4,8 @@
    seeds are pre-derived from the plan index (Exec.plan), so a shard
    executes exactly the jobs it owns with exactly the seeds the
    unsharded run would have used.  Shard k of N owns the indices
-   congruent to k-1 mod N.  Ownership is independent of the plan
-   length, so it also applies to adaptive job streams whose total is
-   unknown up front, and it balances heterogeneous grids (neighbouring
-   cells of a campaign land on different shards).
+   congruent to k-1 mod N, which balances heterogeneous grids
+   (neighbouring cells of a campaign land on different shards).
 
    [rank] maps an owned plan index to its position within the shard's
    own ledger stream (0, 1, 2, ...): shard ledgers are written in rank
@@ -61,17 +59,3 @@ let indices t ~total =
     else go (i - 1) (if owns t ~total i then i :: acc else acc)
   in
   go (total - 1) []
-
-(* ------------------------------------------------------------------ *)
-(* The ambient shard                                                    *)
-
-(* Installed by the CLI (and worker processes) before running a
-   campaign driver, like Exec.set_supervision: Exec.run consults it to
-   decide which jobs to record (and, for drivers that opt in, which to
-   skip), and Runlog.memo consults it so adaptive sequential streams
-   are journalled by shard 1 only. *)
-
-let ambient_shard : t option Atomic.t = Atomic.make None
-
-let set_ambient s = Atomic.set ambient_shard s
-let ambient () = Atomic.get ambient_shard

@@ -5,7 +5,12 @@
     by {!Exec.plan}), so the union of the shard runs is observationally
     identical to the unsharded run.  [rank] gives an owned index's
     position in the shard's own ledger stream; `gpuwmm merge`
-    interleaves shard ledgers back into plan order. *)
+    interleaves shard ledgers back into plan order.
+
+    A shard travels with the {!Runlog.journal} it is run under, and
+    only a plan of independent cells can be split this way: {!Exec.run}
+    refuses a shard journal unless the caller supplies a placeholder
+    for the jobs it does not own (Table 5's campaign does). *)
 
 type t = private { k : int; n : int }
 (** Shard [k] of [N] owns the plan indices congruent to [k-1] mod [N]. *)
@@ -36,12 +41,3 @@ val count : t -> total:int -> int
 
 val indices : t -> total:int -> int list
 (** The owned indices in increasing order. *)
-
-val set_ambient : t option -> unit
-(** Install (or clear) the process-wide ambient shard.  {!Exec.run}
-    consults it to restrict which jobs are journalled (and, for drivers
-    that pass a placeholder, which are executed); {!Runlog.memo}
-    consults it so adaptive sequential streams are journalled by shard
-    1 only. *)
-
-val ambient : unit -> t option

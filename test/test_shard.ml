@@ -95,6 +95,18 @@ let partition_prop =
 (* ------------------------------------------------------------------ *)
 (* Shard-then-merge byte-identity                                      *)
 
+(* A campaign as its CLI command plans and ledgers it. *)
+type campaign = {
+  kind : string;
+  chips : Gpusim.Chip.t list;
+  envs : Gpusim.Chip.t -> Core.Environment.t list;
+  apps : Apps.App.t list;
+  runs : int;
+  grid : Core.Json.t;
+}
+
+let json_strs l = Core.Json.List (List.map (fun s -> Core.Json.String s) l)
+
 (* The same small fixed campaign as test_runlog, but with a real
    parameter grid in the header: merge reconstructs the campaign result
    from the grid's chips/envs/apps lists. *)
@@ -106,35 +118,49 @@ let envs _chip =
   [ Core.Environment.make Core.Stress.No_stress ~randomise:false;
     Core.Environment.sys_plus ~tuned ]
 
-let runs = 12
 let cseed = 11
 
-let json_strs l = Core.Json.List (List.map (fun s -> Core.Json.String s) l)
+let test_campaign =
+  { kind = "test"; chips = [ chip ]; envs; apps; runs = 12;
+    grid =
+      Core.Json.Assoc
+        [ ("chips", json_strs [ chip.Gpusim.Chip.name ]);
+          ("envs",
+           json_strs
+             (List.map (fun e -> e.Core.Environment.label) (envs chip)));
+          ("apps", json_strs (List.map (fun a -> a.Apps.App.name) apps));
+          ("runs", Core.Json.Int 12) ] }
 
-let grid =
-  Core.Json.Assoc
-    [ ("chips", json_strs [ chip.Gpusim.Chip.name ]);
-      ("envs",
-       json_strs
-         (List.map (fun e -> e.Core.Environment.label) (envs chip)));
-      ("apps", json_strs (List.map (fun a -> a.Apps.App.name) apps));
-      ("runs", Core.Json.Int runs) ]
+(* Table 5 on two chips, with the grid `gpuwmm table 5` writes: no envs
+   or apps lists, so the merge takes the environment labels from
+   Campaign.environments and the row width from the app registry. *)
+let table5_campaign =
+  let chips = [ Gpusim.Chip.k20; Gpusim.Chip.gtx980 ] in
+  { kind = "table5"; chips; envs = Core.Campaign.environments;
+    apps = Apps.Registry.all; runs = 1;
+    grid =
+      Core.Json.Assoc
+        [ ("chips",
+           json_strs (List.map (fun c -> c.Gpusim.Chip.name) chips));
+          ("budget", Core.Budget.to_json Core.Budget.default);
+          ("runs", Core.Json.Int 1) ] }
 
-let header ?shard () =
+let header ?shard ?(camp = test_campaign) () =
   { Core.Runlog.schema = Core.Runlog.schema_version;
-    campaign = "test"; argv = []; seed = cseed; jobs = 0; grid;
-    git = None; created = 0.0; shard; merged = None }
+    campaign = camp.kind; argv = []; seed = cseed; jobs = 0;
+    grid = camp.grid; git = None; created = 0.0; shard; merged = None }
 
-let run_campaign ?cache ?shard ~path () =
-  let sink = Core.Runlog.create ~deterministic:true ~path (header ?shard:(Option.map Core.Shard.to_string shard) ()) in
-  let journal = Core.Runlog.journal ~sink ?cache "" in
-  Core.Shard.set_ambient shard;
+(* The shard travels with the journal, as the CLI's --shard passes it. *)
+let run_campaign ?cache ?shard ?(camp = test_campaign) ~path () =
+  let sink =
+    Core.Runlog.create ~deterministic:true ~path
+      (header ?shard:(Option.map Core.Shard.to_string shard) ~camp ())
+  in
+  let journal = Core.Runlog.journal ~sink ?cache ?shard "" in
   let rows =
-    Fun.protect
-      ~finally:(fun () -> Core.Shard.set_ambient None)
-      (fun () ->
-        Core.Campaign.run ~backend:Core.Exec.Serial ~journal ~chips:[ chip ]
-          ~environments_for:envs ~apps ~runs ~seed:cseed ())
+    Core.Campaign.run ~backend:Core.Exec.Serial ~journal ~chips:camp.chips
+      ~environments_for:camp.envs ~apps:camp.apps ~runs:camp.runs
+      ~seed:cseed ()
   in
   (match shard with
   | Some _ -> ()  (* a shard ledger carries no result record *)
@@ -144,20 +170,21 @@ let run_campaign ?cache ?shard ~path () =
   Core.Runlog.close sink;
   rows
 
-(* The uninterrupted single-process reference, computed once. *)
-let full =
-  lazy
-    (let path = temp () in
-     let rows = run_campaign ~path () in
-     let text = read_all path in
-     Sys.remove path;
-     (text, rows))
+(* The uninterrupted single-process reference. *)
+let reference camp =
+  let path = temp () in
+  let rows = run_campaign ~camp ~path () in
+  let text = read_all path in
+  Sys.remove path;
+  (text, rows)
 
-let write_shards ~n () =
+let full = lazy (reference test_campaign)
+
+let write_shards ?camp ~n () =
   List.init n (fun i ->
       let path = temp () in
       let sh = shard (Printf.sprintf "%d/%d" (i + 1) n) in
-      ignore (run_campaign ~shard:sh ~path ());
+      ignore (run_campaign ?camp ~shard:sh ~path ());
       path)
 
 let merge_to paths =
@@ -168,21 +195,27 @@ let merge_to paths =
 let cleanup paths = List.iter Sys.remove paths
 
 let test_merge_identity () =
-  let reference, _ = Lazy.force full in
   List.iter
-    (fun n ->
-      let paths = write_shards ~n () in
-      let out, r = merge_to paths in
-      (match r with
-      | Error e -> Alcotest.failf "merge (n=%d) failed: %s" n e
-      | Ok o ->
-        Alcotest.(check bool)
-          "result reconstructed" true o.Core.Merge.result_written);
-      Alcotest.(check string)
-        (Printf.sprintf "merged = serial (n=%d)" n)
-        reference (read_all out);
-      cleanup (out :: paths))
-    [ 2; 3; 4 ]
+    (fun (camp, (reference, _)) ->
+      List.iter
+        (fun n ->
+          let paths = write_shards ~camp ~n () in
+          let out, r = merge_to paths in
+          (match r with
+          | Error e -> Alcotest.failf "%s merge (n=%d) failed: %s" camp.kind n e
+          | Ok _ -> ());
+          (match Core.Runlog.load out with
+          | Ok l ->
+            Alcotest.(check bool)
+              "result reconstructed" true (l.Core.Runlog.result <> None)
+          | Error e -> Alcotest.failf "merged ledger unreadable: %s" e);
+          Alcotest.(check string)
+            (Printf.sprintf "%s merged = serial (n=%d)" camp.kind n)
+            reference (read_all out);
+          cleanup (out :: paths))
+        [ 2; 3; 4 ])
+    [ (test_campaign, Lazy.force full);
+      (table5_campaign, reference table5_campaign) ]
 
 (* Kill shard 2 mid-run (simulated by truncating its ledger inside the
    job stream), verify the merge refuses, resume the shard, and verify
@@ -221,11 +254,13 @@ let test_kill_resume_merge () =
   cleanup paths
 
 let test_merge_fail_closed () =
-  let expect_error ~what paths =
+  let expect_error ?(naming = "") ~what paths =
     let out, r = merge_to paths in
     match r with
     | Ok _ -> Alcotest.failf "merge accepted %s" what
-    | Error _ ->
+    | Error e ->
+      if not (contains ~affix:naming e) then
+        Alcotest.failf "refusal of %s does not name %S: %s" what naming e;
       if Sys.file_exists out && String.length (read_all out) > 0 then
         Alcotest.failf "failed merge of %s left output behind" what;
       if Sys.file_exists out then Sys.remove out
@@ -253,7 +288,44 @@ let test_merge_fail_closed () =
   let sink = Core.Runlog.create ~deterministic:true ~path:plain (header ()) in
   Core.Runlog.close sink;
   expect_error ~what:"an unsharded ledger" [ plain ];
-  cleanup (rogue :: plain :: (paths @ four))
+  (* --out naming a shard ledger under another spelling *)
+  let victim = List.hd paths in
+  let before = read_all victim in
+  let alias =
+    Filename.concat (Filename.dirname victim)
+      (Filename.concat Filename.current_dir_name (Filename.basename victim))
+  in
+  (match
+     with_deterministic_env (fun () -> Core.Merge.merge ~out:alias paths)
+   with
+  | Ok _ -> Alcotest.fail "merge wrote over a shard ledger spelled differently"
+  | Error _ -> ());
+  Alcotest.(check string) "the aliased shard ledger is untouched" before
+    (read_all victim);
+  (* A tune campaign cannot shard: its first Exec.run refuses a shard
+     journal, and a tune-kind shard pair does not merge. *)
+  let tune =
+    List.init 2 (fun i ->
+        let path = temp () in
+        let spec = Printf.sprintf "%d/2" (i + 1) in
+        let sink =
+          Core.Runlog.create ~deterministic:true ~path
+            { (header ~shard:spec ()) with Core.Runlog.campaign = "tune" }
+        in
+        (match
+           Core.Tuning.run
+             ~journal:(Core.Runlog.journal ~sink ~shard:(shard spec) "")
+             ~chip ~seed:cseed ~budget:Core.Budget.quick ()
+         with
+        | _ -> Alcotest.fail "Tuning.run ran under a shard journal"
+        | exception Invalid_argument msg ->
+          if not (contains ~affix:"shard_placeholder" msg) then
+            Alcotest.failf "refused for another reason: %s" msg);
+        Core.Runlog.close sink;
+        path)
+  in
+  expect_error ~naming:"\"tune\"" ~what:"a tune campaign" tune;
+  cleanup (rogue :: plain :: (paths @ four @ tune))
 
 (* ------------------------------------------------------------------ *)
 (* Merged-ledger provenance (outside deterministic mode)               *)
