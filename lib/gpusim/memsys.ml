@@ -199,6 +199,8 @@ let ps_remove s tid =
 
 type t = {
   chip : Chip.t;
+  part_shift : int;  (* -1 unless [partition] can shift and mask *)
+  part_mask : int;
   rng : Rng.t;
   global : int array;
   mutable queues : queue array;
@@ -240,6 +242,9 @@ type t = {
 
 let strong t = t.strong
 
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+let pow2 n = n > 0 && n land (n - 1) = 0
+
 let create ~chip ~rng ~words ~nthreads =
   let w = chip.Chip.weakness in
   let n = w.n_partitions in
@@ -249,6 +254,8 @@ let create ~chip ~rng ~words ~nthreads =
     decay_pow.(i) <- decay_pow.(i - 1) *. w.decay_per_tick
   done;
   { chip; rng; global = Array.make words 0;
+    part_shift = (if pow2 w.patch_size && pow2 n then log2 w.patch_size else -1);
+    part_mask = n - 1;
     queues = Array.init nthreads (fun _ -> new_queue ());
     seq = 0; now = 0;
     read_pool = Array.make n 0.0;
@@ -274,6 +281,10 @@ let create ~chip ~rng ~words ~nthreads =
 let read t addr = t.global.(addr)
 let write t addr v = t.global.(addr) <- v
 let words t = Array.length t.global
+
+let[@inline] partition t addr =
+  if t.part_shift >= 0 then (addr lsr t.part_shift) land t.part_mask
+  else Chip.partition t.chip addr
 
 let set_stress_gain t g = t.stress_gain <- g
 
@@ -440,7 +451,7 @@ let stress_access t ~sid ~kind ~addr ~boundary =
   let k = match kind with `Load -> Load_k | `Store -> Store_k in
   let st = stress_state t sid in
   let amount = traffic_bump t st k ~boundary *. t.stress_gain in
-  let part = Chip.partition t.chip addr in
+  let part = partition t addr in
   add_contention t part kind amount;
   (* Touch memory so stressing is a real workload, not only bookkeeping. *)
   match kind with
@@ -450,7 +461,7 @@ let stress_access t ~sid ~kind ~addr ~boundary =
 let app_access_bump = 0.02
 
 let app_access t ~kind ~addr =
-  let part = Chip.partition t.chip addr in
+  let part = partition t addr in
   add_contention t part kind app_access_bump
 
 (* ------------------------------------------------------------------ *)
@@ -610,7 +621,7 @@ let random_background_drain t =
 let fresh_entry t ~addr ~ekind ~store_value =
   let w = t.chip.Chip.weakness in
   t.seq <- t.seq + 1;
-  { seq = t.seq; addr; part = Chip.partition t.chip addr; ekind; store_value;
+  { seq = t.seq; addr; part = partition t addr; ekind; store_value;
     resolved = false; load_value = 0;
     leak = w.same_patch_leak > 0.0 && Rng.chance t.rng w.same_patch_leak;
     alive = false }

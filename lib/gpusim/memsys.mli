@@ -41,6 +41,11 @@ val read : t -> int -> int
 val write : t -> int -> int -> unit
 val words : t -> int
 
+val partition : t -> int -> int
+(** [partition t addr] is [Chip.partition chip addr] for [addr >= 0], by
+    shift and mask when the patch size and the partition count are powers
+    of two (every profile in {!Chip.all}). *)
+
 val set_stress_gain : t -> float -> unit
 (** Per-launch multiplier applied to stressing contention (models the
     parallel pressure of threads concentrated on few locations). *)

@@ -40,6 +40,8 @@ let[@inline] int64 t =
   set_state t 0 s;
   mix s
 
+let[@inline] skip t = set_state t 0 (Int64.add (get_state t 0) golden_gamma)
+
 let split t = of_state (mix (int64 t))
 
 let[@inline] bits30 t = Int64.to_int (Int64.shift_right_logical (int64 t) 34)

@@ -37,6 +37,12 @@ val int64 : t -> int64
 val bits30 : t -> int
 (** 30 uniform bits as a non-negative [int]. *)
 
+val skip : t -> unit
+(** [skip t] discards one draw: afterwards [t] is in the state that any
+    single {!int64}, {!bits30}, {!float}, {!bool}, or {!chance} with
+    [0 < p < 1] would leave it in, but no output is mixed.  For a draw
+    whose value the caller would not use. *)
+
 val subseed : int -> int -> int
 (** [subseed seed i] is the [i]-th value of the {!bits30} stream of
     [create seed], computed purely (O(1), no shared state).  Campaign

@@ -166,7 +166,7 @@ type thread = {
   mutable status : status;
   daemon : bool;  (* stressing thread: terminated when the app finishes *)
   block_id : int;
-  mutable accesses : int;  (* stress-loop boundary tracking *)
+  mutable phase : int;  (* stressing accesses so far, modulo [period] *)
   period : int;
 }
 
@@ -230,6 +230,14 @@ let rec fetch th pc fuel =
   | op ->
     th.pc <- pc;
     op
+
+(* Whether a stressing thread's next access starts an iteration of its
+   loop, from its access count kept modulo [period] without a division. *)
+let stress_boundary th =
+  let boundary = th.period > 0 && th.phase = 0 in
+  let p = th.phase + 1 in
+  th.phase <- (if p = th.period then 0 else p);
+  boundary
 
 (* Compiled code is a pure function of (kernel, args) — parameters are
    bound at compile time, all device state flows in through the
@@ -317,7 +325,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
               ~mem:t.mem ~shared
           in
           { ctx; code; pc = 0; status = Running; daemon;
-            block_id; accesses = 0; period })
+            block_id; phase = 0; period })
     in
     let b = { live = size; waiting = 0; members } in
     blocks := b :: !blocks;
@@ -457,9 +465,8 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       | Kernel.Global ->
         bounds_global a;
         if th.daemon then begin
-          let boundary = th.period > 0 && th.accesses mod th.period = 0 in
-          th.accesses <- th.accesses + 1;
-          Memsys.stress_access t.mem ~sid:gid ~kind:`Load ~addr:a ~boundary;
+          Memsys.stress_access t.mem ~sid:gid ~kind:`Load ~addr:a
+            ~boundary:(stress_boundary th);
           ctx.Code.regs.(dst) <- Code.Val (Memsys.read t.mem a)
         end
         else begin
@@ -481,11 +488,9 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
         ctx.Code.shared.(a) <- v
       | Kernel.Global ->
         bounds_global a;
-        if th.daemon then begin
-          let boundary = th.period > 0 && th.accesses mod th.period = 0 in
-          th.accesses <- th.accesses + 1;
-          Memsys.stress_access t.mem ~sid:gid ~kind:`Store ~addr:a ~boundary
-        end
+        if th.daemon then
+          Memsys.stress_access t.mem ~sid:gid ~kind:`Store ~addr:a
+            ~boundary:(stress_boundary th)
         else begin
           Memsys.app_access t.mem ~kind:`Store ~addr:a;
           Memsys.store t.mem ~tid:gid ~addr:a ~value:v
@@ -568,11 +573,12 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let cursor_app = ref 0 in
   let cursor_daemon = ref 0 in
   (* The next thread of one runnable class: the class's cursor continues
-     its burst or jumps at random. *)
+     its burst or jumps at random.  A burst step has [!cursor < !count],
+     so it wraps by a compare. *)
   let pick ~base count cursor =
     if !cursor >= !count || not (Rng.chance t.rng burst_continue) then
       cursor := Rng.int t.rng !count
-    else cursor := (!cursor + 1) mod !count;
+    else cursor := (if !cursor + 1 = !count then 0 else !cursor + 1);
     runnable.(base + !cursor)
   in
   (try
@@ -613,10 +619,13 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
        in
        let th = threads.(gid) in
        step th;
-       if
-         weak && th.status <> Done
-         && Rng.chance t.rng owner_attempt_probability
-       then Memsys.attempt_commits t.mem ~tid:gid;
+       (* The owner's commit attempt does nothing on an empty queue
+          (always, for a stressing thread), so only its coin's draw is
+          taken: one draw, as [owner_attempt_probability] is in (0, 1). *)
+       if weak && th.status <> Done then
+         if Memsys.pending_count t.mem ~tid:gid = 0 then Rng.skip t.rng
+         else if Rng.chance t.rng owner_attempt_probability then
+           Memsys.attempt_commits t.mem ~tid:gid;
        if weak && !ticks land 3 = 0 then
          Memsys.random_background_drain t.mem
      done;

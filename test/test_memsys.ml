@@ -132,6 +132,39 @@ let test_pure_run_decays () =
     true
     (last < 0.3 *. first)
 
+(* [Memsys.partition] is [Chip.partition] computed by shift and mask on
+   power-of-two geometries.  Checked at every address of a default-sized
+   device: on every profile, and on ad-hoc chips whose patch size or
+   partition count is not a power of two (which keep the division), or
+   is a power of two that no profile uses. *)
+let test_partition_matches_chip () =
+  let adhoc patch_size n_partitions =
+    let k20 = Gpusim.Chip.k20 in
+    { k20 with
+      Gpusim.Chip.name = Printf.sprintf "patch%d/parts%d" patch_size n_partitions;
+      weakness = { k20.Gpusim.Chip.weakness with patch_size; n_partitions } }
+  in
+  let chips =
+    Gpusim.Chip.sequential :: Gpusim.Chip.all
+    @ [ adhoc 24 8; adhoc 32 6; adhoc 48 3; adhoc 1 1; adhoc 1 16;
+        adhoc 128 2; adhoc 16 32 ]
+  in
+  let words = 65536 in
+  List.iter
+    (fun chip ->
+      let m =
+        Gpusim.Memsys.create ~chip ~rng:(Gpusim.Rng.create 1) ~words
+          ~nthreads:1
+      in
+      for addr = 0 to words - 1 do
+        let want = Gpusim.Chip.partition chip addr in
+        let got = Gpusim.Memsys.partition m addr in
+        if got <> want then
+          Alcotest.failf "%s: address %d maps to partition %d, not %d"
+            chip.Gpusim.Chip.name addr got want
+      done)
+    chips
+
 (* ------------------------------------------------------------------ *)
 (* Model equivalence: the ring-buffer pending queues must be observably
    identical to the original list-based implementation.  [Model] below
@@ -745,7 +778,9 @@ let () =
           Alcotest.test_case "reorder counting" `Quick test_reorder_counting;
           Alcotest.test_case "contention decay" `Quick test_contention_decay;
           Alcotest.test_case "stress gain" `Quick test_stress_gain_scales;
-          Alcotest.test_case "pure runs decay" `Quick test_pure_run_decays ] );
+          Alcotest.test_case "pure runs decay" `Quick test_pure_run_decays;
+          Alcotest.test_case "partition = Chip.partition" `Quick
+            test_partition_matches_chip ] );
       ( "model",
         [ QCheck_alcotest.to_alcotest model_equiv;
           QCheck_alcotest.to_alcotest model_equiv_wide ] ) ]

@@ -80,6 +80,32 @@ let prop_sample_distinct =
   && List.sort_uniq compare s = List.sort compare s
   && List.for_all (fun x -> x >= 0 && x < n) s
 
+(* [skip] must leave the generator exactly where one draw of any kind
+   would, at any point of any stream: the scheduler takes it in place of
+   a coin whose outcome it would ignore.  [chance] consumes a draw only
+   for 0 < p < 1, so only those [p] are drawn. *)
+let prop_skip_is_one_draw =
+  QCheck.Test.make ~name:"skip = one draw of any kind" ~count:500
+    QCheck.(
+      quad int (int_range 0 40) (int_range 0 4)
+        (float_bound_exclusive 1.0))
+  @@ fun (seed, before, kind, p) ->
+  QCheck.assume (p > 0.0);
+  let a = Gpusim.Rng.create seed in
+  for _ = 1 to before do
+    ignore (Gpusim.Rng.int64 a)
+  done;
+  let b = Gpusim.Rng.copy a in
+  Gpusim.Rng.skip a;
+  (match kind with
+  | 0 -> ignore (Gpusim.Rng.int64 b)
+  | 1 -> ignore (Gpusim.Rng.bits30 b)
+  | 2 -> ignore (Gpusim.Rng.float b)
+  | 3 -> ignore (Gpusim.Rng.bool b)
+  | _ -> ignore (Gpusim.Rng.chance b p));
+  List.init 4 (fun _ -> Gpusim.Rng.int64 a)
+  = List.init 4 (fun _ -> Gpusim.Rng.int64 b)
+
 let test_uniformity () =
   (* Coarse chi-square-free sanity: each bucket of 8 gets 10-40% over 1000
      draws of [Rng.int t 8]. *)
@@ -394,4 +420,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_int_bounds; prop_int_in_bounds; prop_float_unit;
-            prop_shuffle_permutation; prop_sample_distinct ] ) ]
+            prop_shuffle_permutation; prop_sample_distinct;
+            prop_skip_is_one_draw ] ) ]
