@@ -25,9 +25,10 @@ let test_app ~chip ~env ~app ~runs ~seed =
   let example = ref "" in
   let counts = Hashtbl.create 7 in
   Telemetry.add runs_counter runs;
+  let sim_env = Environment.for_app env in
   for i = 0 to runs - 1 do
     Gpusim.Sim.with_sim ~chip ~seed:(Gpusim.Rng.subseed seed i) (fun sim ->
-        Gpusim.Sim.set_environment sim (Environment.for_app env);
+        Gpusim.Sim.set_environment sim sim_env;
         match app.Apps.App.run sim Apps.App.Original with
         | Ok () -> ()
         | Error msg ->

@@ -117,8 +117,28 @@ let intensity_for ~n_threads ~n_locations =
      is under-provisioned, which is what carves the U-shape of Fig. 4. *)
   float_of_int n_locations *. (s *. s)
 
+(* The stress kernel over [locations] and its arguments.  The kernel and
+   its location parameter names are looked up once per environment:
+   [make_stress_litmus] and [make_stress_app] keep them in a [cell], so a
+   launch neither takes [kernel]'s mutex nor formats a name.  A
+   strategy's location count never changes, except under [Targeted] on
+   another chip.  An [Atomic], not a [Lazy]: campaign drivers share an
+   environment across domains, and racing look-ups store equal values. *)
+let location_args cell ~sequence ~scratch locations =
+  let n = List.length locations in
+  let k, names =
+    match Atomic.get cell with
+    | Some (n', k, names) when n' = n -> (k, names)
+    | Some _ | None ->
+      let k = kernel ~sequence ~n_locations:n in
+      let names = List.init n location_param in
+      Atomic.set cell (Some (n, k, names));
+      (k, names)
+  in
+  (k, ("scratch", scratch) :: List.map2 (fun p l -> (p, l)) names locations)
+
 (* Instantiate the spec for a given thread budget. *)
-let spec_for strategy sim ~n_threads =
+let spec_for cell strategy sim ~n_threads =
   if n_threads <= 0 then None
   else
     let blocks = Int.max 1 (n_threads / stress_block_size) in
@@ -132,13 +152,9 @@ let spec_for strategy sim ~n_threads =
       let scratch = Gpusim.Sim.alloc sim (patch * regions) in
       let chosen = Gpusim.Rng.sample_distinct rng spread regions in
       let locations = List.map (fun r -> r * patch) chosen in
-      let args =
-        ("scratch", scratch)
-        :: List.mapi (fun i l -> (location_param i, l)) locations
-      in
+      let kernel, args = location_args cell ~sequence ~scratch locations in
       Some
-        { Gpusim.Sim.kernel = kernel ~sequence ~n_locations:spread;
-          blocks; block_size = stress_block_size; args;
+        { Gpusim.Sim.kernel; blocks; block_size = stress_block_size; args;
           period = Access_seq.length sequence; warmup;
           intensity =
             intensity_for ~n_threads:(blocks * stress_block_size)
@@ -176,13 +192,9 @@ let spec_for strategy sim ~n_threads =
       if locations = [] then None
       else begin
         let n = List.length locations in
-        let args =
-          ("scratch", scratch)
-          :: List.mapi (fun i l -> (location_param i, l)) locations
-        in
+        let kernel, args = location_args cell ~sequence ~scratch locations in
         Some
-          { Gpusim.Sim.kernel = kernel ~sequence ~n_locations:n; blocks;
-            block_size = stress_block_size; args;
+          { Gpusim.Sim.kernel; blocks; block_size = stress_block_size; args;
             period = Access_seq.length sequence; warmup;
             intensity =
               intensity_for ~n_threads:(blocks * stress_block_size)
@@ -191,19 +203,15 @@ let spec_for strategy sim ~n_threads =
     | Fixed { sequence; locations; scratch_words } ->
       let n = List.length locations in
       let scratch = Gpusim.Sim.alloc sim scratch_words in
-      let args =
-        ("scratch", scratch)
-        :: List.mapi (fun i l -> (location_param i, l)) locations
-      in
+      let kernel, args = location_args cell ~sequence ~scratch locations in
       Some
-        { Gpusim.Sim.kernel = kernel ~sequence ~n_locations:n; blocks;
-          block_size = stress_block_size; args;
+        { Gpusim.Sim.kernel; blocks; block_size = stress_block_size; args;
           period = Access_seq.length sequence; warmup;
           intensity =
             intensity_for ~n_threads:(blocks * stress_block_size)
               ~n_locations:n }
 
-let make_stress_litmus strategy sim ~app_grid ~app_block =
+let stress_litmus cell strategy sim ~app_grid ~app_block =
   match strategy with
   | No_stress -> None
   | Sys _ | Rand _ | Cache | Fixed _ | Targeted _ ->
@@ -220,7 +228,9 @@ let make_stress_litmus strategy sim ~app_grid ~app_block =
         Int.max (List.length locations) stress_block_size
       | Targeted _ | No_stress | Rand _ | Cache -> stress_block_size
     in
-    spec_for strategy sim ~n_threads:(Int.max floor_threads n_threads)
+    spec_for cell strategy sim ~n_threads:(Int.max floor_threads n_threads)
+
+let make_stress_litmus strategy = stress_litmus (Atomic.make None) strategy
 
 (* Our scaled-down applications launch far fewer threads than the
    originals, so the paper's 15-50%-of-blocks rule alone would yield
@@ -228,7 +238,7 @@ let make_stress_litmus strategy sim ~app_grid ~app_block =
    floor keeps the stress at the minimum effective strength. *)
 let app_stress_floor_threads = 32
 
-let make_stress_app strategy sim ~app_grid ~app_block =
+let stress_app cell strategy sim ~app_grid ~app_block =
   match strategy with
   | No_stress -> None
   | Sys _ | Rand _ | Cache | Fixed _ | Targeted _ ->
@@ -239,4 +249,6 @@ let make_stress_app strategy sim ~app_grid ~app_block =
     let n_threads =
       Int.max app_stress_floor_threads (blocks * app_block)
     in
-    spec_for strategy sim ~n_threads
+    spec_for cell strategy sim ~n_threads
+
+let make_stress_app strategy = stress_app (Atomic.make None) strategy

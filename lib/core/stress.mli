@@ -60,11 +60,14 @@ val make_stress_litmus :
   Gpusim.Sim.stress_spec option
 (** Stressing-block construction for litmus campaigns: the total thread
     count is drawn uniformly between 50% and 100% of the chip's maximum
-    concurrent threads (Sec. 3.2). *)
+    concurrent threads (Sec. 3.2).  [make_stress_litmus strategy] looks
+    the stress kernel up at its first launch and keeps it, so apply it
+    once per environment. *)
 
 val make_stress_app :
   t -> Gpusim.Sim.t -> app_grid:int -> app_block:int ->
   Gpusim.Sim.stress_spec option
 (** Stressing-block construction for application testing: the number of
     stressing blocks is drawn between 15% and 50% of the application's
-    blocks (Sec. 4.2), with a floor of one block. *)
+    blocks (Sec. 4.2), with a floor of one block.  Like
+    {!make_stress_litmus}, apply it once per environment. *)

@@ -6,16 +6,16 @@ exception Unresolved of Memsys.pending
 
 type tctx = {
   gid : int;
-  regs : rv array;
-  l_tid : int;
-  l_bid : int;
-  l_bdim : int;
-  l_gdim : int;
+  mutable regs : int array;
+  mutable pend : Memsys.pending array;
+  mutable params : int array;
+  mutable l_tid : int;
+  mutable l_bid : int;
+  mutable l_bdim : int;
+  mutable l_gdim : int;
   mem : Memsys.t;
-  shared : int array;
+  mutable shared : int array;
 }
-
-and rv = Val of int | Pend of Memsys.pending
 
 type ev = tctx -> int
 
@@ -38,6 +38,7 @@ type op =
 
 type t = {
   kernel_name : string;
+  params : string array;
   ops : op array;
   n_regs : int;
   slots : (string * int) list;
@@ -45,21 +46,30 @@ type t = {
 
 let reg_slot code r = List.assoc_opt r code.slots
 
-let read_reg ctx i =
-  match ctx.regs.(i) with
-  | Val v -> v
-  | Pend p ->
+(* A register holds a value unless its [pend] slot holds a load, so a
+   value write touches [pend] only to clear a load: writing the sentinel
+   over itself would still pay the write barrier. *)
+let[@inline] set_reg ctx i v =
+  ctx.regs.(i) <- v;
+  if ctx.pend.(i) != Memsys.no_pending then ctx.pend.(i) <- Memsys.no_pending
+
+let read_pending ctx i p =
+  if Memsys.resolved p then begin
+    let v = Memsys.force ctx.mem ~tid:ctx.gid p in
+    set_reg ctx i v;
+    v
+  end
+  else
     (* A dependent instruction cannot proceed until the load completes;
        the scheduler parks the thread, and the load commits through the
        normal contention-delayed machinery.  This stall is what lets
        program-order-later independent stores retire first (the LB weak
        behaviour). *)
-    if Memsys.resolved p then begin
-      let v = Memsys.force ctx.mem ~tid:ctx.gid p in
-      ctx.regs.(i) <- Val v;
-      v
-    end
-    else raise (Unresolved p)
+    raise (Unresolved p)
+
+let[@inline] read_reg ctx i =
+  let p = ctx.pend.(i) in
+  if p == Memsys.no_pending then ctx.regs.(i) else read_pending ctx i p
 
 (* Register slot allocation: every register name mentioned anywhere in the
    kernel gets one slot. *)
@@ -97,7 +107,7 @@ let collect_regs k =
 let bool_of_int n = n <> 0
 let int_of_bool b = if b then 1 else 0
 
-let compile_exp slots args e =
+let compile_exp ~name slots params e =
   let slot r =
     match Hashtbl.find_opt slots r with
     | Some i -> i
@@ -113,9 +123,10 @@ let compile_exp slots args e =
     | Special Bdim -> fun ctx -> ctx.l_bdim
     | Special Gdim -> fun ctx -> ctx.l_gdim
     | Param p -> (
-      match List.assoc_opt p args with
-      | Some v -> fun _ -> v
-      | None -> invalid_arg ("Code.compile: missing argument for %" ^ p))
+      match Array.find_index (String.equal p) params with
+      | Some j -> fun ctx -> ctx.params.(j)
+      | None ->
+        invalid_arg ("Code.compile " ^ name ^ ": undeclared parameter %" ^ p))
     | Binop (op, a, b) ->
       let fa = go a and fb = go b in
       (match op with
@@ -155,19 +166,10 @@ let compile_exp slots args e =
   in
   go e
 
-let compile k ~args =
-  let params = List.sort_uniq compare k.params in
-  let given = List.sort_uniq compare (List.map fst args) in
-  if params <> given then
-    invalid_arg
-      (Fmt.str "Code.compile %s: parameters (%a) do not match arguments (%a)"
-         k.name
-         Fmt.(list ~sep:comma string)
-         params
-         Fmt.(list ~sep:comma string)
-         given);
+let compile (k : Kernel.t) =
+  let params = Array.of_list (List.sort_uniq compare k.params) in
   let slots = collect_regs k in
-  let ce = compile_exp slots args in
+  let ce = compile_exp ~name:k.name slots params in
   let slot r =
     match Hashtbl.find_opt slots r with
     | Some i -> i
@@ -262,9 +264,58 @@ let compile k ~args =
   emit Oreturn;
   let ops = Array.of_list (List.rev !buf) in
   List.iter (fun (at, mk) -> ops.(at) <- mk ()) !patches;
-  { kernel_name = k.name; ops; n_regs = Hashtbl.length slots;
+  { kernel_name = k.name; params; ops; n_regs = Hashtbl.length slots;
     slots = Hashtbl.fold (fun r i acc -> (r, i) :: acc) slots [] }
 
-let make_ctx ~code ~gid ~l_tid ~l_bid ~l_bdim ~l_gdim ~mem ~shared =
-  { gid; regs = Array.make (Int.max 1 code.n_regs) (Val 0);
-    l_tid; l_bid; l_bdim; l_gdim; mem; shared }
+let rec arg_value p = function
+  | [] -> raise_notrace Not_found
+  | (q, v) :: tl -> if String.equal p q then v else arg_value p tl
+
+(* A parameter list and an argument list of the same length whose every
+   parameter is found name the same set; anything else takes the exact
+   check, which names both sets (and passes when [args] repeats a name). *)
+let bind code args =
+  let values () = Array.map (fun p -> arg_value p args) code.params in
+  try
+    if List.compare_length_with args (Array.length code.params) <> 0 then
+      raise_notrace Not_found;
+    values ()
+  with Not_found ->
+    let params = Array.to_list code.params in
+    let given = List.sort_uniq compare (List.map fst args) in
+    if params <> given then
+      invalid_arg
+        (Fmt.str "Code.compile %s: parameters (%a) do not match arguments (%a)"
+           code.kernel_name
+           Fmt.(list ~sep:comma string)
+           params
+           Fmt.(list ~sep:comma string)
+           given);
+    values ()
+
+let make_ctx ~gid ~mem =
+  { gid; regs = [||]; pend = [||]; params = [||]; l_tid = 0; l_bid = 0;
+    l_bdim = 0; l_gdim = 0; mem; shared = [||] }
+
+(* Re-arming stores no pointer into the long-lived context unless it
+   must grow or change blocks: such a store pays the write barrier, on
+   every thread of every launch. *)
+let arm ctx code ~params ~l_tid ~l_bid ~l_bdim ~l_gdim ~shared =
+  let n = code.n_regs in
+  if Array.length ctx.regs < n then begin
+    ctx.regs <- Array.make n 0;
+    ctx.pend <- Array.make n Memsys.no_pending
+  end;
+  for i = 0 to n - 1 do
+    set_reg ctx i 0
+  done;
+  let np = Array.length params in
+  if Array.length ctx.params < np then ctx.params <- Array.make np 0;
+  for j = 0 to np - 1 do
+    ctx.params.(j) <- params.(j)
+  done;
+  ctx.l_tid <- l_tid;
+  ctx.l_bid <- l_bid;
+  ctx.l_bdim <- l_bdim;
+  ctx.l_gdim <- l_gdim;
+  if ctx.shared != shared then ctx.shared <- shared

@@ -20,6 +20,8 @@ let dummy_entry =
   { seq = 0; addr = 0; part = 0; ekind = Load_k; store_value = 0;
     resolved = false; load_value = 0; leak = false; alive = false }
 
+let no_pending = dummy_entry
+
 (* Per-thread pending FIFO as a preallocated slot array, reused across
    launches and across runs (allocation discipline: the former
    representation was an [entry list ref] rebuilt by [List.filter] on

@@ -27,6 +27,10 @@ type t
 type pending
 (** A handle to a pending load. *)
 
+val no_pending : pending
+(** A sentinel that {!load} never returns: a register file marks a
+    register holding a value with it.  Compare it with [==]. *)
+
 val create : chip:Chip.t -> rng:Rng.t -> words:int -> nthreads:int -> t
 (** A fresh subsystem with [words] of zeroed global memory and state for
     thread ids [0 .. nthreads-1].  When the chip is strong

@@ -8,6 +8,34 @@ type stress_spec = {
   intensity : float;
 }
 
+type status =
+  | Running
+  | Draining
+  | Waiting of Memsys.pending  (* parked on an unresolved load *)
+  | At_barrier
+  | Done
+
+type thread = {
+  ctx : Code.tctx;
+  mutable code : Code.t;
+  mutable pc : int;
+  mutable status : status;
+  mutable daemon : bool;  (* stressing thread: terminated when the app finishes *)
+  mutable block_id : int;
+  mutable phase : int;  (* stressing accesses so far, modulo [period] *)
+  mutable period : int;
+}
+
+(* A block's threads are the slice [first, first + size) of the thread
+   table: global ids are assigned densely in block order. *)
+type blk = {
+  mutable live : int;  (* threads not yet Done *)
+  mutable waiting : int;  (* threads at the barrier *)
+  mutable first : int;
+  mutable size : int;
+  mutable shared : int array;
+}
+
 type t = {
   chip : Chip.t;
   rng : Rng.t;
@@ -16,9 +44,17 @@ type t = {
   mutable env : environment;
   mutable cycles_total : int;  (* modelled runtime over all launches *)
   mutable energy_total : float;
-  mutable code_cache : (Kernel.t * (string * int) list * Code.t) list;
-      (* compiled-code MRU; survives [reset] because compilation is a
-         pure function of (kernel, args) — see [compile_cached] *)
+  mutable code_cache : (Kernel.t * Code.t) list;
+      (* compiled code by kernel; survives [reset] because compilation is
+         a pure function of the kernel — see [compile_cached] *)
+  (* The launch arena: thread slots with their contexts and register
+     files, block records and the runnable sets.  They grow to the
+     high-water launch and every launch re-arms what it uses, so they
+     need no [reset]. *)
+  mutable threads : thread array;
+  mutable blocks : blk array;
+  mutable runnable : int array;
+  mutable pos : int array;
 }
 
 and environment = {
@@ -58,7 +94,8 @@ let create ?(words = 65536) ~chip ~seed () =
   let t =
     { chip; rng; mem = Memsys.create ~chip ~rng ~words ~nthreads:0; brk = 0;
       env = no_environment; cycles_total = 0; energy_total = 0.0;
-      code_cache = [] }
+      code_cache = []; threads = [||]; blocks = [||]; runnable = [||];
+      pos = [||] }
   in
   arm_soft_errors t ~seed;
   t
@@ -152,30 +189,6 @@ type result = {
   metrics : Metrics.t;
 }
 
-type status =
-  | Running
-  | Draining
-  | Waiting of Memsys.pending  (* parked on an unresolved load *)
-  | At_barrier
-  | Done
-
-type thread = {
-  ctx : Code.tctx;
-  code : Code.t;
-  mutable pc : int;
-  mutable status : status;
-  daemon : bool;  (* stressing thread: terminated when the app finishes *)
-  block_id : int;
-  mutable phase : int;  (* stressing accesses so far, modulo [period] *)
-  period : int;
-}
-
-type blk = {
-  mutable live : int;  (* threads not yet Done *)
-  mutable waiting : int;  (* threads at the barrier *)
-  members : thread array;
-}
-
 (* Logical thread-id assignment under randomisation: blocks are permuted
    among block slots, complete warps among warp slots within each block,
    and lanes within each warp.  Threads that share a block (warp) before
@@ -231,54 +244,83 @@ let rec fetch th pc fuel =
     th.pc <- pc;
     op
 
+let[@inline] bounds_global mem a =
+  if a < 0 || a >= Memsys.words mem then
+    raise (Code.Trap (Fmt.str "global access out of bounds: %d" a))
+
+(* [fetch] from the thread's pc, with the common case, no jump, inline. *)
+let[@inline] next_op th =
+  match th.code.Code.ops.(th.pc) with
+  | Code.Ojump target -> fetch th target (Array.length th.code.Code.ops)
+  | op -> op
+
 (* Whether a stressing thread's next access starts an iteration of its
    loop, from its access count kept modulo [period] without a division. *)
-let stress_boundary th =
+let[@inline] stress_boundary th =
   let boundary = th.period > 0 && th.phase = 0 in
   let p = th.phase + 1 in
   th.phase <- (if p = th.period then 0 else p);
   boundary
 
-(* Compiled code is a pure function of (kernel, args) — parameters are
-   bound at compile time, all device state flows in through the
+(* Compiled code is a pure function of the kernel — a launch binds its
+   arguments with [Code.bind], and all device state flows in through the
    per-thread ctx — so a recycled simulator that launches the same few
    (memoised) kernels millions of times need not re-lower them.  Keyed
-   on physical kernel equality plus structural args equality; campaigns
-   have a working set of two or three entries, so a short bounded list
-   suffices and stays allocation-free on hits.  Deliberately kept across
-   [reset]: recycling must not change behaviour (property-tested against
-   fresh simulators in test_alloc/test_sim), and purity makes the cached
-   code seed-independent. *)
-let code_cache_max = 8
+   on physical kernel equality.  A tuning stage cycles a dozen litmus
+   kernels around one stress kernel, so the cache holds a few more than
+   that; a hit allocates nothing.  Deliberately kept across [reset]:
+   recycling must not change behaviour (property-tested against fresh
+   simulators in test_alloc/test_sim), and purity makes the cached code
+   seed-independent. *)
+let code_cache_max = 24
 
-let compile_cached t kernel ~args =
-  let rec find = function
-    | [] -> None
-    | (k, a, c) :: _ when k == kernel && a = args -> Some c
-    | _ :: tl -> find tl
-  in
-  match find t.code_cache with
-  | Some c -> c
-  | None ->
-    let c = Code.compile kernel ~args in
+let rec find_code kernel = function
+  | [] -> raise Not_found
+  | (k, c) :: tl -> if k == kernel then c else find_code kernel tl
+
+let compile_cached t kernel =
+  match find_code kernel t.code_cache with
+  | c -> c
+  | exception Not_found ->
+    let c = Code.compile kernel in
     let keep = t.code_cache in
     let keep =
       if List.length keep >= code_cache_max then
         List.filteri (fun i _ -> i < code_cache_max - 1) keep
       else keep
     in
-    t.code_cache <- (kernel, args, c) :: keep;
+    t.code_cache <- (kernel, c) :: keep;
     c
+
+(* Grow the launch arena to [threads] thread slots and [blocks] block
+   records; new thread slots start out on [code] until armed. *)
+let grow_arena t ~threads:n ~blocks:nb ~code =
+  let cap = Array.length t.threads in
+  if cap < n then begin
+    t.threads <-
+      Array.append t.threads
+        (Array.init (n - cap) (fun i ->
+             { ctx = Code.make_ctx ~gid:(cap + i) ~mem:t.mem; code; pc = 0;
+               status = Done; daemon = false; block_id = 0; phase = 0;
+               period = 0 }));
+    t.runnable <- Array.make n 0;
+    t.pos <- Array.make n 0
+  end;
+  let bcap = Array.length t.blocks in
+  if bcap < nb then
+    t.blocks <-
+      Array.append t.blocks
+        (Array.init (nb - bcap) (fun _ ->
+             { live = 0; waiting = 0; first = 0; size = 0; shared = [||] }))
 
 let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
     ~block kernel ~args =
   if grid <= 0 || block <= 0 || block > 1024 then
     invalid_arg "Sim.launch: bad launch configuration";
   let stress = t.env.make_stress t ~app_grid:grid ~app_block:block in
-  let app_code = compile_cached t kernel ~args in
-  let stress_code =
-    Option.map (fun s -> compile_cached t s.kernel ~args:s.args) stress
-  in
+  let app_code = compile_cached t kernel in
+  let app_params = Code.bind app_code args in
+  let n_stress_blocks = match stress with Some s -> s.blocks | None -> 0 in
   let n_stress_threads =
     match stress with Some s -> s.blocks * s.block_size | None -> 0
   in
@@ -290,7 +332,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
     Trace.emit sink ~tick:(tick_now ())
       (Trace.Launch_begin
          { kernel = kernel.Kernel.name; grid; block;
-           stress_blocks = (match stress with Some s -> s.blocks | None -> 0);
+           stress_blocks = n_stress_blocks;
            stress_threads = n_stress_threads });
   Memsys.reset_threads t.mem ~nthreads:total;
   Memsys.set_stress_gain t.mem
@@ -302,59 +344,66 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let metrics = Metrics.create () in
   let reorders_before = Memsys.reorders t.mem in
   let bitflips_before = Memsys.bitflips t.mem in
-  let blocks = ref [] in
-  let n_blocks = ref 0 in
-  let next_gid = ref 0 in
-  let add_block ~code ~daemon ~period ~l_gdim ~l_bid ~size ~shared_sz =
-    let shared = Array.make (Int.max 1 shared_sz) 0 in
-    let block_id = !n_blocks in
-    let members =
-      Array.init size (fun i ->
-          let gid = !next_gid in
-          incr next_gid;
-          let l_tid =
-            if daemon then i
-            else match ids with Some (_, tid_of) -> tid_of.(l_bid).(i) | None -> i
-          in
-          let l_bid =
-            if daemon then l_bid
-            else match ids with Some (block_of, _) -> block_of.(l_bid) | None -> l_bid
-          in
-          let ctx =
-            Code.make_ctx ~code ~gid ~l_tid ~l_bid ~l_bdim:size ~l_gdim
-              ~mem:t.mem ~shared
-          in
-          { ctx; code; pc = 0; status = Running; daemon;
-            block_id; phase = 0; period })
-    in
-    let b = { live = size; waiting = 0; members } in
-    blocks := b :: !blocks;
-    incr n_blocks
+  grow_arena t ~threads:total ~blocks:(grid + n_stress_blocks) ~code:app_code;
+  let threads = t.threads and blocks = t.blocks in
+  let arm_block block_id ~first ~code ~params ~daemon ~period ~l_gdim ~l_bid
+      ~size ~shared_sz =
+    let b = blocks.(block_id) in
+    (* A shared array keeps exactly the requested length: a longer one
+       would hide an out-of-bounds trap. *)
+    let shared_sz = Int.max 1 shared_sz in
+    if Array.length b.shared = shared_sz then Array.fill b.shared 0 shared_sz 0
+    else b.shared <- Array.make shared_sz 0;
+    b.live <- size;
+    b.waiting <- 0;
+    b.first <- first;
+    b.size <- size;
+    for i = 0 to size - 1 do
+      let th = threads.(first + i) in
+      let l_tid =
+        if daemon then i
+        else match ids with Some (_, tid_of) -> tid_of.(l_bid).(i) | None -> i
+      in
+      let l_bid =
+        if daemon then l_bid
+        else match ids with Some (block_of, _) -> block_of.(l_bid) | None -> l_bid
+      in
+      Code.arm th.ctx code ~params ~l_tid ~l_bid ~l_bdim:size ~l_gdim
+        ~shared:b.shared;
+      (* as in [Code.arm], no write barrier for an unchanged pointer *)
+      if th.code != code then th.code <- code;
+      th.pc <- 0;
+      if th.status != Running then th.status <- Running;
+      th.daemon <- daemon;
+      th.block_id <- block_id;
+      th.phase <- 0;
+      th.period <- period
+    done
   in
   for b = 0 to grid - 1 do
-    add_block ~code:app_code ~daemon:false ~period:0 ~l_gdim:grid ~l_bid:b
-      ~size:block ~shared_sz:shared_words
+    arm_block b ~first:(b * block) ~code:app_code ~params:app_params
+      ~daemon:false ~period:0 ~l_gdim:grid ~l_bid:b ~size:block
+      ~shared_sz:shared_words
   done;
-  (match (stress, stress_code) with
-  | Some s, Some code ->
+  (match stress with
+  | Some s ->
+    let code = compile_cached t s.kernel in
+    let params = Code.bind code s.args in
     for b = 0 to s.blocks - 1 do
-      add_block ~code ~daemon:true ~period:s.period ~l_gdim:s.blocks ~l_bid:b
+      arm_block (grid + b) ~first:(n_app + (b * s.block_size)) ~code ~params
+        ~daemon:true ~period:s.period ~l_gdim:s.blocks ~l_bid:b
         ~size:s.block_size ~shared_sz:1
     done
-  | _ -> ());
-  let blocks = Array.of_list (List.rev !blocks) in
-  (* Global ids are assigned densely in block-creation order, so the
-     per-block member arrays concatenate into the gid-indexed thread
-     table directly — no intermediate option array. *)
-  let threads =
-    Array.concat (Array.to_list (Array.map (fun b -> b.members) blocks))
-  in
+  | None -> ());
   (* Two runnable sets with O(1) removal: application threads keep a fixed
      scheduling share even when many stressing threads are resident, as on
      a real GPU where stress occupies other SMs rather than starving the
      application. *)
-  let runnable = Array.init total (fun i -> i) in
-  let pos = Array.init total (fun i -> i) in
+  let runnable = t.runnable and pos = t.pos in
+  for gid = 0 to total - 1 do
+    runnable.(gid) <- gid;
+    pos.(gid) <- gid
+  done;
   let n_run_app = ref n_app in
   (* Layout invariant: runnable.[0, n_run_app) are runnable app threads;
      runnable.[n_app, n_app + n_run_daemon) are runnable daemons. *)
@@ -393,25 +442,24 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
     if not th.daemon then metrics.Metrics.app_cycles <- metrics.Metrics.app_cycles + c
   in
   let release_barrier b ~by_exit =
-    Array.iter
-      (fun th ->
-        if th.status <> Done then ignore (Memsys.drain t.mem ~tid:th.ctx.Code.gid))
-      b.members;
-    Array.iter
-      (fun th ->
-        if th.status = At_barrier then begin
-          th.status <- Running;
-          add_runnable th.ctx.Code.gid
-        end)
-      b.members;
+    let last = b.first + b.size - 1 in
+    for gid = b.first to last do
+      if threads.(gid).status <> Done then ignore (Memsys.drain t.mem ~tid:gid)
+    done;
+    for gid = b.first to last do
+      let th = threads.(gid) in
+      if th.status = At_barrier then begin
+        th.status <- Running;
+        add_runnable gid
+      end
+    done;
     b.waiting <- 0;
     (* CUDA leaves a barrier undefined unless every thread of the block
        executes it; a release with exited members is flagged. *)
-    if by_exit || b.live < Array.length b.members then divergence := true;
+    if by_exit || b.live < b.size then divergence := true;
     if Trace.active sink then
       Trace.emit sink ~tick:(tick_now ())
-        (Trace.Barrier_release
-           { block = b.members.(0).block_id; by_exit })
+        (Trace.Barrier_release { block = threads.(b.first).block_id; by_exit })
   in
   let finish_thread th =
     th.status <- Done;
@@ -427,10 +475,6 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
     end;
     if b.waiting > 0 && b.waiting = b.live then release_barrier b ~by_exit:true
   in
-  let bounds_global a =
-    if a < 0 || a >= Memsys.words t.mem then
-      raise (Code.Trap (Fmt.str "global access out of bounds: %d" a))
-  in
   let bounds_shared th a =
     if a < 0 || a >= Array.length th.ctx.Code.shared then
       raise (Code.Trap (Fmt.str "shared access out of bounds: %d" a))
@@ -444,10 +488,10 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let exec th =
     let ctx = th.ctx in
     let gid = ctx.Code.gid in
-    match fetch th th.pc (Array.length th.code.Code.ops + 1) with
+    match next_op th with
     | Code.Ojump _ -> assert false
     | Code.Oassign (i, f) ->
-      ctx.Code.regs.(i) <- Code.Val (f ctx);
+      Code.set_reg ctx i (f ctx);
       th.pc <- th.pc + 1;
       if not th.daemon then metrics.Metrics.n_alu <- metrics.Metrics.n_alu + 1;
       charge th cost.cycles_alu
@@ -461,21 +505,13 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       (match space with
       | Kernel.Shared ->
         bounds_shared th a;
-        ctx.Code.regs.(dst) <- Code.Val ctx.Code.shared.(a)
+        Code.set_reg ctx dst ctx.Code.shared.(a)
       | Kernel.Global ->
-        bounds_global a;
-        if th.daemon then begin
-          Memsys.stress_access t.mem ~sid:gid ~kind:`Load ~addr:a
-            ~boundary:(stress_boundary th);
-          ctx.Code.regs.(dst) <- Code.Val (Memsys.read t.mem a)
-        end
-        else begin
-          Memsys.app_access t.mem ~kind:`Load ~addr:a;
-          let p = Memsys.load t.mem ~tid:gid ~addr:a in
-          ctx.Code.regs.(dst) <-
-            (if weak then Code.Pend p
-             else Code.Val (Memsys.force t.mem ~tid:gid p))
-        end);
+        bounds_global t.mem a;
+        Memsys.app_access t.mem ~kind:`Load ~addr:a;
+        let p = Memsys.load t.mem ~tid:gid ~addr:a in
+        if weak then ctx.Code.pend.(dst) <- p
+        else Code.set_reg ctx dst (Memsys.force t.mem ~tid:gid p));
       th.pc <- th.pc + 1;
       count_load th;
       charge th cost.cycles_mem
@@ -487,14 +523,9 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
         bounds_shared th a;
         ctx.Code.shared.(a) <- v
       | Kernel.Global ->
-        bounds_global a;
-        if th.daemon then
-          Memsys.stress_access t.mem ~sid:gid ~kind:`Store ~addr:a
-            ~boundary:(stress_boundary th)
-        else begin
-          Memsys.app_access t.mem ~kind:`Store ~addr:a;
-          Memsys.store t.mem ~tid:gid ~addr:a ~value:v
-        end);
+        bounds_global t.mem a;
+        Memsys.app_access t.mem ~kind:`Store ~addr:a;
+        Memsys.store t.mem ~tid:gid ~addr:a ~value:v);
       th.pc <- th.pc + 1;
       count_store th;
       charge th cost.cycles_mem
@@ -509,12 +540,12 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
           ctx.Code.shared.(a) <- f old;
           old
         | Kernel.Global ->
-          bounds_global a;
+          bounds_global t.mem a;
           Memsys.app_access t.mem ~kind:`Store ~addr:a;
           Memsys.atomic t.mem ~tid:gid ~addr:a f
       in
       (match dst with
-      | Some i -> ctx.Code.regs.(i) <- Code.Val old
+      | Some i -> Code.set_reg ctx i old
       | None -> ());
       th.pc <- th.pc + 1;
       if not th.daemon then
@@ -547,11 +578,40 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       if b.waiting = b.live then release_barrier b ~by_exit:false
     | Code.Oreturn -> finish_thread th
   in
+  (* A running stressing thread's step.  Its global accesses only feed
+     the contention model, and it is neither metered nor charged.  Its
+     registers never wait for a load (its loads read memory at once), so
+     it needs no [Unresolved] handler and writes values straight to
+     [regs].  Any op not handled here takes the common [exec]. *)
+  let stress_step th =
+    let ctx = th.ctx in
+    match next_op th with
+    | Code.Oassign (i, f) ->
+      ctx.Code.regs.(i) <- f ctx;
+      th.pc <- th.pc + 1
+    | Code.Ojz (f, target) ->
+      th.pc <- (if f ctx = 0 then target else th.pc + 1)
+    | Code.Oload { dst; space = Kernel.Global; addr; _ } ->
+      let a = addr ctx in
+      bounds_global t.mem a;
+      Memsys.stress_access t.mem ~sid:ctx.Code.gid ~kind:`Load ~addr:a
+        ~boundary:(stress_boundary th);
+      ctx.Code.regs.(dst) <- Memsys.read t.mem a;
+      th.pc <- th.pc + 1
+    | Code.Ostore { space = Kernel.Global; addr; value; _ } ->
+      let a = addr ctx in
+      ignore (value ctx : int);
+      bounds_global t.mem a;
+      Memsys.stress_access t.mem ~sid:ctx.Code.gid ~kind:`Store ~addr:a
+        ~boundary:(stress_boundary th);
+      th.pc <- th.pc + 1
+    | _ -> exec th
+  in
   let step th =
     match th.status with
-    | Running -> (
-      try exec th
-      with Code.Unresolved p -> th.status <- Waiting p)
+    | Running ->
+      if th.daemon then stress_step th
+      else (try exec th with Code.Unresolved p -> th.status <- Waiting p)
     | Waiting p ->
       (* Drive this thread's own commits; the load completes through the
          usual contention-delayed machinery, so stressing the load's
@@ -597,7 +657,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
        (* Sample one partition's contention pools every 64 ticks, walking
           the partitions round-robin.  Reads no randomness, so tracing
           never perturbs an execution. *)
-       if Trace.active sink && !ticks land 63 = 0 then begin
+       if !ticks land 63 = 0 && Trace.active sink then begin
          let part =
            !ticks lsr 6 mod t.chip.Chip.weakness.Chip.n_partitions
          in
@@ -622,8 +682,9 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
        (* The owner's commit attempt does nothing on an empty queue
           (always, for a stressing thread), so only its coin's draw is
           taken: one draw, as [owner_attempt_probability] is in (0, 1). *)
-       if weak && th.status <> Done then
-         if Memsys.pending_count t.mem ~tid:gid = 0 then Rng.skip t.rng
+       if weak && th.status != Done then
+         if th.daemon || Memsys.pending_count t.mem ~tid:gid = 0 then
+           Rng.skip t.rng
          else if Rng.chance t.rng owner_attempt_probability then
            Memsys.attempt_commits t.mem ~tid:gid;
        if weak && !ticks land 3 = 0 then
@@ -695,12 +756,11 @@ let run_schedule t ?blocks ~threads ~args ~watch_mem ~watch_regs schedule =
     Array.of_list
       (List.mapi
          (fun i (k : Kernel.t) ->
-           let code = Code.compile k ~args:(List.nth args i) in
+           let code = Code.compile k in
            let l_tid, l_bid, l_bdim, l_gdim = lay.(i) in
-           let ctx =
-             Code.make_ctx ~code ~gid:i ~l_tid ~l_bid ~l_bdim ~l_gdim
-               ~mem:t.mem ~shared:(Array.make 1 0)
-           in
+           let ctx = Code.make_ctx ~gid:i ~mem:t.mem in
+           Code.arm ctx code ~params:(Code.bind code (List.nth args i)) ~l_tid
+             ~l_bid ~l_bdim ~l_gdim ~shared:(Array.make 1 0);
            { r_ctx = ctx; r_code = code; r_pc = 0; r_draining = false;
              r_at_barrier = false; r_done = false })
          threads)
@@ -753,14 +813,14 @@ let run_schedule t ?blocks ~threads ~args ~watch_mem ~watch_regs schedule =
     let gid = ctx.Code.gid in
     match th.r_code.Code.ops.(th.r_pc) with
     | Code.Oassign (i, ev) ->
-      ctx.Code.regs.(i) <- Code.Val (ev ctx);
+      Code.set_reg ctx i (ev ctx);
       th.r_pc <- th.r_pc + 1
     | Code.Oload { dst; space = Kernel.Global; addr; _ } ->
       let a = addr ctx in
       bounds a;
       let p = Memsys.load t.mem ~tid:gid ~addr:a in
-      ctx.Code.regs.(dst) <-
-        (if weak then Code.Pend p else Code.Val (Memsys.force t.mem ~tid:gid p));
+      if weak then ctx.Code.pend.(dst) <- p
+      else Code.set_reg ctx dst (Memsys.force t.mem ~tid:gid p);
       th.r_pc <- th.r_pc + 1
     | Code.Ostore { space = Kernel.Global; addr; value; _ } ->
       let a = addr ctx in
@@ -774,7 +834,7 @@ let run_schedule t ?blocks ~threads ~args ~watch_mem ~watch_regs schedule =
       let f = prepare ctx in
       let old = Memsys.atomic t.mem ~tid:gid ~addr:a f in
       (match dst with
-      | Some i -> ctx.Code.regs.(i) <- Code.Val old
+      | Some i -> Code.set_reg ctx i old
       | None -> ());
       th.r_pc <- th.r_pc + 1
     | Code.Oload _ | Code.Ostore _ | Code.Oatomic _ ->
@@ -839,10 +899,10 @@ let run_schedule t ?blocks ~threads ~args ~watch_mem ~watch_regs schedule =
            let v =
              match Code.reg_slot th.r_code r with
              | None -> 0
-             | Some s -> (
-               match th.r_ctx.Code.regs.(s) with
-               | Code.Val v -> v
-               | Code.Pend p -> Memsys.force t.mem ~tid:ti p)
+             | Some s ->
+               let p = th.r_ctx.Code.pend.(s) in
+               if p == Memsys.no_pending then th.r_ctx.Code.regs.(s)
+               else Memsys.force t.mem ~tid:ti p
            in
            (ti, r, v))
          watch_regs)

@@ -6,7 +6,9 @@ let device_words = 2048
 
 let litmus_max_ticks = 50_000
 
-let run_once ~chip ~seed ?(env = Gpusim.Sim.no_environment) inst =
+(* One execution of [kernel], which is [Test.kernel inst]: a loop over
+   runs looks it up once. *)
+let run_kernel ~chip ~seed ~env inst kernel =
   Gpusim.Sim.with_sim ~words:device_words ~chip ~seed @@ fun sim ->
   Gpusim.Sim.set_environment sim env;
   let x = Gpusim.Sim.alloc sim (Test.layout_words inst) in
@@ -20,7 +22,7 @@ let run_once ~chip ~seed ?(env = Gpusim.Sim.no_environment) inst =
        shared arrays at one word instead of the 64-word default — two
        app blocks per run, at hundreds of millions of runs. *)
     Gpusim.Sim.launch sim ~max_ticks:litmus_max_ticks ~shared_words:1
-      ~grid:2 ~block:1 (Test.kernel inst)
+      ~grid:2 ~block:1 kernel
       ~args:[ ("x", x); ("out", out) ]
   in
   let r1 = Gpusim.Sim.read sim out in
@@ -32,12 +34,16 @@ let run_once ~chip ~seed ?(env = Gpusim.Sim.no_environment) inst =
   in
   { r1; r2; weak = (not timed_out) && Test.weak inst ~r1 ~r2; timed_out }
 
-let count_weak ~chip ~seed ?env ~runs inst =
+let run_once ~chip ~seed ?(env = Gpusim.Sim.no_environment) inst =
+  run_kernel ~chip ~seed ~env inst (Test.kernel inst)
+
+let count_weak ~chip ~seed ?(env = Gpusim.Sim.no_environment) ~runs inst =
+  let kernel = Test.kernel inst in
   let master = Gpusim.Rng.create seed in
   let n = ref 0 in
   for _ = 1 to runs do
     let seed = Gpusim.Rng.bits30 master in
-    if (run_once ~chip ~seed ?env inst).weak then incr n
+    if (run_kernel ~chip ~seed ~env inst kernel).weak then incr n
   done;
   !n
 

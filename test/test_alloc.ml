@@ -83,16 +83,99 @@ let test_reset_equals_create () =
     if a <> b then Alcotest.failf "seed %d: reset device diverged" seed
   done
 
-(* The committed per-run minor-heap budget, in words.  Measured at
-   ~0.4k words/run when the budget was last tightened (ring-buffer
-   queues, recycled simulator, memoised kernel ASTs, per-sim compiled
-   code cache, one-word shared arrays for the shared-memory-free litmus
-   kernels, unboxed rng state, allocation-free scheduler tick); the
-   ceiling leaves ~3x headroom for noise and compiler drift but fails on
-   any structural regression — per-run kernel compilation alone costs
-   several hundred words, and per-run device creation >2k words of
-   arrays. *)
-let per_run_budget_words = 1_250.0
+(* One long-lived simulator, reset between runs, against a fresh one per
+   run, over a seeded shuffle of launch shapes: the ten applications
+   under sys-str+ (stress and randomised ids; barriers, shared memory,
+   atomics, fences and pending loads) and MP, LB and SB litmus launches
+   under the litmus sys-str+ at several distances.  Thread, block and
+   register counts grow and shrink from one launch to the next, so a
+   launch that re-arms its arena incompletely shows here. *)
+type shape = App of Apps.App.t | Litmus of Litmus.Test.instance
+
+let test_recycled_across_shapes () =
+  let tuned = Core.Tuning.shipped ~chip in
+  let app_env = Core.Environment.for_app (Core.Environment.sys_plus ~tuned) in
+  let litmus_env =
+    Core.Environment.for_litmus (Core.Environment.sys_plus ~tuned)
+  in
+  let litmus =
+    List.concat_map
+      (fun idiom ->
+        List.map
+          (fun distance -> Litmus { Litmus.Test.idiom; distance })
+          [ 0; 8; 64 ])
+      Litmus.Test.idioms
+  in
+  let shapes = List.map (fun a -> App a) Apps.Registry.all @ litmus in
+  let shapes = Array.of_list (shapes @ shapes) in
+  Gpusim.Rng.shuffle (Gpusim.Rng.create 11) shapes;
+  let words = 65536 in
+  let run sim = function
+    | App app ->
+      Gpusim.Sim.set_environment sim app_env;
+      app.Apps.App.run sim Apps.App.Original
+    | Litmus inst ->
+      Gpusim.Sim.set_environment sim litmus_env;
+      let x = Gpusim.Sim.alloc sim (Litmus.Test.layout_words inst) in
+      let out = Gpusim.Sim.alloc sim 2 in
+      Gpusim.Sim.fill sim ~base:out ~len:2 (-1);
+      let r =
+        Gpusim.Sim.launch sim ~max_ticks:50_000 ~shared_words:1 ~grid:2
+          ~block:1 (Litmus.Test.kernel inst)
+          ~args:[ ("x", x); ("out", out) ]
+      in
+      (match r.Gpusim.Sim.outcome with
+      | Gpusim.Sim.Finished -> Ok ()
+      | Gpusim.Sim.Timeout -> Error "timeout"
+      | Gpusim.Sim.Trapped msg -> Error msg)
+  in
+  let observe sim shape =
+    let result = run sim shape in
+    ( result,
+      Gpusim.Sim.reorders sim,
+      Gpusim.Sim.elapsed_cycles sim,
+      Gpusim.Sim.consumed_energy sim,
+      Gpusim.Sim.read_array sim ~base:0 ~len:words )
+  in
+  let recycled = Gpusim.Sim.create ~words ~chip ~seed:0 () in
+  Array.iteri
+    (fun i shape ->
+      let seed = 100 + i in
+      Gpusim.Sim.reset recycled ~seed;
+      let r1, n1, c1, e1, m1 = observe recycled shape in
+      let r2, n2, c2, e2, m2 =
+        observe (Gpusim.Sim.create ~words ~chip ~seed ()) shape
+      in
+      let name =
+        match shape with
+        | App a -> a.Apps.App.name
+        | Litmus inst ->
+          Printf.sprintf "%s at distance %d"
+            (Litmus.Test.idiom_name inst.Litmus.Test.idiom)
+            inst.Litmus.Test.distance
+      in
+      let check what ok =
+        if not ok then
+          Alcotest.failf "run %d (%s, seed %d): recycled sim's %s differs" i
+            name seed what
+      in
+      check "result" (r1 = r2);
+      check "reorders" (n1 = n2);
+      check "elapsed cycles" (c1 = c2);
+      check "energy" (Float.equal e1 e2);
+      check "memory" (m1 = m2))
+    shapes
+
+(* The committed per-run minor-heap budget, in words.  Measured at 266
+   words/run when the budget was last tightened (ring-buffer queues,
+   recycled simulator, memoised kernel ASTs, compiled code cached per
+   kernel with per-launch argument binding, one-word shared arrays for
+   the shared-memory-free litmus kernels, unboxed rng state and register
+   file, a launch arena re-armed in place); the ceiling is about 1.2x
+   that, so per-launch thread records (about 30 words per thread with
+   their contexts and arrays) or per-run kernel compilation (several
+   hundred words) fail it. *)
+let per_run_budget_words = 320.0
 
 let batch_runs = 400
 
@@ -129,13 +212,13 @@ let test_minor_words_budget () =
    above, the scheduler's tick loop dominates, so this budget is the one
    that catches per-tick allocation: a boxed rng draw, a closure or a
    tuple per step, or a float boxed by the contention arithmetic.
-   Measured at 2,598 words per launch (~7 per tick), most of it the
-   launch's thread records and contexts; the per-tick allocation it
-   replaced made it 14.5k.  The ceiling is about 1.15x the measured
-   figure: one boxed word pair on each of the launch's ~370 ticks, or a
-   boxed draw on each empty-queue commit coin the warm-up skips,
-   exceeds it. *)
-let stressed_budget_words = 3_000.0
+   Measured at 411 words per launch, down from 2,598 when each launch
+   allocated its ~40 thread records, contexts and register arrays and
+   boxed every register write, and from 14.5k with per-tick allocation.
+   The ceiling is about 1.2x the measured figure: one boxed word pair on
+   each of the launch's ~370 ticks, per-launch thread records, or a
+   boxed register write on each stressing load exceeds it. *)
+let stressed_budget_words = 490.0
 
 let test_stressed_launch_budget () =
   let env =
@@ -163,6 +246,8 @@ let () =
             test_recycled_equals_fresh;
           Alcotest.test_case "reset = create under environment" `Quick
             test_reset_equals_create;
+          Alcotest.test_case "recycled sim = fresh sim across launch shapes"
+            `Quick test_recycled_across_shapes;
           Alcotest.test_case "minor-words budget per litmus run" `Quick
             test_minor_words_budget;
           Alcotest.test_case "minor-words budget per stressed launch" `Quick

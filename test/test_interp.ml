@@ -155,7 +155,28 @@ let test_missing_arg_rejected () =
   Alcotest.check_raises "missing argument"
     (Invalid_argument
        "Code.compile p: parameters (a) do not match arguments ()")
-    (fun () -> ignore (Gpusim.Code.compile k ~args:[]))
+    (fun () -> ignore (Gpusim.Code.bind (Gpusim.Code.compile k) []))
+
+let test_params_bind_per_launch () =
+  (* One kernel value launched twice on one device: the second launch
+     hits the compiled-code cache, and must still write through its own
+     arguments, given in another order. *)
+  let k =
+    kernel "two" ~params:[ "out"; "v" ]
+      [ store (param "out") (param "v");
+        store (param "out" + int 1) (param "v" + int 1) ]
+  in
+  let sim = Gpusim.Sim.create ~chip:Gpusim.Chip.sequential ~seed:1 () in
+  let launch args =
+    Alcotest.(check bool) "finished" true
+      (finished (Gpusim.Sim.launch sim ~grid:1 ~block:1 k ~args))
+  in
+  launch [ ("out", 0); ("v", 5) ];
+  launch [ ("v", 7); ("out", 10) ];
+  Alcotest.(check (list int)) "first launch's words" [ 5; 6 ]
+    (Array.to_list (Gpusim.Sim.read_array sim ~base:0 ~len:2));
+  Alcotest.(check (list int)) "second launch's words" [ 7; 8 ]
+    (Array.to_list (Gpusim.Sim.read_array sim ~base:10 ~len:2))
 
 let test_randomisation_preserves_results () =
   (* A data-parallel kernel must compute the same result with thread-id
@@ -196,5 +217,7 @@ let () =
           Alcotest.test_case "rand bounds" `Quick test_rand_bounds;
           Alcotest.test_case "missing argument" `Quick
             test_missing_arg_rejected;
+          Alcotest.test_case "parameters bind per launch" `Quick
+            test_params_bind_per_launch;
           Alcotest.test_case "randomisation preserves results" `Quick
             test_randomisation_preserves_results ] ) ]
