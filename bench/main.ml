@@ -149,7 +149,7 @@ let observability_overhead () =
   let hb = Filename.temp_file "gpuwmm-bench" ".hb" in
   let emitter = Core.Heartbeat.start ~interval_s:0.25 ~path:hb () in
   let server =
-    Core.Httpd.start ~port:0 (fun _ ->
+    Core.Httpd.start_routes ~port:0 (fun _ ->
         Core.Httpd.respond
           (Core.Telemetry.prometheus (Core.Telemetry.snapshot ())))
   in

@@ -357,59 +357,24 @@ let app_names apps = List.map (fun a -> a.Apps.App.name) apps
 (* Composite result-record payloads assembled at the CLI layer; the
    drivers own the per-result codecs. *)
 
-let chipped_to_json enc xs =
-  Core.Json.List
-    (List.map
-       (fun (chip, r) ->
-         Core.Json.Assoc [ ("chip", Core.Json.String chip); ("result", enc r) ])
-       xs)
+let chipped result =
+  Core.Codec.(
+    list
+      (obj (fun chip r -> (chip, r))
+      |> mem "chip" string fst |> mem "result" result snd |> seal))
 
-let chipped_of_json dec j =
-  let open Core.Runlog.Dec in
-  match j with
-  | Core.Json.List items ->
-    all
-      (fun item ->
-        let* chip = str "chip" item in
-        let* rj = field "result" item in
-        let* r = dec rj in
-        Ok (chip, r))
-      items
-  | _ -> Error "expected a list of {chip, result} objects"
+let tuning =
+  Core.Codec.(
+    list
+      (obj (fun minutes r -> (r, minutes))
+      |> mem "minutes" float snd |> mem "result" Core.Tuning.result fst
+      |> seal))
 
-let tuning_to_json rs =
-  Core.Json.List
-    (List.map
-       (fun (r, minutes) ->
-         Core.Json.Assoc
-           [ ("minutes", Core.Json.Float minutes);
-             ("result", Core.Tuning.result_to_json r) ])
-       rs)
-
-let tuning_of_json j =
-  let open Core.Runlog.Dec in
-  match j with
-  | Core.Json.List items ->
-    all
-      (fun item ->
-        let* minutes = float "minutes" item in
-        let* rj = field "result" item in
-        let* r = Core.Tuning.result_of_json rj in
-        Ok (r, minutes))
-      items
-  | _ -> Error "expected a list of {minutes, result} objects"
-
-let seq_to_json (chip, r) =
-  Core.Json.Assoc
-    [ ("chip", Core.Json.String chip);
-      ("result", Core.Seq_finder.result_to_json r) ]
-
-let seq_of_json j =
-  let open Core.Runlog.Dec in
-  let* chip = str "chip" j in
-  let* rj = field "result" j in
-  let* r = Core.Seq_finder.result_of_json rj in
-  Ok (chip, r)
+let seq =
+  Core.Codec.(
+    obj (fun chip r -> (chip, r))
+    |> mem "chip" string fst |> mem "result" Core.Seq_finder.result snd
+    |> seal)
 
 (* A ledger with no result record is a shard awaiting its merge or an
    interrupted run; say which, and what finishes it.  Exits 2. *)
@@ -434,11 +399,13 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
   | None -> no_result ~path l.Core.Runlog.header
   | Some (kind, data) ->
     Core.Report.provenance Fmt.stdout ~path l.Core.Runlog.header;
-    let fail e =
-      Fmt.epr "%s: cannot decode %S result: %s@." path kind e;
-      exit 2
+    let decode c =
+      match Core.Codec.decode c data with
+      | Ok v -> v
+      | Error e ->
+        Fmt.epr "%s: cannot decode %S result: %s@." path kind e;
+        exit 2
     in
-    let ok = function Ok v -> v | Error e -> fail e in
     (* Markdown fallback for kinds without a native md renderer: the
        ASCII table inside a code fence. *)
     let fenced render =
@@ -454,33 +421,31 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
     in
     (match kind with
     | "campaign" ->
-      let rows = ok (Core.Campaign.rows_of_json data) in
+      let rows = decode Core.Campaign.rows in
       render
         (fun ppf -> Core.Report.table5 ppf rows)
         (fun () -> print_string (Core.Report.table5_md rows))
         (fun () -> Core.Report.table5_csv rows)
     | "tuning" ->
-      let results = ok (tuning_of_json data) in
+      let results = decode tuning in
       let ascii ppf = Core.Report.table2 ppf results in
       render ascii
         (fun () -> fenced ascii)
         (fun () -> Core.Report.table2_csv results)
     | "seq" ->
-      let _chip, r = ok (seq_of_json data) in
+      let _chip, r = decode seq in
       let ascii ppf = Core.Report.table3 ppf r in
       render ascii
         (fun () -> fenced ascii)
         (fun () -> Core.Report.table3_csv r)
     | "harden" ->
-      let results = ok (Core.Harden.results_of_json data) in
+      let results = decode Core.Harden.results in
       let ascii ppf = Core.Report.table6 ppf results in
       render ascii
         (fun () -> fenced ascii)
         (fun () -> Core.Report.table6_csv results)
     | "patch" ->
-      let results =
-        ok (chipped_of_json Core.Patch_finder.result_of_json data)
-      in
+      let results = decode (chipped Core.Patch_finder.result) in
       let ascii ppf =
         List.iter (fun (chip, r) -> Core.Report.figure3 ppf ~chip r) results
       in
@@ -488,9 +453,7 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
         (fun () -> fenced ascii)
         (fun () -> Core.Report.patches_csv results)
     | "spread" ->
-      let results =
-        ok (chipped_of_json Core.Spread_finder.result_of_json data)
-      in
+      let results = decode (chipped Core.Spread_finder.result) in
       let ascii ppf =
         List.iter (fun (chip, r) -> Core.Report.figure4 ppf ~chip r) results
       in
@@ -498,7 +461,7 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
         (fun () -> fenced ascii)
         (fun () -> Core.Report.spreads_csv results)
     | "cost" ->
-      let points = ok (Core.Cost.points_of_json data) in
+      let points = decode Core.Cost.points in
       let ascii ppf = Core.Report.figure5 ppf points in
       render ascii
         (fun () -> fenced ascii)
@@ -541,7 +504,7 @@ let render_ledger_result ?(format = `Ascii) ~path (l : Core.Runlog.ledger) =
    Returns the body's value, or None when a complete ledger was only
    re-rendered. *)
 let with_ledger ?shard ?listen ?(spans = false)
-    ~campaign ~seed ~jobs ~grid ~log ~resume ~kind ~encode f =
+    ~campaign ~seed ~jobs ~grid ~log ~resume ~kind ~codec f =
   let shard =
     match shard with
     | None -> None
@@ -574,24 +537,26 @@ let with_ledger ?shard ?listen ?(spans = false)
       if Core.Runlog.deterministic_mode () then 0.0 else Unix.gettimeofday ()
     in
     match req with
-    | "/metrics" ->
+    | { Core.Httpd.meth = "POST"; _ } ->
+      Core.Httpd.respond ~status:405 "method not allowed\n"
+    | { path = "/metrics"; _ } ->
       let fleet = Core.Fleetview.load ~now hb_paths in
       Core.Httpd.respond
         ~content_type:"text/plain; version=0.0.4; charset=utf-8"
         (Core.Telemetry.prometheus (Core.Telemetry.snapshot ())
         ^ Core.Fleetview.prometheus fleet)
-    | "/" | "/status" ->
+    | { path = "/" | "/status"; _ } ->
       let fleet = Core.Fleetview.load ~now hb_paths in
       Core.Httpd.respond ~content_type:"application/json"
         (Core.Json.to_string (Core.Fleetview.render_json fleet) ^ "\n")
-    | "/healthz" -> Core.Httpd.respond "ok\n"
+    | { path = "/healthz"; _ } -> Core.Httpd.respond "ok\n"
     | _ -> Core.Httpd.respond ~status:404 "not found\n"
   in
   let server =
     match listen with
     | None -> None
     | Some port -> (
-      match Core.Httpd.start ~port observability_handler with
+      match Core.Httpd.start_routes ~port observability_handler with
       | s ->
         if not !quiet_flag then
           Fmt.epr "serving /metrics and /status on http://127.0.0.1:%d@."
@@ -698,7 +663,7 @@ let with_ledger ?shard ?listen ?(spans = false)
                    shard set with `gpuwmm merge ... --out LEDGER`@."
                   spec path
             | None ->
-              Core.Runlog.append_result sink ~kind (encode v);
+              Core.Runlog.append_result sink ~kind (Core.Codec.encode codec v);
               Core.Runlog.close sink;
               write_spans ();
               Logs.info (fun f -> f "ledger written to %s" path));
@@ -736,7 +701,7 @@ let campaign_flags =
    it can reject bad arguments before any ledger exists, then to the
    journal. *)
 let run_campaign ?shard ?listen ?spans ?(strict = false) c ~campaign ~grid
-    ~kind ~encode body =
+    ~kind ~codec body =
   setup_log ~quiet:c.quiet c.verbose;
   setup_supervision ~timeout:c.timeout ~retries:c.retries
     ~keep_going:c.keep_going ();
@@ -745,7 +710,7 @@ let run_campaign ?shard ?listen ?spans ?(strict = false) c ~campaign ~grid
   guarded (fun () ->
       ignore
         (with_ledger ?shard ?listen ?spans ~campaign ~seed:c.seed
-           ~jobs:c.jobs ~grid ~log:c.log ~resume:c.resume ~kind ~encode body));
+           ~jobs:c.jobs ~grid ~log:c.log ~resume:c.resume ~kind ~codec body));
   conclude_supervised ()
 
 (* A per-chip (or per-app-and-chip) journal prefix for campaigns that run
@@ -890,7 +855,7 @@ let tune_cmd =
           ("budget", Core.Budget.to_json budget) ]
     in
     run_campaign c ~campaign:"tune" ~grid ~kind:"tuning"
-      ~encode:tuning_to_json (fun backend journal ->
+      ~codec:tuning (fun backend journal ->
         let r =
           Core.Tuning.run ~backend ?journal ~chip ~seed:c.seed ~budget ()
         in
@@ -922,7 +887,7 @@ let test_cmd =
         ~apps:(app_names apps) ~runs
     in
     run_campaign ?shard ?listen ~spans ~strict c ~campaign:"test" ~grid
-      ~kind:"campaign" ~encode:Core.Campaign.rows_to_json (fun backend ->
+      ~kind:"campaign" ~codec:Core.Campaign.rows (fun backend ->
         let env = env_of chip env_name in
         fun journal ->
           let rows =
@@ -978,7 +943,7 @@ let harden_cmd =
           ("stability_runs", Core.Json.Int stability) ]
     in
     run_campaign c ~campaign:"harden" ~grid ~kind:"harden"
-      ~encode:Core.Harden.results_to_json (fun backend journal ->
+      ~codec:Core.Harden.results (fun backend journal ->
         let config =
           { (Core.Harden.default_config ~chip) with stability_runs = stability }
         in
@@ -1368,11 +1333,11 @@ let table_cmd =
           ("budget", Core.Budget.to_json budget);
           ("runs", Core.Json.Int runs) ]
     in
-    let ledgered ~kind ~encode body =
+    let ledgered ~kind ~codec body =
       require_chips chips;
       run_campaign ?shard ?listen ~spans ~strict c
         ~campaign:(Printf.sprintf "table%d" number)
-        ~grid ~kind ~encode body
+        ~grid ~kind ~codec body
     in
     let static render =
       if c.log <> None || c.resume <> None then
@@ -1382,7 +1347,7 @@ let table_cmd =
     match number with
     | 1 -> static Core.Report.table1
     | 2 ->
-      ledgered ~kind:"tuning" ~encode:tuning_to_json (fun backend journal ->
+      ledgered ~kind:"tuning" ~codec:tuning (fun backend journal ->
           let results =
             List.map
               (fun chip ->
@@ -1397,7 +1362,7 @@ let table_cmd =
           Core.Report.table2 Fmt.stdout results;
           results)
     | 3 ->
-      ledgered ~kind:"seq" ~encode:seq_to_json (fun backend journal ->
+      ledgered ~kind:"seq" ~codec:seq (fun backend journal ->
           let chip = List.hd chips in
           let patch =
             Core.Patch_finder.run ~backend ?journal ~chip ~seed:c.seed ~budget
@@ -1411,7 +1376,7 @@ let table_cmd =
           (chip.Gpusim.Chip.name, r))
     | 4 -> static Core.Report.table4
     | 5 ->
-      ledgered ~kind:"campaign" ~encode:Core.Campaign.rows_to_json
+      ledgered ~kind:"campaign" ~codec:Core.Campaign.rows
         (fun backend journal ->
           let rows =
             Core.Campaign.run ~backend ?journal ~chips
@@ -1421,7 +1386,7 @@ let table_cmd =
           if shard = None then Core.Report.table5 Fmt.stdout rows;
           rows)
     | 6 ->
-      ledgered ~kind:"harden" ~encode:Core.Harden.results_to_json
+      ledgered ~kind:"harden" ~codec:Core.Harden.results
         (fun backend journal ->
           let results =
             List.concat_map
@@ -1462,15 +1427,15 @@ let figure_cmd =
           ("budget", Core.Budget.to_json budget);
           ("runs", Core.Json.Int runs) ]
     in
-    let ledgered ~kind ~encode body =
+    let ledgered ~kind ~codec body =
       require_chips chips;
       run_campaign ~strict c ~campaign:(Printf.sprintf "figure%d" number)
-        ~grid ~kind ~encode body
+        ~grid ~kind ~codec body
     in
     match number with
     | 3 ->
       ledgered ~kind:"patch"
-        ~encode:(chipped_to_json Core.Patch_finder.result_to_json)
+        ~codec:(chipped Core.Patch_finder.result)
         (fun backend journal ->
           let results =
             List.map
@@ -1488,7 +1453,7 @@ let figure_cmd =
           results)
     | 4 ->
       ledgered ~kind:"spread"
-        ~encode:(chipped_to_json Core.Spread_finder.result_to_json)
+        ~codec:(chipped Core.Spread_finder.result)
         (fun backend journal ->
           let results =
             List.map
@@ -1512,7 +1477,7 @@ let figure_cmd =
           write_csv csv (Core.Report.spreads_csv results);
           results)
     | 5 ->
-      ledgered ~kind:"cost" ~encode:Core.Cost.points_to_json
+      ledgered ~kind:"cost" ~codec:Core.Cost.points
         (fun backend journal ->
           let apps = Apps.Registry.fence_free in
           (* emp_for runs inside a Cost job; keep the nested hardening serial
@@ -1690,7 +1655,7 @@ let chaos_cmd =
     let ledgered ~resume path =
       Option.get
         (with_ledger ~campaign:"test" ~seed ~jobs ~grid ~log:(Some path)
-           ~resume ~kind:"campaign" ~encode:Core.Campaign.rows_to_json
+           ~resume ~kind:"campaign" ~codec:Core.Campaign.rows
            campaign_rows)
     in
     let outcome =
@@ -2219,7 +2184,8 @@ let submit_cmd =
   let workers =
     Arg.(
       value & opt int 2
-      & info [ "workers" ] ~docv:"N" ~doc:"Shard count for this campaign.")
+      & info [ "workers" ] ~docv:"N"
+          ~doc:"Shard count for this campaign, at most one per cell.")
   in
   let priority =
     Arg.(
@@ -2269,14 +2235,17 @@ let submit_cmd =
       Fmt.epr "submission rejected (%d): %s@." status (String.trim resp);
       exit 1
     end;
-    let id =
-      match Core.Json.of_string resp with
-      | Ok j -> (
-        match Option.bind (Core.Json.member "id" j) Core.Json.to_str with
-        | Some id -> id
-        | None ->
-          Fmt.epr "malformed daemon response: %s@." (String.trim resp);
-          exit 1)
+    (* The daemon reports the shards it enqueued, which can be fewer
+       than --workers. *)
+    let id, workers =
+      let ( let* ) = Result.bind in
+      match
+        let* j = Core.Json.of_string resp in
+        let* id = Core.Codec.(get string "id" j) in
+        let* workers = Core.Codec.(get int "workers" j) in
+        Ok (id, workers)
+      with
+      | Ok r -> r
       | Error e ->
         Fmt.epr "malformed daemon response (%s): %s@." e (String.trim resp);
         exit 1

@@ -121,79 +121,44 @@ let rows_of_cells ~chips ~envs ~apps_per_row cells =
 (* ------------------------------------------------------------------ *)
 (* Ledger codecs                                                        *)
 
-let histogram_to_json h =
-  Json.List
-    (List.map
-       (fun (msg, n) ->
-         Json.Assoc [ ("msg", Json.String msg); ("n", Json.Int n) ])
-       h)
+let histogram =
+  Codec.(
+    list
+      (obj (fun msg n -> (msg, n))
+      |> mem "msg" string fst |> mem "n" int snd |> seal))
 
-let histogram_of_json j =
-  let open Runlog.Dec in
-  match Json.to_list j with
-  | None -> Error "histogram: expected a list"
-  | Some entries ->
-    all
-      (fun e ->
-        let* msg = str "msg" e in
-        let* n = int "n" e in
-        Ok (msg, n))
-      entries
+(* [quarantined] is omitted at [None] so fault-free ledgers stay
+   byte-identical with older ones (the golden CI ledger cmp-checks
+   this). *)
+let cell =
+  Codec.(
+    obj (fun app errors runs example histogram quarantined ->
+        { app; errors; runs; example; histogram; quarantined })
+    |> mem "app" string (fun c -> c.app)
+    |> mem "errors" int (fun c -> c.errors)
+    |> mem "runs" int (fun c -> c.runs)
+    |> mem "example" string (fun c -> c.example)
+    |> mem "histogram" histogram (fun c -> c.histogram)
+    |> opt "quarantined" string (fun c -> c.quarantined)
+    |> seal)
 
-let cell_to_json c =
-  Json.Assoc
-    ([ ("app", Json.String c.app);
-       ("errors", Json.Int c.errors);
-       ("runs", Json.Int c.runs);
-       ("example", Json.String c.example);
-       ("histogram", histogram_to_json c.histogram) ]
-    (* Conditional so fault-free ledgers stay byte-identical with older
-       ones (the golden CI ledger cmp-checks this). *)
-    @
-    match c.quarantined with
-    | None -> []
-    | Some reason -> [ ("quarantined", Json.String reason) ])
+let cell_to_json = Codec.encode cell
+let cell_codec = { Runlog.codec = cell; errors_of = (fun c -> c.errors) }
 
-let cell_of_json j =
-  let open Runlog.Dec in
-  let* app = str "app" j in
-  let* errors = int "errors" j in
-  let* runs = int "runs" j in
-  let* example = str "example" j in
-  let* hj = field "histogram" j in
-  let* histogram = histogram_of_json hj in
-  let* quarantined = opt_str "quarantined" j in
-  Ok { app; errors; runs; example; histogram; quarantined }
+let rows =
+  Codec.(
+    list
+      (obj (fun chip environment cells capable effective ->
+           { chip; environment; cells; capable; effective })
+      |> mem "chip" string (fun r -> r.chip)
+      |> mem "environment" string (fun r -> r.environment)
+      |> mem "cells" (list cell) (fun r -> r.cells)
+      |> mem "capable" int (fun r -> r.capable)
+      |> mem "effective" int (fun r -> r.effective)
+      |> seal))
 
-let cell_codec =
-  { Runlog.encode = cell_to_json; decode = cell_of_json;
-    errors_of = (fun c -> c.errors) }
-
-let row_to_json r =
-  Json.Assoc
-    [ ("chip", Json.String r.chip);
-      ("environment", Json.String r.environment);
-      ("cells", Json.List (List.map cell_to_json r.cells));
-      ("capable", Json.Int r.capable);
-      ("effective", Json.Int r.effective) ]
-
-let row_of_json j =
-  let open Runlog.Dec in
-  let* chip = str "chip" j in
-  let* environment = str "environment" j in
-  let* cj = list "cells" j in
-  let* cells = all cell_of_json cj in
-  let* capable = int "capable" j in
-  let* effective = int "effective" j in
-  Ok { chip; environment; cells; capable; effective }
-
-let rows_to_json rows = Json.List (List.map row_to_json rows)
-
-let rows_of_json j =
-  let open Runlog.Dec in
-  match Json.to_list j with
-  | None -> Error "campaign rows: expected a list"
-  | Some rows -> all row_of_json rows
+let rows_to_json = Codec.encode rows
+let rows_of_json = Codec.decode rows
 
 let run ?backend ?journal ~chips ~environments_for ~apps ~runs ~seed () =
   (* Plan: one job per (chip, environment, application) cell, flattened in

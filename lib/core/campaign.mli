@@ -93,14 +93,19 @@ val run :
 
 (** {1 Ledger codecs} *)
 
+val cell : cell Codec.t
+(** A Table 5 cell as a campaign job record stores it; [quarantined] is
+    omitted at [None]. *)
+
 val cell_to_json : cell -> Json.t
-val cell_of_json : Json.t -> (cell, string) result
 val cell_codec : cell Runlog.codec
+
+val rows : row list Codec.t
+(** The campaign's reduced result, as stored in a ledger's result
+    record and rendered by [gpuwmm report]/[compare]. *)
 
 val rows_to_json : row list -> Json.t
 val rows_of_json : Json.t -> (row list, string) result
-(** The campaign's reduced result, as stored in a ledger's result
-    record and rendered by [gpuwmm report]/[compare]. *)
 
 val sys_tuned_for : Gpusim.Chip.t -> Stress.tuned
 (** The shipped Table 2 parameters for a chip (used when the caller does

@@ -36,55 +36,33 @@ type point = {
 (* ------------------------------------------------------------------ *)
 (* Ledger codecs                                                        *)
 
-let measurement_to_json m =
-  Json.Assoc
-    [ ("runtime", Json.Float m.runtime);
-      ("energy", Json.Float m.energy);
-      ("discarded", Json.Int m.discarded) ]
-
-let measurement_of_json j =
-  let open Runlog.Dec in
-  let* runtime = float "runtime" j in
-  let* energy = float "energy" j in
-  let* discarded = int "discarded" j in
-  Ok { runtime; energy; discarded }
-
-let point_to_json p =
-  Json.Assoc
-    [ ("chip", Json.String p.chip);
-      ("app", Json.String p.app);
-      ("nvml", Json.Bool p.nvml);
-      ("no_fences", measurement_to_json p.no_fences);
-      ("emp", measurement_to_json p.emp);
-      ("cons", measurement_to_json p.cons);
-      ("emp_count", Json.Int p.emp_count) ]
-
-let point_of_json j =
-  let open Runlog.Dec in
-  let* chip = str "chip" j in
-  let* app = str "app" j in
-  let* nvml = bool "nvml" j in
-  let* nj = field "no_fences" j in
-  let* no_fences = measurement_of_json nj in
-  let* ej = field "emp" j in
-  let* emp = measurement_of_json ej in
-  let* cj = field "cons" j in
-  let* cons = measurement_of_json cj in
-  let* emp_count = int "emp_count" j in
-  Ok { chip; app; nvml; no_fences; emp; cons; emp_count }
+let point =
+  let measurement =
+    Codec.(
+      obj (fun runtime energy discarded -> { runtime; energy; discarded })
+      |> mem "runtime" float (fun m -> m.runtime)
+      |> mem "energy" float (fun m -> m.energy)
+      |> mem "discarded" int (fun m -> m.discarded)
+      |> seal)
+  in
+  Codec.(
+    obj (fun chip app nvml no_fences emp cons emp_count ->
+        { chip; app; nvml; no_fences; emp; cons; emp_count })
+    |> mem "chip" string (fun p -> p.chip)
+    |> mem "app" string (fun p -> p.app)
+    |> mem "nvml" bool (fun p -> p.nvml)
+    |> mem "no_fences" measurement (fun p -> p.no_fences)
+    |> mem "emp" measurement (fun p -> p.emp)
+    |> mem "cons" measurement (fun p -> p.cons)
+    |> mem "emp_count" int (fun p -> p.emp_count)
+    |> seal)
 
 let point_codec =
-  { Runlog.encode = point_to_json; decode = point_of_json;
+  { Runlog.codec = point;
     errors_of =
-      (fun p ->
-        p.no_fences.discarded + p.emp.discarded + p.cons.discarded) }
+      (fun p -> p.no_fences.discarded + p.emp.discarded + p.cons.discarded) }
 
-let points_to_json ps = Json.List (List.map point_to_json ps)
-
-let points_of_json j =
-  match Json.to_list j with
-  | None -> Error "cost points: expected a list"
-  | Some ps -> Runlog.Dec.all point_of_json ps
+let points = Codec.list point
 
 let run ?backend ?journal ~chips ~apps ~emp_for ~runs ~seed () =
   (* Plan: one job per (chip, app) benchmark point; the three fencing

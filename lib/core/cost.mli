@@ -50,11 +50,8 @@ val run :
 
 (** {1 Ledger codecs} *)
 
-val point_to_json : point -> Json.t
-val point_of_json : Json.t -> (point, string) result
 val point_codec : point Runlog.codec
-val points_to_json : point list -> Json.t
-val points_of_json : Json.t -> (point list, string) result
+val points : point list Codec.t
 
 val overhead_pct : base:float -> float -> float
 (** [(v - base) / base * 100]. *)

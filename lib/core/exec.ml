@@ -627,7 +627,7 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
       (match (journal, codec) with
       | Some jn, Some c ->
         Runlog.record jn ~pos:(rank j.index) ~index:j.index ~seed:j.seed
-          ~errors:errs ~duration_s ~attempts (c.Runlog.encode v)
+          ~errors:errs ~duration_s ~attempts (Codec.encode c.Runlog.codec v)
       | _ -> ());
       finish j v errs)
     ?on_quarantine:

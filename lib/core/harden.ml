@@ -113,46 +113,23 @@ let insert ~chip ?config ?backend ?journal ~app ~seed () =
 (* ------------------------------------------------------------------ *)
 (* Ledger codecs                                                        *)
 
-let result_to_json r =
-  Json.Assoc
-    [ ("app", Json.String r.app);
-      ("chip", Json.String r.chip);
-      ("initial", Json.Int r.initial);
-      ( "fences",
-        Json.List
-          (List.map
-             (fun (kernel, site) ->
-               Json.Assoc
-                 [ ("k", Json.String kernel); ("s", Json.Int site) ])
-             r.fences) );
-      ("converged", Json.Bool r.converged);
-      ("rounds", Json.Int r.rounds);
-      ("checks", Json.Int r.checks);
-      ("elapsed_s", Json.Float r.elapsed_s) ]
-
-let result_of_json j =
-  let open Runlog.Dec in
-  let* app = str "app" j in
-  let* chip = str "chip" j in
-  let* initial = int "initial" j in
-  let* fj = list "fences" j in
-  let* fences =
-    all
-      (fun e ->
-        let* kernel = str "k" e in
-        let* site = int "s" e in
-        Ok (kernel, site))
-      fj
+let results =
+  let fence =
+    Codec.(
+      obj (fun kernel site -> (kernel, site))
+      |> mem "k" string fst |> mem "s" int snd |> seal)
   in
-  let* converged = bool "converged" j in
-  let* rounds = int "rounds" j in
-  let* checks = int "checks" j in
-  let* elapsed_s = float "elapsed_s" j in
-  Ok { app; chip; initial; fences; converged; rounds; checks; elapsed_s }
-
-let results_to_json rs = Json.List (List.map result_to_json rs)
-
-let results_of_json j =
-  match Json.to_list j with
-  | None -> Error "harden results: expected a list"
-  | Some rs -> Runlog.Dec.all result_of_json rs
+  Codec.(
+    list
+      (obj (fun app chip initial fences converged rounds checks elapsed_s ->
+           { app; chip; initial; fences; converged; rounds; checks;
+             elapsed_s })
+      |> mem "app" string (fun r -> r.app)
+      |> mem "chip" string (fun r -> r.chip)
+      |> mem "initial" int (fun r -> r.initial)
+      |> mem "fences" (list fence) (fun r -> r.fences)
+      |> mem "converged" bool (fun r -> r.converged)
+      |> mem "rounds" int (fun r -> r.rounds)
+      |> mem "checks" int (fun r -> r.checks)
+      |> mem "elapsed_s" float (fun r -> r.elapsed_s)
+      |> seal))

@@ -73,7 +73,4 @@ val insert :
 
 (** {1 Ledger codecs} *)
 
-val result_to_json : result -> Json.t
-val result_of_json : Json.t -> (result, string) Stdlib.result
-val results_to_json : result list -> Json.t
-val results_of_json : Json.t -> (result list, string) Stdlib.result
+val results : result list Codec.t

@@ -49,77 +49,47 @@ let hb_path ledger = ledger ^ ".hb"
 (* ------------------------------------------------------------------ *)
 (* Codec                                                                *)
 
-let to_json r =
-  let open Json in
-  Assoc
-    (("rec", String "hb") :: ("pid", Int r.pid)
-    :: (match r.shard with Some s -> [ ("shard", String s) ] | None -> [])
-    @ [ ("seq", Int r.seq); ("t", Float r.t);
-        ("interval_s", Float r.interval_s) ]
-    @ (if r.final then [ ("final", Bool true) ] else [])
-    @ [ ("label", String r.label); ("done", Int r.jobs_done);
-        ("total", Int r.jobs_total); ("cached", Int r.cached);
-        ("errors", Int r.errors); ("rate", Float r.rate) ]
-    @ (match r.eta_s with Some e -> [ ("eta_s", Float e) ] | None -> [])
-    @ [ ("retried", Int r.retried); ("quarantined", Int r.quarantined) ]
-    (* Omitted at 0 so streams from never-crashed workers (and the
-       golden fixtures) keep their historical bytes. *)
-    @ (if r.respawns > 0 then [ ("respawns", Int r.respawns) ] else [])
-    @ [ ("minor_words", Float r.minor_words);
-        ("minor_collections", Int r.minor_collections);
-        ("major_collections", Int r.major_collections);
-        ("counters", Assoc (List.map (fun (k, v) -> (k, Int v)) r.counters))
-      ])
-
-let of_json j =
-  let open Runlog.Dec in
-  let* tag = str "rec" j in
-  if tag <> "hb" then Error (Printf.sprintf "not a heartbeat record: %S" tag)
-  else
-    let* pid = int "pid" j in
-    let* shard = opt_str "shard" j in
-    let* seq = int "seq" j in
-    let* t = float "t" j in
-    let* interval_s = float "interval_s" j in
-    let* final = opt_bool "final" j in
-    let* label = str "label" j in
-    let* jobs_done = int "done" j in
-    let* jobs_total = int "total" j in
-    let* cached = int "cached" j in
-    let* errors = int "errors" j in
-    let* rate = float "rate" j in
-    let* eta_s = opt_float "eta_s" j in
-    let* retried = int "retried" j in
-    let* quarantined = int "quarantined" j in
-    let* respawns = opt_int "respawns" j in
-    let* minor_words = float "minor_words" j in
-    let* minor_collections = int "minor_collections" j in
-    let* major_collections = int "major_collections" j in
-    let* counters =
-      match Json.member "counters" j with
-      | Some (Json.Assoc kvs) ->
-        all
-          (fun (k, v) ->
-            match Json.to_int v with
-            | Some n -> Ok (k, n)
-            | None -> Error (Printf.sprintf "non-integer counter %s" k))
-          kvs
-      | _ -> Error "missing or mistyped field counters"
-    in
-    Ok
-      { pid; shard; seq; t; interval_s;
-        final = Option.value final ~default:false; label; jobs_done;
-        jobs_total; cached; errors; rate; eta_s; retried; quarantined;
-        respawns = Option.value respawns ~default:0; minor_words;
-        minor_collections; major_collections; counters }
+(* [final] and [respawns] are omitted at their defaults so streams from
+   never-crashed workers (and the golden fixtures) keep their historical
+   bytes. *)
+let record =
+  Codec.(
+    obj
+      (fun pid shard seq t interval_s final label jobs_done jobs_total cached
+           errors rate eta_s retried quarantined respawns minor_words
+           minor_collections major_collections counters ->
+        { pid; shard; seq; t; interval_s; final; label; jobs_done; jobs_total;
+          cached; errors; rate; eta_s; retried; quarantined; respawns;
+          minor_words; minor_collections; major_collections; counters })
+    |> mem "pid" int (fun r -> r.pid)
+    |> opt "shard" string (fun r -> r.shard)
+    |> mem "seq" int (fun r -> r.seq)
+    |> mem "t" float (fun r -> r.t)
+    |> mem "interval_s" float (fun r -> r.interval_s)
+    |> dflt "final" bool ~default:false (fun r -> r.final)
+    |> mem "label" string (fun r -> r.label)
+    |> mem "done" int (fun r -> r.jobs_done)
+    |> mem "total" int (fun r -> r.jobs_total)
+    |> mem "cached" int (fun r -> r.cached)
+    |> mem "errors" int (fun r -> r.errors)
+    |> mem "rate" float (fun r -> r.rate)
+    |> opt "eta_s" float (fun r -> r.eta_s)
+    |> mem "retried" int (fun r -> r.retried)
+    |> mem "quarantined" int (fun r -> r.quarantined)
+    |> dflt "respawns" int ~default:0 (fun r -> r.respawns)
+    |> mem "minor_words" float (fun r -> r.minor_words)
+    |> mem "minor_collections" int (fun r -> r.minor_collections)
+    |> mem "major_collections" int (fun r -> r.major_collections)
+    |> mem "counters" (assoc int) (fun r -> r.counters)
+    |> tag "rec" "hb" |> seal)
 
 (* ------------------------------------------------------------------ *)
 (* Stream I/O, through Jsonl: observers skip torn or foreign lines, and
    a worker respawned onto a torn stream heals it on its first beat.    *)
 
-let append ~path r = Jsonl.append path (to_json r)
-let load path = Jsonl.lenient of_json path
-let latest path = Jsonl.last of_json path
+let append ~path r = Jsonl.append path (Codec.encode record r)
+let load path = Jsonl.lenient (Codec.decode record) path
+let latest path = Jsonl.last (Codec.decode record) path
 
 (* ------------------------------------------------------------------ *)
 (* Staleness                                                            *)

@@ -53,11 +53,10 @@ type record = {
 val hb_path : string -> string
 (** The sidecar stream path for a ledger: [<ledger>.hb]. *)
 
-val to_json : record -> Json.t
-
-val of_json : Json.t -> (record, string) result
-(** Exact inverse of {!to_json}; optional fields ([shard], [final],
-    [eta_s], [respawns]) are omitted at their defaults. *)
+val record : record Codec.t
+(** The stream's line format, tagged ["rec": "hb"]; [shard] and
+    [eta_s] are omitted at [None], [final] and [respawns] at their
+    defaults. *)
 
 val append : path:string -> record -> unit
 (** Append one record with {!Jsonl.append}, creating the stream if

@@ -232,14 +232,6 @@ let start_routes ?(addr = "127.0.0.1") ~port handler =
   in
   { sock; port; stop_r; stop_w; dom }
 
-(* The path-only entry point predates POST support; it keeps serving
-   observability scrapes with the old GET/HEAD-only contract. *)
-let start ?addr ~port handler =
-  start_routes ?addr ~port (fun req ->
-      if req.meth <> "GET" && req.meth <> "HEAD" then
-        respond ~status:405 "method not allowed\n"
-      else handler req.path)
-
 let port t = t.port
 
 let stop t =

@@ -5,7 +5,7 @@
     with a single handler call; connections are closed after every
     response ([Connection: close]).  Failures inside a connection are
     swallowed — the server exists to observe a campaign, never to
-    interrupt one: {!start} ignores [SIGPIPE] process-wide so a client
+    interrupt one: {!start_routes} ignores [SIGPIPE] process-wide so a client
     disconnecting mid-response surfaces as a swallowed [EPIPE] rather
     than killing the campaign, and every accepted socket carries short
     receive/send timeouts so a stalled client cannot starve other
@@ -29,18 +29,14 @@ type request = {
 
 type t
 
-val start : ?addr:string -> port:int -> (string -> response) -> t
-(** [start ~port handler] binds [addr] (default loopback) on [port]
-    — [0] picks a free port, see {!port} — and serves [GET]/[HEAD]
-    requests by calling [handler path] (query strings stripped).  A
-    handler exception becomes a [500]; other methods get a [405].
-    Raises [Unix.Unix_error] if the bind fails. *)
-
 val start_routes : ?addr:string -> port:int -> (request -> response) -> t
-(** Like {!start} but the handler sees the whole {!request}, including
-    the method and any [POST] body (bodies are capped at 1 MiB).
-    [GET], [HEAD] and [POST] are dispatched; other methods get a
-    [405] before the handler runs. *)
+(** [start_routes ~port handler] binds [addr] (default loopback) on
+    [port] — [0] picks a free port, see {!port} — and serves each
+    request by calling [handler] with the whole {!request}: method,
+    path (query string stripped) and any [POST] body (capped at
+    1 MiB).  [GET], [HEAD] and [POST] are dispatched; other methods get
+    a [405] before the handler runs.  A handler exception becomes a
+    [500].  Raises [Unix.Unix_error] if the bind fails. *)
 
 val port : t -> int
 (** The actually bound port (useful with [~port:0]). *)

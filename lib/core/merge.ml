@@ -219,7 +219,7 @@ let reconstruct_result header (jobs : Runlog.job list) =
     List.fold_left
       (fun acc (j : Runlog.job) ->
         let* acc = acc in
-        match Campaign.cell_of_json j.Runlog.result with
+        match Codec.decode Campaign.cell j.Runlog.result with
         | Ok c -> Ok (c :: acc)
         | Error e -> err "campaign job %d does not decode: %s" j.Runlog.index e)
       (Ok []) jobs

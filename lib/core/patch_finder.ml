@@ -47,99 +47,50 @@ let modal_patch_size sizes =
   |> Option.map fst
 
 (* ------------------------------------------------------------------ *)
-(* Ledger codecs.  Idioms serialise by their display name; the helpers
+(* Ledger codecs.  Idioms serialise by their display name; the codecs
    live here because every finder stage shares them. *)
 
-let idiom_to_json i = Json.String (Litmus.Test.idiom_name i)
+let idiom =
+  Codec.conv Litmus.Test.idiom_name
+    (fun s ->
+      match
+        List.find_opt (fun i -> Litmus.Test.idiom_name i = s) Litmus.Test.idioms
+      with
+      | Some i -> Ok i
+      | None -> Error (Printf.sprintf "unknown idiom %S" s))
+    Codec.string
 
-let idiom_of_json j =
-  match Json.to_str j with
-  | None -> Error "idiom: expected a string"
-  | Some s -> (
-    match
-      List.find_opt
-        (fun i -> Litmus.Test.idiom_name i = s)
-        Litmus.Test.idioms
-    with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "unknown idiom %S" s))
+let scores =
+  Codec.(
+    list
+      (obj (fun idiom n -> (idiom, n))
+      |> mem "idiom" idiom fst |> mem "n" int snd |> seal))
 
-let scores_to_json scores =
-  Json.List
-    (List.map
-       (fun (idiom, n) ->
-         Json.Assoc [ ("idiom", idiom_to_json idiom); ("n", Json.Int n) ])
-       scores)
-
-let scores_of_json j =
-  let open Runlog.Dec in
-  match Json.to_list j with
-  | None -> Error "scores: expected a list"
-  | Some entries ->
-    all
-      (fun e ->
-        let* ij = field "idiom" e in
-        let* idiom = idiom_of_json ij in
-        let* n = int "n" e in
-        Ok (idiom, n))
-      entries
-
-let result_to_json r =
-  Json.Assoc
-    [ ("runs", Json.Int r.runs);
-      ("chosen", Json.Int r.chosen);
-      ( "critical",
-        match r.critical with Some p -> Json.Int p | None -> Json.Null );
-      ( "per_idiom",
-        Json.List
-          (List.map
-             (fun (idiom, size) ->
-               Json.Assoc
-                 [ ("idiom", idiom_to_json idiom);
-                   ( "size",
-                     match size with
-                     | Some s -> Json.Int s
-                     | None -> Json.Null ) ])
-             r.per_idiom) );
-      ( "cells",
-        Json.List
-          (List.map
-             (fun c ->
-               Json.Assoc
-                 [ ("idiom", idiom_to_json c.idiom);
-                   ("d", Json.Int c.distance);
-                   ("loc", Json.Int c.location);
-                   ("weak", Json.Int c.weak) ])
-             r.cells) ) ]
-
-let result_of_json j =
-  let open Runlog.Dec in
-  let* runs = int "runs" j in
-  let* chosen = int "chosen" j in
-  let* critical = opt_int "critical" j in
-  let* pj = list "per_idiom" j in
-  let* per_idiom =
-    all
-      (fun e ->
-        let* ij = field "idiom" e in
-        let* idiom = idiom_of_json ij in
-        let* size = opt_int "size" e in
-        Ok (idiom, size))
-      pj
+let result =
+  let per_idiom =
+    Codec.(
+      obj (fun idiom size -> (idiom, size))
+      |> mem "idiom" idiom fst |> mem "size" (nullable int) snd |> seal)
   in
-  let* cj = list "cells" j in
-  let* cells =
-    all
-      (fun e ->
-        let* ij = field "idiom" e in
-        let* idiom = idiom_of_json ij in
-        let* distance = int "d" e in
-        let* location = int "loc" e in
-        let* weak = int "weak" e in
-        Ok { idiom; distance; location; weak })
-      cj
+  let cell =
+    Codec.(
+      obj (fun idiom distance location weak ->
+          { idiom; distance; location; weak })
+      |> mem "idiom" idiom (fun c -> c.idiom)
+      |> mem "d" int (fun c -> c.distance)
+      |> mem "loc" int (fun c -> c.location)
+      |> mem "weak" int (fun c -> c.weak)
+      |> seal)
   in
-  Ok { cells; runs; per_idiom; critical; chosen }
+  Codec.(
+    obj (fun runs chosen critical per_idiom cells ->
+        { cells; runs; per_idiom; critical; chosen })
+    |> mem "runs" int (fun r -> r.runs)
+    |> mem "chosen" int (fun r -> r.chosen)
+    |> mem "critical" (nullable int) (fun r -> r.critical)
+    |> mem "per_idiom" (list per_idiom) (fun r -> r.per_idiom)
+    |> mem "cells" (list cell) (fun r -> r.cells)
+    |> seal)
 
 let run ?backend ?journal ~chip ~seed ~budget () =
   let b = budget in

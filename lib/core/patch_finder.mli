@@ -41,17 +41,11 @@ val run :
 
 (** {1 Ledger codecs} *)
 
-val idiom_to_json : Litmus.Test.idiom -> Json.t
-val idiom_of_json : Json.t -> (Litmus.Test.idiom, string) Stdlib.result
-(** Idioms serialise by display name ("MP"/"LB"/"SB"); shared by the
-    other finder stages' codecs. *)
+val scores : (Litmus.Test.idiom * int) list Codec.t
+(** Per-idiom scores; idioms serialise by display name ("MP"/"LB"/"SB").
+    Shared by the other finder stages' codecs. *)
 
-val scores_to_json : (Litmus.Test.idiom * int) list -> Json.t
-val scores_of_json :
-  Json.t -> ((Litmus.Test.idiom * int) list, string) Stdlib.result
-
-val result_to_json : result -> Json.t
-val result_of_json : Json.t -> (result, string) Stdlib.result
+val result : result Codec.t
 
 val patch_sizes_of_row : eps:int -> stride:int -> (int * int) list -> int list
 (** [patch_sizes_of_row ~eps ~stride cells] extracts the sizes (in words)

@@ -51,19 +51,29 @@ type event =
 (* ------------------------------------------------------------------ *)
 (* Codec                                                                *)
 
-let spec_to_fields s =
-  let open Json in
-  ("id", String s.id) :: ("kind", String s.kind) :: ("chip", String s.chip)
-  :: (match s.app with Some a -> [ ("app", String a) ] | None -> [])
-  @ [ ("runs", Int s.runs); ("env", String s.env); ("seed", Int s.seed);
-      ("workers", Int s.workers); ("priority", Int s.priority);
-      ("max_attempts", Int s.max_attempts) ]
+(* The submit event writes every spec field, [app] only when set. *)
+let spec =
+  Codec.(
+    obj (fun id kind chip app runs env seed workers priority max_attempts ->
+        { id; kind; chip; app; runs; env; seed; workers; priority;
+          max_attempts })
+    |> mem "id" string (fun s -> s.id)
+    |> mem "kind" string (fun s -> s.kind)
+    |> mem "chip" string (fun s -> s.chip)
+    |> opt "app" string (fun s -> s.app)
+    |> mem "runs" int (fun s -> s.runs)
+    |> mem "env" string (fun s -> s.env)
+    |> mem "seed" int (fun s -> s.seed)
+    |> mem "workers" int (fun s -> s.workers)
+    |> mem "priority" int (fun s -> s.priority)
+    |> mem "max_attempts" int (fun s -> s.max_attempts)
+    |> seal)
 
 let event_to_json ev =
   let open Json in
   match ev with
-  | Submitted { t; spec } ->
-    Assoc (("ev", String "submit") :: ("t", Float t) :: spec_to_fields spec)
+  | Submitted { t; spec = s } ->
+    Assoc (("ev", String "submit") :: ("t", Float t) :: Codec.fields spec s)
   | Leased { t; id; shard; pid; attempt; deadline } ->
     Assoc
       [ ("ev", String "lease"); ("t", Float t); ("id", String id);
@@ -89,57 +99,44 @@ let event_to_json ev =
          ("status", String status) ]
       @ match ledger with Some l -> [ ("ledger", String l) ] | None -> [])
 
-let spec_of_json j =
-  let open Runlog.Dec in
-  let* id = str "id" j in
-  let* kind = str "kind" j in
-  let* chip = str "chip" j in
-  let* app = opt_str "app" j in
-  let* runs = int "runs" j in
-  let* env = str "env" j in
-  let* seed = int "seed" j in
-  let* workers = int "workers" j in
-  let* priority = int "priority" j in
-  let* max_attempts = int "max_attempts" j in
-  Ok { id; kind; chip; app; runs; env; seed; workers; priority; max_attempts }
-
 let event_of_json j =
-  let open Runlog.Dec in
-  let* ev = str "ev" j in
-  let* t = float "t" j in
+  let open Codec in
+  let ( let* ) = Result.bind in
+  let* ev = get string "ev" j in
+  let* t = get float "t" j in
   match ev with
   | "submit" ->
-    let* spec = spec_of_json j in
+    let* spec = decode spec j in
     Ok (Submitted { t; spec })
   | "lease" ->
-    let* id = str "id" j in
-    let* shard = int "shard" j in
-    let* pid = int "pid" j in
-    let* attempt = int "attempt" j in
-    let* deadline = float "deadline" j in
+    let* id = get string "id" j in
+    let* shard = get int "shard" j in
+    let* pid = get int "pid" j in
+    let* attempt = get int "attempt" j in
+    let* deadline = get float "deadline" j in
     Ok (Leased { t; id; shard; pid; attempt; deadline })
   | "done" ->
-    let* id = str "id" j in
-    let* shard = int "shard" j in
-    let* degraded = opt_bool "degraded" j in
+    let* id = get string "id" j in
+    let* shard = get int "shard" j in
+    let* degraded = get_opt bool "degraded" j in
     let degraded = Option.value degraded ~default:false in
     Ok (Shard_done { t; id; shard; degraded })
   | "requeue" ->
-    let* id = str "id" j in
-    let* shard = int "shard" j in
-    let* attempt = int "attempt" j in
-    let* reason = str "reason" j in
-    let* not_before = float "not_before" j in
+    let* id = get string "id" j in
+    let* shard = get int "shard" j in
+    let* attempt = get int "attempt" j in
+    let* reason = get string "reason" j in
+    let* not_before = get float "not_before" j in
     Ok (Requeued { t; id; shard; attempt; reason; not_before })
   | "quarantine" ->
-    let* id = str "id" j in
-    let* shard = int "shard" j in
-    let* reason = str "reason" j in
+    let* id = get string "id" j in
+    let* shard = get int "shard" j in
+    let* reason = get string "reason" j in
     Ok (Quarantined { t; id; shard; reason })
   | "finish" ->
-    let* id = str "id" j in
-    let* status = str "status" j in
-    let* ledger = opt_str "ledger" j in
+    let* id = get string "id" j in
+    let* status = get string "status" j in
+    let* ledger = get_opt string "ledger" j in
     Ok (Finished { t; id; status; ledger })
   | k -> Error (Printf.sprintf "unknown queue event %S" k)
 

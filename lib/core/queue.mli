@@ -56,7 +56,7 @@ type event =
       ledger : string option;  (** the merged ledger, when one was written *)
     }
 
-val spec_to_fields : spec -> (string * Json.t) list
+val spec : spec Codec.t
 (** The spec's fields as the [submit] event writes them (and [/jobs]
     lists them), [app] only when set. *)
 

@@ -6,52 +6,6 @@ let deterministic_mode () =
   | Some _ -> true
 
 (* ------------------------------------------------------------------ *)
-(* Decoding helpers                                                     *)
-
-module Dec = struct
-  let ( let* ) = Result.bind
-
-  let field k j =
-    match Json.member k j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" k)
-
-  let typed name conv k j =
-    match Option.bind (Json.member k j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing or mistyped %s field %S" name k)
-
-  let int k j = typed "int" Json.to_int k j
-  let float k j = typed "number" Json.to_float k j
-  let bool k j = typed "bool" Json.to_bool k j
-  let str k j = typed "string" Json.to_str k j
-  let list k j = typed "list" Json.to_list k j
-
-  let opt name conv k j =
-    match Json.member k j with
-    | None | Some Json.Null -> Ok None
-    | Some v -> (
-      match conv v with
-      | Some x -> Ok (Some x)
-      | None -> Error (Printf.sprintf "mistyped %s field %S" name k))
-
-  let opt_int k j = opt "int" Json.to_int k j
-  let opt_float k j = opt "number" Json.to_float k j
-  let opt_bool k j = opt "bool" Json.to_bool k j
-  let opt_str k j = opt "string" Json.to_str k j
-
-  let all f xs =
-    List.fold_right
-      (fun x acc ->
-        let* acc = acc in
-        let* v = f x in
-        Ok (v :: acc))
-      xs (Ok [])
-end
-
-open Dec
-
-(* ------------------------------------------------------------------ *)
 (* Records                                                              *)
 
 type header = {
@@ -99,65 +53,29 @@ let make_header ?argv ?(jobs = 1) ?shard ~campaign ~seed ~grid () =
    and a merged deterministic ledger stays byte-identical to the
    single-process run (merge provenance only exists outside
    deterministic mode). *)
-let header_to_json h =
-  Json.Assoc
-    ([ ("rec", Json.String "header");
-       ("schema", Json.Int h.schema);
-       ("campaign", Json.String h.campaign);
-       ("seed", Json.Int h.seed);
-       ("jobs", Json.Int h.jobs);
-       ("argv", Json.List (List.map (fun a -> Json.String a) h.argv));
-       ("git", match h.git with Some g -> Json.String g | None -> Json.Null);
-       ("created", Json.Float h.created);
-       ("grid", h.grid) ]
-    @ (match h.shard with
-      | Some s -> [ ("shard", Json.String s) ]
-      | None -> [])
-    @ (match h.merged with
-      | Some srcs ->
-        [ ("merged", Json.List (List.map (fun s -> Json.String s) srcs)) ]
-      | None -> []))
-
-let header_of_json j =
-  let* schema = int "schema" j in
-  if schema <> schema_version then
-    Error (Printf.sprintf "unsupported ledger schema %d" schema)
-  else
-    let* campaign = str "campaign" j in
-    let* seed = int "seed" j in
-    let* jobs = int "jobs" j in
-    let* argv_j = list "argv" j in
-    let* argv =
-      all
-        (fun a ->
-          match Json.to_str a with
-          | Some s -> Ok s
-          | None -> Error "mistyped argv element")
-        argv_j
-    in
-    let* git = opt_str "git" j in
-    let* created = float "created" j in
-    let* grid = field "grid" j in
-    let* shard = opt_str "shard" j in
-    let* merged =
-      match Json.member "merged" j with
-      | None | Some Json.Null -> Ok None
-      | Some v -> (
-        match Json.to_list v with
-        | None -> Error "mistyped list field \"merged\""
-        | Some xs ->
-          let* srcs =
-            all
-              (fun s ->
-                match Json.to_str s with
-                | Some s -> Ok s
-                | None -> Error "mistyped merged element")
-              xs
-          in
-          Ok (Some srcs))
-    in
-    Ok { schema; campaign; argv; seed; jobs; grid; git; created; shard;
-         merged }
+let header =
+  let schema =
+    Codec.conv Fun.id
+      (fun n ->
+        if n = schema_version then Ok n
+        else Error (Printf.sprintf "unsupported ledger schema %d" n))
+      Codec.int
+  in
+  Codec.(
+    obj (fun schema campaign seed jobs argv git created grid shard merged ->
+        { schema; campaign; seed; jobs; argv; git; created; grid; shard;
+          merged })
+    |> mem "schema" schema (fun h -> h.schema)
+    |> mem "campaign" string (fun h -> h.campaign)
+    |> mem "seed" int (fun h -> h.seed)
+    |> mem "jobs" int (fun h -> h.jobs)
+    |> mem "argv" (list string) (fun h -> h.argv)
+    |> mem "git" (nullable string) (fun h -> h.git)
+    |> mem "created" float (fun h -> h.created)
+    |> mem "grid" json (fun h -> h.grid)
+    |> opt "shard" string (fun h -> h.shard)
+    |> opt "merged" (list string) (fun h -> h.merged)
+    |> tag "rec" "header" |> seal)
 
 type job = {
   phase : string;
@@ -173,32 +91,19 @@ type job = {
 (* [attempts] and [failed] are emitted only away from their defaults so
    that supervision leaves fault-free ledgers byte-identical (the CI
    golden ledger is compared with cmp). *)
-let job_to_json j =
-  Json.Assoc
-    ([ ("rec", Json.String "job");
-       ("phase", Json.String j.phase);
-       ("i", Json.Int j.index);
-       ("seed", Json.Int j.seed);
-       ("errors", Json.Int j.errors);
-       ("dur_s", Json.Float j.duration_s) ]
-    @ (if j.attempts > 1 then [ ("attempts", Json.Int j.attempts) ] else [])
-    @ (match j.failed with
-      | Some reason -> [ ("failed", Json.String reason) ]
-      | None -> [])
-    @ [ ("result", j.result) ])
-
-let job_of_json j =
-  let* phase = str "phase" j in
-  let* index = int "i" j in
-  let* seed = int "seed" j in
-  let* errors = int "errors" j in
-  let* duration_s = float "dur_s" j in
-  let* attempts = opt_int "attempts" j in
-  let* failed = opt_str "failed" j in
-  let* result = field "result" j in
-  Ok
-    { phase; index; seed; errors; duration_s; result;
-      attempts = Option.value ~default:1 attempts; failed }
+let job =
+  Codec.(
+    obj (fun phase index seed errors duration_s attempts failed result ->
+        { phase; index; seed; errors; duration_s; result; attempts; failed })
+    |> mem "phase" string (fun j -> j.phase)
+    |> mem "i" int (fun j -> j.index)
+    |> mem "seed" int (fun j -> j.seed)
+    |> mem "errors" int (fun j -> j.errors)
+    |> mem "dur_s" float (fun j -> j.duration_s)
+    |> dflt "attempts" int ~default:1 (fun j -> j.attempts)
+    |> opt "failed" string (fun j -> j.failed)
+    |> mem "result" json (fun j -> j.result)
+    |> tag "rec" "job" |> seal)
 
 type footer = {
   total_jobs : int;
@@ -208,24 +113,22 @@ type footer = {
   telemetry : Json.t;
 }
 
-let footer_to_json f =
-  Json.Assoc
-    ([ ("rec", Json.String "footer");
-       ("jobs", Json.Int f.total_jobs);
-       ("errors", Json.Int f.total_errors) ]
-    @ (if f.quarantined > 0 then [ ("quarantined", Json.Int f.quarantined) ]
-       else [])
-    @ [ ("wall_s", Json.Float f.wall_s); ("telemetry", f.telemetry) ])
+let footer =
+  Codec.(
+    obj (fun total_jobs total_errors quarantined wall_s telemetry ->
+        { total_jobs; total_errors; quarantined; wall_s; telemetry })
+    |> mem "jobs" int (fun f -> f.total_jobs)
+    |> mem "errors" int (fun f -> f.total_errors)
+    |> dflt "quarantined" int ~default:0 (fun f -> f.quarantined)
+    |> mem "wall_s" float (fun f -> f.wall_s)
+    |> mem "telemetry" json (fun f -> f.telemetry)
+    |> tag "rec" "footer" |> seal)
 
-let footer_of_json j =
-  let* total_jobs = int "jobs" j in
-  let* total_errors = int "errors" j in
-  let* quarantined = opt_int "quarantined" j in
-  let* wall_s = float "wall_s" j in
-  let* telemetry = field "telemetry" j in
-  Ok
-    { total_jobs; total_errors;
-      quarantined = Option.value ~default:0 quarantined; wall_s; telemetry }
+let result =
+  Codec.(
+    obj (fun kind data -> (kind, data))
+    |> mem "kind" string fst |> mem "data" json snd
+    |> tag "rec" "result" |> seal)
 
 type ledger = {
   header : header;
@@ -253,12 +156,12 @@ type t = {
   mutable closed : bool;
 }
 
-let create ?deterministic ~path header =
+let create ?deterministic ~path h =
   let deterministic =
     match deterministic with Some d -> d | None -> deterministic_mode ()
   in
   let oc = Jsonl.create path in
-  Jsonl.output oc (header_to_json header);
+  Jsonl.output oc (Codec.encode header h);
   Jsonl.flush oc;
   { oc; file = path; mu = Mutex.create (); deterministic; phase = "";
     next = 0; pending = Hashtbl.create 64; jobs_written = 0;
@@ -277,26 +180,26 @@ let locked t f =
    but a k/N shard writes only the indices it owns, so its dense
    shard-local rank (Shard.rank) keys the buffer while the record keeps
    the global plan index. *)
-let append_job ?pos t (job : job) =
+let append_job ?pos t (r : job) =
   locked t @@ fun () ->
   if t.closed then invalid_arg "Runlog.append_job: ledger is closed";
-  if job.phase <> t.phase then begin
+  if r.phase <> t.phase then begin
     if Hashtbl.length t.pending > 0 then
       invalid_arg
         (Printf.sprintf
            "Runlog.append_job: phase %S left %d out-of-order record(s) \
             pending"
            t.phase (Hashtbl.length t.pending));
-    t.phase <- job.phase;
+    t.phase <- r.phase;
     t.next <- 0
   end;
-  let job = if t.deterministic then { job with duration_s = 0.0 } else job in
-  Hashtbl.replace t.pending (Option.value pos ~default:job.index) job;
+  let r = if t.deterministic then { r with duration_s = 0.0 } else r in
+  Hashtbl.replace t.pending (Option.value pos ~default:r.index) r;
   let drained = ref false in
   while Hashtbl.mem t.pending t.next do
     let j = Hashtbl.find t.pending t.next in
     Hashtbl.remove t.pending t.next;
-    Jsonl.output t.oc (job_to_json j);
+    Jsonl.output t.oc (Codec.encode job j);
     t.jobs_written <- t.jobs_written + 1;
     t.errors_sum <- t.errors_sum + j.errors;
     if j.failed <> None then t.failed_sum <- t.failed_sum + 1;
@@ -308,11 +211,7 @@ let append_job ?pos t (job : job) =
 let append_result t ~kind data =
   locked t @@ fun () ->
   if t.closed then invalid_arg "Runlog.append_result: ledger is closed";
-  Jsonl.output t.oc
-    (Json.Assoc
-       [ ("rec", Json.String "result");
-         ("kind", Json.String kind);
-         ("data", data) ]);
+  Jsonl.output t.oc (Codec.encode result (kind, data));
   Jsonl.flush t.oc
 
 let close t =
@@ -331,7 +230,7 @@ let close t =
       else Telemetry.snapshot_to_json (Telemetry.snapshot ())
     in
     Jsonl.output t.oc
-      (footer_to_json
+      (Codec.encode footer
          { total_jobs = t.jobs_written; total_errors = t.errors_sum;
            quarantined = t.failed_sum; wall_s; telemetry });
     Jsonl.close t.oc;
@@ -349,16 +248,12 @@ let abort t =
 (* Loading                                                              *)
 
 let record_of_json j =
+  let as_ c f = Result.map f (Codec.decode c j) in
   match Json.member "rec" j with
-  | Some (Json.String "header") ->
-    Result.map (fun h -> `Header h) (header_of_json j)
-  | Some (Json.String "job") -> Result.map (fun job -> `Job job) (job_of_json j)
-  | Some (Json.String "result") ->
-    let* kind = str "kind" j in
-    let* data = field "data" j in
-    Ok (`Result (kind, data))
-  | Some (Json.String "footer") ->
-    Result.map (fun f -> `Footer f) (footer_of_json j)
+  | Some (Json.String "header") -> as_ header (fun h -> `Header h)
+  | Some (Json.String "job") -> as_ job (fun r -> `Job r)
+  | Some (Json.String "result") -> as_ result (fun r -> `Result r)
+  | Some (Json.String "footer") -> as_ footer (fun f -> `Footer f)
   | _ -> Error "unknown record type"
 
 let parse text =
@@ -405,29 +300,10 @@ let extend j suffix = { j with phase = j.phase ^ suffix }
 
 let origin_name jn = Option.value ~default:"resume ledger" jn.origin
 
-type 'a codec = {
-  encode : 'a -> Json.t;
-  decode : Json.t -> ('a, string) result;
-  errors_of : 'a -> int;
-}
+type 'a codec = { codec : 'a Codec.t; errors_of : 'a -> int }
 
-let int_codec =
-  { encode = (fun n -> Json.Int n);
-    decode =
-      (fun j ->
-        match Json.to_int j with
-        | Some n -> Ok n
-        | None -> Error "expected an int payload");
-    errors_of = Fun.id }
-
-let bool_codec =
-  { encode = (fun b -> Json.Bool b);
-    decode =
-      (fun j ->
-        match Json.to_bool j with
-        | Some b -> Ok b
-        | None -> Error "expected a bool payload");
-    errors_of = (fun ok -> if ok then 0 else 1) }
+let int_codec = { codec = Codec.int; errors_of = Fun.id }
+let bool_codec = { codec = Codec.bool; errors_of = (fun ok -> if ok then 0 else 1) }
 
 let cached_value jn ~codec ~index ~seed =
   match jn.cache with
@@ -448,7 +324,7 @@ let cached_value jn ~codec ~index ~seed =
               seed %d, this invocation plans seed %d — refusing to \
               resume a different campaign"
              (origin_name jn) jn.phase index r.seed seed);
-      (match codec.decode r.result with
+      (match Codec.decode codec.codec r.result with
       | Ok v -> Some (v, r)
       | Error e ->
         failwith
@@ -517,5 +393,5 @@ let memo journal ~codec ~index ~seed f =
       let v = f () in
       let duration_s = Unix.gettimeofday () -. t0 in
       record jn ~index ~seed ~errors:(codec.errors_of v) ~duration_s
-        (codec.encode v);
+        (Codec.encode codec.codec v);
       v)

@@ -103,6 +103,11 @@ type footer = {
   telemetry : Json.t;
 }
 
+val header : header Codec.t
+val job : job Codec.t
+val footer : footer Codec.t
+(** The ledger's record codecs, each tagged by its ["rec"] field. *)
+
 type ledger = {
   header : header;
   jobs : job list;  (** in file order *)
@@ -206,8 +211,7 @@ val validate_resume :
 (** {1 Codecs} *)
 
 type 'a codec = {
-  encode : 'a -> Json.t;
-  decode : Json.t -> ('a, string) result;
+  codec : 'a Codec.t;  (** the job result payload's JSON codec *)
   errors_of : 'a -> int;
       (** how many of the job's executions observed an error — drives
           the progress line's error rate and [compare]'s histograms *)
@@ -253,30 +257,3 @@ val memo :
     available, otherwise run it, record it, and return it.  Used by
     drivers whose unit of work is not an [Exec.run] job (hardening's
     adaptive check sequence). *)
-
-(** {1 Decoding helpers}
-
-    Small result-typed accessors the driver codecs share. *)
-
-module Dec : sig
-  val ( let* ) :
-    ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
-
-  val field : string -> Json.t -> (Json.t, string) result
-  val int : string -> Json.t -> (int, string) result
-  val float : string -> Json.t -> (float, string) result
-  val bool : string -> Json.t -> (bool, string) result
-  val str : string -> Json.t -> (string, string) result
-  val list : string -> Json.t -> (Json.t list, string) result
-
-  val opt_int : string -> Json.t -> (int option, string) result
-  (** [Null] or absent is [None]; so for every [opt_]. *)
-
-  val opt_float : string -> Json.t -> (float option, string) result
-  val opt_bool : string -> Json.t -> (bool option, string) result
-  val opt_str : string -> Json.t -> (string option, string) result
-
-  val all : ('a -> ('b, string) result) -> 'a list ->
-    ('b list, string) result
-  (** Decode every element or fail with the first error. *)
-end

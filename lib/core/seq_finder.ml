@@ -17,43 +17,28 @@ let region_starts ~patch ~max_location =
 (* ------------------------------------------------------------------ *)
 (* Ledger codecs                                                        *)
 
-let sequence_of_json j =
-  match Option.bind (Json.to_str j) Access_seq.of_string with
-  | Some s -> Ok s
-  | None -> Error "expected an access sequence string"
+let sequence =
+  Codec.conv Access_seq.to_string
+    (fun s ->
+      Option.to_result ~none:"expected an access sequence string"
+        (Access_seq.of_string s))
+    Codec.string
 
-let result_to_json r =
-  Json.Assoc
-    [ ("patch", Json.Int r.patch);
-      ("winner", Json.String (Access_seq.to_string r.winner));
-      ( "table",
-        Json.List
-          (List.map
-             (fun s ->
-               Json.Assoc
-                 [ ("seq", Json.String (Access_seq.to_string s.sequence));
-                   ("total", Json.Int s.total);
-                   ("scores", Patch_finder.scores_to_json s.scores) ])
-             r.table) ) ]
-
-let result_of_json j =
-  let open Runlog.Dec in
-  let* patch = int "patch" j in
-  let* wj = field "winner" j in
-  let* winner = sequence_of_json wj in
-  let* tj = list "table" j in
-  let* table =
-    all
-      (fun e ->
-        let* sj = field "seq" e in
-        let* sequence = sequence_of_json sj in
-        let* total = int "total" e in
-        let* scj = field "scores" e in
-        let* scores = Patch_finder.scores_of_json scj in
-        Ok { sequence; scores; total })
-      tj
+let result =
+  let scored =
+    Codec.(
+      obj (fun sequence total scores -> { sequence; scores; total })
+      |> mem "seq" sequence (fun s -> s.sequence)
+      |> mem "total" int (fun s -> s.total)
+      |> mem "scores" Patch_finder.scores (fun s -> s.scores)
+      |> seal)
   in
-  Ok { table; winner; patch }
+  Codec.(
+    obj (fun patch winner table -> { table; winner; patch })
+    |> mem "patch" int (fun r -> r.patch)
+    |> mem "winner" sequence (fun r -> r.winner)
+    |> mem "table" (list scored) (fun r -> r.table)
+    |> seal)
 
 let run ?backend ?journal ~chip ~seed ~budget ~patch () =
   let b = budget in

@@ -34,9 +34,10 @@ val run :
 
 (** {1 Ledger codecs} *)
 
-val sequence_of_json : Json.t -> (Access_seq.t, string) Stdlib.result
-val result_to_json : result -> Json.t
-val result_of_json : Json.t -> (result, string) Stdlib.result
+val sequence : Access_seq.t Codec.t
+(** An access sequence as its display string, e.g. ["ld st"]. *)
+
+val result : result Codec.t
 
 val rank_for :
   result -> Litmus.Test.idiom -> (int * Access_seq.t * int) list

@@ -62,6 +62,11 @@ let grid_of (spec : Queue.spec) =
   Campaign.test_grid ~chip:spec.chip ~env:spec.env ~apps:(app_names spec)
     ~runs:spec.runs
 
+(* A campaign runs on at most one shard per cell: a shard past the last
+   cell would be a worker process with no job. *)
+let shard_count (spec : Queue.spec) =
+  Int.min spec.workers (List.length (app_names spec))
+
 let worker_argv cfg (spec : Queue.spec) ~k =
   [ cfg.exe; "test";
     "--chip"; spec.chip;
@@ -89,66 +94,50 @@ let shard cfg (spec : Queue.spec) k =
 (* ------------------------------------------------------------------ *)
 (* Submission parsing                                                   *)
 
+(* The /submit body: every field but [chip] has a default. *)
+let submission ~default_max_attempts =
+  Codec.(
+    obj (fun kind chip app runs env seed workers priority max_attempts ->
+        { Queue.id = "";  (* assigned under the state mutex *)
+          kind; chip; app; runs; env; seed; workers; priority; max_attempts })
+    |> dflt "kind" string ~default:"test" (fun s -> s.Queue.kind)
+    |> mem "chip" string (fun s -> s.Queue.chip)
+    |> opt "app" string (fun s -> s.Queue.app)
+    |> dflt "runs" int ~default:100 (fun s -> s.Queue.runs)
+    |> dflt "env" string ~default:"sys-str+" (fun s -> s.Queue.env)
+    |> dflt "seed" int ~default:42 (fun s -> s.Queue.seed)
+    |> dflt "workers" int ~default:2 (fun s -> s.Queue.workers)
+    |> dflt "priority" int ~default:0 (fun s -> s.Queue.priority)
+    |> dflt "max_attempts" int ~default:default_max_attempts (fun s ->
+           s.Queue.max_attempts)
+    |> seal)
+
 let parse_submission ~default_max_attempts body : (Queue.spec, string) result
     =
-  match Json.of_string body with
-  | Error e -> Error (Printf.sprintf "body is not JSON: %s" e)
-  | Ok j ->
-    let str k d =
-      match Json.member k j with
-      | None -> Ok d
-      | Some v -> (
-        match Json.to_str v with
-        | Some s -> Ok s
-        | None -> Error (Printf.sprintf "field %s is not a string" k))
-    in
-    let int k d =
-      match Json.member k j with
-      | None -> Ok d
-      | Some v -> (
-        match Json.to_int v with
-        | Some n -> Ok n
-        | None -> Error (Printf.sprintf "field %s is not an integer" k))
-    in
-    let ( let* ) = Result.bind in
-    let* kind = str "kind" "test" in
-    let* chip = str "chip" "" in
-    let* app =
-      match Json.member "app" j with
-      | None -> Ok None
-      | Some v -> (
-        match Json.to_str v with
-        | Some s -> Ok (Some s)
-        | None -> Error "field app is not a string")
-    in
-    let* runs = int "runs" 100 in
-    let* env = str "env" "sys-str+" in
-    let* seed = int "seed" 42 in
-    let* workers = int "workers" 2 in
-    let* priority = int "priority" 0 in
-    let* max_attempts = int "max_attempts" default_max_attempts in
-    if kind <> "test" then
-      Error (Printf.sprintf "unsupported campaign kind %S (only \"test\")" kind)
-    else if chip = "" then Error "missing required field chip"
-    else if runs < 1 then Error "runs must be >= 1"
-    else if workers < 1 || workers > Shard.max_shards then
-      Error (Printf.sprintf "workers must be in 1..%d" Shard.max_shards)
-    else if max_attempts < 1 then Error "max_attempts must be >= 1"
-    else
-      match Gpusim.Chip.by_name chip with
-      | None -> Error (Printf.sprintf "unknown chip %S" chip)
-      | Some c -> (
-        if Campaign.environment ~chip:c env = None then
-          Error (Printf.sprintf "unknown environment %S" env)
-        else
-          match app with
-          | Some a when Apps.Registry.by_name a = None ->
-            Error (Printf.sprintf "unknown application %S" a)
-          | _ ->
-            Ok
-              { Queue.id = "";  (* assigned under the state mutex *)
-                kind; chip; app; runs; env; seed; workers; priority;
-                max_attempts })
+  let ( let* ) = Result.bind in
+  let* j =
+    Result.map_error (Printf.sprintf "body is not JSON: %s") (Json.of_string body)
+  in
+  let* ({ Queue.kind; chip; app; runs; env; workers; max_attempts; _ } as spec) =
+    Codec.decode (submission ~default_max_attempts) j
+  in
+  if kind <> "test" then
+    Error (Printf.sprintf "unsupported campaign kind %S (only \"test\")" kind)
+  else if runs < 1 then Error "runs must be >= 1"
+  else if workers < 1 || workers > Shard.max_shards then
+    Error (Printf.sprintf "workers must be in 1..%d" Shard.max_shards)
+  else if max_attempts < 1 then Error "max_attempts must be >= 1"
+  else
+    match Gpusim.Chip.by_name chip with
+    | None -> Error (Printf.sprintf "unknown chip %S" chip)
+    | Some c -> (
+      if Campaign.environment ~chip:c env = None then
+        Error (Printf.sprintf "unknown environment %S" env)
+      else
+        match app with
+        | Some a when Apps.Registry.by_name a = None ->
+          Error (Printf.sprintf "unknown application %S" a)
+        | _ -> Ok spec)
 
 (* ------------------------------------------------------------------ *)
 (* JSON views                                                           *)
@@ -186,7 +175,7 @@ let job_json (j : Queue.job) =
               then "queued" else "running"
   in
   Assoc
-    (Queue.spec_to_fields j.spec
+    (Codec.fields Queue.spec j.spec
     @ [ ("status", String status); ("shards_done", Int sdone) ]
     @ (match j.ledger with Some l -> [ ("ledger", String l) ] | None -> [])
     @ [ ("shards", List (Array.to_list (Array.map shard_state_json j.shards)))
@@ -422,7 +411,9 @@ let run cfg =
                   if taken id then fresh (n + 1) else id
                 in
                 let id = fresh (List.length !st.Queue.jobs + 1) in
-                let spec = { spec with Queue.id } in
+                let spec =
+                  { spec with Queue.id; workers = shard_count spec }
+                in
                 emit
                   (Queue.Submitted { t = Unix.gettimeofday (); spec });
                 log "job %s submitted: %s %s runs=%d seed=%d workers=%d \

@@ -72,3 +72,8 @@ val parse_submission :
     (required), [app], [runs], [env], [seed], [workers] (1 to
     {!Shard.max_shards}), [priority] and [max_attempts]; [kind] must be
     ["test"].  The returned spec's [id] is [""], assigned on enqueue. *)
+
+val shard_count : Queue.spec -> int
+(** The shards a campaign is enqueued with: its [workers], but no more
+    than its cells, so no shard worker is spawned without a job.  The
+    [/submit] response reports this count as [workers]. *)

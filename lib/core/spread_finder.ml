@@ -13,37 +13,22 @@ type result = {
 (* ------------------------------------------------------------------ *)
 (* Ledger codecs                                                        *)
 
-let result_to_json r =
-  Json.Assoc
-    [ ("patch", Json.Int r.patch);
-      ("sequence", Json.String (Access_seq.to_string r.sequence));
-      ("winner", Json.Int r.winner);
-      ( "points",
-        Json.List
-          (List.map
-             (fun p ->
-               Json.Assoc
-                 [ ("spread", Json.Int p.spread);
-                   ("scores", Patch_finder.scores_to_json p.scores) ])
-             r.points) ) ]
-
-let result_of_json j =
-  let open Runlog.Dec in
-  let* patch = int "patch" j in
-  let* sj = field "sequence" j in
-  let* sequence = Seq_finder.sequence_of_json sj in
-  let* winner = int "winner" j in
-  let* pj = list "points" j in
-  let* points =
-    all
-      (fun e ->
-        let* spread = int "spread" e in
-        let* scj = field "scores" e in
-        let* scores = Patch_finder.scores_of_json scj in
-        Ok { spread; scores })
-      pj
+let result =
+  let point =
+    Codec.(
+      obj (fun spread scores -> { spread; scores })
+      |> mem "spread" int (fun p -> p.spread)
+      |> mem "scores" Patch_finder.scores (fun p -> p.scores)
+      |> seal)
   in
-  Ok { points; winner; sequence; patch }
+  Codec.(
+    obj (fun patch sequence winner points ->
+        { points; winner; sequence; patch })
+    |> mem "patch" int (fun r -> r.patch)
+    |> mem "sequence" Seq_finder.sequence (fun r -> r.sequence)
+    |> mem "winner" int (fun r -> r.winner)
+    |> mem "points" (list point) (fun r -> r.points)
+    |> seal)
 
 let run ?backend ?journal ~chip ~seed ~budget ~patch ~sequence () =
   let b = budget in

@@ -34,5 +34,4 @@ val run :
 
 (** {1 Ledger codecs} *)
 
-val result_to_json : result -> Json.t
-val result_of_json : Json.t -> (result, string) Stdlib.result
+val result : result Codec.t

@@ -266,82 +266,89 @@ let record_to_json { Gpusim.Trace.tick; event } =
     :: ("ev", String (Gpusim.Trace.event_name event))
     :: fields)
 
-exception Decode of string
-
 let record_of_json j =
-  let need k conv =
-    match Option.bind (Json.member k j) conv with
-    | Some v -> v
-    | None -> raise (Decode ("missing or mistyped field " ^ k))
+  let open Codec in
+  let ( let* ) = Result.bind in
+  let* tick = get int "tick" j in
+  let* ev = get string "ev" j in
+  let* event =
+    match ev with
+    | "launch_begin" ->
+      let* kernel = get string "kernel" j in
+      let* grid = get int "grid" j in
+      let* block = get int "block" j in
+      let* stress_blocks = get int "stress_blocks" j in
+      let* stress_threads = get int "stress_threads" j in
+      Ok
+        (Gpusim.Trace.Launch_begin
+           { kernel; grid; block; stress_blocks; stress_threads })
+    | "launch_end" ->
+      let* outcome = get string "outcome" j in
+      let* divergence = get bool "divergence" j in
+      let* metrics = get (assoc int) "metrics" j in
+      Ok (Gpusim.Trace.Launch_end { outcome; divergence; metrics })
+    | "access" ->
+      let* tid = get int "tid" j in
+      let* addr = get int "addr" j in
+      let* write = get bool "write" j in
+      let* atomic = get bool "atomic" j in
+      Ok (Gpusim.Trace.Access { tid; addr; write; atomic })
+    | "issue" ->
+      let* tid = get int "tid" j in
+      let* addr = get int "addr" j in
+      let* part = get int "part" j in
+      let* is_store = get bool "is_store" j in
+      Ok (Gpusim.Trace.Issue { tid; addr; part; is_store })
+    | "commit" ->
+      let* tid = get int "tid" j in
+      let* addr = get int "addr" j in
+      let* is_store = get bool "is_store" j in
+      let* value = get int "value" j in
+      let* reordered = get bool "reordered" j in
+      Ok (Gpusim.Trace.Commit { tid; addr; is_store; value; reordered })
+    | "reorder" ->
+      let* tid = get int "tid" j in
+      let* overtaken = get int "overtaken" j in
+      let* committed = get int "committed" j in
+      Ok (Gpusim.Trace.Reorder { tid; overtaken; committed })
+    | "atomic_rmw" ->
+      let* tid = get int "tid" j in
+      let* addr = get int "addr" j in
+      let* before = get int "before" j in
+      let* after = get int "after" j in
+      Ok (Gpusim.Trace.Atomic_rmw { tid; addr; before; after })
+    | "fence" ->
+      let* tid = get int "tid" j in
+      let* pending = get int "pending" j in
+      let* device_scope = get bool "device_scope" j in
+      Ok (Gpusim.Trace.Fence { tid; pending; device_scope })
+    | "barrier_wait" ->
+      let* tid = get int "tid" j in
+      let* block = get int "block" j in
+      Ok (Gpusim.Trace.Barrier_wait { tid; block })
+    | "barrier_release" ->
+      let* block = get int "block" j in
+      let* by_exit = get bool "by_exit" j in
+      Ok (Gpusim.Trace.Barrier_release { block; by_exit })
+    | "thread_done" ->
+      let* tid = get int "tid" j in
+      let* daemon = get bool "daemon" j in
+      Ok (Gpusim.Trace.Thread_done { tid; daemon })
+    | "contention" ->
+      let* part = get int "part" j in
+      let* read = get float "read" j in
+      let* write = get float "write" j in
+      Ok (Gpusim.Trace.Contention { part; read; write })
+    | "bitflip" ->
+      let* tid = get int "tid" j in
+      let* addr = get int "addr" j in
+      let* bit = get int "bit" j in
+      let* before = get int "before" j in
+      let* after = get int "after" j in
+      Ok (Gpusim.Trace.Bitflip { tid; addr; bit; before; after })
+    | other -> Error ("unknown event " ^ other)
   in
-  let i k = need k Json.to_int in
-  let b k = need k Json.to_bool in
-  let s k = need k Json.to_str in
-  let f k = need k Json.to_float in
-  let metrics k =
-    match Json.member k j with
-    | Some (Json.Assoc kvs) ->
-      List.map
-        (fun (name, v) ->
-          match Json.to_int v with
-          | Some n -> (name, n)
-          | None -> raise (Decode ("non-integer metric " ^ name)))
-        kvs
-    | _ -> raise (Decode ("missing or mistyped field " ^ k))
-  in
-  match
-    let tick = i "tick" in
-    let event =
-      match s "ev" with
-      | "launch_begin" ->
-        Gpusim.Trace.Launch_begin
-          { kernel = s "kernel"; grid = i "grid"; block = i "block";
-            stress_blocks = i "stress_blocks";
-            stress_threads = i "stress_threads" }
-      | "launch_end" ->
-        Launch_end
-          { outcome = s "outcome"; divergence = b "divergence";
-            metrics = metrics "metrics" }
-      | "access" ->
-        Access
-          { tid = i "tid"; addr = i "addr"; write = b "write";
-            atomic = b "atomic" }
-      | "issue" ->
-        Issue
-          { tid = i "tid"; addr = i "addr"; part = i "part";
-            is_store = b "is_store" }
-      | "commit" ->
-        Commit
-          { tid = i "tid"; addr = i "addr"; is_store = b "is_store";
-            value = i "value"; reordered = b "reordered" }
-      | "reorder" ->
-        Reorder
-          { tid = i "tid"; overtaken = i "overtaken";
-            committed = i "committed" }
-      | "atomic_rmw" ->
-        Atomic_rmw
-          { tid = i "tid"; addr = i "addr"; before = i "before";
-            after = i "after" }
-      | "fence" ->
-        Fence
-          { tid = i "tid"; pending = i "pending";
-            device_scope = b "device_scope" }
-      | "barrier_wait" -> Barrier_wait { tid = i "tid"; block = i "block" }
-      | "barrier_release" ->
-        Barrier_release { block = i "block"; by_exit = b "by_exit" }
-      | "thread_done" -> Thread_done { tid = i "tid"; daemon = b "daemon" }
-      | "contention" ->
-        Contention { part = i "part"; read = f "read"; write = f "write" }
-      | "bitflip" ->
-        Bitflip
-          { tid = i "tid"; addr = i "addr"; bit = i "bit";
-            before = i "before"; after = i "after" }
-      | other -> raise (Decode ("unknown event " ^ other))
-    in
-    { Gpusim.Trace.tick; event }
-  with
-  | r -> Ok r
-  | exception Decode msg -> Error msg
+  Ok { Gpusim.Trace.tick; event }
 
 (* Provenance stamp for multi-process exports: prepended fields, so a
    merged stream still says which worker each line came from.

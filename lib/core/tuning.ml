@@ -87,39 +87,25 @@ let shipped ~chip =
 (* ------------------------------------------------------------------ *)
 (* Ledger codecs                                                        *)
 
-let tuned_to_json (t : Stress.tuned) =
-  Json.Assoc
-    [ ("sequence", Json.String (Access_seq.to_string t.Stress.sequence));
-      ("spread", Json.Int t.Stress.spread);
-      ("regions", Json.Int t.Stress.regions) ]
+let tuned =
+  Codec.(
+    obj (fun sequence spread regions -> { Stress.sequence; spread; regions })
+    |> mem "sequence" Seq_finder.sequence (fun t -> t.Stress.sequence)
+    |> mem "spread" int (fun t -> t.Stress.spread)
+    |> mem "regions" int (fun t -> t.Stress.regions)
+    |> seal)
 
-let tuned_of_json j =
-  let open Runlog.Dec in
-  let* sj = field "sequence" j in
-  let* sequence = Seq_finder.sequence_of_json sj in
-  let* spread = int "spread" j in
-  let* regions = int "regions" j in
-  Ok { Stress.sequence; spread; regions }
+let result =
+  Codec.(
+    obj (fun chip elapsed_s patch sequences spreads tuned ->
+        { chip; patch; sequences; spreads; tuned; elapsed_s })
+    |> mem "chip" string (fun r -> r.chip)
+    |> mem "elapsed_s" float (fun r -> r.elapsed_s)
+    |> mem "patch" Patch_finder.result (fun r -> r.patch)
+    |> mem "sequences" Seq_finder.result (fun r -> r.sequences)
+    |> mem "spreads" Spread_finder.result (fun r -> r.spreads)
+    |> mem "tuned" tuned (fun r -> r.tuned)
+    |> seal)
 
-let result_to_json r =
-  Json.Assoc
-    [ ("chip", Json.String r.chip);
-      ("elapsed_s", Json.Float r.elapsed_s);
-      ("patch", Patch_finder.result_to_json r.patch);
-      ("sequences", Seq_finder.result_to_json r.sequences);
-      ("spreads", Spread_finder.result_to_json r.spreads);
-      ("tuned", tuned_to_json r.tuned) ]
-
-let result_of_json j =
-  let open Runlog.Dec in
-  let* chip = str "chip" j in
-  let* elapsed_s = float "elapsed_s" j in
-  let* pj = field "patch" j in
-  let* patch = Patch_finder.result_of_json pj in
-  let* sj = field "sequences" j in
-  let* sequences = Seq_finder.result_of_json sj in
-  let* spj = field "spreads" j in
-  let* spreads = Spread_finder.result_of_json spj in
-  let* tj = field "tuned" j in
-  let* tuned = tuned_of_json tj in
-  Ok { chip; patch; sequences; spreads; tuned; elapsed_s }
+let result_to_json = Codec.encode result
+let result_of_json = Codec.decode result

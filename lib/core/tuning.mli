@@ -45,7 +45,6 @@ val shipped : chip:Gpusim.Chip.t -> Stress.tuned
 
 (** {1 Ledger codecs} *)
 
-val tuned_to_json : Stress.tuned -> Json.t
-val tuned_of_json : Json.t -> (Stress.tuned, string) Stdlib.result
+val result : result Codec.t
 val result_to_json : result -> Json.t
 val result_of_json : Json.t -> (result, string) Stdlib.result

@@ -239,6 +239,46 @@ let test_stressed_launch_budget () =
        again?"
       per_launch stressed_budget_words
 
+(* A recycled device re-arms each thread context, so registers do not
+   outlive a launch.  No shipped kernel reads a register before writing
+   it, so this takes two kernels: one that leaves a value and a pending
+   global load in its registers, then one that stores its registers
+   before writing them.  The stores must read 0, as on a fresh device. *)
+let test_arm_clears_registers () =
+  let open Gpusim.Kernel in
+  let kernel name params body =
+    label { name; params; body = List.map stmt body }
+  in
+  let dirty =
+    kernel "dirty" [ "x" ]
+      [ Assign ("a", Int 7);
+        Load { dst = "b"; space = Global; addr = Param "x" } ]
+  in
+  let reader =
+    kernel "reader" [ "out" ]
+      [ Store { space = Global; addr = Param "out"; value = Reg "a" };
+        Store
+          { space = Global; addr = Binop (Add, Param "out", Int 1);
+            value = Reg "b" } ]
+  in
+  let launch sim k args =
+    ignore (Gpusim.Sim.launch sim ~max_ticks:10_000 ~grid:1 ~block:1 k ~args)
+  in
+  let read_back sim =
+    let out = Gpusim.Sim.alloc sim 2 in
+    launch sim reader [ ("out", out) ];
+    (Gpusim.Sim.read sim out, Gpusim.Sim.read sim (out + 1))
+  in
+  let sim = Gpusim.Sim.create ~words:2048 ~chip ~seed:1 () in
+  let x = Gpusim.Sim.alloc sim 1 in
+  Gpusim.Sim.write sim x 5;
+  launch sim dirty [ ("x", x) ];
+  Gpusim.Sim.reset sim ~seed:1;
+  let fresh = read_back (Gpusim.Sim.create ~words:2048 ~chip ~seed:1 ()) in
+  Alcotest.(check (pair int int)) "a fresh device reads zeroes" (0, 0) fresh;
+  Alcotest.(check (pair int int)) "a recycled device reads zeroes" fresh
+    (read_back sim)
+
 let () =
   Alcotest.run "alloc"
     [ ( "allocation discipline",
@@ -251,4 +291,6 @@ let () =
           Alcotest.test_case "minor-words budget per litmus run" `Quick
             test_minor_words_budget;
           Alcotest.test_case "minor-words budget per stressed launch" `Quick
-            test_stressed_launch_budget ] ) ]
+            test_stressed_launch_budget;
+          Alcotest.test_case "arm clears registers" `Quick
+            test_arm_clears_registers ] ) ]

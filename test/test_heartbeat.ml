@@ -52,9 +52,10 @@ let prop_record_round_trip =
     (QCheck.make record_gen)
     (fun r ->
       (* The codec also survives the actual printer/parser pair. *)
-      match Core.Json.of_string (Core.Json.to_string (Core.Heartbeat.to_json r)) with
+      let line = Core.Json.to_string (Core.Codec.encode Core.Heartbeat.record r) in
+      match Core.Json.of_string line with
       | Error _ -> false
-      | Ok j -> Core.Heartbeat.of_json j = Ok r)
+      | Ok j -> Core.Codec.decode Core.Heartbeat.record j = Ok r)
 
 let base_record =
   { Core.Heartbeat.pid = 101; shard = Some "1/2"; seq = 2; t = 0.0;
@@ -66,7 +67,7 @@ let base_record =
 
 let test_of_json_rejects_foreign () =
   let bad j =
-    match Core.Heartbeat.of_json j with
+    match Core.Codec.decode Core.Heartbeat.record j with
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "decoded a non-heartbeat record"
   in
@@ -112,7 +113,7 @@ let prop_cut_anywhere =
           let expect =
             Test_util.cut_and_append ~path
               ~append:(Core.Heartbeat.append ~path)
-              ~to_json:Core.Heartbeat.to_json rs extra cut
+              ~to_json:(Core.Codec.encode Core.Heartbeat.record) rs extra cut
           in
           Core.Heartbeat.load path = expect
           && Core.Heartbeat.latest path = Some extra))
@@ -130,13 +131,13 @@ let prop_latest_is_last_of_load =
   in
   let line =
     oneof
-      [ map (fun r -> Core.Json.to_string (Core.Heartbeat.to_json r)) record_gen;
+      [ map (fun r -> Core.Json.to_string (Core.Codec.encode Core.Heartbeat.record r)) record_gen;
         junk ]
   in
   let torn =
     option
       (let* r = record_gen in
-       let s = Core.Json.to_string (Core.Heartbeat.to_json r) in
+       let s = Core.Json.to_string (Core.Codec.encode Core.Heartbeat.record r) in
        let* cut = int_bound (String.length s) in
        return (String.sub s 0 cut))
   in
@@ -343,7 +344,7 @@ let test_status_golden () =
 let test_httpd_serves_and_stops () =
   let hits = Atomic.make 0 in
   let server =
-    Core.Httpd.start ~port:0 (fun path ->
+    Core.Httpd.start_routes ~port:0 (fun { Core.Httpd.path; _ } ->
         Atomic.incr hits;
         match path with
         | "/ok" -> Core.Httpd.respond "hello\n"

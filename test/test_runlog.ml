@@ -125,6 +125,50 @@ let test_load_roundtrip () =
     | Some (k, _) -> Alcotest.failf "unexpected result kind %S" k
     | None -> Alcotest.fail "result record missing")
 
+(* ------------------------------------------------------------------ *)
+(* The committed golden ledger                                          *)
+
+(* golden/campaign-k20.jsonl is what `gpuwmm test --chip k20 --app
+   cbe-dot --runs 8 --seed 7 -j 2` writes under
+   GPUWMM_LEDGER_DETERMINISTIC.  The same campaign written in-process,
+   and the golden loaded and written back, must both match it byte for
+   byte. *)
+let test_golden_ledger () =
+  let golden = read_all "golden/campaign-k20.jsonl" in
+  let path = temp () in
+  let grid =
+    Core.Campaign.test_grid ~chip:"K20" ~env:"sys-str+" ~apps:[ "cbe-dot" ]
+      ~runs:8
+  in
+  let sink =
+    Core.Runlog.create ~deterministic:true ~path
+      { (header ~campaign:"test" ~seed:7) with grid }
+  in
+  let env = Option.get (Core.Campaign.environment ~chip "sys-str+") in
+  let rows =
+    Core.Campaign.run ~backend:(Core.Exec.Parallel 2)
+      ~journal:(Core.Runlog.journal ~sink "") ~chips:[ chip ]
+      ~environments_for:(fun _ -> [ env ])
+      ~apps:(List.filter_map Apps.Registry.by_name [ "cbe-dot" ])
+      ~runs:8 ~seed:7 ()
+  in
+  Core.Runlog.append_result sink ~kind:"campaign"
+    (Core.Campaign.rows_to_json rows);
+  Core.Runlog.close sink;
+  Alcotest.(check string) "the campaign written in-process" golden
+    (read_all path);
+  match Core.Runlog.load "golden/campaign-k20.jsonl" with
+  | Error e -> Alcotest.fail e
+  | Ok l ->
+    let sink = Core.Runlog.create ~deterministic:true ~path l.header in
+    List.iter (Core.Runlog.append_job sink) l.jobs;
+    Option.iter
+      (fun (kind, data) -> Core.Runlog.append_result sink ~kind data)
+      l.result;
+    Core.Runlog.close sink;
+    Alcotest.(check string) "the golden loaded and written back" golden
+      (read_all path)
+
 (* Kill the writer at any byte after the header line: the ledger keeps
    every record whose text lies wholly before the cut, and is torn only
    when the cut splits a line (one cut just before a '\n' leaves a
@@ -439,7 +483,7 @@ let test_harden_memo_resume () =
     match Core.Harden.insert ~chip ~config ~journal ~app ~seed:hseed () with
     | r ->
       Core.Runlog.append_result sink ~kind:"harden"
-        (Core.Harden.results_to_json [ r ]);
+        (Core.Codec.encode Core.Harden.results [ r ]);
       Core.Runlog.close sink;
       r
     | exception e ->
@@ -479,7 +523,8 @@ let () =
           Alcotest.test_case "cached mismatch names origin" `Quick
             test_cached_mismatch_names_origin;
           Alcotest.test_case "validate_resume wording" `Quick
-            test_validate_resume_wording ] );
+            test_validate_resume_wording;
+          Alcotest.test_case "golden ledger" `Quick test_golden_ledger ] );
       ( "resume",
         [ QCheck_alcotest.to_alcotest resume_prop;
           Alcotest.test_case "tuning resumes across phases" `Slow

@@ -760,6 +760,23 @@ let test_submission_workers_bounded () =
           (contains ~sub:"1..512" e))
     [ 513; 0 ]
 
+(* A one-cell campaign leases one shard whatever its workers; a
+   campaign over every application keeps the shards it asked for, up to
+   one per cell. *)
+let test_shard_count () =
+  let spec body =
+    match Core.Serve.parse_submission ~default_max_attempts:3 body with
+    | Ok spec -> spec
+    | Error e -> Alcotest.fail e
+  in
+  let cells = List.length Apps.Registry.all in
+  Alcotest.(check int) "one app, 2 workers" 1
+    (Core.Serve.shard_count (spec {|{"chip":"K20","app":"cbe-ht"}|}));
+  Alcotest.(check int) "all apps, 2 workers" 2
+    (Core.Serve.shard_count (spec {|{"chip":"K20"}|}));
+  Alcotest.(check int) "all apps, 512 workers" cells
+    (Core.Serve.shard_count (spec {|{"chip":"K20","workers":512}|}))
+
 let () =
   Alcotest.run "serve-queue"
     [ ( "codec",
@@ -784,7 +801,8 @@ let () =
             test_apply_ignores_junk;
           Alcotest.test_case "stats partition" `Quick test_stats_partition;
           Alcotest.test_case "submission workers bounded" `Quick
-            test_submission_workers_bounded ] );
+            test_submission_workers_bounded;
+          Alcotest.test_case "shards per campaign" `Quick test_shard_count ] );
       ( "replay",
         [ QCheck_alcotest.to_alcotest prop_kill_anywhere_keeps_completions ]
       );
