@@ -249,8 +249,8 @@ let timeout_term =
     & info [ "timeout" ] ~docv:"SECONDS"
         ~doc:
           "Per-job wall-clock budget.  An attempt running longer is \
-           cancelled by the watchdog at the simulator's next poll point \
-           and counts as failed (retried under $(b,--retries)).")
+           cancelled at the simulator's next poll point and counts as \
+           failed (retried under $(b,--retries)).")
 
 let retries_term =
   Arg.(
@@ -270,7 +270,17 @@ let keep_going_term =
            aborting: the campaign completes with degraded cells, the \
            ledger records each failure, and the exit code is 3.")
 
+(* Duration flags take finite values only: a non-finite deadline never
+   passes, and [Json] writes it as [null], which no journal reads back.
+   Checked before any ledger, port or journal is touched. *)
+let require_finite flag v =
+  if not (Float.is_finite v) then begin
+    Fmt.epr "--%s must be a finite number of seconds@." flag;
+    exit 2
+  end
+
 let setup_supervision ?faults ~timeout ~retries ~keep_going () =
+  Option.iter (require_finite "timeout") timeout;
   (match timeout with
   | Some t when t <= 0.0 ->
     Fmt.epr "--timeout must be positive@.";
@@ -1531,7 +1541,7 @@ let chaos_cmd =
       & info [ "faults" ] ~docv:"KINDS"
           ~doc:
             "Comma-separated executor fault kinds to inject: $(b,raise) \
-             (job crash), $(b,hang) (wedge until the watchdog cancels), \
+             (job crash), $(b,hang) (wedge until $(b,--timeout) cancels), \
              $(b,corrupt) (silent wrong result), $(b,ledger) (ledger \
              write failure).")
   in
@@ -1592,7 +1602,7 @@ let chaos_cmd =
         Fmt.epr "%s@." m;
         exit 2
     in
-    (* A hang can only be survived when the watchdog is armed. *)
+    (* A hang can only be survived when a timeout is armed. *)
     let timeout =
       match timeout with
       | Some _ -> timeout
@@ -1988,6 +1998,7 @@ let status_cmd =
   in
   let run verbose paths once json interval =
     setup_log verbose;
+    require_finite "interval" interval;
     let hb_paths = List.concat_map resolve paths in
     if hb_paths = [] then begin
       Fmt.epr "no heartbeat streams found under %s@."
@@ -2140,6 +2151,8 @@ let serve_cmd =
   let run verbose quiet dir listen workers lease backoff max_attempts
       until_idle =
     setup_log ~quiet verbose;
+    require_finite "lease" lease;
+    require_finite "backoff" backoff;
     let cfg =
       { Core.Serve.default with
         Core.Serve.dir;

@@ -35,8 +35,10 @@ type supervision = {
 }
 
 let supervision ?timeout_s ?(retries = 0) ?(keep_going = false) ?faults () =
+  (* A non-finite timeout is refused: [now +. nan] never passes. *)
   (match timeout_s with
-  | Some t when t <= 0.0 -> invalid_arg "Exec.supervision: timeout must be > 0"
+  | Some t when not (t > 0.0 && Float.is_finite t) ->
+    invalid_arg "Exec.supervision: timeout must be finite and > 0"
   | Some _ | None -> ());
   if retries < 0 then invalid_arg "Exec.supervision: negative retries";
   { timeout_s; retries; keep_going; faults }
@@ -77,29 +79,18 @@ let () =
       Some (Printf.sprintf "interrupted by signal %d" signum)
     | _ -> None)
 
-(* Cooperative cancellation: domains cannot be killed, so a watchdog
-   domain marks overdue worker slots and the workers abort themselves at
-   the next poll point.  Each slot carries an attempt epoch; the watchdog
-   records which epoch it cancelled, and [poll] raises only when the
-   cancelled epoch is the one still running — a cancellation that arrives
-   after the attempt already finished is inert. *)
-type slot = {
-  epoch : int Atomic.t;  (* bumped at every attempt start; 0 = idle *)
-  deadline : float Atomic.t;  (* absolute; 0.0 = no deadline armed *)
-  cancel : int Atomic.t;  (* epoch the watchdog cancelled; 0 = none *)
-}
+(* Cooperative cancellation: domains cannot be killed, so each supervised
+   attempt keeps its absolute deadline in a domain-local cell and the
+   worker checks the clock itself at its poll points.  A nested attempt
+   on the same domain swaps its own deadline in and puts its caller's
+   back when it ends. *)
+type cell = { mutable deadline : float }  (* absolute; infinity = none *)
 
-let make_slot () =
-  { epoch = Atomic.make 0; deadline = Atomic.make 0.0; cancel = Atomic.make 0 }
-
-let slot_key : slot option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+let deadline_key = Domain.DLS.new_key (fun () -> { deadline = infinity })
 
 let poll () =
-  match Domain.DLS.get slot_key with
-  | None -> ()
-  | Some s ->
-    let e = Atomic.get s.epoch in
-    if e > 0 && Atomic.get s.cancel = e then raise Timed_out
+  let dl = (Domain.DLS.get deadline_key).deadline in
+  if dl < infinity && Unix.gettimeofday () > dl then raise Timed_out
 
 let supervision_hook : supervision option Atomic.t = Atomic.make None
 
@@ -145,43 +136,21 @@ let set_supervision s =
     (match s with Some { timeout_s = Some _; _ } -> Some poll | _ -> None);
   ignore (drain_summary ())
 
-let with_watchdog ~sup slots body =
-  match sup with
-  | Some { timeout_s = Some _; _ } ->
-    let stop = Atomic.make false in
-    let dog =
-      Domain.spawn (fun () ->
-          while not (Atomic.get stop) do
-            Unix.sleepf 0.01;
-            let now = Unix.gettimeofday () in
-            Array.iter
-              (fun s ->
-                (* Read the epoch before the deadline: if the attempt
-                   finishes between the two reads we cancel a stale epoch,
-                   which [poll] ignores. *)
-                let e = Atomic.get s.epoch in
-                let dl = Atomic.get s.deadline in
-                if dl > 0.0 && now > dl then Atomic.set s.cancel e)
-              slots
-          done)
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.set stop true;
-        Domain.join dog)
-      body
-  | _ -> body ()
+(* Arm this domain's cell for one attempt; the displaced deadline goes
+   back with [end_attempt]. *)
+let begin_attempt timeout_s =
+  let cell = Domain.DLS.get deadline_key in
+  let outer = cell.deadline in
+  cell.deadline <-
+    (match timeout_s with
+    | Some t -> Unix.gettimeofday () +. t
+    | None -> infinity);
+  outer
 
-let begin_attempt slot timeout_s =
-  Atomic.incr slot.epoch;
-  match timeout_s with
-  | Some t -> Atomic.set slot.deadline (Unix.gettimeofday () +. t)
-  | None -> ()
+let end_attempt outer = (Domain.DLS.get deadline_key).deadline <- outer
 
-let end_attempt slot = Atomic.set slot.deadline 0.0
-
-(* An injected hang burns scheduler time at poll points until the
-   watchdog cancels the attempt; it is only ever entered with a timeout
+(* An injected hang burns scheduler time at poll points until its
+   attempt's deadline passes; it is only ever entered with a timeout
    armed (without one it degrades to a raise so chaos runs can never
    wedge the process). *)
 let rec injected_hang () =
@@ -189,14 +158,15 @@ let rec injected_hang () =
   Domain.cpu_relax ();
   injected_hang ()
 
-let attempt_once ~sup ~slot ~index ~seed ~attempt ~compute =
+let attempt_once ~sup ~index ~seed ~attempt ~compute =
   let fault =
     match sup.faults with
     | Some p -> Fault.at p ~index ~attempt
     | None -> None
   in
-  begin_attempt slot sup.timeout_s;
+  let outer = begin_attempt sup.timeout_s in
   match
+    Fun.protect ~finally:(fun () -> end_attempt outer) @@ fun () ->
     (match fault with
     | Some Fault.Raise -> raise (Fault.Injected "job crash")
     | Some Fault.Hang ->
@@ -213,28 +183,21 @@ let attempt_once ~sup ~slot ~index ~seed ~attempt ~compute =
     | _ -> ());
     v
   with
-  | v ->
-    end_attempt slot;
-    Ok v
+  | v -> Ok v
   | exception Timed_out ->
-    end_attempt slot;
     Error
       ( Printf.sprintf "timed out after %gs"
           (Option.value ~default:0.0 sup.timeout_s),
         true )
-  | exception (Interrupted _ as e) ->
-    end_attempt slot;
-    raise e
-  | exception e ->
-    end_attempt slot;
-    Error (Printexc.to_string e, false)
+  | exception (Interrupted _ as e) -> raise e
+  | exception e -> Error (Printexc.to_string e, false)
 
 (* The bounded retry loop.  Retries are immediate and reuse the job's
    own planned seed, so a successful retry reproduces the fault-free
    result bit for bit. *)
-let supervise ~sup ~slot ~index ~seed ~compute =
+let supervise ~sup ~index ~seed ~compute =
   let rec go attempt =
-    match attempt_once ~sup ~slot ~index ~seed ~attempt ~compute with
+    match attempt_once ~sup ~index ~seed ~attempt ~compute with
     | Ok v -> Ok (v, attempt + 1)
     | Error (reason, timed_out) ->
       if attempt < sup.retries then begin
@@ -407,8 +370,8 @@ let tune_gc () = ()
    lets callers abort early (used by [for_all]).  The first exception is
    captured and re-raised on the calling domain after every worker has
    drained.  Helpers are spawned until the runtime refuses one: OCaml
-   caps a process's live domains (128 in 5.1) and the heartbeat, HTTP
-   and watchdog domains count against that cap.  No result depends on
+   caps a process's live domains (128 in 5.1) and the heartbeat and
+   HTTP domains count against that cap.  No result depends on
    which worker ran a job, so a smaller pool changes only the speed.
    With one domain no helper is spawned and the caller runs every index
    in order. *)
@@ -474,7 +437,7 @@ let instrumented ~label ~f ~queued_at =
 (* The one execution loop behind [map], [run] and [for_all].  [Serial]
    is the pool with the calling domain as its only worker.  Each job is
    instrumented and, under an installed supervision policy, runs as a
-   bounded sequence of watchdog-guarded attempts.  [on_result k v]
+   bounded sequence of self-timed attempts.  [on_result k v]
    receives the value of [jobs.(k)] with its run time and attempts; a
    job whose attempts are exhausted goes to [on_quarantine] when the
    policy says [keep_going] and the caller gave one, and raises
@@ -485,11 +448,6 @@ let execute ~backend ~label ?(stop = fun () -> false) ?on_quarantine ~f
   if len > 0 then begin
     let sup = Atomic.get supervision_hook in
     let domains = Int.min (domains_of_backend backend) len in
-    let slots =
-      match sup with
-      | Some _ -> Array.init domains (fun _ -> make_slot ())
-      | None -> [||]
-    in
     let exec = instrumented ~label ~f ~queued_at:(Unix.gettimeofday ()) in
     let process ~worker k =
       let j = jobs.(k) in
@@ -498,11 +456,9 @@ let execute ~backend ~label ?(stop = fun () -> false) ?on_quarantine ~f
         let v, duration_s = exec ~worker j in
         on_result k v ~duration_s ~attempts:1
       | Some s -> (
-        let slot = slots.(worker) in
-        Domain.DLS.set slot_key (Some slot);
         let t0 = Unix.gettimeofday () in
         match
-          supervise ~sup:s ~slot ~index:j.index ~seed:j.seed
+          supervise ~sup:s ~index:j.index ~seed:j.seed
             ~compute:(fun ~seed -> exec ~worker { j with seed })
         with
         | Ok ((v, duration_s), attempts) -> on_result k v ~duration_s ~attempts
@@ -518,10 +474,7 @@ let execute ~backend ~label ?(stop = fun () -> false) ?on_quarantine ~f
             q k fl ~duration_s:(Unix.gettimeofday () -. t0)
           | Some _ | None -> raise (Job_failed fl)))
     in
-    with_watchdog ~sup slots (fun () -> pool_iter ~domains ~stop ~process len);
-    (* The caller domain keeps its DLS across runs; clear the slot so a
-       later unsupervised poll can never see a stale cancellation. *)
-    if sup <> None then Domain.DLS.set slot_key None
+    pool_iter ~domains ~stop ~process len
   end
 
 let results_list results =
@@ -608,8 +561,8 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
   let fresh =
     Array.of_list (List.filter (fun j -> Option.is_none results.(j.index)) jobs)
   in
-  (* A fully cached resume starts no pool and no watchdog and never
-     calls [f]; only the final progress tick is emitted. *)
+  (* A fully cached resume starts no pool and never calls [f]; only the
+     final progress tick is emitted. *)
   if Array.length fresh = 0 && len > 0 then tick len (errors_so_far ());
   let errors_of v =
     match codec with Some c -> c.Runlog.errors_of v | None -> 0

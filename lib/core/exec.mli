@@ -121,10 +121,10 @@ val run :
     sink, in plan order regardless of completion order, and jobs found
     in the journal's resume cache are replayed from their recorded
     payloads instead of executing — [f] is never called for them.  When
-    {e every} job is cached the pool (and watchdog) is never started at
-    all.  Raises [Failure] if a cached record's seed disagrees with the
-    plan (resuming a ledger from a different campaign) rather than
-    silently mixing results.
+    {e every} job is cached the pool is never started at all.  Raises
+    [Failure] if a cached record's seed disagrees with the plan
+    (resuming a ledger from a different campaign) rather than silently
+    mixing results.
 
     With [~codec] the progress line additionally reports the error rate
     so far ([codec.errors_of] summed over completed jobs, scaled by
@@ -168,13 +168,14 @@ val for_all :
 (** {1 Supervision}
 
     A process-wide execution policy: per-attempt wall-clock timeout
-    enforced by a watchdog domain through cooperative cancellation
-    (domains cannot be killed; the simulator polls {!poll} every 1024
-    scheduler ticks), bounded immediate retry with the job's own seed,
-    and quarantine of poison jobs under [keep_going].  An
-    optional {!Fault.plan} injects executor-level faults for chaos
-    testing.  Installed ambiently (like {!set_progress}) so every
-    campaign driver inherits it without signature changes. *)
+    enforced through cooperative cancellation (domains cannot be killed,
+    so each attempt keeps its own deadline and the simulator polls
+    {!poll} every 1024 scheduler ticks), bounded immediate retry with
+    the job's own seed, and quarantine of poison jobs under
+    [keep_going].  An optional {!Fault.plan} injects executor-level
+    faults for chaos testing.  Installed ambiently (like
+    {!set_progress}) so every campaign inherits it without signature
+    changes. *)
 
 type supervision = {
   timeout_s : float option;  (** per-attempt wall-clock budget *)
@@ -191,7 +192,9 @@ val supervision :
   unit ->
   supervision
 (** Defaults: no timeout, no retries, abort on failure, no faults —
-    equivalent to unsupervised execution. *)
+    equivalent to unsupervised execution.  Raises [Invalid_argument] on
+    a [timeout_s] that is not finite and positive, or negative
+    [retries]. *)
 
 val set_supervision : supervision option -> unit
 (** Install (or clear) the process-wide policy.  Also clears the pending
@@ -215,9 +218,13 @@ exception Interrupted of int
 
 val poll : unit -> unit
 (** Cooperative cancellation point: raises {!Timed_out} iff the calling
-    worker's current attempt has been cancelled by the watchdog.  Cheap
-    (two atomic reads); long-running job functions outside the simulator
-    may call it directly. *)
+    domain's current attempt has a timeout and the clock is past its
+    deadline.  A nested supervised phase runs its attempts under their
+    own deadlines and restores the enclosing attempt's when each ends,
+    so the caller's timeout holds again afterwards.  Cheap (a
+    domain-local read, and a clock read only while a deadline is armed);
+    long-running job functions outside the simulator may call it
+    directly. *)
 
 type summary = {
   retried : int;  (** retry attempts performed since the last drain *)

@@ -11,9 +11,9 @@
 
     - {e executor-level} faults, drawn from {!at} and injected by the
       supervision layer in [Exec] around a job attempt: a crash
-      ({!Raise}), a hang cancelled only by the watchdog ({!Hang}), a
-      silently wrong result ({!Corrupt}, the job computes with a
-      perturbed seed), and a simulated ledger write failure
+      ({!Raise}), a hang that only its attempt's timeout cancels
+      ({!Hang}), a silently wrong result ({!Corrupt}, the job computes
+      with a perturbed seed), and a simulated ledger write failure
       ({!Ledger_fail}, the result is computed but the attempt dies
       before it is recorded);
     - {e simulator-level} transient soft errors (gpuFI-style bit flips

@@ -17,12 +17,6 @@
     Uses stdlib [Unix] only.  Safe in the presence of domains because
     [Unix.create_process_env] forks and execs atomically. *)
 
-val describe_exit : Unix.process_status -> string
-(** Human-readable process status ("exited 0", "killed by signal 9"),
-    with OCaml's internal signal numbers translated to the conventional
-    Linux ones (signals 1-15 are uniform across POSIX systems;
-    SIGCHLD/SIGCONT/SIGSTOP/SIGTSTP use the Linux x86-64 numbering). *)
-
 (** {1 The lease loop} *)
 
 type verdict =

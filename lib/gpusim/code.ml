@@ -67,6 +67,8 @@ let read_pending ctx i p =
        behaviour). *)
     raise (Unresolved p)
 
+(* Read a register slot; raises [Unresolved] while it holds a load that
+   has not completed. *)
 let[@inline] read_reg ctx i =
   let p = ctx.pend.(i) in
   if p == Memsys.no_pending then ctx.regs.(i) else read_pending ctx i p

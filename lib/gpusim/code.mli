@@ -91,9 +91,5 @@ val arm :
 (** Prepare a context to run [code] from its start: every register
     holds 0, and the arrays grow only past their high-water size. *)
 
-val read_reg : tctx -> int -> int
-(** Read a register slot.
-    @raise Unresolved if it holds a load that has not completed. *)
-
 val set_reg : tctx -> int -> int -> unit
 (** Write a value to a register slot. *)

@@ -73,29 +73,6 @@ let pp_step ppf = function
 let schedule_to_string sch =
   String.concat " " (List.map (Fmt.str "%a" pp_step) sch)
 
-let schedule_of_string s =
-  let parse tok =
-    let fail () = invalid_arg ("Mcheck: bad schedule token " ^ tok) in
-    if tok = "" then fail ()
-    else
-      match tok.[0] with
-      | 'S' -> (
-        match int_of_string_opt (String.sub tok 1 (String.length tok - 1)) with
-        | Some t -> Sstep t
-        | None -> fail ())
-      | 'C' -> (
-        match String.split_on_char '.' (String.sub tok 1 (String.length tok - 1)) with
-        | [ a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some t, Some n -> Scommit (t, n)
-          | _ -> fail ())
-        | _ -> fail ())
-      | _ -> fail ()
-  in
-  String.split_on_char ' ' s
-  |> List.filter (fun t -> t <> "")
-  |> List.map parse
-
 (* ------------------------------------------------------------------ *)
 (* Machine state (immutable: the DFS backtracks by dropping it)        *)
 

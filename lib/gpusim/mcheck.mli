@@ -108,7 +108,3 @@ val pp_step : Format.formatter -> step -> unit
 
 val schedule_to_string : step list -> string
 (** Space-separated {!pp_step} tokens. *)
-
-val schedule_of_string : string -> step list
-(** Inverse of {!schedule_to_string}.
-    @raise Invalid_argument on malformed tokens. *)

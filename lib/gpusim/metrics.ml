@@ -43,8 +43,6 @@ let add acc x =
   acc.app_cycles <- acc.app_cycles + x.app_cycles;
   acc.n_bitflip <- acc.n_bitflip + x.n_bitflip
 
-let total_mem_ops m = m.n_load + m.n_store + m.n_atomic
-
 let launch_overhead = 100
 
 let runtime_cycles ~(chip : Chip.t) m =

@@ -30,8 +30,6 @@ val reset : t -> unit
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 
-val total_mem_ops : t -> int
-
 val runtime_cycles : chip:Chip.t -> t -> int
 (** Modelled kernel runtime: a fixed per-launch overhead plus the
     application cycle count divided by the chip's notional parallelism. *)

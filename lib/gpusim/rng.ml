@@ -92,10 +92,6 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Rng.choose: empty array";
-  a.(int t (Array.length a))
-
 let sample_distinct t m n =
   if m < 0 || m > n then invalid_arg "Rng.sample_distinct";
   (* Partial Fisher-Yates over [0, n): O(n) space but n is small in all of

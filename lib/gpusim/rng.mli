@@ -68,9 +68,6 @@ val chance : t -> float -> bool
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)
-
 val sample_distinct : t -> int -> int -> int list
 (** [sample_distinct t m n] returns [m] distinct values drawn uniformly
     from [\[0, n)], in random order.  Requires [0 <= m <= n]. *)

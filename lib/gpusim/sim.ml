@@ -74,7 +74,6 @@ let set_poll_hook h = Atomic.set poll_hook h
 
 let soft_error_default : (float * int) option Atomic.t = Atomic.make None
 let set_soft_error_default d = Atomic.set soft_error_default d
-let soft_error_defaulted () = Atomic.get soft_error_default
 
 (* Arm soft-error injection per the ambient default; shared between
    [create] and [reset] so a recycled simulator is configured exactly like
@@ -648,7 +647,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
        incr ticks;
        metrics.Metrics.ticks <- metrics.Metrics.ticks + 1;
        Memsys.tick t.mem;
-       (* Cooperative cancellation point for the supervision watchdog: a
+       (* Cooperative cancellation point for supervised timeouts: a
           hook that raises aborts the launch (and the whole job attempt)
           without needing to kill the domain. *)
        if !ticks land 1023 = 0 then begin

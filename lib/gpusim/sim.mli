@@ -142,9 +142,9 @@ val bitflips : t -> int
 val set_poll_hook : (unit -> unit) option -> unit
 (** Install a cooperative cancellation point: the scheduler loop calls
     the hook every 1024 ticks.  A hook that raises aborts the launch (the
-    exception propagates out of {!launch}); the supervision watchdog in
-    [Core.Exec] uses this to cancel timed-out jobs, since OCaml domains
-    cannot be killed. *)
+    exception propagates out of {!launch}).  [Core.Exec]'s supervision
+    installs one while a timeout is armed, so an attempt past its
+    deadline cancels itself, since OCaml domains cannot be killed. *)
 
 val set_soft_error_default : (float * int) option -> unit
 (** [set_soft_error_default (Some (rate, fault_seed))] arms gpuFI-style
@@ -153,8 +153,6 @@ val set_soft_error_default : (float * int) option -> unit
     [rate], drawn from a dedicated rng derived from [fault_seed] and the
     device seed (so flips are deterministic per device and the simulated
     schedule is unperturbed).  [None] (the default) disarms. *)
-
-val soft_error_defaulted : unit -> (float * int) option
 
 val trace : t -> Trace.t
 (** The device's trace sink (shared with its {!Memsys}).  Enable a ring

@@ -203,7 +203,7 @@ let test_pool_past_domain_limit () =
        ~seed:12 ~f:held payloads)
 
 (* ------------------------------------------------------------------ *)
-(* Supervised execution: deterministic retry, quarantine, watchdog.    *)
+(* Supervised execution: deterministic retry, quarantine, timeouts.    *)
 
 let with_supervision s f =
   Core.Exec.set_supervision (Some s);
@@ -302,8 +302,8 @@ let test_quarantine_matches_prediction () =
         r)
     [ 1; 4 ]
 
-let test_hang_cancelled_by_watchdog () =
-  (* Every first attempt hangs; the watchdog must cancel it at the
+let test_hang_cancelled_at_deadline () =
+  (* Every first attempt hangs; its deadline must cancel it at the
      timeout and the clean retry must reproduce the reference bits. *)
   let plan =
     Core.Fault.plan ~rate:1.0 ~kinds:[ Core.Fault.Hang ] ~faulty_attempts:1
@@ -325,6 +325,84 @@ let test_hang_cancelled_by_watchdog () =
   Alcotest.(check int) "every job burned one retry" 4 s.Core.Exec.retried;
   Alcotest.(check int) "no quarantines" 0
     (List.length s.Core.Exec.quarantined)
+
+let test_nested_phase_keeps_deadline () =
+  (* The job's attempt is armed for 0.2 s.  A nested supervised phase on
+     the same domain runs its own attempt, and must hand the job's
+     deadline back when it ends: the job's later poll loop is cancelled
+     at 0.2 s instead of running its 2 s to completion. *)
+  with_supervision (Core.Exec.supervision ~timeout_s:0.2 ()) @@ fun () ->
+  let t0 = Unix.gettimeofday () in
+  let job ~seed:_ _ =
+    ignore
+      (Core.Exec.for_all ~backend:Core.Exec.Serial ~seed:1
+         ~f:(fun ~seed:_ _ -> true)
+         [ 0 ]);
+    while Unix.gettimeofday () -. t0 < 2.0 do
+      Core.Exec.poll ();
+      Unix.sleepf 0.001
+    done;
+    0
+  in
+  match Core.Exec.run ~backend:Core.Exec.Serial ~seed:1 ~f:job [ 0 ] with
+  | _ -> Alcotest.fail "the job outlived its timeout"
+  | exception Core.Exec.Job_failed fl ->
+    let elapsed = Unix.gettimeofday () -. t0 in
+    ignore (Core.Exec.drain_summary ());
+    Alcotest.(check bool) "the failure is a timeout" true
+      fl.Core.Exec.f_timed_out;
+    Alcotest.(check bool)
+      (Printf.sprintf "cancelled well before 2 s (%.2f s)" elapsed)
+      true (elapsed < 1.0)
+
+let test_deadline_ends_with_attempt () =
+  (* Attempts that end by a value, an exception, a timeout or an
+     interruption must each disarm the domain's deadline: a poll on the
+     same domain after the run, past the timeout, raises nothing. *)
+  let poll_after what =
+    Unix.sleepf 0.1;
+    match Core.Exec.poll () with
+    | () -> ()
+    | exception Core.Exec.Timed_out ->
+      Alcotest.failf "the deadline outlived an attempt that ended by %s" what
+  in
+  with_supervision
+    (Core.Exec.supervision ~timeout_s:0.05 ~keep_going:true ())
+  @@ fun () ->
+  ignore (Core.Exec.run ~backend:Core.Exec.Serial ~seed:1 ~f:sup_f [ 0 ]);
+  poll_after "a value";
+  let failing ~seed:_ p =
+    if p = 0 then failwith "job crash"
+    else
+      while true do
+        Core.Exec.poll ();
+        Unix.sleepf 0.001
+      done;
+    0
+  in
+  ignore
+    (Core.Exec.run ~backend:Core.Exec.Serial ~quarantine:(fun _ _ -> -1)
+       ~seed:1 ~f:failing [ 0; 1 ]);
+  let s = Core.Exec.drain_summary () in
+  Alcotest.(check (list bool)) "one crash, one timeout" [ false; true ]
+    (List.map (fun fl -> fl.Core.Exec.f_timed_out) s.Core.Exec.quarantined);
+  poll_after "an exception or a timeout";
+  (match
+     Core.Exec.run ~backend:Core.Exec.Serial ~seed:1
+       ~f:(fun ~seed:_ _ -> raise (Core.Exec.Interrupted 15))
+       [ 0 ]
+   with
+  | _ -> Alcotest.fail "an interrupted job must raise"
+  | exception Core.Exec.Interrupted 15 -> ());
+  poll_after "an interruption"
+
+let test_supervision_refuses_non_finite_timeout () =
+  List.iter
+    (fun t ->
+      match Core.Exec.supervision ~timeout_s:t () with
+      | _ -> Alcotest.failf "timeout %g accepted" t
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; 0.0; -1.0 ]
 
 let test_hang_without_timeout_degrades_to_raise () =
   (* A Hang fault with no timeout armed must not wedge the process: it
@@ -506,7 +584,13 @@ let () =
           Alcotest.test_case "quarantine matches prediction" `Quick
             test_quarantine_matches_prediction;
           Alcotest.test_case "watchdog cancels hangs" `Quick
-            test_hang_cancelled_by_watchdog;
+            test_hang_cancelled_at_deadline;
+          Alcotest.test_case "nested phase keeps the caller's deadline" `Quick
+            test_nested_phase_keeps_deadline;
+          Alcotest.test_case "a deadline ends with its attempt" `Quick
+            test_deadline_ends_with_attempt;
+          Alcotest.test_case "non-finite timeout refused" `Quick
+            test_supervision_refuses_non_finite_timeout;
           Alcotest.test_case "hang without timeout degrades" `Quick
             test_hang_without_timeout_degrades_to_raise;
           Alcotest.test_case "poison job raises without keep-going" `Quick
