@@ -106,6 +106,31 @@ let app_conv =
   in
   Arg.conv (parse, fun ppf a -> Fmt.string ppf a.Apps.App.name)
 
+(* One check per kind of numeric flag, run before any ledger, port or
+   journal is touched: a refused value exits 2 and names its flag.  Each
+   check says what a value must be, so [nan], which fails every
+   comparison, is refused too.  A duration must be finite because a
+   non-finite deadline never passes, and [Json] writes it as [null],
+   which no journal reads back. *)
+let require ~what ok flag v =
+  if not (ok v) then begin
+    Fmt.epr "--%s must be %s@." flag what;
+    exit 2
+  end
+
+let require_finite = require ~what:"a finite number of seconds" Float.is_finite
+
+let require_probability =
+  require ~what:"a probability in [0,1]" (fun p -> p >= 0.0 && p <= 1.0)
+
+let require_tolerance =
+  require ~what:"a finite, non-negative number" (fun v ->
+      Float.is_finite v && v >= 0.0)
+
+let require_scale =
+  require ~what:"a finite, positive number" (fun v ->
+      Float.is_finite v && v > 0.0)
+
 let budget_term =
   let full =
     Arg.(
@@ -122,6 +147,7 @@ let budget_term =
           ~doc:"Scale per-point execution counts by F.")
   in
   let make full scale =
+    require_scale "runs-scale" scale;
     let b = if full then Core.Budget.paper else Core.Budget.default in
     if scale = 1.0 then b else Core.Budget.scale_runs b scale
   in
@@ -269,15 +295,6 @@ let keep_going_term =
           "Quarantine jobs that exhaust their attempts instead of \
            aborting: the campaign completes with degraded cells, the \
            ledger records each failure, and the exit code is 3.")
-
-(* Duration flags take finite values only: a non-finite deadline never
-   passes, and [Json] writes it as [null], which no journal reads back.
-   Checked before any ledger, port or journal is touched. *)
-let require_finite flag v =
-  if not (Float.is_finite v) then begin
-    Fmt.epr "--%s must be a finite number of seconds@." flag;
-    exit 2
-  end
 
 let setup_supervision ?faults ~timeout ~retries ~keep_going () =
   Option.iter (require_finite "timeout") timeout;
@@ -1583,6 +1600,8 @@ let chaos_cmd =
       fault_rate fault_seed fault_attempts soft_rate timeout retries
       keep_going =
     setup_log ~quiet verbose;
+    require_probability "fault-rate" fault_rate;
+    require_probability "soft-rate" soft_rate;
     let kinds =
       match Core.Fault.parse_kinds faults with
       | Ok k -> k
@@ -1910,6 +1929,7 @@ let compare_cmd =
   in
   let run verbose tolerance base cand =
     setup_log verbose;
+    require_tolerance "tolerance" tolerance;
     let rows_of path =
       match Core.Runlog.load path with
       | Error e ->

@@ -49,6 +49,8 @@ let quick =
     noise_threshold = 1 }
 
 let scale_runs t f =
+  if not (Float.is_finite f && f > 0.0) then
+    invalid_arg "Budget.scale_runs: scale must be finite and positive";
   let s n = Int.max 1 (int_of_float (float_of_int n *. f)) in
   { t with runs_patch = s t.runs_patch; runs_seq = s t.runs_seq;
     runs_spread = s t.runs_spread;

@@ -29,7 +29,9 @@ val quick : t
 
 val scale_runs : t -> float -> t
 (** Multiply all per-point execution counts (and the noise threshold)
-    by a factor, for CLI [--runs-scale]. *)
+    by a factor, for CLI [--runs-scale]; each count is at least 1.
+    Raises [Invalid_argument] unless the factor is finite and
+    positive. *)
 
 val to_json : t -> Json.t
 (** Every field, for run-ledger headers: a resumed campaign refuses a

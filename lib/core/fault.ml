@@ -18,8 +18,10 @@ type plan = {
 let plan ?(rate = 0.2) ?(kinds = [ Raise ]) ?(faulty_attempts = 1)
     ?(soft_error_rate = 0.0) ~seed () =
   if kinds = [] then invalid_arg "Fault.plan: empty kinds";
-  if rate < 0.0 || rate > 1.0 then invalid_arg "Fault.plan: rate not in [0,1]";
-  if soft_error_rate < 0.0 || soft_error_rate > 1.0 then
+  (* Stated positively, so that [nan] is refused too. *)
+  if not (rate >= 0.0 && rate <= 1.0) then
+    invalid_arg "Fault.plan: rate not in [0,1]";
+  if not (soft_error_rate >= 0.0 && soft_error_rate <= 1.0) then
     invalid_arg "Fault.plan: soft_error_rate not in [0,1]";
   if faulty_attempts < 0 then invalid_arg "Fault.plan: negative faulty_attempts";
   { seed; rate; kinds; faulty_attempts; soft_error_rate }

@@ -50,7 +50,7 @@ val plan :
   plan
 (** Defaults: [rate = 0.2], [kinds = [Raise]], [faulty_attempts = 1],
     [soft_error_rate = 0.0].  Raises [Invalid_argument] on an empty
-    [kinds] list or rates outside [\[0, 1\]]. *)
+    [kinds] list or rates outside [\[0, 1\]], [nan] included. *)
 
 val at : plan -> index:int -> attempt:int -> kind option
 (** The fault injected into attempt [attempt] of job [index] — a pure

@@ -31,11 +31,11 @@ let escape_to buf s =
 let float_to_string f =
   if not (Float.is_finite f) then "null"
   else
-    let s = Printf.sprintf "%.17g" f in
-    (* Shortest representation that round-trips, so output stays tidy. *)
+    (* Shortest of the two forms that round-trips, so output stays tidy;
+       the 17-digit form is formatted only when it is needed. *)
     let s =
       let short = Printf.sprintf "%.12g" f in
-      if float_of_string short = f then short else s
+      if float_of_string short = f then short else Printf.sprintf "%.17g" f
     in
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E' || c = 'n') s then s
     else s ^ ".0"
@@ -81,26 +81,25 @@ let fail pos msg = raise (Parse_error (Printf.sprintf "at %d: %s" pos msg))
 
 type state = { src : string; mutable pos : int }
 
-let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None
-
+(* The reader looks at [st.src.[st.pos]] only behind [more st], so no
+   character is boxed in an option. *)
+let[@inline] more st = st.pos < String.length st.src
+let[@inline] cur st = st.src.[st.pos]
+let[@inline] at st c = more st && cur st = c
 let advance st = st.pos <- st.pos + 1
 
 let skip_ws st =
   while
-    match peek st with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance st;
-      true
-    | _ -> false
+    more st && match cur st with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
   do
-    ()
+    advance st
   done
 
 let expect st c =
-  match peek st with
-  | Some c' when c' = c -> advance st
-  | Some c' -> fail st.pos (Printf.sprintf "expected %c, found %c" c c')
-  | None -> fail st.pos (Printf.sprintf "expected %c, found end of input" c)
+  if not (more st) then
+    fail st.pos (Printf.sprintf "expected %c, found end of input" c)
+  else if cur st = c then advance st
+  else fail st.pos (Printf.sprintf "expected %c, found %c" c (cur st))
 
 let literal st word value =
   let n = String.length word in
@@ -134,81 +133,101 @@ let utf8_add buf cp =
 let hex4 st =
   let v = ref 0 in
   for _ = 1 to 4 do
-    (match peek st with
-    | Some c -> (
-      let d =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | _ -> fail st.pos "bad \\u escape"
-      in
-      v := (!v * 16) + d)
-    | None -> fail st.pos "truncated \\u escape");
+    if not (more st) then fail st.pos "truncated \\u escape";
+    let d =
+      match cur st with
+      | '0' .. '9' as c -> Char.code c - Char.code '0'
+      | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+      | _ -> fail st.pos "bad \\u escape"
+    in
+    v := (!v * 16) + d;
     advance st
   done;
   !v
 
+let escape st buf =
+  if not (more st) then fail st.pos "truncated escape";
+  let add c =
+    advance st;
+    Buffer.add_char buf c
+  in
+  match cur st with
+  | '"' -> add '"'
+  | '\\' -> add '\\'
+  | '/' -> add '/'
+  | 'n' -> add '\n'
+  | 'r' -> add '\r'
+  | 't' -> add '\t'
+  | 'b' -> add '\b'
+  | 'f' -> add '\012'
+  | 'u' ->
+    advance st;
+    let cp = hex4 st in
+    if cp >= 0xD800 && cp <= 0xDBFF then begin
+      (* high surrogate: require a following \uXXXX low surrogate *)
+      expect st '\\';
+      expect st 'u';
+      let lo = hex4 st in
+      if lo < 0xDC00 || lo > 0xDFFF then fail st.pos "unpaired surrogate"
+      else utf8_add buf (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
+    end
+    else if cp >= 0xDC00 && cp <= 0xDFFF then fail st.pos "unpaired surrogate"
+    else utf8_add buf cp
+  | c -> fail st.pos (Printf.sprintf "bad escape \\%c" c)
+
+(* The end of the run of plain characters (no quote, backslash or
+   control character) that starts at [i]. *)
+let rec plain_end src i =
+  if
+    i < String.length src
+    && match src.[i] with '"' | '\\' -> false | c -> Char.code c >= 0x20
+  then plain_end src (i + 1)
+  else i
+
+(* A string is runs of plain characters between escapes; one without
+   escapes is a single [String.sub]. *)
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    match peek st with
-    | None -> fail st.pos "unterminated string"
-    | Some '"' -> advance st
-    | Some '\\' -> (
-      advance st;
-      match peek st with
-      | None -> fail st.pos "truncated escape"
-      | Some c ->
-        (match c with
-        | '"' -> advance st; Buffer.add_char buf '"'
-        | '\\' -> advance st; Buffer.add_char buf '\\'
-        | '/' -> advance st; Buffer.add_char buf '/'
-        | 'n' -> advance st; Buffer.add_char buf '\n'
-        | 'r' -> advance st; Buffer.add_char buf '\r'
-        | 't' -> advance st; Buffer.add_char buf '\t'
-        | 'b' -> advance st; Buffer.add_char buf '\b'
-        | 'f' -> advance st; Buffer.add_char buf '\012'
-        | 'u' ->
-          advance st;
-          let cp = hex4 st in
-          if cp >= 0xD800 && cp <= 0xDBFF then begin
-            (* high surrogate: require a following \uXXXX low surrogate *)
-            expect st '\\';
-            expect st 'u';
-            let lo = hex4 st in
-            if lo < 0xDC00 || lo > 0xDFFF then
-              fail st.pos "unpaired surrogate"
-            else
-              utf8_add buf
-                (0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00))
-          end
-          else if cp >= 0xDC00 && cp <= 0xDFFF then
-            fail st.pos "unpaired surrogate"
-          else utf8_add buf cp
-        | c -> fail st.pos (Printf.sprintf "bad escape \\%c" c));
-        go ())
-    | Some c when Char.code c < 0x20 -> fail st.pos "raw control character"
-    | Some c ->
-      advance st;
-      Buffer.add_char buf c;
-      go ()
-  in
-  go ();
-  Buffer.contents buf
+  let start = st.pos in
+  st.pos <- plain_end st.src start;
+  if at st '"' then begin
+    advance st;
+    String.sub st.src start (st.pos - 1 - start)
+  end
+  else begin
+    let buf = Buffer.create 16 in
+    let rec go start =
+      Buffer.add_substring buf st.src start (st.pos - start);
+      if not (more st) then fail st.pos "unterminated string";
+      match cur st with
+      | '"' -> advance st
+      | '\\' ->
+        advance st;
+        escape st buf;
+        let start = st.pos in
+        st.pos <- plain_end st.src start;
+        go start
+      | _ -> fail st.pos "raw control character"
+    in
+    go start;
+    Buffer.contents buf
+  end
 
 let parse_number st =
   let start = st.pos in
   let is_float = ref false in
-  let continue = ref true in
-  while !continue do
-    match peek st with
-    | Some ('0' .. '9' | '-' | '+') -> advance st
-    | Some ('.' | 'e' | 'E') ->
+  while
+    more st
+    &&
+    match cur st with
+    | '0' .. '9' | '-' | '+' -> true
+    | '.' | 'e' | 'E' ->
       is_float := true;
-      advance st
-    | _ -> continue := false
+      true
+    | _ -> false
+  do
+    advance st
   done;
   let s = String.sub st.src start (st.pos - start) in
   if !is_float then
@@ -226,23 +245,23 @@ let parse_number st =
 
 let rec parse_value st =
   skip_ws st;
-  match peek st with
-  | None -> fail st.pos "unexpected end of input"
-  | Some 'n' -> literal st "null" Null
-  | Some 't' -> literal st "true" (Bool true)
-  | Some 'f' -> literal st "false" (Bool false)
-  | Some '"' -> String (parse_string st)
-  | Some '[' ->
+  if not (more st) then fail st.pos "unexpected end of input";
+  match cur st with
+  | 'n' -> literal st "null" Null
+  | 't' -> literal st "true" (Bool true)
+  | 'f' -> literal st "false" (Bool false)
+  | '"' -> String (parse_string st)
+  | '[' ->
     advance st;
     skip_ws st;
-    if peek st = Some ']' then begin
+    if at st ']' then begin
       advance st;
       List []
     end
     else begin
       let items = ref [ parse_value st ] in
       skip_ws st;
-      while peek st = Some ',' do
+      while at st ',' do
         advance st;
         items := parse_value st :: !items;
         skip_ws st
@@ -250,10 +269,10 @@ let rec parse_value st =
       expect st ']';
       List (List.rev !items)
     end
-  | Some '{' ->
+  | '{' ->
     advance st;
     skip_ws st;
-    if peek st = Some '}' then begin
+    if at st '}' then begin
       advance st;
       Assoc []
     end
@@ -268,7 +287,7 @@ let rec parse_value st =
       in
       let items = ref [ field () ] in
       skip_ws st;
-      while peek st = Some ',' do
+      while at st ',' do
         advance st;
         items := field () :: !items;
         skip_ws st
@@ -276,8 +295,8 @@ let rec parse_value st =
       expect st '}';
       Assoc (List.rev !items)
     end
-  | Some ('-' | '0' .. '9') -> parse_number st
-  | Some c -> fail st.pos (Printf.sprintf "unexpected character %c" c)
+  | '-' | '0' .. '9' -> parse_number st
+  | c -> fail st.pos (Printf.sprintf "unexpected character %c" c)
 
 let of_string s =
   let st = { src = s; pos = 0 } in

@@ -15,9 +15,15 @@ type writer = out_channel
 
 let create path = open_out path
 
-let output w j =
-  output_string w (Json.to_string j);
+type line = string
+
+let line = Json.to_string
+
+let output_line w l =
+  output_string w l;
   output_char w '\n'
+
+let output w j = output_line w (line j)
 
 let flush = Stdlib.flush
 let close = close_out

@@ -19,6 +19,15 @@ val output : writer -> Json.t -> unit
 (** Buffer one record as one line; {!flush} writes the buffer out (a
     full buffer also spills, possibly mid-line). *)
 
+type line
+(** One record, encoded.  A writer shared by domains encodes each record
+    outside its lock and only writes lines under it. *)
+
+val line : Json.t -> line
+
+val output_line : writer -> line -> unit
+(** {!output} of an encoded record. *)
+
 val flush : writer -> unit
 val close : writer -> unit
 (** Flush and close. *)

@@ -493,6 +493,9 @@ let error_rate (c : Campaign.cell) =
    power); a rise is an improvement.  Failure modes appearing or
    vanishing from the per-cell histograms are surfaced as notes. *)
 let compare_campaigns ~tolerance ~baseline ~candidate =
+  if not (Float.is_finite tolerance && tolerance >= 0.0) then
+    invalid_arg
+      "Report.compare_campaigns: tolerance must be finite and non-negative";
   let regressions = ref [] in
   let improvements = ref [] in
   let notes = ref [] in

@@ -95,6 +95,7 @@ val compare_campaigns :
   candidate:Campaign.row list ->
   comparison
 (** [tolerance] is an absolute error-rate delta (e.g. 0.02 allows a two
-    percentage-point drop before flagging a regression). *)
+    percentage-point drop before flagging a regression).  Raises
+    [Invalid_argument] unless it is finite and non-negative. *)
 
 val pp_comparison : Format.formatter -> comparison -> unit

@@ -148,7 +148,8 @@ type t = {
   deterministic : bool;
   mutable phase : string;
   mutable next : int;  (* lowest flush rank of [phase] not yet on disk *)
-  pending : (int, job) Hashtbl.t;  (* completed but blocked by a gap *)
+  pending : (int, job * Jsonl.line) Hashtbl.t;
+      (* completed but blocked by a gap, with its encoded line *)
   mutable jobs_written : int;
   mutable errors_sum : int;
   mutable failed_sum : int;
@@ -181,6 +182,10 @@ let locked t f =
    shard-local rank (Shard.rank) keys the buffer while the record keeps
    the global plan index. *)
 let append_job ?pos t (r : job) =
+  (* Encoded before the lock, so domains appending at once do not
+     serialise on [Json.to_string]. *)
+  let r = if t.deterministic then { r with duration_s = 0.0 } else r in
+  let line = Jsonl.line (Codec.encode job r) in
   locked t @@ fun () ->
   if t.closed then invalid_arg "Runlog.append_job: ledger is closed";
   if r.phase <> t.phase then begin
@@ -193,13 +198,12 @@ let append_job ?pos t (r : job) =
     t.phase <- r.phase;
     t.next <- 0
   end;
-  let r = if t.deterministic then { r with duration_s = 0.0 } else r in
-  Hashtbl.replace t.pending (Option.value pos ~default:r.index) r;
+  Hashtbl.replace t.pending (Option.value pos ~default:r.index) (r, line);
   let drained = ref false in
   while Hashtbl.mem t.pending t.next do
-    let j = Hashtbl.find t.pending t.next in
+    let j, line = Hashtbl.find t.pending t.next in
     Hashtbl.remove t.pending t.next;
-    Jsonl.output t.oc (Codec.encode job j);
+    Jsonl.output_line t.oc line;
     t.jobs_written <- t.jobs_written + 1;
     t.errors_sum <- t.errors_sum + j.errors;
     if j.failed <> None then t.failed_sum <- t.failed_sum + 1;

@@ -376,8 +376,8 @@ let maybe_flip t ~tid ~addr v =
 (* The per-access arithmetic below is [@inline]: without flambda a float
    passed to or returned from a function that is not inlined is boxed,
    which cost a few words on every stressing access and commit attempt.
-   Inlined, the floats stay in registers from the pools to [Rng.chance],
-   whose argument is the one box left. *)
+   Inlined, and with [Rng.chance] inlined too, the floats stay in
+   registers from the pools to the commit coin's compare. *)
 
 let refresh_pool t part =
   let dt = t.now - t.pool_stamp.(part) in
@@ -534,7 +534,12 @@ let commit t tid e =
 
 let pending_count t ~tid = (queue t tid).live
 
-let[@inline] delay_for t e =
+(* Whether entry [e]'s commit is delayed this attempt:
+   [Rng.chance t.rng (Float.min w.max_delay d)] for its contention delay
+   [d].  The minimum is taken by compares, so the usual case neither
+   makes [Float.min]'s two [sign_bit] C calls nor boxes the probability;
+   ties and nans still take [Float.min]. *)
+let[@inline] delayed t e =
   let w = t.chip.Chip.weakness in
   let kind = match e.ekind with Load_k -> `Load | Store_k -> `Store in
   let c = contention t ~part:e.part ~kind in
@@ -543,7 +548,10 @@ let[@inline] delay_for t e =
     | Load_k -> w.ld_delay_w
     | Store_k -> w.st_delay_w
   in
-  Float.min w.max_delay (w.base_delay +. (w.gain *. factor *. kw))
+  let d = w.base_delay +. (w.gain *. factor *. kw) in
+  if d < w.max_delay then Rng.chance t.rng d
+  else if w.max_delay < d then Rng.chance t.rng w.max_delay
+  else Rng.chance t.rng (Float.min w.max_delay d)
 
 (* Partition heads: entries with no older pending entry in the same
    partition.  Leaking entries (980 quirk) are exempt in both directions.
@@ -571,7 +579,7 @@ let attempt_commits t ~tid =
     done;
     for i = 0 to !n - 1 do
       let e = t.heads_scratch.(i) in
-      if not (Rng.chance t.rng (delay_for t e)) then commit t tid e
+      if not (delayed t e) then commit t tid e
     done;
     Array.fill t.heads_scratch 0 !n dummy_entry
   end

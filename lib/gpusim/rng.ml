@@ -82,7 +82,10 @@ let[@inline] float t =
 
 let bool t = Int64.compare (int64 t) 0L < 0
 
-let chance t p = if p <= 0.0 then false else if p >= 1.0 then true else float t < p
+(* Inlined, so that a probability computed by the caller reaches the
+   compare unboxed. *)
+let[@inline] chance t p =
+  if p <= 0.0 then false else if p >= 1.0 then true else float t < p
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

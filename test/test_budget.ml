@@ -45,6 +45,17 @@ let test_scale_runs_floors_at_one () =
   Alcotest.(check bool) "threshold stays positive" true
     (tiny.Core.Budget.noise_threshold >= 1)
 
+(* A scale that is not finite and positive would floor every count at
+   one run instead of failing. *)
+let test_scale_runs_refuses () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool) (Printf.sprintf "scale %g refused" f) true
+        (match Core.Budget.scale_runs Core.Budget.default f with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; -1.0 ]
+
 let test_scale_runs_identity () =
   let b = Core.Budget.default in
   Alcotest.(check bool) "factor 1.0 is the identity" true
@@ -83,6 +94,8 @@ let () =
             test_scale_runs_scales_counts;
           Alcotest.test_case "scale_runs floors at one" `Quick
             test_scale_runs_floors_at_one;
+          Alcotest.test_case "scale_runs refuses non-positive and non-finite"
+            `Quick test_scale_runs_refuses;
           Alcotest.test_case "scale_runs identity" `Quick
             test_scale_runs_identity;
           Alcotest.test_case "noise threshold tracks runs" `Quick

@@ -81,6 +81,16 @@ let test_plan_validation () =
     (invalid (fun () -> Core.Fault.plan ~rate:1.5 ~seed:1 ()));
   Alcotest.(check bool) "soft error rate above one rejected" true
     (invalid (fun () -> Core.Fault.plan ~soft_error_rate:2.0 ~seed:1 ()));
+  (* [nan] fails every comparison: a check that lists only what a rate
+     must not be lets it through, as a plan that never fires. *)
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "rate %g rejected" v) true
+        (invalid (fun () -> Core.Fault.plan ~rate:v ~seed:1 ()));
+      Alcotest.(check bool) (Printf.sprintf "soft error rate %g rejected" v)
+        true
+        (invalid (fun () -> Core.Fault.plan ~soft_error_rate:v ~seed:1 ())))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
   Alcotest.(check bool) "negative faulty_attempts rejected" true
     (invalid (fun () -> Core.Fault.plan ~faulty_attempts:(-1) ~seed:1 ()))
 

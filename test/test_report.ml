@@ -309,6 +309,21 @@ let test_compare_tolerance () =
   Alcotest.(check int) "2.5%% drop beyond 1%% tolerance" 1
     (List.length beyond.Core.Report.regressions)
 
+(* Every comparison with [nan] is false, so a [nan] tolerance would pass
+   any drop. *)
+let test_compare_refuses_tolerance () =
+  List.iter
+    (fun tolerance ->
+      Alcotest.(check bool) (Printf.sprintf "tolerance %g refused" tolerance)
+        true
+        (match
+           Core.Report.compare_campaigns ~tolerance ~baseline:golden_rows
+             ~candidate:golden_rows
+         with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
+    [ Float.nan; Float.infinity; -0.01 ]
+
 let () =
   Alcotest.run "report"
     [ ( "render",
@@ -330,4 +345,6 @@ let () =
       ( "compare",
         [ Alcotest.test_case "regressions and notes" `Quick
             test_compare_campaigns;
-          Alcotest.test_case "tolerance" `Quick test_compare_tolerance ] ) ]
+          Alcotest.test_case "tolerance" `Quick test_compare_tolerance;
+          Alcotest.test_case "non-finite or negative tolerance refused" `Quick
+            test_compare_refuses_tolerance ] ) ]

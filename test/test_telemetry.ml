@@ -6,6 +6,26 @@
 (* ------------------------------------------------------------------ *)
 (* Json codec                                                           *)
 
+(* Strings of any bytes, weighted towards the ones the printer escapes
+   or passes through raw. *)
+let json_string_gen =
+  let open QCheck.Gen in
+  oneof
+    [ string_printable;
+      string;
+      string_of (oneofl [ '"'; '\\'; '/'; '\n'; '\t'; '\000'; '\031'; '\127';
+                          '\195'; '\169'; '\255'; 'a' ]) ]
+
+(* Floats that the short form does not round-trip need 17 digits; the
+   sign of zero must survive too. *)
+let json_float_gen =
+  let open QCheck.Gen in
+  oneof
+    [ map (fun f -> if Float.is_finite f then f else 0.0) float;
+      map (fun i -> float_of_int i /. 3.0) small_signed_int;
+      map (fun i -> float_of_int i *. 0.1) small_signed_int;
+      return (-0.0) ]
+
 let json_gen =
   let open QCheck.Gen in
   sized
@@ -15,11 +35,8 @@ let json_gen =
              [ return Core.Json.Null;
                map (fun b -> Core.Json.Bool b) bool;
                map (fun i -> Core.Json.Int i) int;
-               map
-                 (fun f ->
-                   Core.Json.Float (if Float.is_finite f then f else 0.0))
-                 float;
-               map (fun s -> Core.Json.String s) string_printable ]
+               map (fun f -> Core.Json.Float f) json_float_gen;
+               map (fun s -> Core.Json.String s) json_string_gen ]
          in
          if n = 0 then leaf
          else
@@ -33,12 +50,17 @@ let json_gen =
                  map
                    (fun kvs -> Core.Json.Assoc kvs)
                    (list_size (int_bound 4)
-                      (pair string_printable (self (n / 2)))) ) ])
+                      (pair json_string_gen (self (n / 2)))) ) ])
 
 let prop_json_round_trip =
   QCheck.Test.make ~name:"Json: of_string (to_string v) = Ok v" ~count:500
     (QCheck.make json_gen)
-    (fun v -> Core.Json.of_string (Core.Json.to_string v) = Ok v)
+    (fun v ->
+      (* [=] equates 0.0 and -0.0, so the bytes are compared too. *)
+      let text = Core.Json.to_string v in
+      match Core.Json.of_string text with
+      | Ok v' -> v' = v && Core.Json.to_string v' = text
+      | Error _ -> false)
 
 let test_json_parsing_cases () =
   let ok s v = Alcotest.(check bool) s true (Core.Json.of_string s = Ok v) in
@@ -54,17 +76,71 @@ let test_json_parsing_cases () =
   ok "\"a\\u0041\\n\"" (Core.Json.String "aA\n");
   (* surrogate pair: U+1F600 *)
   ok "\"\\uD83D\\uDE00\"" (Core.Json.String "\xF0\x9F\x98\x80");
-  let bad s =
-    Alcotest.(check bool) ("reject " ^ s) true
-      (match Core.Json.of_string s with Error _ -> true | Ok _ -> false)
-  in
-  bad "";
-  bad "tru";
-  bad "[1,]";
-  bad "{\"a\":}";
-  bad "1 2";
-  bad "\"\\uD83D\"";
-  bad "\"unterminated"
+  (* out of int range: a float *)
+  ok "99999999999999999999" (Core.Json.Float 1e20);
+  (* Each malformed input's exact error text, which callers print. *)
+  List.iter
+    (fun (input, error) ->
+      Alcotest.(check string) ("reject " ^ String.escaped input) error
+        (match Core.Json.of_string input with
+        | Error e -> e
+        | Ok v -> "Ok " ^ Core.Json.to_string v))
+    [ ("", "at 0: unexpected end of input");
+      ("  ", "at 2: unexpected end of input");
+      ("tru", "at 0: expected true");
+      ("nul", "at 0: expected null");
+      ("[\"a\",nul]", "at 5: expected null");
+      ("[1,]", "at 3: unexpected character ]");
+      ("[1,", "at 3: unexpected end of input");
+      ("[1", "at 2: expected ], found end of input");
+      ("[1 2]", "at 3: expected ], found 2");
+      ("{\"a\":1,}", "at 7: expected \", found }");
+      ("{\"a\":}", "at 5: unexpected character }");
+      ("{\"a\" 1}", "at 5: expected :, found 1");
+      ("{\"a\":1 \"b\":2}", "at 7: expected }, found \"");
+      ("{1:2}", "at 1: expected \", found 1");
+      ("{\"a\":1}x", "at 7: trailing garbage");
+      ("1 2", "at 2: trailing garbage");
+      ("01x", "at 2: trailing garbage");
+      ("\"\\ud800\"", "at 7: expected \\, found \"");
+      ("\"\\uD83D\"", "at 7: expected \\, found \"");
+      ("\"\\uDE00\"", "at 7: unpaired surrogate");
+      ("\"\\uD83Dx\"", "at 7: expected \\, found x");
+      ("\"\\uD83D\\u0041\"", "at 13: unpaired surrogate");
+      ("\"\\u12\"", "at 5: bad \\u escape");
+      ("\"\\u12G4\"", "at 5: bad \\u escape");
+      ("\"\\q\"", "at 2: bad escape \\q");
+      ("\"\\", "at 2: truncated escape");
+      ("\"unterminated", "at 13: unterminated string");
+      ("\"a\tb\"", "at 2: raw control character");
+      ("\"a\nb\"", "at 2: raw control character");
+      ("-", "at 0: bad number -");
+      ("1.2.3", "at 0: bad number 1.2.3");
+      ("1e", "at 0: bad number 1e");
+      ("+1", "at 0: unexpected character +");
+      ("]", "at 0: unexpected character ]");
+      ("@", "at 0: unexpected character @") ]
+
+(* Each float's exact bytes: ledgers are compared byte for byte. *)
+let test_json_float_bytes () =
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) text
+        (Core.Json.to_string (Core.Json.Float f)))
+    [ (0.0, "0.0");
+      (-0.0, "-0.0");
+      (0.1, "0.1");
+      (1.0 /. 3.0, "0.33333333333333331");
+      (0.1 +. 0.2, "0.30000000000000004");
+      (1e300, "1e+300");
+      (123456789012.5, "123456789012.5");
+      (2.0 ** 53.0, "9007199254740992.0");
+      (-1.5, "-1.5");
+      (100.0, "100.0");
+      (1e21, "1e+21");
+      (5e-324, "4.94065645841e-324");
+      (Float.nan, "null");
+      (Float.infinity, "null") ]
 
 let test_json_accessors () =
   let j =
@@ -318,6 +394,7 @@ let () =
     [ ( "json",
         [ QCheck_alcotest.to_alcotest prop_json_round_trip;
           Alcotest.test_case "parser cases" `Quick test_json_parsing_cases;
+          Alcotest.test_case "float bytes" `Quick test_json_float_bytes;
           Alcotest.test_case "accessors" `Quick test_json_accessors ] );
       ( "exporters",
         [ Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_round_trip;
