@@ -131,6 +131,14 @@ let require_scale =
   require ~what:"a finite, positive number" (fun v ->
       Float.is_finite v && v > 0.0)
 
+let require_count = require ~what:"a positive integer" (fun n -> n > 0)
+
+let require_non_negative = require ~what:"a non-negative integer" (( <= ) 0)
+
+(* A distance counts words, so it must also fit the simulated device. *)
+let require_distance fits =
+  require ~what:"a non-negative distance that fits the simulated device" fits
+
 let budget_term =
   let full =
     Arg.(
@@ -265,9 +273,6 @@ let tolerance_term =
 (* ------------------------------------------------------------------ *)
 (* Supervised execution                                                 *)
 
-let exit_degraded = 3
-let exit_failed = 4
-
 let timeout_term =
   Arg.(
     value
@@ -332,7 +337,7 @@ let conclude_supervised () =
     Fmt.epr "degraded: %d job(s) quarantined after exhausting attempts:@."
       (List.length qs);
     List.iter (fun fl -> Fmt.epr "  %a@." pp_failure fl) qs;
-    exit exit_degraded
+    exit Core.Exec.exit_degraded
 
 (* Graceful SIGTERM/SIGINT: raise Core.Exec.Interrupted so the campaign
    unwinds through the normal abort path — the ledger keeps its
@@ -370,7 +375,7 @@ let guarded f =
     Fmt.epr
       "rerun with --retries N to retry transient faults, or --keep-going \
        to quarantine poison jobs and continue@.";
-    exit exit_failed
+    exit Core.Exec.exit_failed
   | Core.Exec.Interrupted signum -> interrupted signum
   | Fun.Finally_raised (Core.Exec.Interrupted signum) ->
     (* The signal landed inside a Fun.protect finaliser (emitter or
@@ -563,21 +568,14 @@ let with_ledger ?shard ?listen ?(spans = false)
     let now =
       if Core.Runlog.deterministic_mode () then 0.0 else Unix.gettimeofday ()
     in
+    let fleet () = Core.Fleetview.load ~now hb_paths in
     match req with
     | { Core.Httpd.meth = "POST"; _ } ->
       Core.Httpd.respond ~status:405 "method not allowed\n"
-    | { path = "/metrics"; _ } ->
-      let fleet = Core.Fleetview.load ~now hb_paths in
-      Core.Httpd.respond
-        ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-        (Core.Telemetry.prometheus (Core.Telemetry.snapshot ())
-        ^ Core.Fleetview.prometheus fleet)
     | { path = "/" | "/status"; _ } ->
-      let fleet = Core.Fleetview.load ~now hb_paths in
       Core.Httpd.respond ~content_type:"application/json"
-        (Core.Json.to_string (Core.Fleetview.render_json fleet) ^ "\n")
-    | { path = "/healthz"; _ } -> Core.Httpd.respond "ok\n"
-    | _ -> Core.Httpd.respond ~status:404 "not found\n"
+        (Core.Json.to_string (Core.Fleetview.render_json (fleet ())) ^ "\n")
+    | _ -> Core.Fleetview.route ~observe:(fun () -> (fleet (), "")) req
   in
   let server =
     match listen with
@@ -790,13 +788,13 @@ let litmus_cmd =
   in
   let run verbose seed chip idiom distance runs env_name =
     setup_log verbose;
-    let env = env_of chip env_name in
+    require_count "runs" runs;
+    let env = Core.Environment.for_litmus (env_of chip env_name) in
     let inst = { Litmus.Test.idiom; distance } in
-    let weak =
-      Litmus.Runner.count_weak ~chip ~seed
-        ~env:(Core.Environment.for_litmus env)
-        ~runs inst
-    in
+    require_distance
+      (fun _ -> Litmus.Runner.fits ~chip ~env inst)
+      "distance" distance;
+    let weak = Litmus.Runner.count_weak ~chip ~seed ~env ~runs inst in
     Fmt.pr "%s with d=%d on %s under %s: %d/%d weak@."
       (Litmus.Test.idiom_name idiom)
       distance chip.Gpusim.Chip.name env_name weak runs;
@@ -843,6 +841,9 @@ let check_cmd =
   in
   let run verbose chip k jobs distances json out =
     setup_log verbose;
+    require_non_negative "max-reorderings" k;
+    Option.iter (List.iter (require_distance Core.Check.fits "distances"))
+      distances;
     let jobs = jobs_of jobs in
     guarded (fun () ->
         let r =
@@ -908,6 +909,7 @@ let test_cmd =
     Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
   in
   let run c shard chip app runs env_name listen spans strict =
+    require_count "runs" runs;
     let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
     let grid =
       Core.Campaign.test_grid ~chip:chip.Gpusim.Chip.name ~env:env_name
@@ -963,6 +965,7 @@ let harden_cmd =
     Arg.(value & opt int 200 & info [ "stability-runs" ] ~docv:"N")
   in
   let run c chip app stability =
+    require_count "stability-runs" stability;
     let grid =
       Core.Json.Assoc
         [ ("chips", json_strs (chip_names [ chip ]));
@@ -1038,6 +1041,7 @@ let target_cmd =
   let runs = Arg.(value & opt int 100 & info [ "runs" ] ~docv:"N") in
   let run verbose seed chip app runs =
     setup_log verbose;
+    require_count "runs" runs;
     (* Phase 1: one native run with the race detector attached. *)
     let sim = Gpusim.Sim.create ~chip ~seed () in
     let det = Gpusim.Race.attach sim in
@@ -1223,10 +1227,7 @@ let trace_cmd =
         Fmt.epr "either --app APP (trace a run) or --merge FILES is required@.";
         exit 1
     in
-    if capacity <= 0 then begin
-      Fmt.epr "--capacity must be positive@.";
-      exit 1
-    end;
+    require_count "capacity" capacity;
     let env = env_of chip env_name in
     let sim = Gpusim.Sim.create ~chip ~seed () in
     Gpusim.Sim.set_environment sim (Core.Environment.for_app env);
@@ -1264,6 +1265,7 @@ let ablate_cmd =
   let runs = Arg.(value & opt int 150 & info [ "runs" ] ~docv:"N") in
   let run verbose seed chip runs =
     setup_log verbose;
+    require_count "runs" runs;
     (* Ablate each ingredient of the tuned environment on one litmus
        instance, showing what each design choice buys. *)
     let inst = { Litmus.Test.idiom = Litmus.Test.SB; distance = 64 } in
@@ -1314,6 +1316,7 @@ let run_litmus_cmd =
   in
   let run verbose seed chip file runs env_name =
     setup_log verbose;
+    require_count "runs" runs;
     let ic = open_in file in
     let len = in_channel_length ic in
     let src = really_input_string ic len in
@@ -1353,12 +1356,10 @@ let table_cmd =
       Fmt.epr "--shard: only test and table 5 shard, not table %d@." number;
       exit 2
     end;
+    require_count "runs" runs;
     let chips = resolve_chips chips all in
     let grid =
-      Core.Json.Assoc
-        [ ("chips", json_strs (chip_names chips));
-          ("budget", Core.Budget.to_json budget);
-          ("runs", Core.Json.Int runs) ]
+      Core.Campaign.table_grid ~chips:(chip_names chips) ~budget ~runs
     in
     let ledgered ~kind ~codec body =
       require_chips chips;
@@ -1447,12 +1448,10 @@ let figure_cmd =
   in
   let runs = Arg.(value & opt int 30 & info [ "runs" ] ~docv:"N") in
   let run c chips all number budget runs csv strict =
+    require_count "runs" runs;
     let chips = resolve_chips chips all in
     let grid =
-      Core.Json.Assoc
-        [ ("chips", json_strs (chip_names chips));
-          ("budget", Core.Budget.to_json budget);
-          ("runs", Core.Json.Int runs) ]
+      Core.Campaign.table_grid ~chips:(chip_names chips) ~budget ~runs
     in
     let ledgered ~kind ~codec body =
       require_chips chips;
@@ -1600,6 +1599,8 @@ let chaos_cmd =
       fault_rate fault_seed fault_attempts soft_rate timeout retries
       keep_going =
     setup_log ~quiet verbose;
+    require_count "runs" runs;
+    require_non_negative "fault-attempts" fault_attempts;
     require_probability "fault-rate" fault_rate;
     require_probability "soft-rate" soft_rate;
     let kinds =
@@ -1702,7 +1703,7 @@ let chaos_cmd =
         "chaos: campaign aborted on a poison job (no --keep-going); %s \
          is footer-less and resumable@."
         log;
-      exit exit_failed
+      exit Core.Exec.exit_failed
     | Ok rows ->
       let chaos_cells = cells_of rows in
       (* 3. Fault-free reference at the same seeds. *)
@@ -1807,7 +1808,7 @@ let chaos_cmd =
       Core.Report.table5 Fmt.stdout rows;
       if !violations > 0 then begin
         Fmt.epr "chaos: %d invariant violation(s)@." !violations;
-        exit exit_failed
+        exit Core.Exec.exit_failed
       end;
       if pred_quarantined <> [] then begin
         Fmt.epr
@@ -1815,7 +1816,7 @@ let chaos_cmd =
            gpuwmm test --resume %s [same parameters]@."
           (List.length pred_quarantined)
           log;
-        exit exit_degraded
+        exit Core.Exec.exit_degraded
       end
   in
   Cmd.v
@@ -1866,7 +1867,7 @@ let merge_cmd =
              " — %d quarantined job(s); finish it with --resume %s"
              o.Core.Merge.quarantined o.Core.Merge.out_path
          else "");
-      if o.Core.Merge.quarantined > 0 then exit exit_degraded
+      if o.Core.Merge.quarantined > 0 then exit Core.Exec.exit_degraded
   in
   Cmd.v
     (Cmd.info "merge"
@@ -2102,6 +2103,15 @@ let fetch_or_die ?meth ?body ~addr ~port path =
       (Core.Httpd.fetch_error_message fe);
     exit 1
 
+(* A daemon document the client cannot read is an error, never a
+   guess. *)
+let decode_or_die what codec body =
+  match Result.bind (Core.Json.of_string body) (Core.Codec.decode codec) with
+  | Ok v -> v
+  | Error e ->
+    Fmt.epr "malformed %s (%s): %s@." what e (String.trim body);
+    exit 1
+
 let serve_cmd =
   let dir =
     Arg.(
@@ -2243,23 +2253,14 @@ let submit_cmd =
   let run verbose quiet addr port seed chip app runs env_name workers
       priority max_attempts wait =
     setup_log ~quiet verbose;
+    let spec =
+      { Core.Queue.id = ""; kind = "test"; chip = chip.Gpusim.Chip.name;
+        app = Option.map (fun a -> a.Apps.App.name) app; runs; env = env_name;
+        seed; workers; priority; max_attempts = 0 }
+    in
     let body =
       Core.Json.to_string
-        (Core.Json.Assoc
-           ([ ("kind", Core.Json.String "test");
-              ("chip", Core.Json.String chip.Gpusim.Chip.name) ]
-           @ (match app with
-             | Some a -> [ ("app", Core.Json.String a.Apps.App.name) ]
-             | None -> [])
-           @ [ ("runs", Core.Json.Int runs);
-               ("env", Core.Json.String env_name);
-               ("seed", Core.Json.Int seed);
-               ("workers", Core.Json.Int workers);
-               ("priority", Core.Json.Int priority) ]
-           @
-           match max_attempts with
-           | Some n -> [ ("max_attempts", Core.Json.Int n) ]
-           | None -> []))
+        (Core.Codec.encode Core.Serve.submission (spec, max_attempts))
     in
     let status, resp =
       fetch_or_die ~meth:"POST" ~body ~addr ~port "/submit"
@@ -2271,17 +2272,7 @@ let submit_cmd =
     (* The daemon reports the shards it enqueued, which can be fewer
        than --workers. *)
     let id, workers =
-      let ( let* ) = Result.bind in
-      match
-        let* j = Core.Json.of_string resp in
-        let* id = Core.Codec.(get string "id" j) in
-        let* workers = Core.Codec.(get int "workers" j) in
-        Ok (id, workers)
-      with
-      | Ok r -> r
-      | Error e ->
-        Fmt.epr "malformed daemon response (%s): %s@." e (String.trim resp);
-        exit 1
+      decode_or_die "daemon response" Core.Serve.accepted resp
     in
     Fmt.pr "submitted %s (%s %s, %d runs, %d worker(s))@." id
       chip.Gpusim.Chip.name env_name runs workers;
@@ -2293,19 +2284,11 @@ let submit_cmd =
       let poll_s = 0.1 and missing_s = 10.0 in
       let rec poll missing_since =
         let _, body = fetch_or_die ~addr ~port "/jobs" in
-        let job =
-          match Core.Json.of_string body with
-          | Error _ -> None
-          | Ok j ->
-            Option.bind (Core.Json.member "jobs" j) Core.Json.to_list
-            |> Option.map
-                 (List.find_opt (fun item ->
-                      Option.bind (Core.Json.member "id" item)
-                        Core.Json.to_str
-                      = Some id))
-            |> Option.join
-        in
-        match job with
+        match
+          List.find_opt
+            (fun ((s : Core.Queue.spec), _) -> s.id = id)
+            (decode_or_die "/jobs document" Core.Serve.jobs body)
+        with
         | None ->
           let now = Unix.gettimeofday () in
           let since = Option.value missing_since ~default:now in
@@ -2319,22 +2302,16 @@ let submit_cmd =
           end;
           Unix.sleepf poll_s;
           poll (Some since)
-        | Some item -> (
-          let jstr k =
-            Option.bind (Core.Json.member k item) Core.Json.to_str
-          in
-          match jstr "status" with
-          | Some (("done" | "degraded" | "failed") as st) ->
-            Fmt.pr "%s finished: %s%s@." id st
-              (match jstr "ledger" with
-              | Some l -> "  (ledger " ^ l ^ ")"
-              | None -> "");
-            if st = "done" then exit 0
-            else if st = "degraded" then exit exit_degraded
-            else exit exit_failed
-          | _ ->
-            Unix.sleepf poll_s;
-            poll None)
+        | Some (_, { status = "done" | "degraded" | "failed" as st; ledger; _ }
+          ) ->
+          Fmt.pr "%s finished: %s%s@." id st
+            (match ledger with Some l -> "  (ledger " ^ l ^ ")" | None -> "");
+          if st = "done" then exit 0
+          else if st = "degraded" then exit Core.Exec.exit_degraded
+          else exit Core.Exec.exit_failed
+        | Some _ ->
+          Unix.sleepf poll_s;
+          poll None
       in
       poll None
     end
@@ -2359,41 +2336,16 @@ let jobs_cmd =
     setup_log ~quiet verbose;
     let _, body = fetch_or_die ~addr ~port "/jobs" in
     if json_out then print_string body
-    else begin
-      let jobs =
-        match Core.Json.of_string body with
-        | Error e ->
-          Fmt.epr "malformed /jobs document: %s@." e;
-          exit 1
-        | Ok j -> (
-          match Option.bind (Core.Json.member "jobs" j) Core.Json.to_list with
-          | Some l -> l
-          | None -> [])
-      in
-      if jobs = [] then Fmt.pr "queue empty@."
-      else
+    else
+      match decode_or_die "/jobs document" Core.Serve.jobs body with
+      | [] -> Fmt.pr "queue empty@."
+      | jobs ->
         List.iter
-          (fun item ->
-            let jstr k =
-              Option.bind (Core.Json.member k item) Core.Json.to_str
-            in
-            let jint k =
-              Option.bind (Core.Json.member k item) Core.Json.to_int
-            in
-            Fmt.pr "%-8s %-9s %d/%d shard(s)  %s %s runs=%d seed=%d%s@."
-              (Option.value (jstr "id") ~default:"?")
-              (Option.value (jstr "status") ~default:"?")
-              (Option.value (jint "shards_done") ~default:0)
-              (Option.value (jint "workers") ~default:0)
-              (Option.value (jstr "chip") ~default:"?")
-              (Option.value (jstr "env") ~default:"?")
-              (Option.value (jint "runs") ~default:0)
-              (Option.value (jint "seed") ~default:0)
-              (match jstr "ledger" with
-              | Some l -> "  ledger " ^ l
-              | None -> ""))
+          (fun ((s : Core.Queue.spec), (st : Core.Serve.job_status)) ->
+            Fmt.pr "%-8s %-9s %d/%d shard(s)  %s %s runs=%d seed=%d%s@." s.id
+              st.status st.shards_done s.workers s.chip s.env s.runs s.seed
+              (match st.ledger with Some l -> "  ledger " ^ l | None -> ""))
           jobs
-    end
   in
   Cmd.v
     (Cmd.info "jobs"

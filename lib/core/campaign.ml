@@ -161,6 +161,7 @@ let rows_to_json = Codec.encode rows
 let rows_of_json = Codec.decode rows
 
 let run ?backend ?journal ~chips ~environments_for ~apps ~runs ~seed () =
+  if runs < 1 then invalid_arg "Campaign.run: runs must be positive";
   (* Plan: one job per (chip, environment, application) cell, flattened in
      the historical nesting order so pre-derived job seeds match what the
      former sequential loop drew from its master generator. *)
@@ -216,8 +217,39 @@ let environments chip = Environment.all ~tuned:(Tuning.shipped ~chip)
 let environment ~chip label =
   List.find_opt (fun e -> e.Environment.label = label) (environments chip)
 
+(* The ledger parameter grids of the Table 5 campaigns.  A [table] grid
+   lists no environments or applications: that means the fixed
+   eight-environment sweep over every application. *)
+let strs l = Json.List (List.map (fun s -> Json.String s) l)
+
 let test_grid ~chip ~env ~apps ~runs =
-  let strs l = Json.List (List.map (fun s -> Json.String s) l) in
   Json.Assoc
     [ ("chips", strs [ chip ]); ("envs", strs [ env ]); ("apps", strs apps);
       ("runs", Json.Int runs) ]
+
+let table_grid ~chips ~budget ~runs =
+  Json.Assoc
+    [ ("chips", strs chips); ("budget", Budget.to_json budget);
+      ("runs", Json.Int runs) ]
+
+let grid_rows j =
+  let get key = Codec.(get_opt (list string)) key j in
+  match (get "chips", get "envs", get "apps") with
+  | (Error e, _, _ | _, Error e, _ | _, _, Error e) -> Error ("grid: " ^ e)
+  | Ok (None | Some []), _, _ -> Error "grid has no chips list"
+  | Ok (Some chips), Ok envs, Ok apps ->
+    let envs =
+      match envs with
+      | Some (_ :: _ as es) -> es
+      | _ ->
+        (* The sweep's labels are the same on every chip. *)
+        List.map
+          (fun e -> e.Environment.label)
+          (environments (List.hd Gpusim.Chip.all))
+    in
+    let apps_per_row =
+      match apps with
+      | Some (_ :: _ as apps) -> List.length apps
+      | _ -> List.length Apps.Registry.all
+    in
+    Ok (chips, envs, apps_per_row)

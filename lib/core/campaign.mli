@@ -89,7 +89,8 @@ val run :
     uses per-chip tuned parameters.  [backend] selects the executor
     (default {!Exec.Serial}); results are bit-identical across
     backends.  [journal] journals every completed cell to a run ledger
-    (phase ["campaign"]) and replays cells cached by [--resume]. *)
+    (phase ["campaign"]) and replays cells cached by [--resume].  Raises
+    [Invalid_argument] unless [runs] is positive. *)
 
 (** {1 Ledger codecs} *)
 
@@ -123,3 +124,13 @@ val test_grid :
     test], [gpuwmm chaos] and the [serve] daemon's shard checks all
     build it here, so their ledgers and resume validation agree byte for
     byte. *)
+
+val table_grid : chips:string list -> budget:Budget.t -> runs:int -> Json.t
+(** The ledger parameter grid of a [gpuwmm table N] or [figure N]
+    campaign: its chips, budget and [--runs], and no environments or
+    applications. *)
+
+val grid_rows : Json.t -> (string list * string list * int, string) result
+(** A Table 5 grid's chips, environment labels and applications per
+    row, the shape {!rows_of_cells} regroups by.  A grid without
+    environments is the eight-environment sweep over every application. *)

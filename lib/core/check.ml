@@ -179,10 +179,20 @@ let check_case ~chip ~max_reorderings ?(jobs = 1) case =
 let default_distances (chip : Gpusim.Chip.t) =
   [ 0; chip.weakness.patch_size - 1 ]
 
+(* The highest address is the second observed word after the pair. *)
+let fits distance =
+  distance >= 0
+  && Litmus.Test.layout_words { Litmus.Test.idiom = MP; distance } + 2
+     <= device_words
+
 let run_litmus ~chip ~max_reorderings ?(jobs = 1) ?distances () =
   let distances =
     match distances with Some d -> d | None -> default_distances chip
   in
+  if max_reorderings < 0 then
+    invalid_arg "Check.run_litmus: max_reorderings must be non-negative";
+  if not (List.for_all fits distances) then
+    invalid_arg "Check.run_litmus: a distance does not fit the device";
   let cases =
     List.concat_map
       (fun idiom ->

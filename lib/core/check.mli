@@ -87,6 +87,9 @@ val default_distances : Gpusim.Chip.t -> int list
     behaviour impossible — the checker proves SC even unfenced) and the
     smallest cross-partition one (weak behaviour appears unfenced). *)
 
+val fits : int -> bool
+(** Whether a litmus program at this distance (0 to 2044) fits. *)
+
 val run_litmus :
   chip:Gpusim.Chip.t ->
   max_reorderings:int ->
@@ -95,7 +98,9 @@ val run_litmus :
   unit ->
   run
 (** Check every idiom at every distance (default
-    {!default_distances}), fenced and unfenced. *)
+    {!default_distances}), fenced and unfenced.  Raises
+    [Invalid_argument] on a negative [max_reorderings] or a distance
+    that does not {!fits}. *)
 
 val render_ascii : run -> string
 val render_json : run -> Json.t

@@ -105,6 +105,9 @@ let note_quarantine fl =
 
 type summary = { retried : int; quarantined : failure list }
 
+let exit_degraded = 3
+let exit_failed = 4
+
 (* Non-draining view for the heartbeat emitter: the CLI's end-of-campaign
    [drain_summary] must still see everything. *)
 let summary_counts () =
@@ -505,28 +508,25 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
     if Option.is_some codec then Some (Atomic.get errors) else None
   in
   (* A k/N shard journal executes and journals only the jobs its shard
-     owns, each at its dense shard-local flush rank; the caller's reduce
-     sees [shard_placeholder] values in the other slots, and the real
-     ones are reassembled from the sibling shards at merge time.  A
-     campaign without a placeholder has cells that depend on each
-     other, so it cannot shard. *)
+     owns, and [Runlog] writes them in the shard's own rank order; the
+     caller's reduce sees [shard_placeholder] values in the other slots,
+     and the real ones are reassembled from the sibling shards at merge
+     time.  A campaign without a placeholder has cells that depend on
+     each other, so it cannot shard. *)
   let skipped = ref 0 in
-  let rank =
-    match (Option.bind journal (fun jn -> jn.Runlog.shard), shard_placeholder)
-    with
-    | None, _ -> Fun.id
-    | Some _, None ->
-      invalid_arg "Exec.run: a shard journal requires ~shard_placeholder"
-    | Some sh, Some ph ->
-      Array.iter
-        (fun j ->
-          if not (Shard.owns sh ~total:len j.index) then begin
-            results.(j.index) <- Some (ph j.payload);
-            incr skipped
-          end)
-        arr;
-      Shard.rank sh ~total:len
-  in
+  (match (Option.bind journal (fun jn -> jn.Runlog.shard), shard_placeholder)
+   with
+  | None, _ -> ()
+  | Some _, None ->
+    invalid_arg "Exec.run: a shard journal requires ~shard_placeholder"
+  | Some sh, Some ph ->
+    Array.iter
+      (fun j ->
+        if not (Shard.owns sh ~total:len j.index) then begin
+          results.(j.index) <- Some (ph j.payload);
+          incr skipped
+        end)
+      arr);
   (* Resolve cached jobs from the resume ledger up front: their results
      are replayed into the new ledger verbatim and their executions are
      skipped entirely. *)
@@ -543,7 +543,7 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
             | Some (v, r) ->
               results.(j.index) <- Some v;
               ignore (Atomic.fetch_and_add errors r.Runlog.errors);
-              Runlog.replay ~pos:(rank j.index) jn r;
+              Runlog.replay jn r;
               n + 1
             | None -> n)
         0 arr
@@ -579,8 +579,8 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
       let errs = errors_of v in
       (match (journal, codec) with
       | Some jn, Some c ->
-        Runlog.record jn ~pos:(rank j.index) ~index:j.index ~seed:j.seed
-          ~errors:errs ~duration_s ~attempts (Codec.encode c.Runlog.codec v)
+        Runlog.record jn ~index:j.index ~seed:j.seed ~errors:errs ~duration_s
+          ~attempts (Codec.encode c.Runlog.codec v)
       | _ -> ());
       finish j v errs)
     ?on_quarantine:
@@ -592,9 +592,8 @@ let run ?(backend = Serial) ?label ?(execs_per_job = 1) ?journal ?codec
            let j = fresh.(k) in
            Option.iter
              (fun jn ->
-               Runlog.record_failure jn ~pos:(rank j.index) ~index:j.index
-                 ~seed:j.seed ~attempts:fl.f_attempts ~duration_s
-                 fl.f_reason)
+               Runlog.record_failure jn ~index:j.index ~seed:j.seed
+                 ~attempts:fl.f_attempts ~duration_s fl.f_reason)
              journal;
            let v = q j.payload fl in
            finish j v (errors_of v))

@@ -142,9 +142,9 @@ val run :
     raises {!Job_failed}.
 
     Under a journal whose [shard] is [k/N], only the owned slice of the
-    plan is executed and journalled, each record keyed at its dense
-    shard-local flush rank ({!Shard.rank}) so the shard ledger streams
-    gap-free; per-job seeds are the unsharded ones.  The other result
+    plan is executed and journalled, and {!Runlog} flushes each record
+    at its dense shard-local rank ({!Shard.rank}) so the shard ledger
+    streams gap-free; per-job seeds are the unsharded ones.  The other result
     slots are filled with [shard_placeholder] (cheap, never journalled),
     and [gpuwmm merge] reassembles the true values from the sibling
     shards.  A shard journal without [~shard_placeholder] raises
@@ -235,6 +235,12 @@ val drain_summary : unit -> summary
 (** Return and reset the accumulated degradation summary.  The CLI calls
     this once per campaign to print the summary and pick the exit
     code. *)
+
+val exit_degraded : int
+(** [3]: a campaign completed with quarantined jobs (its ledger is whole). *)
+
+val exit_failed : int
+(** [4]: a failed job aborted the campaign. *)
 
 val summary_counts : unit -> int * int
 (** [(retried, quarantined)] so far, without draining — the heartbeat

@@ -40,15 +40,10 @@ type fleet = {
 }
 
 let shard_key r =
-  match r.Heartbeat.shard with
-  | None -> (1, 0, 0)  (* drivers sort after shard workers *)
-  | Some s -> (
-    match String.index_opt s '/' with
-    | Some i -> (
-      match int_of_string_opt (String.sub s 0 i) with
-      | Some k -> (0, k, 0)
-      | None -> (0, max_int, 0))
-    | None -> (0, max_int, 0))
+  match Option.map Shard.parse r.Heartbeat.shard with
+  | None -> (1, 0)  (* drivers sort after shard workers *)
+  | Some (Ok sh) -> (0, sh.Shard.k)
+  | Some (Error _) -> (0, max_int)
 
 let median = function
   | [] -> None
@@ -259,57 +254,47 @@ let render_json f =
             ]) );
       ("shards", List (List.map worker_json f.workers)) ]
 
-(* Prometheus text exposition for the fleet gauges; the per-process
-   registry half of /metrics lives in {!Telemetry.prometheus}. *)
+(* The fleet gauges of /metrics; the process registry's half is
+   {!Telemetry.prometheus}. *)
 let prometheus f =
-  let b = Buffer.create 512 in
-  let gauge name ?(labels = "") v =
-    Buffer.add_string b (Printf.sprintf "%s%s %d\n" name labels v)
+  let gauge name n = Telemetry.sample ~kind:"gauge" name (string_of_int n) in
+  let labelled name label rows =
+    { Telemetry.name; kind = "gauge";
+      samples =
+        List.map
+          (fun (l, n) -> (Printf.sprintf "{%s=%S}" label l, string_of_int n))
+          rows }
   in
-  Buffer.add_string b "# TYPE gpuwmm_fleet_jobs_done gauge\n";
-  gauge "gpuwmm_fleet_jobs_done" f.f_done;
-  Buffer.add_string b "# TYPE gpuwmm_fleet_jobs_total gauge\n";
-  gauge "gpuwmm_fleet_jobs_total" f.f_total;
-  Buffer.add_string b "# TYPE gpuwmm_fleet_errors gauge\n";
-  gauge "gpuwmm_fleet_errors" f.f_errors;
-  Buffer.add_string b "# TYPE gpuwmm_fleet_retried gauge\n";
-  gauge "gpuwmm_fleet_retried" f.f_retried;
-  Buffer.add_string b "# TYPE gpuwmm_fleet_quarantined gauge\n";
-  gauge "gpuwmm_fleet_quarantined" f.f_quarantined;
-  Buffer.add_string b "# TYPE gpuwmm_fleet_respawns gauge\n";
-  gauge "gpuwmm_fleet_respawns" f.f_respawns;
-  Buffer.add_string b "# TYPE gpuwmm_fleet_rate_jobs_per_s gauge\n";
-  Buffer.add_string b
-    (Printf.sprintf "gpuwmm_fleet_rate_jobs_per_s %g\n" f.f_rate);
-  Buffer.add_string b "# TYPE gpuwmm_fleet_workers gauge\n";
-  List.iter
-    (fun (state, n) ->
-      gauge "gpuwmm_fleet_workers"
-        ~labels:(Printf.sprintf "{state=%S}" state)
-        n)
-    [ ("running", f.f_running); ("stale", f.f_stale); ("dead", f.f_dead);
-      ("done", f.f_finished) ];
-  Buffer.add_string b "# TYPE gpuwmm_shard_jobs_done gauge\n";
-  List.iter
-    (fun w ->
-      match w.w_last.Heartbeat.shard with
-      | Some s ->
-        gauge "gpuwmm_shard_jobs_done"
-          ~labels:(Printf.sprintf "{shard=%S}" s)
-          w.w_last.Heartbeat.jobs_done
-      | None -> ())
-    f.workers;
   (* Per-shard plan sizes let a scraper tell "the fleet total is still
      partial" (a shard at 0 has not announced its plan yet) from "the
      fleet total is the whole campaign". *)
-  Buffer.add_string b "# TYPE gpuwmm_shard_jobs_total gauge\n";
-  List.iter
-    (fun w ->
-      match w.w_last.Heartbeat.shard with
-      | Some s ->
-        gauge "gpuwmm_shard_jobs_total"
-          ~labels:(Printf.sprintf "{shard=%S}" s)
-          w.w_last.Heartbeat.jobs_total
-      | None -> ())
-    f.workers;
-  Buffer.contents b
+  let per_shard name count =
+    labelled name "shard"
+      (List.filter_map
+         (fun w ->
+           Option.map (fun s -> (s, count w.w_last)) w.w_last.Heartbeat.shard)
+         f.workers)
+  in
+  Telemetry.exposition
+    [ gauge "gpuwmm_fleet_jobs_done" f.f_done;
+      gauge "gpuwmm_fleet_jobs_total" f.f_total;
+      gauge "gpuwmm_fleet_errors" f.f_errors;
+      gauge "gpuwmm_fleet_retried" f.f_retried;
+      gauge "gpuwmm_fleet_quarantined" f.f_quarantined;
+      gauge "gpuwmm_fleet_respawns" f.f_respawns;
+      Telemetry.sample ~kind:"gauge" "gpuwmm_fleet_rate_jobs_per_s"
+        (Printf.sprintf "%g" f.f_rate);
+      labelled "gpuwmm_fleet_workers" "state"
+        [ ("running", f.f_running); ("stale", f.f_stale); ("dead", f.f_dead);
+          ("done", f.f_finished) ];
+      per_shard "gpuwmm_shard_jobs_done" (fun r -> r.Heartbeat.jobs_done);
+      per_shard "gpuwmm_shard_jobs_total" (fun r -> r.Heartbeat.jobs_total) ]
+
+let route ~observe (req : Httpd.request) =
+  match (req.Httpd.meth, req.Httpd.path) with
+  | ("GET" | "HEAD"), "/metrics" ->
+    let fleet, extra = observe () in
+    Httpd.respond ~content_type:"text/plain; version=0.0.4; charset=utf-8"
+      (Telemetry.prometheus (Telemetry.snapshot ()) ^ prometheus fleet ^ extra)
+  | ("GET" | "HEAD"), "/healthz" -> Httpd.respond "ok\n"
+  | _ -> Httpd.respond ~status:404 "not found\n"

@@ -62,5 +62,12 @@ val render_json : fleet -> Json.t
 val prometheus : fleet -> string
 (** Prometheus text exposition of the fleet gauges
     ([gpuwmm_fleet_jobs_done], [gpuwmm_fleet_workers{state=...}],
-    [gpuwmm_shard_jobs_done{shard="k/N"}], ...).  The per-process
-    counter/histogram half of [/metrics] is {!Telemetry.prometheus}. *)
+    [gpuwmm_shard_jobs_done{shard="k/N"}], ...), through
+    {!Telemetry.exposition}.  The per-process counter/histogram half of
+    [/metrics] is {!Telemetry.prometheus}. *)
+
+val route : observe:(unit -> fleet * string) -> Httpd.request -> Httpd.response
+(** The routes of every campaign server, [--listen] and [serve] alike:
+    [GET /metrics] is the process registry, then the gauges of the
+    fleet [observe ()] returns, then the text returned with it (the
+    daemon's queue); [GET /healthz] is ["ok"]; anything else a 404. *)

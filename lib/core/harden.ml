@@ -53,6 +53,8 @@ let diff f g = List.filter (fun x -> not (List.mem x g)) f
 
 let insert ~chip ?config ?backend ?journal ~app ~seed () =
   let cfg = match config with Some c -> c | None -> default_config ~chip in
+  if cfg.stability_runs < 1 then
+    invalid_arg "Harden.insert: stability_runs must be positive";
   let t0 = Unix.gettimeofday () in
   let checks = ref 0 in
   let journal = Option.map (fun j -> Runlog.extend j "checks") journal in

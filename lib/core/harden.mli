@@ -12,7 +12,8 @@ type config = {
   initial_iterations : int;  (** Alg. 1's I; the paper uses 32 *)
   stability_runs : int;
       (** executions for the EmpiricallyStable check (the paper's one
-          hour of testing) *)
+          hour of testing); {!insert} raises [Invalid_argument] unless
+          it is positive *)
   max_rounds : int;
       (** restarts with doubled I before giving up (the paper's 24 h
           timeout) *)

@@ -192,11 +192,12 @@ let interleave srcs =
              overlapping shards"
           i s.src_path
       else if i > expect then
-        err "job %d is missing (stride shard %d/%d owns it) — resume the \
+        err "job %d is missing (stride shard %s owns it) — resume the \
              interrupted shard before merging"
           expect
-          ((expect mod s.src_shard.Shard.n) + 1)
-          s.src_shard.Shard.n
+          (Shard.to_string
+             (Shard.make ~k:((expect mod s.src_shard.Shard.n) + 1)
+                ~n:s.src_shard.Shard.n ()))
       else check (expect + 1) tl
   in
   let* () = check 0 sorted in
@@ -209,12 +210,6 @@ let interleave srcs =
    regrouping of the plan-order cells, so the merged ledger carries the
    result record the single-process run would have written. *)
 let reconstruct_result header (jobs : Runlog.job list) =
-  let grid = header.Runlog.grid in
-  let strs key =
-    match Json.member key grid with
-    | Some (Json.List xs) -> Some (List.filter_map Json.to_str xs)
-    | _ -> None
-  in
   let* cells =
     List.fold_left
       (fun acc (j : Runlog.job) ->
@@ -224,31 +219,10 @@ let reconstruct_result header (jobs : Runlog.job list) =
         | Error e -> err "campaign job %d does not decode: %s" j.Runlog.index e)
       (Ok []) jobs
   in
-  let cells = List.rev cells in
-  let* chips =
-    match strs "chips" with
-    | Some cs when cs <> [] -> Ok cs
-    | _ -> Error "grid has no chips list"
+  let* chips, envs, apps_per_row = Campaign.grid_rows header.Runlog.grid in
+  let* rows =
+    Campaign.rows_of_cells ~chips ~envs ~apps_per_row (List.rev cells)
   in
-  let envs =
-    match strs "envs" with
-    | Some es when es <> [] -> es
-    | _ ->
-      (* Table 5 grids don't list environments: the campaign uses the
-         fixed 8-environment sweep, whose labels are chip-independent. *)
-      let chip =
-        match Option.bind (List.nth_opt chips 0) Gpusim.Chip.by_name with
-        | Some c -> c
-        | None -> List.hd Gpusim.Chip.all
-      in
-      List.map (fun e -> e.Environment.label) (Campaign.environments chip)
-  in
-  let apps_per_row =
-    match strs "apps" with
-    | Some apps when apps <> [] -> List.length apps
-    | _ -> List.length Apps.Registry.all
-  in
-  let* rows = Campaign.rows_of_cells ~chips ~envs ~apps_per_row cells in
   Ok ("campaign", Campaign.rows_to_json rows)
 
 (* ------------------------------------------------------------------ *)

@@ -64,7 +64,7 @@ let check_ledger ~campaign ~seed ~grid ~k ~n path =
   | Ok l -> (
     match
       Runlog.validate_resume
-        ~shard:(Printf.sprintf "%d/%d" k n)
+        ~shard:(Shard.to_string (Shard.make ~k ~n ()))
         l ~path ~campaign ~seed ~grid
     with
     | Error _ -> Unusable
@@ -138,11 +138,14 @@ let release t key =
     close_fd c.exit_r
   | None -> ()
 
+let shard_name (spec : Queue.spec) k =
+  Shard.to_string (Shard.make ~k ~n:spec.workers ())
+
 let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
   if attempt >= spec.max_attempts then begin
     t.log
-      (Printf.sprintf "job %s shard %d/%d quarantined after %d attempt(s): %s"
-         spec.id k spec.workers attempt reason);
+      (Printf.sprintf "job %s shard %s quarantined after %d attempt(s): %s"
+         spec.id (shard_name spec k) attempt reason);
     t.emit (Queue.Quarantined { t = now; id = spec.id; shard = k; reason })
   end
   else begin
@@ -152,8 +155,9 @@ let fail_shard t ~now (spec : Queue.spec) k ~attempt ~reason =
         ~attempt
     in
     t.log
-      (Printf.sprintf "job %s shard %d/%d failed (%s); retry %d/%d in %.1fs"
-         spec.id k spec.workers reason attempt (spec.max_attempts - 1) backoff);
+      (Printf.sprintf "job %s shard %s failed (%s); retry %d/%d in %.1fs"
+         spec.id (shard_name spec k) reason attempt (spec.max_attempts - 1)
+         backoff);
     t.emit
       (Queue.Requeued
          { t = now; id = spec.id; shard = k; attempt; reason;
@@ -171,9 +175,8 @@ let settle t ~now (spec : Queue.spec) k ~attempt status =
     | Whole { degraded } ->
       t.emit (Queue.Shard_done { t = now; id = spec.id; shard = k; degraded })
     | Prefix | Unusable -> fail ~reason:"exited 0 but ledger incomplete")
-  | Unix.WEXITED 3 ->
-    (* Degraded-but-whole, the exit-code-3 contract: quarantined jobs
-       inside, ledger mergeable. *)
+  | Unix.WEXITED c when c = Exec.exit_degraded ->
+    (* Degraded-but-whole: quarantined jobs inside, ledger mergeable. *)
     t.emit
       (Queue.Shard_done { t = now; id = spec.id; shard = k; degraded = true })
   | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
@@ -249,8 +252,8 @@ let spawn t ~now (spec : Queue.spec) k ~attempt (sh : shard) ~resume =
   | pid ->
     Hashtbl.replace t.children (spec.id, k) { pid; exit_r; eof_at = None };
     t.log
-      (Printf.sprintf "job %s shard %d/%d leased to pid %d (attempt %d/%d)"
-         spec.id k spec.workers pid attempt spec.max_attempts);
+      (Printf.sprintf "job %s shard %s leased to pid %d (attempt %d/%d)"
+         spec.id (shard_name spec k) pid attempt spec.max_attempts);
     t.emit
       (Queue.Leased
          { t = now; id = spec.id; shard = k; pid; attempt;

@@ -176,12 +176,12 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 (* [pos] is the record's flush rank within its phase: the reorder
-   buffer releases rank r only once ranks 0..r-1 are on disk.  It
-   defaults to the plan index — for an unsharded run they coincide —
-   but a k/N shard writes only the indices it owns, so its dense
-   shard-local rank (Shard.rank) keys the buffer while the record keeps
-   the global plan index. *)
-let append_job ?pos t (r : job) =
+   buffer releases rank r only once ranks 0..r-1 are on disk.  It is
+   the plan index, except that a k/N shard journal writes only the
+   indices it owns, so [append] keys the buffer by their dense
+   shard-local rank (Shard.rank) while the record keeps the global
+   plan index. *)
+let append_at t ~pos (r : job) =
   (* Encoded before the lock, so domains appending at once do not
      serialise on [Json.to_string]. *)
   let r = if t.deterministic then { r with duration_s = 0.0 } else r in
@@ -198,7 +198,7 @@ let append_job ?pos t (r : job) =
     t.phase <- r.phase;
     t.next <- 0
   end;
-  Hashtbl.replace t.pending (Option.value pos ~default:r.index) (r, line);
+  Hashtbl.replace t.pending pos (r, line);
   let drained = ref false in
   while Hashtbl.mem t.pending t.next do
     let j, line = Hashtbl.find t.pending t.next in
@@ -211,6 +211,8 @@ let append_job ?pos t (r : job) =
     drained := true
   done;
   if !drained then Jsonl.flush t.oc
+
+let append_job t (r : job) = append_at t ~pos:r.index r
 
 let append_result t ~kind data =
   locked t @@ fun () ->
@@ -335,23 +337,26 @@ let cached_value jn ~codec ~index ~seed =
           (Printf.sprintf "%s: cached job %s/%d does not decode: %s"
              (origin_name jn) jn.phase index e)))
 
-let replay ?pos jn r = Option.iter (fun s -> append_job ?pos s r) jn.sink
+(* A journal appends each record at its flush rank: the plan index, or,
+   under a k/N shard, the record's dense rank among the indices the
+   shard owns. *)
+let append jn (r : job) =
+  let pos =
+    match jn.shard with None -> r.index | Some sh -> Shard.rank sh r.index
+  in
+  Option.iter (fun s -> append_at s ~pos r) jn.sink
 
-let record jn ?pos ?(attempts = 1) ~index ~seed ~errors ~duration_s result =
-  Option.iter
-    (fun s ->
-      append_job ?pos s
-        { phase = jn.phase; index; seed; errors; duration_s; result;
-          attempts; failed = None })
-    jn.sink
+let replay = append
 
-let record_failure jn ?pos ~index ~seed ~attempts ~duration_s reason =
-  Option.iter
-    (fun s ->
-      append_job ?pos s
-        { phase = jn.phase; index; seed; errors = 0; duration_s;
-          result = Json.Null; attempts; failed = Some reason })
-    jn.sink
+let record jn ?(attempts = 1) ~index ~seed ~errors ~duration_s result =
+  append jn
+    { phase = jn.phase; index; seed; errors; duration_s; result; attempts;
+      failed = None }
+
+let record_failure jn ~index ~seed ~attempts ~duration_s reason =
+  append jn
+    { phase = jn.phase; index; seed; errors = 0; duration_s;
+      result = Json.Null; attempts; failed = Some reason }
 
 (* One-stop resume validation with messages that name the ledger and
    both sides of every mismatch (golden-tested wording; keep stable). *)

@@ -129,14 +129,12 @@ val create : ?deterministic:bool -> path:string -> header -> t
 
 val path : t -> string
 
-val append_job : ?pos:int -> t -> job -> unit
+val append_job : t -> job -> unit
 (** Buffer one completed job; flush it (and any unblocked successors) to
-    disk once all lower flush ranks of its phase have been written.  The
-    flush rank [pos] defaults to the job's plan index; a [k/N] shard
-    passes its dense shard-local rank ({!Shard.rank}) instead, since it
-    only writes the plan indices it owns.  Phases must be written
-    contiguously: switching phase with out-of-order records still
-    pending raises [Invalid_argument]. *)
+    disk once all lower plan indices of its phase have been written (a
+    journal under a [k/N] shard flushes at {!Shard.rank} instead, see
+    {!replay}).  Phases must be written contiguously: switching phase
+    with out-of-order records still pending raises [Invalid_argument]. *)
 
 val append_result : t -> kind:string -> Json.t -> unit
 (** Write the reduced campaign result record. *)
@@ -232,21 +230,20 @@ val cached_value : journal -> codec:'a codec -> index:int -> seed:int ->
     ledger belongs to a different campaign) or its payload does not
     decode — resuming must never silently corrupt results. *)
 
-val replay : ?pos:int -> journal -> job -> unit
+val replay : journal -> job -> unit
 (** Re-append a cached record verbatim to the sink (no-op without one),
-    so a resumed ledger contains the full job history.  [pos] is the
-    flush rank as for {!append_job}. *)
+    so a resumed ledger contains the full job history.  These three
+    flush at the journal's {!Shard.rank} under a [shard]. *)
 
 val record :
-  journal -> ?pos:int -> ?attempts:int -> index:int -> seed:int ->
-  errors:int -> duration_s:float -> Json.t -> unit
+  journal -> ?attempts:int -> index:int -> seed:int -> errors:int ->
+  duration_s:float -> Json.t -> unit
 (** Append a freshly computed job record under the journal's phase.
-    [attempts] (default 1) is the supervised attempt count; [pos] is
-    the flush rank as for {!append_job}. *)
+    [attempts] (default 1) is the supervised attempt count. *)
 
 val record_failure :
-  journal -> ?pos:int -> index:int -> seed:int -> attempts:int ->
-  duration_s:float -> string -> unit
+  journal -> index:int -> seed:int -> attempts:int -> duration_s:float ->
+  string -> unit
 (** Append a quarantined-job record: [Null] result, zero errors, the
     failure reason in [failed]. *)
 

@@ -51,6 +51,9 @@ let default =
 
 let ledger_path cfg id = Filename.concat cfg.dir (id ^ ".jsonl")
 let shard_path cfg id k = Printf.sprintf "%s.shard%d" (ledger_path cfg id) k
+
+let shard_paths cfg (spec : Queue.spec) =
+  List.init spec.workers (fun i -> shard_path cfg spec.id (i + 1))
 let journal_path cfg = Filename.concat cfg.dir "queue.jsonl"
 
 let app_names (spec : Queue.spec) =
@@ -74,7 +77,7 @@ let worker_argv cfg (spec : Queue.spec) ~k =
     "--env"; spec.env;
     "--seed"; string_of_int spec.seed;
     "-j"; "1"; "-q";
-    "--shard"; Printf.sprintf "%d/%d" k spec.workers;
+    "--shard"; Shard.to_string (Shard.make ~k ~n:spec.workers ());
     "--log"; shard_path cfg spec.id k ]
   @ match spec.app with Some a -> [ "--app"; a ] | None -> []
 
@@ -92,24 +95,28 @@ let shard cfg (spec : Queue.spec) k =
           ~grid:(grid_of spec) ~k ~n:spec.workers ledger) }
 
 (* ------------------------------------------------------------------ *)
-(* Submission parsing                                                   *)
+(* The daemon's documents, each declared once for the daemon and for
+   its `gpuwmm submit`/`jobs` client.                                   *)
 
-(* The /submit body: every field but [chip] has a default. *)
-let submission ~default_max_attempts =
+(* The /submit body: every field but [chip] has a default, and an absent
+   [max_attempts] stands for the daemon's own, which [parse_submission]
+   resolves.  The spec's [id] and [max_attempts] are not written. *)
+let submission =
   Codec.(
     obj (fun kind chip app runs env seed workers priority max_attempts ->
-        { Queue.id = "";  (* assigned under the state mutex *)
-          kind; chip; app; runs; env; seed; workers; priority; max_attempts })
-    |> dflt "kind" string ~default:"test" (fun s -> s.Queue.kind)
-    |> mem "chip" string (fun s -> s.Queue.chip)
-    |> opt "app" string (fun s -> s.Queue.app)
-    |> dflt "runs" int ~default:100 (fun s -> s.Queue.runs)
-    |> dflt "env" string ~default:"sys-str+" (fun s -> s.Queue.env)
-    |> dflt "seed" int ~default:42 (fun s -> s.Queue.seed)
-    |> dflt "workers" int ~default:2 (fun s -> s.Queue.workers)
-    |> dflt "priority" int ~default:0 (fun s -> s.Queue.priority)
-    |> dflt "max_attempts" int ~default:default_max_attempts (fun s ->
-           s.Queue.max_attempts)
+        ( { Queue.id = "";  (* assigned under the state mutex *)
+            kind; chip; app; runs; env; seed; workers; priority;
+            max_attempts = 0 },
+          max_attempts ))
+    |> dflt "kind" string ~default:"test" (fun (s, _) -> s.Queue.kind)
+    |> mem "chip" string (fun (s, _) -> s.Queue.chip)
+    |> opt "app" string (fun (s, _) -> s.Queue.app)
+    |> dflt "runs" int ~default:100 (fun (s, _) -> s.Queue.runs)
+    |> dflt "env" string ~default:"sys-str+" (fun (s, _) -> s.Queue.env)
+    |> dflt "seed" int ~default:42 (fun (s, _) -> s.Queue.seed)
+    |> dflt "workers" int ~default:2 (fun (s, _) -> s.Queue.workers)
+    |> dflt "priority" int ~default:0 (fun (s, _) -> s.Queue.priority)
+    |> opt "max_attempts" int snd
     |> seal)
 
 let parse_submission ~default_max_attempts body : (Queue.spec, string) result
@@ -118,9 +125,11 @@ let parse_submission ~default_max_attempts body : (Queue.spec, string) result
   let* j =
     Result.map_error (Printf.sprintf "body is not JSON: %s") (Json.of_string body)
   in
-  let* ({ Queue.kind; chip; app; runs; env; workers; max_attempts; _ } as spec) =
-    Codec.decode (submission ~default_max_attempts) j
+  let* ( ({ Queue.kind; chip; app; runs; env; workers; _ } as spec),
+         max_attempts ) =
+    Codec.decode submission j
   in
+  let max_attempts = Option.value max_attempts ~default:default_max_attempts in
   if kind <> "test" then
     Error (Printf.sprintf "unsupported campaign kind %S (only \"test\")" kind)
   else if runs < 1 then Error "runs must be >= 1"
@@ -137,10 +146,48 @@ let parse_submission ~default_max_attempts body : (Queue.spec, string) result
         match app with
         | Some a when Apps.Registry.by_name a = None ->
           Error (Printf.sprintf "unknown application %S" a)
-        | _ -> Ok spec)
+        | _ -> Ok { spec with max_attempts })
 
-(* ------------------------------------------------------------------ *)
-(* JSON views                                                           *)
+(* The /submit response: the new job's id and the shards it was
+   enqueued with, which can be fewer than asked ([shard_count]). *)
+let accepted =
+  Codec.(
+    obj (fun id workers (_ : string) -> (id, workers))
+    |> mem "id" string fst
+    |> mem "workers" int snd
+    |> mem "status" string (fun _ -> "queued")
+    |> seal)
+
+type job_status = {
+  status : string;
+  shards_done : int;
+  ledger : string option;
+  shards : Json.t list;
+}
+
+let job_status =
+  Codec.(
+    obj (fun status shards_done ledger shards ->
+        { status; shards_done; ledger; shards })
+    |> mem "status" string (fun s -> s.status)
+    |> mem "shards_done" int (fun s -> s.shards_done)
+    |> opt "ledger" string (fun s -> s.ledger)
+    |> mem "shards" (list json) (fun s -> s.shards)
+    |> seal)
+
+(* A /jobs item: the job's spec, then its status. *)
+let jobs =
+  let item =
+    Codec.(
+      conv
+        (fun (spec, st) ->
+          Json.Assoc (fields Queue.spec spec @ fields job_status st))
+        (fun j ->
+          Result.bind (decode Queue.spec j) (fun spec ->
+              Result.map (fun st -> (spec, st)) (decode job_status j)))
+        json)
+  in
+  Codec.(obj Fun.id |> mem "jobs" (list item) Fun.id |> seal)
 
 let shard_state_json (s : Queue.shard_state) =
   let open Json in
@@ -160,26 +207,25 @@ let shard_state_json (s : Queue.shard_state) =
   | Queue.Quarantined { reason } ->
     Assoc [ ("state", String "quarantined"); ("reason", String reason) ]
 
-let job_json (j : Queue.job) =
-  let open Json in
-  let sdone =
-    Array.fold_left
-      (fun acc st -> match st with Queue.Done _ -> acc + 1 | _ -> acc)
-      0 j.shards
-  in
-  let status =
-    match j.finished with
-    | Some st -> st
-    | None -> if sdone = 0 && Array.for_all
-                   (function Queue.Pending _ -> true | _ -> false) j.shards
-              then "queued" else "running"
-  in
-  Assoc
-    (Codec.fields Queue.spec j.spec
-    @ [ ("status", String status); ("shards_done", Int sdone) ]
-    @ (match j.ledger with Some l -> [ ("ledger", String l) ] | None -> [])
-    @ [ ("shards", List (Array.to_list (Array.map shard_state_json j.shards)))
-      ])
+let listing (st : Queue.state) =
+  List.map
+    (fun (j : Queue.job) ->
+      let shards_done =
+        Array.fold_left
+          (fun acc st -> match st with Queue.Done _ -> acc + 1 | _ -> acc)
+          0 j.shards
+      in
+      let status =
+        match j.finished with
+        | Some st -> st
+        | None ->
+          let pending = function Queue.Pending _ -> true | _ -> false in
+          if Array.for_all pending j.shards then "queued" else "running"
+      in
+      ( j.spec,
+        { status; shards_done; ledger = j.ledger;
+          shards = Array.to_list (Array.map shard_state_json j.shards) } ))
+    st.jobs
 
 let queue_json ~now st =
   let open Json in
@@ -196,32 +242,18 @@ let queue_json ~now st =
 
 let queue_prometheus ~now st =
   let q = Queue.stats ~now st in
-  let b = Buffer.create 512 in
-  let gauge name v =
-    Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n%s %d\n" name name v)
-  in
-  gauge "gpuwmm_queue_depth" q.Queue.s_pending;
-  gauge "gpuwmm_queue_leased" q.Queue.s_leased;
-  gauge "gpuwmm_queue_shards_done" q.Queue.s_done;
-  gauge "gpuwmm_queue_shards_quarantined" q.Queue.s_quarantined;
-  gauge "gpuwmm_queue_active_jobs" q.Queue.s_active_jobs;
-  gauge "gpuwmm_queue_finished_jobs" q.Queue.s_finished_jobs;
-  Buffer.add_string b
-    (Printf.sprintf
-       "# TYPE gpuwmm_queue_retries_total counter\n\
-        gpuwmm_queue_retries_total %d\n"
-       st.Queue.retries);
-  Buffer.add_string b
-    (Printf.sprintf
-       "# TYPE gpuwmm_queue_quarantined_total counter\n\
-        gpuwmm_queue_quarantined_total %d\n"
-       st.Queue.quarantines);
-  Buffer.add_string b
-    (Printf.sprintf
-       "# TYPE gpuwmm_queue_oldest_lease_age_seconds gauge\n\
-        gpuwmm_queue_oldest_lease_age_seconds %g\n"
-       q.Queue.s_oldest_lease_age_s);
-  Buffer.contents b
+  let count kind name n = Telemetry.sample ~kind name (string_of_int n) in
+  Telemetry.exposition
+    [ count "gauge" "gpuwmm_queue_depth" q.Queue.s_pending;
+      count "gauge" "gpuwmm_queue_leased" q.Queue.s_leased;
+      count "gauge" "gpuwmm_queue_shards_done" q.Queue.s_done;
+      count "gauge" "gpuwmm_queue_shards_quarantined" q.Queue.s_quarantined;
+      count "gauge" "gpuwmm_queue_active_jobs" q.Queue.s_active_jobs;
+      count "gauge" "gpuwmm_queue_finished_jobs" q.Queue.s_finished_jobs;
+      count "counter" "gpuwmm_queue_retries_total" st.Queue.retries;
+      count "counter" "gpuwmm_queue_quarantined_total" st.Queue.quarantines;
+      Telemetry.sample ~kind:"gauge" "gpuwmm_queue_oldest_lease_age_seconds"
+        (Printf.sprintf "%g" q.Queue.s_oldest_lease_age_s) ]
 
 (* ------------------------------------------------------------------ *)
 (* The daemon                                                           *)
@@ -346,11 +378,7 @@ let run cfg =
               end
               else begin
                 let out = ledger_path cfg job.spec.id in
-                let shards =
-                  List.init job.spec.workers (fun i ->
-                      shard_path cfg job.spec.id (i + 1))
-                in
-                match Merge.merge ~out shards with
+                match Merge.merge ~out (shard_paths cfg job.spec) with
                 | Ok o ->
                   let degraded =
                     o.Merge.quarantined > 0
@@ -377,8 +405,8 @@ let run cfg =
         !st.Queue.jobs
     in
     (* --- HTTP face ------------------------------------------------ *)
-    (* The queue, rendered under the lock, and the live fleet of the
-       unfinished campaigns' workers. *)
+    (* The live fleet of the unfinished campaigns' workers, and the
+       queue rendered under the lock. *)
     let observe render =
       let now = Unix.gettimeofday () in
       let queue, hb_paths =
@@ -387,12 +415,11 @@ let run cfg =
               List.concat_map
                 (fun (job : Queue.job) ->
                   if job.finished = None then
-                    List.init job.spec.workers (fun i ->
-                        Heartbeat.hb_path (shard_path cfg job.spec.id (i + 1)))
+                    List.map Heartbeat.hb_path (shard_paths cfg job.spec)
                   else [])
                 !st.Queue.jobs ))
       in
-      (queue, Fleetview.load ~now hb_paths)
+      (Fleetview.load ~now hb_paths, queue)
     in
     let handler (req : Httpd.request) =
       match (req.Httpd.meth, req.Httpd.path) with
@@ -420,40 +447,25 @@ let run cfg =
                      priority=%d"
                   id spec.Queue.chip spec.Queue.env spec.Queue.runs
                   spec.Queue.seed spec.Queue.workers spec.Queue.priority;
-                Json.to_string
-                  (Json.Assoc
-                     [ ("id", Json.String id);
-                       ("workers", Json.Int spec.Queue.workers);
-                       ("status", Json.String "queued") ]))
+                Json.to_string (Codec.encode accepted (id, spec.Queue.workers)))
           in
           (* Lease it now, not at the next cadence step. *)
           Procs.wake sup;
           Httpd.respond ~content_type:"application/json" (resp ^ "\n"))
       | ("GET" | "HEAD"), "/jobs" ->
         let body =
-          locked (fun () ->
-              Json.to_string
-                (Json.Assoc
-                   [ ( "jobs",
-                       Json.List (List.map job_json !st.Queue.jobs) ) ]))
+          locked (fun () -> Json.to_string (Codec.encode jobs (listing !st)))
         in
         Httpd.respond ~content_type:"application/json" (body ^ "\n")
       | ("GET" | "HEAD"), "/status" ->
-        let queue, fleet = observe queue_json in
+        let fleet, queue = observe queue_json in
         let body =
           Json.to_string
             (Json.Assoc
                [ ("queue", queue); ("fleet", Fleetview.render_json fleet) ])
         in
         Httpd.respond ~content_type:"application/json" (body ^ "\n")
-      | ("GET" | "HEAD"), "/metrics" ->
-        let queue_text, fleet = observe queue_prometheus in
-        Httpd.respond
-          ~content_type:"text/plain; version=0.0.4; charset=utf-8"
-          (Telemetry.prometheus (Telemetry.snapshot ())
-          ^ Fleetview.prometheus fleet ^ queue_text)
-      | ("GET" | "HEAD"), "/healthz" -> Httpd.respond "ok\n"
-      | _ -> Httpd.respond ~status:404 "not found\n"
+      | _ -> Fleetview.route ~observe:(fun () -> observe queue_prometheus) req
     in
     let server =
       try Some (Httpd.start_routes ~addr:cfg.addr ~port:cfg.port handler)
@@ -510,5 +522,5 @@ let run cfg =
                List.exists
                  (fun (j : Queue.job) -> j.finished <> Some "done")
                  !st.Queue.jobs)
-      then 3
+      then Exec.exit_degraded
       else 0

@@ -66,14 +66,44 @@ val run : config -> int
     prefix and a final heartbeat), and the journal is left for the next
     start to replay. *)
 
+(** {1 The daemon's documents}, one codec each for the daemon and for
+    its [gpuwmm submit]/[jobs] client *)
+
+val submission : (Queue.spec * int option) Codec.t
+(** The [POST /submit] body: the spec's fields but [id] and
+    [max_attempts], each but [chip] left out at its default ([kind]
+    ["test"], [runs] 100, [env] ["sys-str+"], [seed] 42, [workers] 2,
+    [priority] 0), then the attempt budget, absent for the daemon's. *)
+
 val parse_submission :
   default_max_attempts:int -> string -> (Queue.spec, string) result
-(** Validate a [POST /submit] body: a JSON object with [chip]
-    (required), [app], [runs], [env], [seed], [workers] (1 to
-    {!Shard.max_shards}), [priority] and [max_attempts]; [kind] must be
-    ["test"].  The returned spec's [id] is [""], assigned on enqueue. *)
+(** Decode and validate a {!submission}: [kind] ["test"], [runs] and
+    the attempt budget (absent: [default_max_attempts]) at least 1,
+    [workers] in 1 to {!Shard.max_shards}, a known chip, environment
+    and application.  The spec's [id] is [""], assigned on enqueue. *)
 
 val shard_count : Queue.spec -> int
 (** The shards a campaign is enqueued with: its [workers], but no more
     than its cells, so no shard worker is spawned without a job.  The
     [/submit] response reports this count as [workers]. *)
+
+val accepted : (string * int) Codec.t
+(** The [/submit] response: the job's [id], its {!shard_count} as
+    [workers], and [status] ["queued"]. *)
+
+type job_status = {
+  status : string;  (** ["queued"], ["running"] or the finished status *)
+  shards_done : int;
+  ledger : string option;
+  shards : Json.t list;  (** each shard's lease state *)
+}
+
+val jobs : (Queue.spec * job_status) list Codec.t
+(** The [GET /jobs] document: per job, its {!Queue.spec} fields, then
+    its status fields. *)
+
+val listing : Queue.state -> (Queue.spec * job_status) list
+(** What [/jobs] lists for a queue state. *)
+
+val queue_prometheus : now:float -> Queue.state -> string
+(** The queue gauges and counters of the daemon's [/metrics]. *)

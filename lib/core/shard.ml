@@ -46,11 +46,11 @@ let count t ~total =
 let owns t ~total index =
   index >= 0 && index < total && index mod t.n = t.k - 1
 
-let rank t ~total index =
-  if not (owns t ~total index) then
+let rank t index =
+  if index < 0 || index mod t.n <> t.k - 1 then
     invalid_arg
-      (Printf.sprintf "Shard.rank: shard %s does not own index %d (total %d)"
-         (to_string t) index total)
+      (Printf.sprintf "Shard.rank: shard %s does not own index %d"
+         (to_string t) index)
   else index / t.n
 
 let indices t ~total =

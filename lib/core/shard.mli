@@ -31,10 +31,10 @@ val owns : t -> total:int -> int -> bool
 (** [owns t ~total i]: does this shard own plan index [i] of a
     [total]-job plan? *)
 
-val rank : t -> total:int -> int -> int
+val rank : t -> int -> int
 (** Position of an owned index within the shard's own job stream
-    (0-based, dense).  Raises [Invalid_argument] if the shard does not
-    own the index. *)
+    (0-based, dense), whatever the plan's length.  Raises
+    [Invalid_argument] if the shard does not own the index. *)
 
 val count : t -> total:int -> int
 (** Number of indices this shard owns. *)

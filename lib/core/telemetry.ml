@@ -218,7 +218,7 @@ let spans () =
   l
 
 (* ------------------------------------------------------------------ *)
-(* JSONL: a lossless record serialisation                               *)
+(* JSONL: every field of every record, written for other tools          *)
 
 let record_to_json { Gpusim.Trace.tick; event } =
   let open Json in
@@ -266,94 +266,8 @@ let record_to_json { Gpusim.Trace.tick; event } =
     :: ("ev", String (Gpusim.Trace.event_name event))
     :: fields)
 
-let record_of_json j =
-  let open Codec in
-  let ( let* ) = Result.bind in
-  let* tick = get int "tick" j in
-  let* ev = get string "ev" j in
-  let* event =
-    match ev with
-    | "launch_begin" ->
-      let* kernel = get string "kernel" j in
-      let* grid = get int "grid" j in
-      let* block = get int "block" j in
-      let* stress_blocks = get int "stress_blocks" j in
-      let* stress_threads = get int "stress_threads" j in
-      Ok
-        (Gpusim.Trace.Launch_begin
-           { kernel; grid; block; stress_blocks; stress_threads })
-    | "launch_end" ->
-      let* outcome = get string "outcome" j in
-      let* divergence = get bool "divergence" j in
-      let* metrics = get (assoc int) "metrics" j in
-      Ok (Gpusim.Trace.Launch_end { outcome; divergence; metrics })
-    | "access" ->
-      let* tid = get int "tid" j in
-      let* addr = get int "addr" j in
-      let* write = get bool "write" j in
-      let* atomic = get bool "atomic" j in
-      Ok (Gpusim.Trace.Access { tid; addr; write; atomic })
-    | "issue" ->
-      let* tid = get int "tid" j in
-      let* addr = get int "addr" j in
-      let* part = get int "part" j in
-      let* is_store = get bool "is_store" j in
-      Ok (Gpusim.Trace.Issue { tid; addr; part; is_store })
-    | "commit" ->
-      let* tid = get int "tid" j in
-      let* addr = get int "addr" j in
-      let* is_store = get bool "is_store" j in
-      let* value = get int "value" j in
-      let* reordered = get bool "reordered" j in
-      Ok (Gpusim.Trace.Commit { tid; addr; is_store; value; reordered })
-    | "reorder" ->
-      let* tid = get int "tid" j in
-      let* overtaken = get int "overtaken" j in
-      let* committed = get int "committed" j in
-      Ok (Gpusim.Trace.Reorder { tid; overtaken; committed })
-    | "atomic_rmw" ->
-      let* tid = get int "tid" j in
-      let* addr = get int "addr" j in
-      let* before = get int "before" j in
-      let* after = get int "after" j in
-      Ok (Gpusim.Trace.Atomic_rmw { tid; addr; before; after })
-    | "fence" ->
-      let* tid = get int "tid" j in
-      let* pending = get int "pending" j in
-      let* device_scope = get bool "device_scope" j in
-      Ok (Gpusim.Trace.Fence { tid; pending; device_scope })
-    | "barrier_wait" ->
-      let* tid = get int "tid" j in
-      let* block = get int "block" j in
-      Ok (Gpusim.Trace.Barrier_wait { tid; block })
-    | "barrier_release" ->
-      let* block = get int "block" j in
-      let* by_exit = get bool "by_exit" j in
-      Ok (Gpusim.Trace.Barrier_release { block; by_exit })
-    | "thread_done" ->
-      let* tid = get int "tid" j in
-      let* daemon = get bool "daemon" j in
-      Ok (Gpusim.Trace.Thread_done { tid; daemon })
-    | "contention" ->
-      let* part = get int "part" j in
-      let* read = get float "read" j in
-      let* write = get float "write" j in
-      Ok (Gpusim.Trace.Contention { part; read; write })
-    | "bitflip" ->
-      let* tid = get int "tid" j in
-      let* addr = get int "addr" j in
-      let* bit = get int "bit" j in
-      let* before = get int "before" j in
-      let* after = get int "after" j in
-      Ok (Gpusim.Trace.Bitflip { tid; addr; bit; before; after })
-    | other -> Error ("unknown event " ^ other)
-  in
-  Ok { Gpusim.Trace.tick; event }
-
 (* Provenance stamp for multi-process exports: prepended fields, so a
-   merged stream still says which worker each line came from.
-   [record_of_json] ignores unknown fields, keeping the round-trip
-   lossless. *)
+   merged stream still says which worker each line came from. *)
 let stamp ?pid ?shard = function
   | Json.Assoc kvs ->
     Json.Assoc
@@ -470,26 +384,43 @@ let prom_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
-let prometheus (s : snapshot) =
+type family = { name : string; kind : string; samples : (string * string) list }
+
+let sample ~kind name v = { name; kind; samples = [ ("", v) ] }
+
+(* The one writer of the exposition syntax: a family declares its type
+   even when it has no sample. *)
+let exposition families =
   let b = Buffer.create 1024 in
   List.iter
-    (fun (name, v) ->
-      let n = prom_name name in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
-    s.counters;
-  List.iter
-    (fun (name, (h : histogram_snapshot)) ->
-      let n = prom_name name ^ "_seconds" in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s histogram\n" n);
+    (fun f ->
+      Printf.bprintf b "# TYPE %s %s\n" f.name f.kind;
       List.iter
-        (fun (bound, cum) ->
-          let le =
+        (fun (suffix, v) -> Printf.bprintf b "%s%s %s\n" f.name suffix v)
+        f.samples)
+    families;
+  Buffer.contents b
+
+let prometheus (s : snapshot) =
+  exposition
+    (List.map
+       (fun (name, v) ->
+         sample ~kind:"counter" (prom_name name) (string_of_int v))
+       s.counters
+    @ List.map
+        (fun (name, (h : histogram_snapshot)) ->
+          let le bound =
             if Float.is_finite bound then prom_float bound else "+Inf"
           in
-          Buffer.add_string b
-            (Printf.sprintf "%s_bucket{le=%S} %d\n" n le cum))
-        h.buckets;
-      Buffer.add_string b (Printf.sprintf "%s_sum %s\n" n (prom_float h.sum));
-      Buffer.add_string b (Printf.sprintf "%s_count %d\n" n h.count))
-    s.histograms;
-  Buffer.contents b
+          { name = prom_name name ^ "_seconds";
+            kind = "histogram";
+            samples =
+              List.map
+                (fun (bound, cum) ->
+                  ( Printf.sprintf "_bucket{le=%S}" (le bound),
+                    string_of_int cum ))
+                h.buckets
+              @ [ ("_sum", prom_float h.sum);
+                  ("_count", string_of_int h.count) ]
+          })
+        s.histograms)

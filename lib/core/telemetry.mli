@@ -16,8 +16,9 @@
     {- per-job {b spans} recorded by {!Exec} when enabled — queue wait,
        run time, worker id — for visualising campaign schedules;}
     {- exporters: Chrome trace-event JSON ([chrome://tracing],
-       Perfetto) and line-delimited JSON with a lossless round-trip
-       ({!record_of_json} inverts {!record_to_json}).}} *)
+       Perfetto), line-delimited JSON that writes every field of every
+       record (no program reads it back), and the Prometheus text
+       exposition that every [/metrics] route writes through.}} *)
 
 (** {1 Counters} *)
 
@@ -101,15 +102,10 @@ val clear_spans : unit -> unit
 val record_to_json : Gpusim.Trace.record -> Json.t
 (** One flat object: [{"tick": t, "ev": "commit", ...event fields}]. *)
 
-val record_of_json : Json.t -> (Gpusim.Trace.record, string) result
-(** Exact inverse of {!record_to_json}. *)
-
 val jsonl : ?pid:int -> ?shard:string -> Gpusim.Trace.record list -> string
 (** One {!record_to_json} object per line, newline-terminated.  [?pid]
     and [?shard] prepend provenance fields to every line, so lines from
-    several worker processes stay attributable after concatenation;
-    {!record_of_json} ignores them, so [Jsonl.parse record_of_json]
-    reads the export back losslessly. *)
+    several worker processes stay attributable after concatenation. *)
 
 val chrome_trace :
   ?pid:int ->
@@ -135,9 +131,26 @@ val chrome_trace :
     absolute (Unix µs) so [gpuwmm trace --merge] can union files from
     several processes onto one timeline. *)
 
+(** {1 Prometheus text exposition} *)
+
+type family = {
+  name : string;
+  kind : string;  (** ["counter"], ["gauge"] or ["histogram"] *)
+  samples : (string * string) list;
+      (** per sample, what follows [name] (labels, a ["_sum"] suffix)
+          and the value as written *)
+}
+
+val sample : kind:string -> string -> string -> family
+(** [sample ~kind name v]: a family of one unlabelled sample. *)
+
+val exposition : family list -> string
+(** The one writer of the syntax, for every part of [/metrics]: per
+    family its [# TYPE] line, even without samples, then a line per
+    sample. *)
+
 val prometheus : snapshot -> string
-(** Prometheus text exposition of the registry: each counter as a
-    [counter] metric and each histogram as a [histogram] with
-    [_bucket{le=...}]/[_sum]/[_count] series, names prefixed
-    [gpuwmm_] with non-alphanumerics mapped to [_]
-    (["exec.jobs"] → ["gpuwmm_exec_jobs"]). *)
+(** The registry's exposition: each counter as a [counter] metric and
+    each histogram as a [histogram] with [_bucket{le=...}]/[_sum]/
+    [_count] series, names prefixed [gpuwmm_] with non-alphanumerics
+    mapped to [_] (["exec.jobs"] → ["gpuwmm_exec_jobs"]). *)

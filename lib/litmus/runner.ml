@@ -34,6 +34,19 @@ let run_kernel ~chip ~seed ~env inst kernel =
   in
   { r1; r2; weak = (not timed_out) && Test.weak inst ~r1 ~r2; timed_out }
 
+(* The allocations of [run_kernel] and of its launch's stress set-up. *)
+let fits ~chip ~env inst =
+  inst.Test.distance >= 0
+  &&
+  let sim = Gpusim.Sim.create ~words:device_words ~chip ~seed:0 () in
+  match
+    ignore (Gpusim.Sim.alloc sim (Test.layout_words inst));
+    ignore (Gpusim.Sim.alloc sim 2);
+    env.Gpusim.Sim.make_stress sim ~app_grid:2 ~app_block:1
+  with
+  | _ -> true
+  | exception Failure _ -> false
+
 let run_once ~chip ~seed ?(env = Gpusim.Sim.no_environment) inst =
   run_kernel ~chip ~seed ~env inst (Test.kernel inst)
 

@@ -13,6 +13,12 @@ type outcome = {
   timed_out : bool;
 }
 
+val fits :
+  chip:Gpusim.Chip.t -> env:Gpusim.Sim.environment -> Test.instance -> bool
+(** Whether a run of the instance fits the device (its distance is
+    non-negative, and its words and the environment's scratchpad fit);
+    a run that does not raises in [Sim.alloc]. *)
+
 val run_once :
   chip:Gpusim.Chip.t ->
   seed:int ->

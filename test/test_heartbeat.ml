@@ -425,6 +425,124 @@ let test_fleet_prometheus () =
           "gpuwmm_shard_jobs_total{shard=\"1/2\"} 5";
           "gpuwmm_shard_jobs_total{shard=\"2/2\"} 5" ])
 
+(* Byte pins of the exposition text every /metrics route writes: each
+   value keeps its format (%d, %g, and prom_float for histogram sums). *)
+let pinned_snapshot =
+  { Core.Telemetry.counters = [ ("exec.jobs", 7); ("runlog.bytes-out", 0) ];
+    histograms =
+      [ ( "exec.run",
+          { Core.Telemetry.count = 3; sum = 0.25;
+            buckets = [ (1e-06, 0); (0.001, 1); (1.0, 3); (infinity, 3) ] } );
+        ( "merge.wall",
+          { count = 2; sum = 12.0; buckets = [ (100.0, 2); (infinity, 2) ] } );
+        ("serve.lease", { count = 1; sum = 1e20; buckets = [ (infinity, 1) ] })
+      ] }
+
+let test_registry_exposition_bytes () =
+  Alcotest.(check string) "registry exposition"
+    {|# TYPE gpuwmm_exec_jobs counter
+gpuwmm_exec_jobs 7
+# TYPE gpuwmm_runlog_bytes_out counter
+gpuwmm_runlog_bytes_out 0
+# TYPE gpuwmm_exec_run_seconds histogram
+gpuwmm_exec_run_seconds_bucket{le="1e-06"} 0
+gpuwmm_exec_run_seconds_bucket{le="0.001"} 1
+gpuwmm_exec_run_seconds_bucket{le="1"} 3
+gpuwmm_exec_run_seconds_bucket{le="+Inf"} 3
+gpuwmm_exec_run_seconds_sum 0.25
+gpuwmm_exec_run_seconds_count 3
+# TYPE gpuwmm_merge_wall_seconds histogram
+gpuwmm_merge_wall_seconds_bucket{le="100"} 2
+gpuwmm_merge_wall_seconds_bucket{le="+Inf"} 2
+gpuwmm_merge_wall_seconds_sum 12
+gpuwmm_merge_wall_seconds_count 2
+# TYPE gpuwmm_serve_lease_seconds histogram
+gpuwmm_serve_lease_seconds_bucket{le="+Inf"} 1
+gpuwmm_serve_lease_seconds_sum 1e+20
+gpuwmm_serve_lease_seconds_count 1
+|}
+    (Core.Telemetry.prometheus pinned_snapshot)
+
+let beat ?shard ~pid ~jobs_done ~jobs_total () =
+  { Core.Heartbeat.pid; shard; seq = 3; t = 0.0; interval_s = 1.0;
+    final = false; label = "campaign"; jobs_done; jobs_total; cached = 0;
+    errors = 1; rate = 1.25; eta_s = None; retried = 0; quarantined = 0;
+    respawns = 0; minor_words = 0.0; minor_collections = 0;
+    major_collections = 0; counters = [] }
+
+let fleet_of workers =
+  { Core.Fleetview.workers =
+      List.map
+        (fun w_last ->
+          { Core.Fleetview.w_path = "x.hb"; w_last; w_age_s = 0.0;
+            w_liveness = Core.Heartbeat.Running; w_straggler = false })
+        workers;
+    f_done = 8; f_total = 10; f_cached = 1; f_errors = 2; f_retried = 3;
+    f_quarantined = 1; f_respawns = 2; f_rate = 2.5; f_eta_s = Some 0.8;
+    f_running = 2; f_stale = 0; f_dead = 1; f_finished = 1 }
+
+(* Shard rows and a driver row; then a driver alone, whose fleet still
+   declares the per-shard families. *)
+let test_fleet_exposition_bytes () =
+  Alcotest.(check string) "shard and driver rows"
+    {|# TYPE gpuwmm_fleet_jobs_done gauge
+gpuwmm_fleet_jobs_done 8
+# TYPE gpuwmm_fleet_jobs_total gauge
+gpuwmm_fleet_jobs_total 10
+# TYPE gpuwmm_fleet_errors gauge
+gpuwmm_fleet_errors 2
+# TYPE gpuwmm_fleet_retried gauge
+gpuwmm_fleet_retried 3
+# TYPE gpuwmm_fleet_quarantined gauge
+gpuwmm_fleet_quarantined 1
+# TYPE gpuwmm_fleet_respawns gauge
+gpuwmm_fleet_respawns 2
+# TYPE gpuwmm_fleet_rate_jobs_per_s gauge
+gpuwmm_fleet_rate_jobs_per_s 2.5
+# TYPE gpuwmm_fleet_workers gauge
+gpuwmm_fleet_workers{state="running"} 2
+gpuwmm_fleet_workers{state="stale"} 0
+gpuwmm_fleet_workers{state="dead"} 1
+gpuwmm_fleet_workers{state="done"} 1
+# TYPE gpuwmm_shard_jobs_done gauge
+gpuwmm_shard_jobs_done{shard="1/2"} 3
+gpuwmm_shard_jobs_done{shard="2/2"} 5
+# TYPE gpuwmm_shard_jobs_total gauge
+gpuwmm_shard_jobs_total{shard="1/2"} 5
+gpuwmm_shard_jobs_total{shard="2/2"} 5
+|}
+    (Core.Fleetview.prometheus
+       (fleet_of
+          [ beat ~shard:"1/2" ~pid:11 ~jobs_done:3 ~jobs_total:5 ();
+            beat ~shard:"2/2" ~pid:12 ~jobs_done:5 ~jobs_total:5 ();
+            beat ~pid:10 ~jobs_done:8 ~jobs_total:10 () ]));
+  Alcotest.(check string) "driver alone"
+    {|# TYPE gpuwmm_fleet_jobs_done gauge
+gpuwmm_fleet_jobs_done 8
+# TYPE gpuwmm_fleet_jobs_total gauge
+gpuwmm_fleet_jobs_total 10
+# TYPE gpuwmm_fleet_errors gauge
+gpuwmm_fleet_errors 2
+# TYPE gpuwmm_fleet_retried gauge
+gpuwmm_fleet_retried 3
+# TYPE gpuwmm_fleet_quarantined gauge
+gpuwmm_fleet_quarantined 1
+# TYPE gpuwmm_fleet_respawns gauge
+gpuwmm_fleet_respawns 2
+# TYPE gpuwmm_fleet_rate_jobs_per_s gauge
+gpuwmm_fleet_rate_jobs_per_s 0.333333
+# TYPE gpuwmm_fleet_workers gauge
+gpuwmm_fleet_workers{state="running"} 2
+gpuwmm_fleet_workers{state="stale"} 0
+gpuwmm_fleet_workers{state="dead"} 1
+gpuwmm_fleet_workers{state="done"} 1
+# TYPE gpuwmm_shard_jobs_done gauge
+# TYPE gpuwmm_shard_jobs_total gauge
+|}
+    (Core.Fleetview.prometheus
+       { (fleet_of [ beat ~pid:10 ~jobs_done:8 ~jobs_total:10 () ]) with
+         f_rate = 0.333333333 })
+
 let sample_record =
   { Gpusim.Trace.tick = 5;
     event = Gpusim.Trace.Access { tid = 1; addr = 7; write = true; atomic = false } }
@@ -433,11 +551,11 @@ let test_stamped_exports () =
   let text = Core.Telemetry.jsonl ~pid:7 ~shard:"1/2" [ sample_record ] in
   Alcotest.(check bool) "jsonl lines carry the stamp" true
     (contains text "\"pid\":7" && contains text "\"shard\":\"1/2\"");
-  (* Stamps are transparent to the decoder: the round-trip still holds. *)
-  (match Core.Jsonl.parse Core.Telemetry.record_of_json text with
-  | Ok ([ r ], false) ->
-    Alcotest.(check bool) "stamped record round-trips" true (r = sample_record)
-  | _ -> Alcotest.fail "stamped jsonl failed to parse");
+  (* The stamp only prepends its fields: the record's own follow. *)
+  let plain = Core.Telemetry.jsonl [ sample_record ] in
+  Alcotest.(check string) "stamp prepends to the record's fields"
+    ({|{"pid":7,"shard":"1/2",|} ^ String.sub plain 1 (String.length plain - 1))
+    text;
   let spans =
     [ { Core.Telemetry.label = "campaign"; index = 0; worker = 0;
         queued_at = 100.0; started_at = 100.5; ended_at = 101.0 } ]
@@ -485,5 +603,9 @@ let () =
         [ Alcotest.test_case "prometheus text" `Quick
             test_prometheus_exposition;
           Alcotest.test_case "fleet gauges" `Quick test_fleet_prometheus;
+          Alcotest.test_case "registry exposition bytes" `Quick
+            test_registry_exposition_bytes;
+          Alcotest.test_case "fleet exposition bytes" `Quick
+            test_fleet_exposition_bytes;
           Alcotest.test_case "stamped exports" `Quick test_stamped_exports ]
       ) ]

@@ -777,6 +777,113 @@ let test_shard_count () =
   Alcotest.(check int) "all apps, 512 workers" cells
     (Core.Serve.shard_count (spec {|{"chip":"K20","workers":512}|}))
 
+(* ------------------------------------------------------------------ *)
+(* The daemon's documents, pinned byte for byte: the client decodes
+   what the daemon writes, and scripts read the same bytes             *)
+
+let doc_spec ?app ?(priority = 0) ~id ~workers () =
+  { Core.Queue.id; kind = "test"; chip = "K20"; app; runs = 8;
+    env = "sys-str+"; seed = 7; workers; priority; max_attempts = 3 }
+
+(* One queued job, a running one with a leased shard and a shard in
+   backoff, a done job with a ledger, a failed one with a quarantined
+   shard, and a degraded one. *)
+let doc_state =
+  let open Core.Queue in
+  replay
+    [ Submitted { t = 1.0; spec = doc_spec ~id:"job-1" ~app:"cbe-dot" ~workers:1 () };
+      Submitted { t = 2.0; spec = doc_spec ~id:"job-2" ~priority:5 ~workers:2 () };
+      Leased
+        { t = 3.0; id = "job-2"; shard = 1; pid = 4242; attempt = 1;
+          deadline = 33.0 };
+      Leased
+        { t = 3.0; id = "job-2"; shard = 2; pid = 4243; attempt = 1;
+          deadline = 33.0 };
+      Requeued
+        { t = 4.0; id = "job-2"; shard = 2; attempt = 1; reason = "exited 1";
+          not_before = 4.75 };
+      Submitted { t = 5.0; spec = doc_spec ~id:"job-3" ~app:"cbe-ht" ~workers:2 () };
+      Shard_done { t = 6.0; id = "job-3"; shard = 1; degraded = false };
+      Shard_done { t = 6.5; id = "job-3"; shard = 2; degraded = false };
+      Finished
+        { t = 7.0; id = "job-3"; status = "done";
+          ledger = Some "state/job-3.jsonl" };
+      Submitted { t = 8.0; spec = doc_spec ~id:"job-4" ~workers:1 () };
+      Quarantined
+        { t = 9.0; id = "job-4"; shard = 1; reason = "killed by signal 9" };
+      Finished { t = 9.5; id = "job-4"; status = "failed"; ledger = None };
+      Submitted { t = 10.0; spec = doc_spec ~id:"job-5" ~app:"ls-bh" ~workers:1 () };
+      Shard_done { t = 10.5; id = "job-5"; shard = 1; degraded = true };
+      Finished
+        { t = 11.0; id = "job-5"; status = "degraded";
+          ledger = Some "state/job-5.jsonl" } ]
+
+let test_documents_bytes () =
+  let jobs = Core.Serve.listing doc_state in
+  let body = Core.Json.to_string (Core.Codec.encode Core.Serve.jobs jobs) in
+  Alcotest.(check string) "/jobs"
+    {|{"jobs":[{"id":"job-1","kind":"test","chip":"K20","app":"cbe-dot","runs":8,"env":"sys-str+","seed":7,"workers":1,"priority":0,"max_attempts":3,"status":"queued","shards_done":0,"shards":[{"state":"pending","attempt":0}]},{"id":"job-2","kind":"test","chip":"K20","runs":8,"env":"sys-str+","seed":7,"workers":2,"priority":5,"max_attempts":3,"status":"running","shards_done":0,"shards":[{"state":"leased","pid":4242,"attempt":1,"since":3.0,"deadline":33.0},{"state":"pending","attempt":1,"not_before":4.75}]},{"id":"job-3","kind":"test","chip":"K20","app":"cbe-ht","runs":8,"env":"sys-str+","seed":7,"workers":2,"priority":0,"max_attempts":3,"status":"done","shards_done":2,"ledger":"state/job-3.jsonl","shards":[{"state":"done"},{"state":"done"}]},{"id":"job-4","kind":"test","chip":"K20","runs":8,"env":"sys-str+","seed":7,"workers":1,"priority":0,"max_attempts":3,"status":"failed","shards_done":0,"shards":[{"state":"quarantined","reason":"killed by signal 9"}]},{"id":"job-5","kind":"test","chip":"K20","app":"ls-bh","runs":8,"env":"sys-str+","seed":7,"workers":1,"priority":0,"max_attempts":3,"status":"degraded","shards_done":1,"ledger":"state/job-5.jsonl","shards":[{"state":"done","degraded":true}]}]}|}
+    body;
+  Alcotest.(check bool) "/jobs decodes to what the daemon listed" true
+    (Result.bind (Core.Json.of_string body) (Core.Codec.decode Core.Serve.jobs)
+    = Ok jobs);
+  let resp =
+    Core.Json.to_string (Core.Codec.encode Core.Serve.accepted ("job-6", 2))
+  in
+  Alcotest.(check string) "/submit response"
+    {|{"id":"job-6","workers":2,"status":"queued"}|} resp;
+  Alcotest.(check bool) "/submit response decodes" true
+    (Result.bind (Core.Json.of_string resp)
+       (Core.Codec.decode Core.Serve.accepted)
+    = Ok ("job-6", 2))
+
+let test_queue_exposition_bytes () =
+  Alcotest.(check string) "queue gauges"
+    {|# TYPE gpuwmm_queue_depth gauge
+gpuwmm_queue_depth 2
+# TYPE gpuwmm_queue_leased gauge
+gpuwmm_queue_leased 1
+# TYPE gpuwmm_queue_shards_done gauge
+gpuwmm_queue_shards_done 3
+# TYPE gpuwmm_queue_shards_quarantined gauge
+gpuwmm_queue_shards_quarantined 1
+# TYPE gpuwmm_queue_active_jobs gauge
+gpuwmm_queue_active_jobs 2
+# TYPE gpuwmm_queue_finished_jobs gauge
+gpuwmm_queue_finished_jobs 3
+# TYPE gpuwmm_queue_retries_total counter
+gpuwmm_queue_retries_total 1
+# TYPE gpuwmm_queue_quarantined_total counter
+gpuwmm_queue_quarantined_total 1
+# TYPE gpuwmm_queue_oldest_lease_age_seconds gauge
+gpuwmm_queue_oldest_lease_age_seconds 7.25
+|}
+    (Core.Serve.queue_prometheus ~now:10.25 doc_state)
+
+(* The client encodes the body the daemon decodes: the same spec, an
+   absent attempt budget resolved to the daemon's, an explicit one kept
+   (and a zero refused).  perfbench writes its own body. *)
+let test_submission_body () =
+  let parse ?(default_max_attempts = 3) body =
+    Core.Serve.parse_submission ~default_max_attempts body
+  in
+  let spec = { (doc_spec ~id:"" ~app:"cbe-dot" ~workers:2 ()) with priority = 1 } in
+  let body m =
+    Core.Json.to_string (Core.Codec.encode Core.Serve.submission (spec, m))
+  in
+  Alcotest.(check bool) "absent max_attempts is the daemon's" true
+    (parse ~default_max_attempts:5 (body None) = Ok { spec with max_attempts = 5 });
+  Alcotest.(check bool) "explicit max_attempts kept" true
+    (parse (body (Some 1)) = Ok { spec with max_attempts = 1 });
+  Alcotest.(check bool) "max_attempts 0 refused" true
+    (parse (body (Some 0)) = Error "max_attempts must be >= 1");
+  Alcotest.(check bool) "perfbench's body" true
+    (parse {|{"chip":"K20","env":"sys-str+","runs":3,"seed":11,"workers":2}|}
+    = Ok
+        { Core.Queue.id = ""; kind = "test"; chip = "K20"; app = None;
+          runs = 3; env = "sys-str+"; seed = 11; workers = 2; priority = 0;
+          max_attempts = 3 })
+
 let () =
   Alcotest.run "serve-queue"
     [ ( "codec",
@@ -819,4 +926,11 @@ let () =
           Alcotest.test_case "interrupt stops the workers" `Quick
             test_interrupt_stops_workers;
           Alcotest.test_case "wait wakes on exit and wake" `Quick
-            test_wait_wakes ] ) ]
+            test_wait_wakes ] );
+      ( "docs",
+        [ Alcotest.test_case "/jobs and /submit bytes" `Quick
+            test_documents_bytes;
+          Alcotest.test_case "queue exposition bytes" `Quick
+            test_queue_exposition_bytes;
+          Alcotest.test_case "submission body" `Quick test_submission_body ] )
+    ]

@@ -82,10 +82,9 @@ let partition_prop =
               (List.length owned);
           List.iteri
             (fun r i ->
-              if Core.Shard.rank sh ~total i <> r then
+              if Core.Shard.rank sh i <> r then
                 QCheck.Test.fail_reportf "rank of %d is %d, want %d" i
-                  (Core.Shard.rank sh ~total i)
-                  r)
+                  (Core.Shard.rank sh i) r)
             owned;
           if Core.Shard.indices sh ~total <> owned then
             QCheck.Test.fail_reportf "indices disagree with owns")

@@ -159,7 +159,7 @@ let test_json_accessors () =
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                            *)
 
-(* One record per event constructor, so codec coverage is total. *)
+(* One record per event constructor, so the export's coverage is total. *)
 let all_event_records =
   let open Gpusim.Trace in
   List.mapi
@@ -182,33 +182,41 @@ let all_event_records =
         { outcome = "finished"; divergence = false;
           metrics = [ ("ticks", 123); ("reorder", 4) ] } ]
 
-let test_jsonl_round_trip () =
-  let text = Core.Telemetry.jsonl all_event_records in
-  Alcotest.(check int) "one line per record"
-    (List.length all_event_records)
-    (List.length
-       (List.filter (fun l -> l <> "") (String.split_on_char '\n' text)));
-  match Core.Jsonl.parse Core.Telemetry.record_of_json text with
-  | Error e -> Alcotest.failf "Jsonl.parse failed: %s" e
-  | Ok (records, torn) ->
-    Alcotest.(check bool) "no torn tail" false torn;
-    Alcotest.(check bool) "records survive the round-trip" true
-      (records = all_event_records)
-
-let test_record_of_json_rejects_garbage () =
-  let bad j =
-    match Core.Telemetry.record_of_json j with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.fail "decoded a malformed record"
-  in
-  bad (Core.Json.Assoc [ ("tick", Core.Json.Int 1) ]);
-  bad
-    (Core.Json.Assoc
-       [ ("tick", Core.Json.Int 1); ("ev", Core.Json.String "nonsense") ]);
-  bad
-    (Core.Json.Assoc
-       [ ("tick", Core.Json.Int 1); ("ev", Core.Json.String "commit");
-         ("tid", Core.Json.String "not an int") ])
+(* The export is write-only, so its bytes are the contract: every field
+   of every record, and a stamp that only prepends its fields. *)
+let test_jsonl_bytes () =
+  Alcotest.(check string) "unstamped"
+    {|{"tick":0,"ev":"launch_begin","kernel":"k\"1","grid":4,"block":64,"stress_blocks":2,"stress_threads":128}
+{"tick":10,"ev":"access","tid":1,"addr":7,"write":true,"atomic":false}
+{"tick":20,"ev":"issue","tid":1,"addr":7,"part":3,"is_store":true}
+{"tick":30,"ev":"commit","tid":1,"addr":7,"is_store":true,"value":9,"reordered":true}
+{"tick":40,"ev":"reorder","tid":1,"overtaken":7,"committed":8}
+{"tick":50,"ev":"atomic_rmw","tid":2,"addr":5,"before":0,"after":1}
+{"tick":60,"ev":"fence","tid":2,"pending":3,"device_scope":true}
+{"tick":70,"ev":"barrier_wait","tid":3,"block":0}
+{"tick":80,"ev":"barrier_release","block":0,"by_exit":false}
+{"tick":90,"ev":"thread_done","tid":3,"daemon":true}
+{"tick":100,"ev":"contention","part":1,"read":0.25,"write":1.5}
+{"tick":110,"ev":"bitflip","tid":4,"addr":11,"bit":3,"before":9,"after":1}
+{"tick":120,"ev":"launch_end","outcome":"finished","divergence":false,"metrics":{"ticks":123,"reorder":4}}
+|}
+    (Core.Telemetry.jsonl all_event_records);
+  Alcotest.(check string) "stamped"
+    {|{"pid":7,"shard":"1/2","tick":0,"ev":"launch_begin","kernel":"k\"1","grid":4,"block":64,"stress_blocks":2,"stress_threads":128}
+{"pid":7,"shard":"1/2","tick":10,"ev":"access","tid":1,"addr":7,"write":true,"atomic":false}
+{"pid":7,"shard":"1/2","tick":20,"ev":"issue","tid":1,"addr":7,"part":3,"is_store":true}
+{"pid":7,"shard":"1/2","tick":30,"ev":"commit","tid":1,"addr":7,"is_store":true,"value":9,"reordered":true}
+{"pid":7,"shard":"1/2","tick":40,"ev":"reorder","tid":1,"overtaken":7,"committed":8}
+{"pid":7,"shard":"1/2","tick":50,"ev":"atomic_rmw","tid":2,"addr":5,"before":0,"after":1}
+{"pid":7,"shard":"1/2","tick":60,"ev":"fence","tid":2,"pending":3,"device_scope":true}
+{"pid":7,"shard":"1/2","tick":70,"ev":"barrier_wait","tid":3,"block":0}
+{"pid":7,"shard":"1/2","tick":80,"ev":"barrier_release","block":0,"by_exit":false}
+{"pid":7,"shard":"1/2","tick":90,"ev":"thread_done","tid":3,"daemon":true}
+{"pid":7,"shard":"1/2","tick":100,"ev":"contention","part":1,"read":0.25,"write":1.5}
+{"pid":7,"shard":"1/2","tick":110,"ev":"bitflip","tid":4,"addr":11,"bit":3,"before":9,"after":1}
+{"pid":7,"shard":"1/2","tick":120,"ev":"launch_end","outcome":"finished","divergence":false,"metrics":{"ticks":123,"reorder":4}}
+|}
+    (Core.Telemetry.jsonl ~pid:7 ~shard:"1/2" all_event_records)
 
 let sample_spans =
   [ { Core.Telemetry.label = "tune"; index = 0; worker = 0; queued_at = 100.0;
@@ -397,9 +405,7 @@ let () =
           Alcotest.test_case "float bytes" `Quick test_json_float_bytes;
           Alcotest.test_case "accessors" `Quick test_json_accessors ] );
       ( "exporters",
-        [ Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_round_trip;
-          Alcotest.test_case "decoder rejects garbage" `Quick
-            test_record_of_json_rejects_garbage;
+        [ Alcotest.test_case "jsonl bytes" `Quick test_jsonl_bytes;
           Alcotest.test_case "chrome trace golden" `Quick
             test_chrome_trace_golden ] );
       ( "registry",
