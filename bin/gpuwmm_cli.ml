@@ -252,15 +252,6 @@ let spans_term =
            $(b,--log)).  Each $(b,--shard) run writes its own sidecar; \
            unify them with $(b,gpuwmm trace --merge).")
 
-let strict_term =
-  Arg.(
-    value & flag
-    & info [ "strict" ]
-        ~doc:
-          "Fail instead of warning when a chip has no shipped Table 2 \
-           tuning parameters, so a typo'd chip cannot silently campaign \
-           with the untuned fallback.")
-
 let tolerance_term =
   Arg.(
     value & opt float 0.02
@@ -725,12 +716,10 @@ let campaign_flags =
    [body] is staged: applied to the backend first, once logging is up, so
    it can reject bad arguments before any ledger exists, then to the
    journal. *)
-let run_campaign ?shard ?listen ?spans ?(strict = false) c ~campaign ~grid
-    ~kind ~codec body =
+let run_campaign ?shard ?listen ?spans c ~campaign ~grid ~kind ~codec body =
   setup_log ~quiet:c.quiet c.verbose;
   setup_supervision ~timeout:c.timeout ~retries:c.retries
     ~keep_going:c.keep_going ();
-  Core.Tuning.set_strict strict;
   let body = body (Core.Exec.backend_of_jobs (jobs_of c.jobs)) in
   guarded (fun () ->
       ignore
@@ -908,14 +897,14 @@ let test_cmd =
   let env_name =
     Arg.(value & opt string "sys-str+" & info [ "env" ] ~docv:"ENV")
   in
-  let run c shard chip app runs env_name listen spans strict =
+  let run c shard chip app runs env_name listen spans =
     require_count "runs" runs;
     let apps = match app with Some a -> [ a ] | None -> Apps.Registry.all in
     let grid =
       Core.Campaign.test_grid ~chip:chip.Gpusim.Chip.name ~env:env_name
         ~apps:(app_names apps) ~runs
     in
-    run_campaign ?shard ?listen ~spans ~strict c ~campaign:"test" ~grid
+    run_campaign ?shard ?listen ~spans c ~campaign:"test" ~grid
       ~kind:"campaign" ~codec:Core.Campaign.rows (fun backend ->
         let env = env_of chip env_name in
         fun journal ->
@@ -952,7 +941,7 @@ let test_cmd =
              and count erroneous runs (Sec. 4).")
     Term.(
       const run $ campaign_flags $ shard_term $ chip $ app_term $ runs
-      $ env_name $ listen_term $ spans_term $ strict_term)
+      $ env_name $ listen_term $ spans_term)
 
 let harden_cmd =
   let app_term =
@@ -1074,11 +1063,8 @@ let target_cmd =
        ~doc:"Detect an application's communication locations with the              dynamic race detector and stress exactly their memory              partitions (the paper's future-work item (e)).")
     Term.(const run $ verbose $ seed $ chip $ app_term $ runs)
 
-(* Union several Chrome trace-event files (one per campaign process,
-   written with absolute span timestamps) into one timeline: collect
-   every traceEvents entry, rebase the time axis so the earliest
-   non-metadata event is 0, and re-sort.  Metadata events (ph "M",
-   track labels) float to the front untouched. *)
+(* Union several Chrome trace-event files into one timeline
+   ({!Core.Telemetry.merge_chrome}); an unreadable input exits 2. *)
 let merge_chrome_traces inputs =
   let read_file p =
     let ic = open_in_bin p in
@@ -1086,69 +1072,21 @@ let merge_chrome_traces inputs =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  let events =
-    List.concat_map
-      (fun p ->
-        let fail msg =
-          Fmt.epr "%s: %s@." p msg;
-          exit 2
-        in
-        match Core.Json.of_string (read_file p) with
-        | exception Sys_error e -> fail e
-        | Error e -> fail e
-        | Ok j -> (
-          match Core.Json.member "traceEvents" j with
-          | Some (Core.Json.List evs) -> evs
-          | _ -> fail "not a Chrome trace-event file (no traceEvents array)"))
-      inputs
-  in
-  let is_meta = function
-    | Core.Json.Assoc kvs ->
-      List.assoc_opt "ph" kvs = Some (Core.Json.String "M")
-    | _ -> false
-  in
-  (* ts is microseconds; our sidecars write ints but foreign tools
-     legally emit floats, so both must rebase and sort.  Integer events
-     keep their kind when the base offset is integral (gpuwmm-only
-     merges stay byte-stable). *)
-  let ts_of = function
-    | Core.Json.Assoc kvs -> (
-      match List.assoc_opt "ts" kvs with
-      | Some (Core.Json.Int t) -> Some (float_of_int t)
-      | Some (Core.Json.Float t) -> Some t
-      | _ -> None)
-    | _ -> None
-  in
-  let metas, timed = List.partition is_meta events in
-  let base =
-    List.fold_left
-      (fun acc ev ->
-        match ts_of ev with Some t -> Float.min acc t | None -> acc)
-      infinity timed
-  in
-  let base = if base = infinity then 0.0 else base in
-  let int_base = Float.is_integer base in
-  let rebase = function
-    | Core.Json.Assoc kvs ->
-      Core.Json.Assoc
-        (List.map
-           (function
-             | "ts", Core.Json.Int t when int_base ->
-               ("ts", Core.Json.Int (t - int_of_float base))
-             | "ts", Core.Json.Int t ->
-               ("ts", Core.Json.Float (float_of_int t -. base))
-             | "ts", Core.Json.Float t -> ("ts", Core.Json.Float (t -. base))
-             | kv -> kv)
-           kvs)
-    | ev -> ev
-  in
-  let timed = List.map rebase timed in
-  let timed =
-    List.stable_sort
-      (fun a b -> compare (ts_of a) (ts_of b))
-      timed
-  in
-  Core.Json.Assoc [ ("traceEvents", Core.Json.List (metas @ timed)) ]
+  Core.Telemetry.merge_chrome
+    (List.concat_map
+       (fun p ->
+         let fail msg =
+           Fmt.epr "%s: %s@." p msg;
+           exit 2
+         in
+         match Core.Json.of_string (read_file p) with
+         | exception Sys_error e -> fail e
+         | Error e -> fail e
+         | Ok j -> (
+           match Core.Telemetry.chrome_events j with
+           | Ok evs -> evs
+           | Error e -> fail e))
+       inputs)
 
 let trace_cmd =
   let app_term =
@@ -1351,7 +1289,7 @@ let table_cmd =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Table number (1-6).")
   in
   let runs = Arg.(value & opt int 40 & info [ "runs" ] ~docv:"N") in
-  let run c shard chips all number budget runs listen spans strict =
+  let run c shard chips all number budget runs listen spans =
     if shard <> None && number <> 5 then begin
       Fmt.epr "--shard: only test and table 5 shard, not table %d@." number;
       exit 2
@@ -1363,7 +1301,7 @@ let table_cmd =
     in
     let ledgered ~kind ~codec body =
       require_chips chips;
-      run_campaign ?shard ?listen ~spans ~strict c
+      run_campaign ?shard ?listen ~spans c
         ~campaign:(Printf.sprintf "table%d" number)
         ~grid ~kind ~codec body
     in
@@ -1440,14 +1378,14 @@ let table_cmd =
     (Cmd.info "table" ~doc:"Reproduce a table of the paper.")
     Term.(
       const run $ campaign_flags $ shard_term $ chips $ all_chips $ number
-      $ budget_term $ runs $ listen_term $ spans_term $ strict_term)
+      $ budget_term $ runs $ listen_term $ spans_term)
 
 let figure_cmd =
   let number =
     Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc:"Figure number (3-5).")
   in
   let runs = Arg.(value & opt int 30 & info [ "runs" ] ~docv:"N") in
-  let run c chips all number budget runs csv strict =
+  let run c chips all number budget runs csv =
     require_count "runs" runs;
     let chips = resolve_chips chips all in
     let grid =
@@ -1455,7 +1393,7 @@ let figure_cmd =
     in
     let ledgered ~kind ~codec body =
       require_chips chips;
-      run_campaign ~strict c ~campaign:(Printf.sprintf "figure%d" number)
+      run_campaign c ~campaign:(Printf.sprintf "figure%d" number)
         ~grid ~kind ~codec body
     in
     match number with
@@ -1526,7 +1464,7 @@ let figure_cmd =
     (Cmd.info "figure" ~doc:"Reproduce a figure of the paper.")
     Term.(
       const run $ campaign_flags $ chips $ all_chips $ number $ budget_term
-      $ runs $ csv_out $ strict_term)
+      $ runs $ csv_out)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos testing: deterministic fault injection                         *)

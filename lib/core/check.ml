@@ -1,7 +1,7 @@
 (* Campaign-facing front end of the bounded model checker: litmus
-   program construction, root-sharded parallel exploration, witness
-   replay validation, verdict rendering, and cross-validation against
-   the stress campaigns. *)
+   program construction, case-level parallel checking, witness replay
+   validation, verdict rendering, and cross-validation against the
+   stress campaigns. *)
 
 module M = Gpusim.Mcheck
 
@@ -53,50 +53,10 @@ let outcome (s : Gpusim.Sc_ref.state) =
   | [ (_, r1); (_, r2) ] -> (r1, r2)
   | _ -> invalid_arg "Check.outcome: state does not watch exactly two words"
 
-(* {1 Sharded checking} *)
+(* {1 Checking} *)
 
-(* Merge per-root shard results back into the serial result.  The shard
-   list is in root order and each shard's exploration of its root is
-   identical to the serial DFS's subtree (unselected roots still enter
-   the sleep sets), so keeping the first shard that reaches each state
-   reproduces the serial first-wins witness choice exactly. *)
-let merge_results (shards : M.result list) : M.result =
-  match shards with
-  | [] -> invalid_arg "Check.merge_results: no shards"
-  | first :: _ ->
-    let seen = Hashtbl.create 64 in
-    let reachable =
-      List.concat_map (fun (r : M.result) -> r.M.reachable) shards
-      |> List.filter (fun (w : M.witness) ->
-             if Hashtbl.mem seen w.M.state then false
-             else (
-               Hashtbl.add seen w.M.state ();
-               true))
-      |> List.sort (fun (a : M.witness) (b : M.witness) ->
-             compare a.M.state b.M.state)
-    in
-    let sum f =
-      List.fold_left (fun acc (r : M.result) -> acc + f r.M.stats) 0 shards
-    in
-    let stats =
-      {
-        M.explored = sum (fun s -> s.M.explored);
-        sleep_pruned = sum (fun s -> s.M.sleep_pruned);
-        bound_pruned = sum (fun s -> s.M.bound_pruned);
-        completed = sum (fun s -> s.M.completed);
-        roots = first.M.stats.M.roots;
-      }
-    in
-    let sc_states = first.M.sc_states in
-    let weak =
-      List.filter
-        (fun (w : M.witness) -> not (List.mem w.M.state sc_states))
-        reachable
-    in
-    let verdict = if weak = [] then M.Proved_sc else M.Weak weak in
-    { M.verdict; reachable; sc_states; stats }
-
-let record_stats (r : M.result) =
+let check_program ~chip ~max_reorderings (p : M.program) =
+  let r = M.check ~chip ~max_reorderings ~words:device_words p in
   Telemetry.incr checks_c;
   Telemetry.add explored_c r.M.stats.M.explored;
   Telemetry.add sleep_pruned_c r.M.stats.M.sleep_pruned;
@@ -107,30 +67,13 @@ let record_stats (r : M.result) =
   | M.Weak ws -> Telemetry.add witnesses_c (List.length ws));
   r
 
-let check_program ~chip ~max_reorderings ?(jobs = 1) ?(dpor = true)
-    ?(words = device_words) ?fuel (p : M.program) =
-  let jobs = Exec.clamp_jobs ~warn:false jobs in
-  let nroots = M.root_count ~chip ~words p in
-  if jobs <= 1 || nroots <= 1 then
-    record_stats (M.check ~chip ~max_reorderings ~dpor ~words ?fuel p)
-  else
-    let shards =
-      Exec.run
-        ~backend:(Exec.backend_of_jobs jobs)
-        ~label:"check" ~seed:0
-        ~f:(fun ~seed:_ i ->
-          M.check ~chip ~max_reorderings ~dpor ~roots:[ i ] ~words ?fuel p)
-        (List.init nroots Fun.id)
-    in
-    record_stats (merge_results shards)
-
 (* {1 Witness replay} *)
 
-let replay_witnesses ~chip ?(words = device_words) (p : M.program) ws =
+let replay_witnesses ~chip (p : M.program) ws =
   List.filter_map
     (fun (w : M.witness) ->
       let sched = M.schedule_to_string w.M.schedule in
-      Gpusim.Sim.with_sim ~words ~chip ~seed:0 (fun t ->
+      Gpusim.Sim.with_sim ~words:device_words ~chip ~seed:0 (fun t ->
           List.iter (fun (a, v) -> Gpusim.Sim.write t a v) p.M.init;
           match
             Gpusim.Sim.run_schedule t ?blocks:p.M.blocks ~threads:p.M.threads
@@ -164,9 +107,9 @@ type run = {
   cases : case_result list;
 }
 
-let check_case ~chip ~max_reorderings ?(jobs = 1) case =
+let check_case ~chip ~max_reorderings case =
   let p = litmus_program case.instance ~fenced:case.fenced in
-  let r = check_program ~chip ~max_reorderings ~jobs p in
+  let r = check_program ~chip ~max_reorderings p in
   let replay_failures = replay_witnesses ~chip p r.M.reachable in
   let sc = List.map outcome r.M.sc_states |> List.sort_uniq compare in
   let weak =
@@ -205,10 +148,17 @@ let run_litmus ~chip ~max_reorderings ?(jobs = 1) ?distances () =
           distances)
       Litmus.Test.idioms
   in
+  (* One job per case: each case is checked serially on the domain that
+     takes it, and Exec returns the results in plan order. *)
   {
     chip;
     max_reorderings;
-    cases = List.map (check_case ~chip ~max_reorderings ~jobs) cases;
+    cases =
+      Exec.run
+        ~backend:(Exec.backend_of_jobs jobs)
+        ~label:"check" ~seed:0
+        ~f:(fun ~seed:_ case -> check_case ~chip ~max_reorderings case)
+        cases;
   }
 
 (* {1 Rendering}
@@ -335,11 +285,10 @@ type cross = {
   unwitnessed : (int * int) list;
 }
 
-let cross_validate ~chip ~seed ~runs ?env ?(jobs = 1) ~max_reorderings inst =
+let cross_validate ~chip ~seed ~runs ?env ~max_reorderings inst =
   let observed = Litmus.Runner.observed ~chip ~seed ?env ~runs inst in
   let r =
-    check_program ~chip ~max_reorderings ~jobs
-      (litmus_program inst ~fenced:false)
+    check_program ~chip ~max_reorderings (litmus_program inst ~fenced:false)
   in
   let reachable =
     List.map (fun (w : M.witness) -> outcome w.M.state) r.M.reachable

@@ -3,13 +3,13 @@
 
     The stress campaigns ({!Campaign}) sample weak behaviours; this
     module {e decides} them: it builds checker programs for the litmus
-    idioms (optionally fully fenced), shards the exploration across
-    {!Exec} jobs, validates every witness by bit-identical replay
-    through [Sim.run_schedule], renders verdicts as stable ascii/json
-    reports, and cross-validates the checker against campaign
-    observations — every outcome a campaign observes must be reachable
-    for the checker, and every observed weak outcome must have a
-    witness schedule.
+    idioms (optionally fully fenced), checks whole cases as {!Exec}
+    jobs, validates every witness by bit-identical replay through
+    [Sim.run_schedule], renders verdicts as stable ascii/json reports,
+    and cross-validates the checker against campaign observations —
+    every outcome a campaign observes must be reachable for the
+    checker, and every observed weak outcome must have a witness
+    schedule.
 
     Every [check_program] (and everything built on it) bumps the
     [mcheck.*] telemetry counters: [checks], [explored],
@@ -34,28 +34,20 @@ val outcome : Gpusim.Sc_ref.state -> int * int
 val check_program :
   chip:Gpusim.Chip.t ->
   max_reorderings:int ->
-  ?jobs:int ->
-  ?dpor:bool ->
-  ?words:int ->
-  ?fuel:int ->
   Gpusim.Mcheck.program ->
   Gpusim.Mcheck.result
-(** {!Gpusim.Mcheck.check} with root-level sharding: with [jobs > 1]
-    each root-level transition becomes one {!Exec} job
-    ([Mcheck.check ~roots:[i]]) and the per-root results are merged in
-    root order — bit-identical to the serial result for every job
-    count, by the same argument as {!Exec}'s backend guarantee plus the
-    checker's root-sharding contract. *)
+(** {!Gpusim.Mcheck.check} on the checker's 2048-word device, counted
+    in the [mcheck.*] counters. *)
 
 val replay_witnesses :
   chip:Gpusim.Chip.t ->
-  ?words:int ->
   Gpusim.Mcheck.program ->
   Gpusim.Mcheck.witness list ->
   string list
 (** Replay each witness schedule through [Sim.run_schedule] on a fresh
-    device and compare final state and reorder count.  Returns a
-    description per mismatch; [[]] means every witness is confirmed. *)
+    device of the checker's size and compare final state and reorder
+    count.  Returns a description per mismatch; [[]] means every
+    witness is confirmed. *)
 
 type case_result = {
   case : case;
@@ -76,7 +68,6 @@ type run = {
 val check_case :
   chip:Gpusim.Chip.t ->
   max_reorderings:int ->
-  ?jobs:int ->
   case ->
   case_result
 (** Check one litmus case and replay-validate every reachable state's
@@ -98,7 +89,10 @@ val run_litmus :
   unit ->
   run
 (** Check every idiom at every distance (default
-    {!default_distances}), fenced and unfenced.  Raises
+    {!default_distances}), fenced and unfenced.  Each case is one
+    {!Exec} job on a pool of [jobs] domains (default 1), checked
+    serially on the domain that takes it; results come back in plan
+    order, so the run is the same for every [jobs].  Raises
     [Invalid_argument] on a negative [max_reorderings] or a distance
     that does not {!fits}. *)
 
@@ -128,7 +122,6 @@ val cross_validate :
   seed:int ->
   runs:int ->
   ?env:Gpusim.Sim.environment ->
-  ?jobs:int ->
   max_reorderings:int ->
   Litmus.Test.instance ->
   cross

@@ -326,10 +326,18 @@ let chrome_of_span ~span_pid base s =
             ( "queue_wait_us",
               Json.Int (Int.max 0 (us s.started_at - us s.queued_at)) ) ] ) ]
 
+(* ts is microseconds: our files write ints, but foreign tools legally
+   emit floats, so the one reader takes both. *)
 let ts_of = function
   | Json.Assoc kvs -> (
-    match List.assoc_opt "ts" kvs with Some (Json.Int t) -> t | _ -> 0)
-  | _ -> 0
+    match List.assoc_opt "ts" kvs with
+    | Some (Json.Int t) -> Some (float_of_int t)
+    | Some (Json.Float t) -> Some t
+    | _ -> None)
+  | _ -> None
+
+let by_ts events =
+  List.stable_sort (fun a b -> compare (ts_of a) (ts_of b)) events
 
 let chrome_trace ?pid ?shard ?span_base ?(spans = []) records =
   (* Without an explicit pid, simulator records and wall-clock spans
@@ -363,8 +371,46 @@ let chrome_trace ?pid ?shard ?span_base ?(spans = []) records =
     List.map (chrome_of_record ~rec_pid) records
     @ List.map (chrome_of_span ~span_pid base) spans
   in
-  let events = List.stable_sort (fun a b -> compare (ts_of a) (ts_of b)) events in
-  Json.Assoc [ ("traceEvents", Json.List (meta @ events)) ]
+  Json.Assoc [ ("traceEvents", Json.List (meta @ by_ts events)) ]
+
+let chrome_events doc =
+  match Json.member "traceEvents" doc with
+  | Some (Json.List evs) -> Ok evs
+  | _ -> Error "not a Chrome trace-event file (no traceEvents array)"
+
+(* Metadata events (ph "M", track labels) float to the front untouched;
+   the others are rebased so the earliest is at 0, and re-sorted.
+   Integer ts keep their kind when the base is integral, so merges of
+   gpuwmm files alone stay byte-stable. *)
+let merge_chrome events =
+  let is_meta = function
+    | Json.Assoc kvs -> List.assoc_opt "ph" kvs = Some (Json.String "M")
+    | _ -> false
+  in
+  let metas, timed = List.partition is_meta events in
+  let base =
+    List.fold_left
+      (fun acc ev ->
+        match ts_of ev with Some t -> Float.min acc t | None -> acc)
+      infinity timed
+  in
+  let base = if base = infinity then 0.0 else base in
+  let int_base = Float.is_integer base in
+  let rebase = function
+    | Json.Assoc kvs ->
+      Json.Assoc
+        (List.map
+           (function
+             | "ts", Json.Int t when int_base ->
+               ("ts", Json.Int (t - int_of_float base))
+             | "ts", Json.Int t -> ("ts", Json.Float (float_of_int t -. base))
+             | "ts", Json.Float t -> ("ts", Json.Float (t -. base))
+             | kv -> kv)
+           kvs)
+    | ev -> ev
+  in
+  Json.Assoc
+    [ ("traceEvents", Json.List (metas @ by_ts (List.map rebase timed))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                           *)

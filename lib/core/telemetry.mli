@@ -131,6 +131,18 @@ val chrome_trace :
     absolute (Unix µs) so [gpuwmm trace --merge] can union files from
     several processes onto one timeline. *)
 
+val chrome_events : Json.t -> (Json.t list, string) result
+(** The [traceEvents] array of a Chrome trace-event document, ours or a
+    foreign tool's. *)
+
+val merge_chrome : Json.t list -> Json.t
+(** One timeline from the {!chrome_events} of several files (one per
+    campaign process, spans written with absolute timestamps): metadata
+    events (ph ["M"]) first, in input order, then every other event
+    with its [ts] rebased so the earliest is 0, stably sorted by [ts].
+    Integer and float [ts] both count; integer ones stay integers when
+    the earliest [ts] is integral. *)
+
 (** {1 Prometheus text exposition} *)
 
 type family = {

@@ -56,23 +56,11 @@ let table2 =
     ("C2075", "ld st");
     ("C2050", "ld st") ]
 
-let strict_mode = Atomic.make false
-let set_strict b = Atomic.set strict_mode b
-let strict () = Atomic.get strict_mode
-
 let shipped ~chip =
-  let strict = Atomic.get strict_mode in
   let name = chip.Gpusim.Chip.name in
   let sequence =
     match List.assoc_opt name table2 with
     | Some s -> parse s
-    | None when strict ->
-      (* Fail closed: a typo'd chip must not silently run a campaign
-         with untuned parameters. *)
-      invalid_arg
-        (Printf.sprintf
-           "Tuning.shipped: chip %S has no Table 2 parameters (--strict)"
-           name)
     | None ->
       (* A typo'd chip must not silently masquerade as a tuned one. *)
       Logs.warn (fun m ->

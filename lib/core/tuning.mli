@@ -28,20 +28,15 @@ val run :
     journal with {!Runlog.extend}).  In {!Runlog.deterministic_mode}
     [elapsed_s] is 0 so ledger records stay reproducible. *)
 
-val set_strict : bool -> unit
-(** Process-wide strict mode (the CLI's [--strict] flag). *)
-
-val strict : unit -> bool
-
 val shipped : chip:Gpusim.Chip.t -> Stress.tuned
 (** The tuned parameters published in Table 2 of the paper, shipped as
     defaults so that users can apply sys-str without re-running the
     multi-hour tuning campaign.  (Patch size per architecture, the
     paper's winning sequence per chip, spread 2.)  A chip without
     Table 2 parameters falls back to the untuned ["ld st"] sequence and
-    logs a [Logs] warning — unless {!set_strict} mode is on, in which
-    case it fails closed with [Invalid_argument] so a typo'd chip
-    cannot silently run a campaign with untuned parameters. *)
+    logs a [Logs] warning.  The CLI refuses unknown chip names, so the
+    only chip that reaches the fallback there is [sc], the SC reference
+    chip, on which stress has no effect. *)
 
 (** {1 Ledger codecs} *)
 

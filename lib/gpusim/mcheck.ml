@@ -160,8 +160,10 @@ let rec eval g st ti (e : Kernel.exp) =
     | Kernel.Add -> va + vb
     | Kernel.Sub -> va - vb
     | Kernel.Mul -> va * vb
-    | Kernel.Div -> if vb = 0 then 0 else va / vb
-    | Kernel.Rem -> if vb = 0 then 0 else va mod vb
+    | Kernel.Div ->
+      if vb = 0 then invalid_arg "Mcheck: division by zero" else va / vb
+    | Kernel.Rem ->
+      if vb = 0 then invalid_arg "Mcheck: remainder by zero" else va mod vb
     | Kernel.Band -> va land vb
     | Kernel.Bor -> va lor vb
     | Kernel.Bxor -> va lxor vb
@@ -518,14 +520,10 @@ let project (p : program) st : Sc_ref.state =
   in
   { Sc_ref.memory; registers }
 
-let root_count ~chip ?(words = 2048) p =
-  let g, st = setup ~chip ~words p in
-  List.length (transitions g st)
-
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
 
-let check ~chip ~max_reorderings ?(dpor = true) ?roots ?(words = 2048)
+let check ~chip ~max_reorderings ?(dpor = true) ?(words = 2048)
     ?(fuel = 10_000_000) p =
   (* The SC oracle runs first: it shares Mcheck's program restrictions
      and deterministically rejects divergent programs. *)
@@ -545,13 +543,12 @@ let check ~chip ~max_reorderings ?(dpor = true) ?roots ?(words = 2048)
     if not (Hashtbl.mem results s) then
       Hashtbl.replace results s (List.rev trace, st.reorders)
   in
-  let deadlock () = invalid_arg "Mcheck: barrier divergence" in
   let rec explore st trace sleep0 =
     let trs = transitions g st in
     if trs = [] then
       if Array.for_all (fun ts -> ts.phase = Finished) st.ths then
         record st trace
-      else deadlock ()
+      else invalid_arg "Mcheck: barrier divergence"
     else begin
       let sleep = ref sleep0 in
       List.iter
@@ -572,36 +569,7 @@ let check ~chip ~max_reorderings ?(dpor = true) ?roots ?(words = 2048)
         trs
     end
   in
-  (* Root level: every root transition is visited in order; when a root
-     shard is given, unselected roots are skipped but still enter the
-     sleep set exactly as if a previous shard had explored them, so
-     sharded exploration composes to the serial result. *)
-  let root_trs = transitions g init in
-  let n_roots = List.length root_trs in
-  if root_trs = [] then begin
-    if Array.for_all (fun ts -> ts.phase = Finished) init.ths then record init []
-    else deadlock ()
-  end
-  else begin
-    let selected i = match roots with None -> true | Some l -> List.mem i l in
-    let sleep = ref [] in
-    List.iteri
-      (fun i tr ->
-        if selected i then begin
-          if dpor && List.exists (fun u -> u.key = tr.key) !sleep then
-            incr sleep_pruned
-          else begin
-            incr explored;
-            if tr.next.reorders > max_reorderings then incr bound_pruned
-            else begin
-              let child_sleep = List.filter (fun u -> not (dependent u tr)) !sleep in
-              explore tr.next [ tr.t ] child_sleep
-            end
-          end
-        end;
-        if dpor then sleep := tr :: !sleep)
-      root_trs
-  end;
+  explore init [] [];
   let reachable =
     Hashtbl.fold
       (fun state (schedule, reorders) acc -> { state; schedule; reorders } :: acc)
@@ -613,4 +581,5 @@ let check ~chip ~max_reorderings ?(dpor = true) ?roots ?(words = 2048)
     reachable; sc_states;
     stats =
       { explored = !explored; sleep_pruned = !sleep_pruned;
-        bound_pruned = !bound_pruned; completed = !completed; roots = n_roots } }
+        bound_pruned = !bound_pruned; completed = !completed;
+        roots = List.length (transitions g init) } }

@@ -27,7 +27,8 @@
     Program restrictions are those of {!Sc_ref} (the SC baseline the
     verdict compares against): no loops, no shared memory, no random
     expressions; barriers are supported, barrier divergence is
-    rejected. *)
+    rejected.  A division or remainder by zero, which {!Sim} traps on,
+    is refused on any explored schedule. *)
 
 type step =
   | Sstep of int  (** thread [tid] executes its next statement *)
@@ -56,7 +57,7 @@ type stats = {
   sleep_pruned : int;  (** transitions skipped by the sleep sets *)
   bound_pruned : int;  (** branches cut by the reordering bound *)
   completed : int;  (** complete schedules reached *)
-  roots : int;  (** root-level transitions (the sharding width) *)
+  roots : int;  (** transitions enabled at launch *)
 }
 
 type verdict =
@@ -77,31 +78,25 @@ val check :
   chip:Chip.t ->
   max_reorderings:int ->
   ?dpor:bool ->
-  ?roots:int list ->
   ?words:int ->
   ?fuel:int ->
   program ->
   result
 (** Explore every schedule of [program] on [chip] with at most
-    [max_reorderings] reorderings.  [?dpor] (default [true]) toggles the
-    sleep-set reduction — verdicts are identical either way, only
-    [stats] differ.  [?roots] restricts the root-level transitions
-    explored (shard [i] of [root_count] slices; unselected roots still
-    enter the sleep sets, so per-root results merged in root order
-    reproduce the serial result exactly).  [?words] (default 2048)
-    bounds global addresses; [?fuel] (default 10M transitions) guards
-    against state-space blowups with [Failure].
+    [max_reorderings] reorderings, in one depth-first search from the
+    launch state.  [?dpor] (default [true]) toggles the sleep-set
+    reduction — verdicts are identical either way, only [stats] differ.
+    [?words] (default 2048) bounds global addresses; [?fuel] (default
+    10M transitions) guards against state-space blowups with
+    [Failure].
 
     The SC baseline {!Sc_ref.run} always includes schedules with zero
     reorderings, so [reachable] is a superset of [sc_states] and
     [Proved_sc] means the two sets are equal.
 
     @raise Invalid_argument on loops, shared memory, random
-    expressions, out-of-bounds accesses or barrier divergence. *)
-
-val root_count : chip:Chip.t -> ?words:int -> program -> int
-(** Number of root-level transitions of the exploration: the width
-    available to [?roots] sharding. *)
+    expressions, out-of-bounds accesses, a zero divisor or barrier
+    divergence. *)
 
 val pp_step : Format.formatter -> step -> unit
 (** ["S<tid>"] for steps, ["C<tid>.<n>"] for commits. *)

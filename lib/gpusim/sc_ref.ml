@@ -77,8 +77,10 @@ let rec eval ts (mem : (int, int) Hashtbl.t) (e : Kernel.exp) =
     | Kernel.Add -> va + vb
     | Kernel.Sub -> va - vb
     | Kernel.Mul -> va * vb
-    | Kernel.Div -> if vb = 0 then 0 else va / vb
-    | Kernel.Rem -> if vb = 0 then 0 else va mod vb
+    | Kernel.Div ->
+      if vb = 0 then invalid_arg "Sc_ref: division by zero" else va / vb
+    | Kernel.Rem ->
+      if vb = 0 then invalid_arg "Sc_ref: remainder by zero" else va mod vb
     | Kernel.Band -> va land vb
     | Kernel.Bor -> va lor vb
     | Kernel.Bxor -> va lxor vb

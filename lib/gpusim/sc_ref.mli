@@ -56,8 +56,11 @@ val run :
     rejected here with [Invalid_argument "Sc_ref: barrier divergence"] —
     the oracle refuses to assign outcomes to undefined programs.
 
-    @raise Invalid_argument on loops, shared-memory use, or barrier
-    divergence. *)
+    A division or remainder by zero, which {!Sim} traps on, is refused
+    as well: the oracle has no trapped outcome to report.
+
+    @raise Invalid_argument on loops, shared-memory use, a zero divisor,
+    or barrier divergence. *)
 
 val allows :
   ?blocks:int array ->

@@ -1,6 +1,7 @@
 (* The bounded model checker and its campaign-facing front end:
-   verdicts against the SC oracle, DPOR pruning, witness replay,
-   sharding determinism, golden reports and campaign cross-validation. *)
+   verdicts against the SC oracle, DPOR pruning, witness replay, zero
+   divisors on all three machines, determinism of case-level jobs,
+   golden reports and campaign cross-validation. *)
 
 module M = Gpusim.Mcheck
 
@@ -235,7 +236,63 @@ let prop_unfenced_superset_replayable =
      | M.Weak ws -> Core.Check.replay_witnesses ~chip:k20 p ws = [])
 
 (* ------------------------------------------------------------------ *)
-(* Sharding determinism and golden reports                              *)
+(* Zero divisors                                                        *)
+
+let refusal f =
+  match f () with _ -> None | exception Invalid_argument m -> Some m
+
+let test_zero_divisor_refused () =
+  (* Sim traps on a zero divisor, so neither checker may report a final
+     state for it: [z := 0; out := 7 op z] is refused by the SC oracle
+     (which Mcheck runs first), and a divisor that is zero only on a
+     weak schedule (MP's stale read of x) by Mcheck's own exploration. *)
+  let open Gpusim.Kbuild in
+  List.iter
+    (fun (op, what) ->
+      let k =
+        kernel "div0" ~params:[ "out" ]
+          [ def "z" (int 0); store (param "out") (op (int 7) (reg "z")) ]
+      in
+      let sim = Gpusim.Sim.create ~chip:k20 ~seed:1 () in
+      (match
+         (Gpusim.Sim.launch sim ~grid:1 ~block:1 k ~args:[ ("out", 0) ])
+           .Gpusim.Sim.outcome
+       with
+      | Gpusim.Sim.Trapped m -> Alcotest.(check string) "Sim traps" what m
+      | Gpusim.Sim.Finished | Gpusim.Sim.Timeout ->
+        Alcotest.failf "Sim must trap on %s" what);
+      let p =
+        { M.threads = [ k ]; args = [ [ ("out", 0) ] ]; blocks = None;
+          init = []; watch_mem = [ 0 ]; watch_regs = [] }
+      in
+      Alcotest.(check (option string)) "Sc_ref refuses"
+        (Some ("Sc_ref: " ^ what))
+        (refusal (fun () -> sc_oracle p));
+      Alcotest.(check (option string)) "Mcheck refuses"
+        (Some ("Sc_ref: " ^ what))
+        (refusal (fun () -> M.check ~chip:k20 ~max_reorderings:2 p));
+      let writer =
+        kernel "w" ~params:[] [ store (int 0) (int 3); store (int 64) (int 1) ]
+      in
+      let reader =
+        kernel "r" ~params:[]
+          [ load "r1" (int 64);
+            when_ (reg "r1" = int 1)
+              [ load "r2" (int 0); store (int 128) (op (int 7) (reg "r2")) ] ]
+      in
+      let mp =
+        { M.threads = [ writer; reader ]; args = [ []; [] ]; blocks = None;
+          init = []; watch_mem = [ 128 ]; watch_regs = [] }
+      in
+      Alcotest.(check int) "SC never divides by zero" 2
+        (List.length (sc_oracle mp));
+      Alcotest.(check (option string)) "Mcheck refuses the weak schedule"
+        (Some ("Mcheck: " ^ what))
+        (refusal (fun () -> M.check ~chip:k20 ~max_reorderings:1 mp)))
+    [ (( / ), "division by zero"); (( mod ), "remainder by zero") ]
+
+(* ------------------------------------------------------------------ *)
+(* Case-level jobs and golden reports                                   *)
 
 let test_jobs_deterministic () =
   (* --jobs must never change the verdicts, the witness schedules or a
@@ -345,6 +402,9 @@ let () =
       ( "differential",
         [ QCheck_alcotest.to_alcotest prop_fenced_equals_sc;
           QCheck_alcotest.to_alcotest prop_unfenced_superset_replayable ] );
+      ( "traps",
+        [ Alcotest.test_case "zero divisor refused by both checkers" `Quick
+            test_zero_divisor_refused ] );
       ( "reports",
         [ Alcotest.test_case "jobs 1/2/4 byte-identical" `Quick
             test_jobs_deterministic;

@@ -1,5 +1,6 @@
 (* The observability back half: the JSON codec round-trip, both trace
-   exporters (Chrome trace-event and JSONL), and the metrics registry
+   exporters (Chrome trace-event and JSONL), the Chrome trace merge,
+   and the metrics registry
    (counters/histograms aggregated across domains, spans from the
    execution engine). *)
 
@@ -296,6 +297,39 @@ let test_chrome_trace_golden () =
       Alcotest.(check bool) "non-negative queue wait" true (wait >= 0))
     span_events
 
+(* [trace --merge]'s output is the contract: the merged bytes of a span
+   sidecar as a campaign process writes it, alone and with a foreign
+   file that has float ts and a metadata event. *)
+let test_chrome_merge_bytes () =
+  let sidecar =
+    Core.Telemetry.chrome_trace ~pid:7 ~shard:"1/2" ~span_base:0.0
+      ~spans:sample_spans []
+  in
+  let foreign =
+    match
+      Core.Json.of_string
+        {|{"traceEvents":[{"name":"y","ph":"i","s":"t","ts":100300000.25,"pid":9,"tid":1},{"name":"thread_name","ph":"M","pid":9,"tid":1,"args":{"name":"foreign"}},{"name":"x","ph":"X","ts":100000000.5,"dur":12.5,"pid":9,"tid":1}]}|}
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  let merge docs =
+    Core.Json.to_string
+      (Core.Telemetry.merge_chrome
+         (List.concat_map
+            (fun d -> Result.get_ok (Core.Telemetry.chrome_events d))
+            docs))
+  in
+  Alcotest.(check string) "sidecar alone"
+    {|{"traceEvents":[{"name":"process_name","ph":"M","pid":7,"tid":0,"args":{"name":"gpuwmm pid 7 shard 1/2"}},{"name":"tune","ph":"X","ts":0,"dur":1750000,"pid":7,"tid":1,"args":{"index":1,"queue_wait_us":250000}},{"name":"tune","ph":"X","ts":250000,"dur":500000,"pid":7,"tid":0,"args":{"index":0,"queue_wait_us":500000}}]}|}
+    (merge [ sidecar ]);
+  Alcotest.(check string) "sidecar and foreign file"
+    {|{"traceEvents":[{"name":"process_name","ph":"M","pid":7,"tid":0,"args":{"name":"gpuwmm pid 7 shard 1/2"}},{"name":"thread_name","ph":"M","pid":9,"tid":1,"args":{"name":"foreign"}},{"name":"x","ph":"X","ts":0.0,"dur":12.5,"pid":9,"tid":1},{"name":"tune","ph":"X","ts":249999.5,"dur":1750000,"pid":7,"tid":1,"args":{"index":1,"queue_wait_us":250000}},{"name":"y","ph":"i","s":"t","ts":299999.75,"pid":9,"tid":1},{"name":"tune","ph":"X","ts":499999.5,"dur":500000,"pid":7,"tid":0,"args":{"index":0,"queue_wait_us":500000}}]}|}
+    (merge [ sidecar; foreign ]);
+  Alcotest.(check (result reject string)) "no traceEvents array"
+    (Error "not a Chrome trace-event file (no traceEvents array)")
+    (Result.map (fun _ -> ()) (Core.Telemetry.chrome_events (Core.Json.Assoc [])))
+
 (* ------------------------------------------------------------------ *)
 (* Registry: counters, histograms, spans                                *)
 
@@ -407,7 +441,9 @@ let () =
       ( "exporters",
         [ Alcotest.test_case "jsonl bytes" `Quick test_jsonl_bytes;
           Alcotest.test_case "chrome trace golden" `Quick
-            test_chrome_trace_golden ] );
+            test_chrome_trace_golden;
+          Alcotest.test_case "chrome merge bytes" `Quick
+            test_chrome_merge_bytes ] );
       ( "registry",
         [ Alcotest.test_case "counters across domains" `Quick
             test_counters_across_domains;

@@ -88,29 +88,6 @@ let test_shipped_unknown_chip_warns () =
         "ld st"
         (Core.Access_seq.to_string tuned.Core.Stress.sequence))
 
-let test_shipped_strict_fails_closed () =
-  (* Under --strict an unknown chip must not fall back to the untuned
-     sequence: it fails closed so a typo'd chip cannot silently run a
-     campaign with untuned parameters. *)
-  let fake = { Gpusim.Chip.k20 with Gpusim.Chip.name = "K21-typo" } in
-  Alcotest.(check bool) "strict is off by default" false
-    (Core.Tuning.strict ());
-  Core.Tuning.set_strict true;
-  Fun.protect
-    ~finally:(fun () -> Core.Tuning.set_strict false)
-    (fun () ->
-      Alcotest.(check bool) "strict flag reads back" true
-        (Core.Tuning.strict ());
-      (match Core.Tuning.shipped ~chip:fake with
-      | _ -> Alcotest.fail "unknown chip must fail closed under --strict"
-      | exception Invalid_argument msg ->
-        Alcotest.(check bool) "error names Table 2" true
-          (Test_util.contains msg "Table 2"));
-      (* Table 2 chips are unaffected by strict mode. *)
-      Alcotest.(check string) "known chip still resolves" "ld st2 ld"
-        (Core.Access_seq.to_string
-           (Core.Tuning.shipped ~chip:Gpusim.Chip.k20).Core.Stress.sequence))
-
 let test_quick_pipeline_runs () =
   (* End-to-end smoke on the quick budget: structure, not statistics. *)
   let r =
@@ -159,9 +136,7 @@ let () =
         [ Alcotest.test_case "scaling" `Quick test_budget_scaling;
           Alcotest.test_case "shipped Table 2" `Quick test_shipped_table2;
           Alcotest.test_case "unknown chip warns" `Quick
-            test_shipped_unknown_chip_warns;
-          Alcotest.test_case "strict fails closed" `Quick
-            test_shipped_strict_fails_closed ] );
+            test_shipped_unknown_chip_warns ] );
       ( "pipeline",
         [ Alcotest.test_case "quick pipeline" `Slow test_quick_pipeline_runs;
           Alcotest.test_case "rank layout" `Slow test_seq_rank_layout ] ) ]
