@@ -205,6 +205,10 @@ type t = {
   part_mask : int;
   rng : Rng.t;
   global : int array;
+  mutable written : int;
+      (* one past the highest address written since the last reset: the
+         prefix of [global] that [reset_device] must zero.  Every write to
+         [global] calls [wrote] after it. *)
   mutable queues : queue array;
       (* per-thread pending FIFOs; sized to the high-water thread count
          and reused across launches *)
@@ -255,7 +259,7 @@ let create ~chip ~rng ~words ~nthreads =
   for i = 1 to 127 do
     decay_pow.(i) <- decay_pow.(i - 1) *. w.decay_per_tick
   done;
-  { chip; rng; global = Array.make words 0;
+  { chip; rng; global = Array.make words 0; written = 0;
     part_shift = (if pow2 w.patch_size && pow2 n then log2 w.patch_size else -1);
     part_mask = n - 1;
     queues = Array.init nthreads (fun _ -> new_queue ());
@@ -280,8 +284,16 @@ let create ~chip ~rng ~words ~nthreads =
     soft = None;
     n_bitflips = 0 }
 
+(* Called after the write, so an out-of-bounds address has raised
+   before it can raise the mark past the device. *)
+let[@inline] wrote t addr = if addr >= t.written then t.written <- addr + 1
+
 let read t addr = t.global.(addr)
-let write t addr v = t.global.(addr) <- v
+
+let write t addr v =
+  t.global.(addr) <- v;
+  wrote t addr
+
 let words t = Array.length t.global
 
 let[@inline] partition t addr =
@@ -318,7 +330,8 @@ let reset_threads t ~nthreads =
   ps_reset t.nonempty
 
 let reset_device t =
-  Array.fill t.global 0 (Array.length t.global) 0;
+  Array.fill t.global 0 t.written 0;
+  t.written <- 0;
   Array.iter q_reset t.queues;
   Array.fill t.read_pool 0 (Array.length t.read_pool) 0.0;
   Array.fill t.write_pool 0 (Array.length t.write_pool) 0.0;
@@ -458,7 +471,9 @@ let stress_access t ~sid ~kind ~addr ~boundary =
   (* Touch memory so stressing is a real workload, not only bookkeeping. *)
   match kind with
   | `Load -> ignore (t.global.(addr))
-  | `Store -> t.global.(addr) <- sid
+  | `Store ->
+    t.global.(addr) <- sid;
+    wrote t addr
 
 let app_access_bump = 0.02
 
@@ -496,7 +511,9 @@ let load_value t tid e =
 let commit t tid e =
   let q = queue t tid in
   (match e.ekind with
-  | Store_k -> t.global.(e.addr) <- maybe_flip t ~tid ~addr:e.addr e.store_value
+  | Store_k ->
+    t.global.(e.addr) <- maybe_flip t ~tid ~addr:e.addr e.store_value;
+    wrote t e.addr
   | Load_k ->
     if not e.resolved then begin
       e.load_value <- load_value t tid e;
@@ -678,7 +695,10 @@ let force t ~tid e =
 
 let store t ~tid ~addr ~value =
   observe_access t ~tid ~addr ~write:true ~atomic:false;
-  if t.strong then t.global.(addr) <- maybe_flip t ~tid ~addr value
+  if t.strong then begin
+    t.global.(addr) <- maybe_flip t ~tid ~addr value;
+    wrote t addr
+  end
   else enqueue t tid (fresh_entry t ~addr ~ekind:Store_k ~store_value:value)
 
 let atomic t ~tid ~addr f =
@@ -707,6 +727,7 @@ let atomic t ~tid ~addr f =
   end;
   let old = t.global.(addr) in
   t.global.(addr) <- f old;
+  wrote t addr;
   if Trace.active t.sink then
     Trace.emit t.sink ~tick:t.now
       (Trace.Atomic_rmw { tid; addr; before = old; after = t.global.(addr) });

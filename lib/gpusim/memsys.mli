@@ -67,7 +67,10 @@ val reset_device : t -> unit
     counters cleared, soft errors disarmed, trace sink reset — while
     keeping every internal buffer for reuse.  Combined with a fresh rng
     seed this makes a recycled subsystem behaviourally indistinguishable
-    from a newly created one, at near-zero allocation cost. *)
+    from a newly created one, at near-zero allocation cost.  Only the
+    prefix of memory up to the highest address written since the last
+    reset is zeroed: every write (host, commit, strong-chip store,
+    atomic, stressing store) raises that mark. *)
 
 (** {1 Device operations} *)
 

@@ -57,20 +57,28 @@ let subseed seed i =
   in
   Int64.to_int (Int64.shift_right_logical (mix state) 34)
 
-let int t n =
+(* The rejection path of [int], out of line so that the accept path
+   inlines: with the mask below, a try is rejected at most half the
+   time. *)
+let rec redraw t n mask =
+  let v = bits30 t land mask in
+  if v < n then v else redraw t n mask
+
+(* Rejection sampling over 30 bits avoids modulo bias for the small
+   bounds used throughout the simulator.  The mask is the smallest
+   [2^k - 1] that covers [n - 1], and at least 1: the bit smear of
+   [n - 1] (five shifts cover its 29 bits at most), ORed with 1. *)
+let[@inline] int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling over 30 bits avoids modulo bias for the small
-     bounds used throughout the simulator. *)
   if n > 1 lsl 29 then invalid_arg "Rng.int: bound too large";
-  let mask = ref 1 in
-  while !mask < n - 1 do
-    mask := (!mask lsl 1) lor 1
-  done;
-  let v = ref (bits30 t land !mask) in
-  while !v >= n do
-    v := bits30 t land !mask
-  done;
-  !v
+  let m = n - 1 in
+  let m = m lor (m lsr 1) in
+  let m = m lor (m lsr 2) in
+  let m = m lor (m lsr 4) in
+  let m = m lor (m lsr 8) in
+  let mask = m lor (m lsr 16) lor 1 in
+  let v = bits30 t land mask in
+  if v < n then v else redraw t n mask
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: empty range";
@@ -86,6 +94,19 @@ let bool t = Int64.compare (int64 t) 0L < 0
    compare unboxed. *)
 let[@inline] chance t p =
   if p <= 0.0 then false else if p >= 1.0 then true else float t < p
+
+(* [float t < p] compares [bits * 2^-53] with [p], where [bits] is the
+   draw's top 53 bits.  Both [p * 2^53] and its ceiling are exact in
+   binary floating point, and for an integer [bits], [bits < x] iff
+   [bits < ceil x]: so [below t (threshold p)] decides as [chance t p]
+   does, on the same single draw, without the conversion to float. *)
+let threshold p =
+  if not (p > 0.0 && p < 1.0) then
+    invalid_arg "Rng.threshold: probability must be in (0, 1)";
+  int_of_float (Float.ceil (Float.ldexp p 53))
+
+let[@inline] below t thr =
+  Int64.to_int (Int64.shift_right_logical (int64 t) 11) < thr
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -6,11 +6,11 @@
     streams for sub-experiments without sharing state.
 
     Draws allocate nothing: the 64-bit state is held unboxed, so
-    {!bits30}, {!int}, {!int_in}, {!bool} and {!chance} allocate no heap
-    words, and {!int64} and {!float} allocate only their boxed result
-    (OCaml boxes an [int64] or [float] returned from a function that the
-    caller does not inline).  The scheduler draws several times per
-    simulated tick. *)
+    {!bits30}, {!int}, {!int_in}, {!bool}, {!chance} and {!below}
+    allocate no heap words, and {!int64} and {!float} allocate only
+    their boxed result (OCaml boxes an [int64] or [float] returned from
+    a function that the caller does not inline).  The scheduler draws
+    several times per simulated tick. *)
 
 type t
 
@@ -39,8 +39,8 @@ val bits30 : t -> int
 
 val skip : t -> unit
 (** [skip t] discards one draw: afterwards [t] is in the state that any
-    single {!int64}, {!bits30}, {!float}, {!bool}, or {!chance} with
-    [0 < p < 1] would leave it in, but no output is mixed.  For a draw
+    single {!int64}, {!bits30}, {!float}, {!bool}, {!below}, or {!chance}
+    with [0 < p < 1] would leave it in, but no output is mixed.  For a draw
     whose value the caller would not use. *)
 
 val subseed : int -> int -> int
@@ -51,7 +51,12 @@ val subseed : int -> int -> int
     order.  Requires [i >= 0]. *)
 
 val int : t -> int -> int
-(** [int t n] is uniform in [\[0, n)].  [n] must be positive. *)
+(** [int t n] is uniform in [\[0, n)], by rejection sampling: each try
+    takes one {!bits30} draw masked to the smallest [2^k - 1] (at least
+    1) that covers [n - 1], and the first masked value below [n] is the
+    result.  Requires [1 <= n <= 2^29]; otherwise raises
+    [Invalid_argument "Rng.int: bound must be positive"] or
+    [Invalid_argument "Rng.int: bound too large"]. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive.  Requires
@@ -63,7 +68,21 @@ val float : t -> float
 val bool : t -> bool
 
 val chance : t -> float -> bool
-(** [chance t p] is [true] with probability [p] (clamped to [\[0,1\]]). *)
+(** [chance t p] is [true] with probability [p] (clamped to [\[0,1\]]):
+    [float t < p], one draw, for [0 < p < 1]; no draw otherwise. *)
+
+val threshold : float -> int
+(** [threshold p] is [ceil (p * 2^53)], the integer form of a constant
+    probability for {!below}: [(threshold p - 1) * 2^-53 < p <=
+    threshold p * 2^-53].  Requires [0 < p < 1]; raises
+    [Invalid_argument] for any other [p], [nan] included.  Compute it
+    once per probability, not per draw. *)
+
+val below : t -> int -> bool
+(** [below t (threshold p)] takes one draw and decides exactly as
+    [chance t p] does on that draw (the draw's top 53 bits compared with
+    the threshold), leaving [t] in the same state.  For a probability
+    that is the same on every draw; {!chance} stays for one that is not. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

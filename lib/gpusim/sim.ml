@@ -230,6 +230,12 @@ let daemon_share = 0.65
 
 let owner_attempt_probability = 0.5
 
+(* The three constant coins of the tick, as [Rng.below] thresholds: each
+   decides exactly as [Rng.chance] at its probability, on one draw. *)
+let burst_threshold = Rng.threshold burst_continue
+let daemon_threshold = Rng.threshold daemon_share
+let owner_threshold = Rng.threshold owner_attempt_probability
+
 exception Stop of outcome
 
 (* Follow a thread's jump chain from [pc] to its next real operation,
@@ -243,9 +249,16 @@ let rec fetch th pc fuel =
     th.pc <- pc;
     op
 
+(* The traps of the bounds checks, out of line so that the checks inline
+   as two compares. *)
+let out_of_bounds space a =
+  raise (Code.Trap (Fmt.str "%s access out of bounds: %d" space a))
+
 let[@inline] bounds_global mem a =
-  if a < 0 || a >= Memsys.words mem then
-    raise (Code.Trap (Fmt.str "global access out of bounds: %d" a))
+  if a < 0 || a >= Memsys.words mem then out_of_bounds "global" a
+
+let[@inline] bounds_shared (ctx : Code.tctx) a =
+  if a < 0 || a >= Array.length ctx.Code.shared then out_of_bounds "shared" a
 
 (* [fetch] from the thread's pc, with the common case, no jump, inline. *)
 let[@inline] next_op th =
@@ -474,16 +487,6 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
     end;
     if b.waiting > 0 && b.waiting = b.live then release_barrier b ~by_exit:true
   in
-  let bounds_shared th a =
-    if a < 0 || a >= Array.length th.ctx.Code.shared then
-      raise (Code.Trap (Fmt.str "shared access out of bounds: %d" a))
-  in
-  let count_load th =
-    if not th.daemon then metrics.Metrics.n_load <- metrics.Metrics.n_load + 1
-  in
-  let count_store th =
-    if not th.daemon then metrics.Metrics.n_store <- metrics.Metrics.n_store + 1
-  in
   let exec th =
     let ctx = th.ctx in
     let gid = ctx.Code.gid in
@@ -503,7 +506,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       let a = addr ctx in
       (match space with
       | Kernel.Shared ->
-        bounds_shared th a;
+        bounds_shared ctx a;
         Code.set_reg ctx dst ctx.Code.shared.(a)
       | Kernel.Global ->
         bounds_global t.mem a;
@@ -512,21 +515,23 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
         if weak then ctx.Code.pend.(dst) <- p
         else Code.set_reg ctx dst (Memsys.force t.mem ~tid:gid p));
       th.pc <- th.pc + 1;
-      count_load th;
+      if not th.daemon then
+        metrics.Metrics.n_load <- metrics.Metrics.n_load + 1;
       charge th cost.cycles_mem
     | Code.Ostore { space; addr; value; _ } ->
       let a = addr ctx in
       let v = value ctx in
       (match space with
       | Kernel.Shared ->
-        bounds_shared th a;
+        bounds_shared ctx a;
         ctx.Code.shared.(a) <- v
       | Kernel.Global ->
         bounds_global t.mem a;
         Memsys.app_access t.mem ~kind:`Store ~addr:a;
         Memsys.store t.mem ~tid:gid ~addr:a ~value:v);
       th.pc <- th.pc + 1;
-      count_store th;
+      if not th.daemon then
+        metrics.Metrics.n_store <- metrics.Metrics.n_store + 1;
       charge th cost.cycles_mem
     | Code.Oatomic { dst; space; addr; prepare; _ } ->
       let a = addr ctx in
@@ -534,7 +539,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       let old =
         match space with
         | Kernel.Shared ->
-          bounds_shared th a;
+          bounds_shared ctx a;
           let old = ctx.Code.shared.(a) in
           ctx.Code.shared.(a) <- f old;
           old
@@ -635,7 +640,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
      its burst or jumps at random.  A burst step has [!cursor < !count],
      so it wraps by a compare. *)
   let pick ~base count cursor =
-    if !cursor >= !count || not (Rng.chance t.rng burst_continue) then
+    if !cursor >= !count || not (Rng.below t.rng burst_threshold) then
       cursor := Rng.int t.rng !count
     else cursor := (if !cursor + 1 = !count then 0 else !cursor + 1);
     runnable.(base + !cursor)
@@ -670,7 +675,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
          if !n_run_daemon = 0 then false
          else if !n_run_app = 0 then true
          else if !ticks <= warmup then true
-         else Rng.chance t.rng daemon_share
+         else Rng.below t.rng daemon_threshold
        in
        let gid =
          if pick_daemon then pick ~base:n_app n_run_daemon cursor_daemon
@@ -680,11 +685,11 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
        step th;
        (* The owner's commit attempt does nothing on an empty queue
           (always, for a stressing thread), so only its coin's draw is
-          taken: one draw, as [owner_attempt_probability] is in (0, 1). *)
+          taken: [below] takes exactly one. *)
        if weak && th.status != Done then
          if th.daemon || Memsys.pending_count t.mem ~tid:gid = 0 then
            Rng.skip t.rng
-         else if Rng.chance t.rng owner_attempt_probability then
+         else if Rng.below t.rng owner_threshold then
            Memsys.attempt_commits t.mem ~tid:gid;
        if weak && !ticks land 3 = 0 then
          Memsys.random_background_drain t.mem

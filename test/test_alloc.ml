@@ -166,17 +166,19 @@ let test_recycled_across_shapes () =
       check "memory" (m1 = m2))
     shapes
 
-(* The committed per-run minor-heap budget, in words.  Measured at 255
+(* The committed per-run minor-heap budget, in words.  Measured at 244
    words/run when the budget was last tightened (ring-buffer queues,
    recycled simulator, memoised kernel ASTs, compiled code cached per
    kernel with per-launch argument binding, one-word shared arrays for
    the shared-memory-free litmus kernels, unboxed rng state and register
-   file, a launch arena re-armed in place, and a contention coin whose
-   probability is not boxed); the ceiling is about 1.2x that, so
+   file, a launch arena re-armed in place, a contention coin whose
+   probability is not boxed, and no launch-local closures for the
+   access counters and the shared bounds check); the ceiling is about
+   1.2x that, so
    per-launch thread records (about 30 words per thread with their
    contexts and arrays) or per-run kernel compilation (several hundred
    words) fail it. *)
-let per_run_budget_words = 306.0
+let per_run_budget_words = 293.0
 
 let batch_runs = 400
 
@@ -213,14 +215,16 @@ let test_minor_words_budget () =
    above, the scheduler's tick loop dominates, so this budget is the one
    that catches per-tick allocation: a boxed rng draw, a closure or a
    tuple per step, or a float boxed by the contention arithmetic.
-   Measured at 389 words per launch, down from 411 when each contention
-   coin boxed its probability, from 2,598 when each launch allocated its
-   ~40 thread records, contexts and register arrays and boxed every
-   register write, and from 14.5k with per-tick allocation.  The
+   Measured at 378 words per launch, down from 389 when each launch
+   allocated closures for its access counters and shared bounds check,
+   from 411 when each contention coin boxed its probability, from 2,598
+   when each launch allocated its ~40 thread records, contexts and
+   register arrays and boxed every register write, and from 14.5k with
+   per-tick allocation.  The
    ceiling is about 1.2x the measured figure: one boxed word pair on
    each of the launch's ~370 ticks, per-launch thread records, or a
    boxed register write on each stressing load exceeds it. *)
-let stressed_budget_words = 467.0
+let stressed_budget_words = 454.0
 
 let test_stressed_launch_budget () =
   let env =
@@ -281,6 +285,91 @@ let test_arm_clears_registers () =
   Alcotest.(check (pair int int)) "a recycled device reads zeroes" fresh
     (read_back sim)
 
+(* [Sim.reset] zeroes only the prefix of memory written since the last
+   reset, so every path that writes memory must raise that mark.  Each
+   scenario below writes the device's last word through one path alone;
+   after [reset], the whole memory and a following seeded run must match
+   a fresh device's.  A path that left the mark alone would leave its
+   word behind. *)
+let test_reset_after_every_write_path () =
+  let open Gpusim.Kernel in
+  let words = 2048 in
+  let last = words - 1 in
+  let kernel name body =
+    label { name; params = [ "x" ]; body = List.map stmt body }
+  in
+  let store =
+    kernel "store_last"
+      [ Store { space = Global; addr = Param "x"; value = Int 5 } ]
+  in
+  let atomic =
+    kernel "atomic_last"
+      [ Atomic
+          { dst = None; space = Global; addr = Param "x"; op = Aadd (Int 5) } ]
+  in
+  let idle = kernel "idle" [ Assign ("a", Int 1) ] in
+  let launch sim k =
+    ignore
+      (Gpusim.Sim.launch sim ~max_ticks:10_000 ~grid:1 ~block:1 k
+         ~args:[ ("x", last) ])
+  in
+  let stressing_store =
+    { Gpusim.Sim.randomise = false;
+      make_stress =
+        (fun _ ~app_grid:_ ~app_block:_ ->
+          Some
+            { Gpusim.Sim.kernel = store; blocks = 1; block_size = 1;
+              args = [ ("x", last) ]; period = 0; warmup = 8;
+              intensity = 1.0 }) }
+  in
+  let scenarios =
+    [ ("host write", chip, fun sim -> Gpusim.Sim.write sim last 7);
+      ("weak commit", chip, fun sim -> launch sim store);
+      ( "strong-chip store", Gpusim.Chip.sequential,
+        fun sim -> launch sim store );
+      ("atomic", chip, fun sim -> launch sim atomic);
+      ( "stressing store", chip,
+        fun sim ->
+          Gpusim.Sim.set_environment sim stressing_store;
+          launch sim idle );
+      ( "soft-error flip", chip,
+        fun sim ->
+          Gpusim.Memsys.set_soft_errors (Gpusim.Sim.mem sim)
+            (Some (Gpusim.Rng.create 3, 1.0));
+          launch sim store;
+          Alcotest.(check int) "the commit flipped a bit" 1
+            (Gpusim.Sim.bitflips sim) ) ]
+  in
+  let follow_up sim =
+    let x = Gpusim.Sim.alloc sim (Litmus.Test.layout_words inst) in
+    let out = Gpusim.Sim.alloc sim 2 in
+    let r =
+      Gpusim.Sim.launch sim ~max_ticks:50_000 ~grid:2 ~block:1
+        (Litmus.Test.kernel inst)
+        ~args:[ ("x", x); ("out", out) ]
+    in
+    ( r.Gpusim.Sim.outcome = Gpusim.Sim.Finished,
+      Gpusim.Sim.reorders sim,
+      Gpusim.Sim.read_array sim ~base:0 ~len:words )
+  in
+  List.iter
+    (fun (path, chip, write) ->
+      for seed = 1 to 20 do
+        let sim = Gpusim.Sim.create ~words ~chip ~seed:(seed + 999) () in
+        write sim;
+        if Gpusim.Sim.read sim last = 0 then
+          Alcotest.failf "%s: the scenario did not write the last word" path;
+        Gpusim.Sim.reset sim ~seed;
+        let fresh = Gpusim.Sim.create ~words ~chip ~seed () in
+        if
+          Gpusim.Sim.read_array sim ~base:0 ~len:words
+          <> Gpusim.Sim.read_array fresh ~base:0 ~len:words
+        then Alcotest.failf "%s, seed %d: reset left memory behind" path seed;
+        if follow_up sim <> follow_up fresh then
+          Alcotest.failf "%s, seed %d: the run after reset diverged" path seed
+      done)
+    scenarios
+
 let () =
   Alcotest.run "alloc"
     [ ( "allocation discipline",
@@ -295,4 +384,6 @@ let () =
           Alcotest.test_case "minor-words budget per stressed launch" `Quick
             test_stressed_launch_budget;
           Alcotest.test_case "arm clears registers" `Quick
-            test_arm_clears_registers ] ) ]
+            test_arm_clears_registers;
+          Alcotest.test_case "reset = create after every write path" `Quick
+            test_reset_after_every_write_path ] ) ]

@@ -80,6 +80,25 @@ let prop_sample_distinct =
   && List.sort_uniq compare s = List.sort compare s
   && List.for_all (fun x -> x >= 0 && x < n) s
 
+(* [below t (threshold p)] is [chance t p] on the same draw, and leaves
+   the generator where [chance] does: at the scheduler's three constant
+   coins and at any p in (0, 1). *)
+let prop_below_is_chance =
+  QCheck.Test.make ~name:"below at threshold p = chance p" ~count:500
+    QCheck.(pair int (float_bound_exclusive 1.0))
+  @@ fun (seed, p) ->
+  QCheck.assume (p > 0.0);
+  List.for_all
+    (fun p ->
+      let thr = Gpusim.Rng.threshold p in
+      let a = Gpusim.Rng.create seed in
+      let b = Gpusim.Rng.copy a in
+      List.for_all
+        (fun _ -> Gpusim.Rng.below a thr = Gpusim.Rng.chance b p)
+        (List.init 64 Fun.id)
+      && Gpusim.Rng.int64 a = Gpusim.Rng.int64 b)
+    [ p; 0.5; 0.65; 0.7 ]
+
 (* [skip] must leave the generator exactly where one draw of any kind
    would, at any point of any stream: the scheduler takes it in place of
    a coin whose outcome it would ignore.  [chance] consumes a draw only
@@ -122,6 +141,99 @@ let test_uniformity () =
         true
         (c > 60 && c < 250))
     buckets
+
+(* [threshold p] must be the exact integer boundary of [float t < p] over
+   the draw's top 53 bits: the last value below it is a 53-bit draw that
+   [chance] accepts, and the threshold itself one that it refuses.  A
+   threshold one off (from [Float.floor] or [Float.round] in place of
+   [Float.ceil]) changes one draw in 2^53, which no test on random draws
+   would see; at these probabilities the boundary check does. *)
+let test_threshold_boundary () =
+  let check_p p =
+    let thr = Gpusim.Rng.threshold p in
+    let at k = Float.ldexp (float_of_int k) (-53) in
+    if not (at (thr - 1) < p && not (at thr < p)) then
+      Alcotest.failf "threshold %h = %d is not the boundary of draw < p" p thr
+  in
+  let exact = [ 0.5; 0.65; 0.7; 0.25; 0.375; Float.ldexp 1.0 (-53);
+                Float.ldexp 3.0 (-53); Float.pred 1.0; Float.ldexp 1.0 (-1074) ]
+  in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun q -> if q > 0.0 && q < 1.0 then check_p q)
+        [ p; Float.pred p; Float.succ p ])
+    exact;
+  let t = Gpusim.Rng.create 17 in
+  for _ = 1 to 10_000 do
+    (* 62 random bits over 2^62: full-precision p, mostly not a multiple
+       of 2^-53 *)
+    let p =
+      Float.ldexp
+        (Int64.to_float (Int64.shift_right_logical (Gpusim.Rng.int64 t) 2))
+        (-62)
+    in
+    if p > 0.0 && p < 1.0 then check_p p
+  done
+
+let test_threshold_refuses () =
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "threshold %h" p)
+        (Invalid_argument "Rng.threshold: probability must be in (0, 1)")
+        (fun () -> ignore (Gpusim.Rng.threshold p)))
+    [ 0.0; 1.0; -0.5; Float.nan; Float.infinity; -0.0 ]
+
+(* [Rng.int] before its mask became a bit smear, kept verbatim as the
+   reference: the mask loop and the rejection loop. *)
+let int_reference t n =
+  if n <= 0 then invalid_arg "Rng.int: bound must be positive";
+  (* Rejection sampling over 30 bits avoids modulo bias for the small
+     bounds used throughout the simulator. *)
+  if n > 1 lsl 29 then invalid_arg "Rng.int: bound too large";
+  let mask = ref 1 in
+  while !mask < n - 1 do
+    mask := (!mask lsl 1) lor 1
+  done;
+  let v = ref (Gpusim.Rng.bits30 t land !mask) in
+  while !v >= n do
+    v := Gpusim.Rng.bits30 t land !mask
+  done;
+  !v
+
+let test_int_reference () =
+  let bounds =
+    List.init 1100 (fun i -> i + 1)
+    @ List.concat_map
+        (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+        (List.init 30 Fun.id)
+  in
+  let bounds = List.filter (fun n -> n >= 1 && n <= 1 lsl 29) bounds in
+  for seed = 0 to 15 do
+    let a = Gpusim.Rng.create seed in
+    let b = Gpusim.Rng.copy a in
+    List.iter
+      (fun n ->
+        for _ = 1 to 4 do
+          let x = Gpusim.Rng.int a n and y = int_reference b n in
+          if x <> y then
+            Alcotest.failf "seed %d, bound %d: int gave %d, the loop %d" seed
+              n x y
+        done;
+        if Gpusim.Rng.int64 a <> Gpusim.Rng.int64 b then
+          Alcotest.failf "seed %d, bound %d: the streams parted" seed n)
+      bounds
+  done;
+  let t = Gpusim.Rng.create 1 in
+  List.iter
+    (fun (n, msg) ->
+      Alcotest.check_raises (Printf.sprintf "int %d" n) (Invalid_argument msg)
+        (fun () -> ignore (Gpusim.Rng.int t n)))
+    [ (0, "Rng.int: bound must be positive");
+      (-3, "Rng.int: bound must be positive");
+      (min_int, "Rng.int: bound must be positive");
+      ((1 lsl 29) + 1, "Rng.int: bound too large");
+      (max_int, "Rng.int: bound too large") ]
 
 let test_chance_extremes () =
   let t = Gpusim.Rng.create 3 in
@@ -374,6 +486,11 @@ let test_draws_allocate_nothing () =
       for _ = 1 to draws do
         if Gpusim.Rng.chance t 0.3 then incr sink
       done);
+  let thr = Gpusim.Rng.threshold 0.3 in
+  check "below" (fun () ->
+      for _ = 1 to draws do
+        if Gpusim.Rng.below t thr then incr sink
+      done);
   check "bits30" (fun () ->
       for _ = 1 to draws do
         sink := !sink lxor Gpusim.Rng.bits30 t
@@ -416,9 +533,14 @@ let () =
           Alcotest.test_case "chance extremes" `Quick test_chance_extremes;
           Alcotest.test_case "known answers" `Quick test_known_answers;
           Alcotest.test_case "draws allocate nothing" `Quick
-            test_draws_allocate_nothing ] );
+            test_draws_allocate_nothing;
+          Alcotest.test_case "threshold is the exact boundary" `Quick
+            test_threshold_boundary;
+          Alcotest.test_case "threshold refuses" `Quick test_threshold_refuses;
+          Alcotest.test_case "int = the mask loop" `Quick
+            test_int_reference ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_int_bounds; prop_int_in_bounds; prop_float_unit;
             prop_shuffle_permutation; prop_sample_distinct;
-            prop_skip_is_one_draw ] ) ]
+            prop_skip_is_one_draw; prop_below_is_chance ] ) ]
