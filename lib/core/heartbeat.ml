@@ -193,12 +193,15 @@ let start ?(interval_s = 1.0) ?shard ~path () =
   let stop_r, stop_w = Unix.pipe ~cloexec:true () in
   let dom =
     Domain.spawn (fun () ->
-        (* Signal handlers run on whichever domain the runtime picks; a
-           raising SIGTERM/SIGINT handler (graceful campaign shutdown)
-           delivered here must not escape through [stop]'s Domain.join.
-           The wrap still appends the final beat on the way out, so an
-           interrupted worker reads as orderly completion to the fleet
-           view once its ledger is flushed. *)
+        (* OCaml runs a signal handler on whichever domain polls first,
+           unless that domain's thread blocks the signal.  This one
+           blocks SIGTERM and SIGINT, so their raising handler
+           ([Exec.Interrupted]) runs on a campaign domain and unwinds
+           the campaign; run here, the wrap below would swallow it and
+           the campaign would run to its end.  The wrap keeps any other
+           exception from escaping through [stop]'s Domain.join, and
+           still appends the final beat on the way out. *)
+        ignore (Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
         let prev_counters = ref [] in
         let seq = ref 0 in
         let beat ~final =

@@ -52,6 +52,24 @@ let run ?backend ?journal ~chip ~seed ~budget ~patch ~sequence () =
           Litmus.Test.idioms)
       spreads
   in
+  let env_for spread =
+    Environment.for_litmus
+      (Environment.make
+         (Stress.Sys { sequence; spread; regions = b.Budget.max_spread })
+         ~randomise:false)
+  in
+  (* Every run stresses [max_spread] patches: at the paper's 64, more
+     scratchpad than the litmus device holds, so the stage's device is
+     sized for its largest run. *)
+  let words =
+    Litmus.Runner.words_for ~chip ~env:(env_for b.Budget.max_spread)
+      (List.concat_map
+         (fun idiom ->
+           List.map
+             (fun distance -> { Litmus.Test.idiom; distance })
+             b.Budget.distances_spread)
+         Litmus.Test.idioms)
+  in
   let weaks =
     Exec.run ?backend
       ~label:(Printf.sprintf "spread finding on %s" chip.Gpusim.Chip.name)
@@ -59,13 +77,8 @@ let run ?backend ?journal ~chip ~seed ~budget ~patch ~sequence () =
       ~quarantine:(fun _ _ -> 0)
       ~codec:Runlog.int_codec ~execs_per_job:b.Budget.runs_spread ~seed
       ~f:(fun ~seed (spread, idiom, distance) ->
-        let strategy =
-          Stress.Sys { sequence; spread; regions = b.Budget.max_spread }
-        in
-        let env =
-          Environment.for_litmus (Environment.make strategy ~randomise:false)
-        in
-        Litmus.Runner.count_weak ~chip ~seed ~env ~runs:b.Budget.runs_spread
+        Litmus.Runner.count_weak ~words ~chip ~seed ~env:(env_for spread)
+          ~runs:b.Budget.runs_spread
           { Litmus.Test.idiom; distance })
       grid
   in

@@ -9,7 +9,16 @@
 
     All scratchpad memory is allocated fresh per launch, disjoint from the
     application's allocations, and stressing threads run in their own
-    blocks, so the application's possible behaviours are unchanged. *)
+    blocks, so the application's possible behaviours are unchanged.
+
+    Each strategy's stressing threads step the tick schedule of a stress
+    kernel ({!Gpusim.Sim.schedule}): [Sys], [Fixed] and [Targeted] a
+    {!Gpusim.Sim.sequence} over the chosen scratchpad locations, [Rand]
+    a {!Gpusim.Sim.random} walk of its scratchpad, and [Cache] a
+    {!Gpusim.Sim.sweep} of an L2-sized one.  A schedule takes the same
+    ticks, draws and accesses as the kernel
+    [while (1) { body }] it stands for, so every execution is the one
+    that kernel gave. *)
 
 type tuned = {
   sequence : Access_seq.t;  (** loop body of each stressing thread *)
@@ -42,11 +51,6 @@ val name : t -> string
 (** "no-str", "sys-str", "rand-str", "cache-str", "fixed-str",
     "tgt-str". *)
 
-val kernel : sequence:Access_seq.t -> n_locations:int -> Gpusim.Kernel.t
-(** The stressing kernel: each thread picks one of [n_locations] location
-    parameters ([l0], [l1], ...) by global thread id and applies the
-    sequence to it in an infinite loop.  Exposed for inspection/tests. *)
-
 val default_warmup : int
 
 val intensity_for : n_threads:int -> n_locations:int -> float
@@ -60,9 +64,10 @@ val make_stress_litmus :
   Gpusim.Sim.stress_spec option
 (** Stressing-block construction for litmus campaigns: the total thread
     count is drawn uniformly between 50% and 100% of the chip's maximum
-    concurrent threads (Sec. 3.2).  [make_stress_litmus strategy] looks
-    the stress kernel up at its first launch and keeps it, so apply it
-    once per environment. *)
+    concurrent threads (Sec. 3.2), and at least one thread per stressed
+    location, rounded up to whole blocks (Sec. 3.4).
+    [make_stress_litmus strategy] converts the strategy's access sequence
+    once, so apply it once per environment. *)
 
 val make_stress_app :
   t -> Gpusim.Sim.t -> app_grid:int -> app_block:int ->

@@ -94,7 +94,6 @@ let q_push q e =
 type stress_state = {
   mutable prev : int;
   mutable run : int;
-  mutable prev_run : int;  (* length of the run before the current one *)
 }
 
 let prev_code = function Load_k -> 1 | Store_k -> 2
@@ -269,7 +268,7 @@ let create ~chip ~rng ~words ~nthreads =
     pool_stamp = Array.make n 0;
     decay_pow;
     stress_states =
-      Array.init nthreads (fun _ -> { prev = 0; run = 0; prev_run = 0 });
+      Array.init nthreads (fun _ -> { prev = 0; run = 0 });
     stress_gen = Array.make nthreads 0;
     cur_gen = 0;
     nonempty = ps_create nthreads;
@@ -315,7 +314,7 @@ let grow_thread_state t ~nthreads =
     let old = t.stress_states and old_gen = t.stress_gen in
     t.stress_states <-
       Array.init nthreads (fun i ->
-          if i < scap then old.(i) else { prev = 0; run = 0; prev_run = 0 });
+          if i < scap then old.(i) else { prev = 0; run = 0 });
     t.stress_gen <-
       Array.init nthreads (fun i -> if i < scap then old_gen.(i) else 0)
   end
@@ -421,8 +420,7 @@ let stress_state t sid =
   if t.stress_gen.(sid) <> t.cur_gen then begin
     t.stress_gen.(sid) <- t.cur_gen;
     s.prev <- 0;
-    s.run <- 0;
-    s.prev_run <- 0
+    s.run <- 0
   end;
   s
 
@@ -455,7 +453,6 @@ let[@inline] traffic_bump t st k ~boundary =
   in
   if same then st.run <- run
   else begin
-    st.prev_run <- st.run;
     st.run <- 1;
     st.prev <- kc
   end;

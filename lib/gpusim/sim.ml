@@ -1,9 +1,22 @@
+type access = [ `Load | `Store ]
+
+type schedule =
+  | Sequence of { kinds : access array; locations : int array }
+  | Random of { scratch : int; words : int }
+  | Sweep of { scratch : int; words : int }
+
+let sequence kinds ~locations =
+  if Array.length locations = 0 then
+    invalid_arg "Sim.sequence: need at least one location";
+  Sequence { kinds; locations }
+
+let random ~scratch ~words = Random { scratch; words }
+let sweep ~scratch ~words = Sweep { scratch; words }
+
 type stress_spec = {
-  kernel : Kernel.t;
+  schedule : schedule;
   blocks : int;
   block_size : int;
-  args : (string * int) list;
-  period : int;
   warmup : int;
   intensity : float;
 }
@@ -22,8 +35,11 @@ type thread = {
   mutable status : status;
   mutable daemon : bool;  (* stressing thread: terminated when the app finishes *)
   mutable block_id : int;
-  mutable phase : int;  (* stressing accesses so far, modulo [period] *)
-  mutable period : int;
+  (* A stressing thread's place in the launch's schedule: see
+     [stress_tick]. *)
+  mutable s_pos : int;
+  mutable s_idx : int;  (* [Random]'s draw, or [Sweep]'s index *)
+  mutable s_addr : int;  (* the address of its next access *)
 }
 
 (* A block's threads are the slice [first, first + size) of the thread
@@ -266,23 +282,141 @@ let[@inline] next_op th =
   | Code.Ojump target -> fetch th target (Array.length th.code.Code.ops)
   | op -> op
 
-(* Whether a stressing thread's next access starts an iteration of its
-   loop, from its access count kept modulo [period] without a division. *)
-let[@inline] stress_boundary th =
-  let boundary = th.period > 0 && th.phase = 0 in
-  let p = th.phase + 1 in
-  th.phase <- (if p = th.period then 0 else p);
-  boundary
+(* ------------------------------------------------------------------ *)
+(* Stressing schedules                                                  *)
+
+(* What one tick of a stressing thread did, as an int so that a tick
+   allocates nothing: [idle], or an access to the thread's [s_addr],
+   [load_tick] or [store_tick], plus [boundary_tick] at the first access
+   of a loop iteration. *)
+let idle = 0
+let load_tick = 1
+let store_tick = 2
+let boundary_tick = 4
+
+(* Place stressing thread [j] (counted from 0 in block order) at the
+   start of its schedule.  A [Sequence] thread owes the [n + 2] idle
+   ticks of its kernel's prologue ([which], the [n] location tests and
+   the [addr] assignment): it counts them up to 0 in [s_pos].  The other
+   shapes write [s_idx] and [s_addr] before they read them. *)
+let arm_stress schedule th j =
+  match schedule with
+  | Sequence { locations; _ } ->
+    let n = Array.length locations in
+    th.s_pos <- -(n + 2);
+    th.s_addr <- locations.(j mod n)
+  | Random _ | Sweep _ -> th.s_pos <- 0
+
+(* One tick of a stressing thread: exactly the tick its stress kernel
+   took, in which a jump was free and every other op cost one tick.
+   - [Sequence]: after the prologue, [s_pos] 0 is the [while 1] test
+     and [s_pos] p in 1..L the p-th access; the first is the boundary.
+   - [Random]: the loop test, [r := rand (2 words)], [addr := scratch +
+     r / 2], the parity test, then a load for an even [r] and a store
+     for an odd one.
+   - [Sweep]: the loop test, [i := 0], then per word the test, a load
+     and a store of [scratch + i], and [i := i + 1], then the failing
+     test. *)
+let stress_tick mem schedule th =
+  match schedule with
+  | Sequence { kinds; _ } ->
+    let p = th.s_pos in
+    th.s_pos <- (if p = Array.length kinds then 0 else p + 1);
+    if p <= 0 then idle
+    else
+      (match kinds.(p - 1) with `Load -> load_tick | `Store -> store_tick)
+      + (if p = 1 then boundary_tick else 0)
+  | Random { scratch; words } -> (
+    match th.s_pos with
+    | 0 ->
+      th.s_pos <- 1;
+      idle
+    | 1 ->
+      th.s_idx <- Memsys.rand mem (words * 2);
+      th.s_pos <- 2;
+      idle
+    | 2 ->
+      th.s_addr <- scratch + (th.s_idx / 2);
+      th.s_pos <- 3;
+      idle
+    | 3 ->
+      th.s_pos <- 4;
+      idle
+    | _ ->
+      th.s_pos <- 0;
+      if th.s_idx land 1 = 0 then load_tick else store_tick)
+  | Sweep { scratch; words } -> (
+    match th.s_pos with
+    | 0 ->
+      th.s_pos <- 1;
+      idle
+    | 1 ->
+      th.s_idx <- 0;
+      th.s_pos <- 2;
+      idle
+    | 2 ->
+      th.s_pos <- (if th.s_idx < words then 3 else 0);
+      idle
+    | 3 ->
+      th.s_addr <- scratch + th.s_idx;
+      th.s_pos <- 4;
+      load_tick
+    | 4 ->
+      th.s_pos <- 5;
+      store_tick
+    | _ ->
+      th.s_idx <- th.s_idx + 1;
+      th.s_pos <- 2;
+      idle)
+
+(* A running stressing thread's step.  Its accesses only feed the
+   contention model: it is neither metered nor charged, and a load's
+   value goes nowhere. *)
+let step_schedule mem schedule th =
+  let c = stress_tick mem schedule th in
+  if c <> idle then begin
+    let a = th.s_addr in
+    bounds_global mem a;
+    Memsys.stress_access mem ~sid:th.ctx.Code.gid
+      ~kind:(if c land store_tick = 0 then `Load else `Store)
+      ~addr:a ~boundary:(c land boundary_tick <> 0)
+  end
+
+(* The code of a thread slot that no launch has armed. *)
+let no_code =
+  { Code.kernel_name = ""; params = [||]; ops = [| Code.Oreturn |];
+    n_regs = 0; slots = [] }
+
+let new_thread mem ~gid =
+  { ctx = Code.make_ctx ~gid ~mem; code = no_code; pc = 0; status = Done;
+    daemon = false; block_id = 0; s_pos = 0; s_idx = 0; s_addr = 0 }
+
+type stress_event =
+  | Idle
+  | Access of { kind : access; addr : int; boundary : bool }
+
+let stress_ticks t schedule ~thread ticks f =
+  let th = new_thread t.mem ~gid:thread in
+  arm_stress schedule th thread;
+  for _ = 1 to ticks do
+    let c = stress_tick t.mem schedule th in
+    f
+      (if c = idle then Idle
+       else
+         Access
+           { kind = (if c land store_tick = 0 then `Load else `Store);
+             addr = th.s_addr; boundary = c land boundary_tick <> 0 })
+  done
 
 (* Compiled code is a pure function of the kernel — a launch binds its
    arguments with [Code.bind], and all device state flows in through the
    per-thread ctx — so a recycled simulator that launches the same few
    (memoised) kernels millions of times need not re-lower them.  Keyed
    on physical kernel equality.  A tuning stage cycles a dozen litmus
-   kernels around one stress kernel, so the cache holds a few more than
-   that; a hit allocates nothing.  Deliberately kept across [reset]:
-   recycling must not change behaviour (property-tested against fresh
-   simulators in test_alloc/test_sim), and purity makes the cached code
+   kernels, so the cache holds a few more than that; a hit allocates
+   nothing.  Deliberately kept across [reset]: recycling must not change
+   behaviour (property-tested against fresh simulators in
+   test_alloc/test_sim), and purity makes the cached code
    seed-independent. *)
 let code_cache_max = 24
 
@@ -305,16 +439,13 @@ let compile_cached t kernel =
     c
 
 (* Grow the launch arena to [threads] thread slots and [blocks] block
-   records; new thread slots start out on [code] until armed. *)
-let grow_arena t ~threads:n ~blocks:nb ~code =
+   records. *)
+let grow_arena t ~threads:n ~blocks:nb =
   let cap = Array.length t.threads in
   if cap < n then begin
     t.threads <-
       Array.append t.threads
-        (Array.init (n - cap) (fun i ->
-             { ctx = Code.make_ctx ~gid:(cap + i) ~mem:t.mem; code; pc = 0;
-               status = Done; daemon = false; block_id = 0; phase = 0;
-               period = 0 }));
+        (Array.init (n - cap) (fun i -> new_thread t.mem ~gid:(cap + i)));
     t.runnable <- Array.make n 0;
     t.pos <- Array.make n 0
   end;
@@ -356,103 +487,92 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let metrics = Metrics.create () in
   let reorders_before = Memsys.reorders t.mem in
   let bitflips_before = Memsys.bitflips t.mem in
-  grow_arena t ~threads:total ~blocks:(grid + n_stress_blocks) ~code:app_code;
+  grow_arena t ~threads:total ~blocks:grid;
   let threads = t.threads and blocks = t.blocks in
-  let arm_block block_id ~first ~code ~params ~daemon ~period ~l_gdim ~l_bid
-      ~size ~shared_sz =
-    let b = blocks.(block_id) in
-    (* A shared array keeps exactly the requested length: a longer one
-       would hide an out-of-bounds trap. *)
-    let shared_sz = Int.max 1 shared_sz in
+  (* A shared array keeps exactly the requested length: a longer one
+     would hide an out-of-bounds trap. *)
+  let shared_sz = Int.max 1 shared_words in
+  for bid = 0 to grid - 1 do
+    let b = blocks.(bid) in
     if Array.length b.shared = shared_sz then Array.fill b.shared 0 shared_sz 0
     else b.shared <- Array.make shared_sz 0;
-    b.live <- size;
+    b.live <- block;
     b.waiting <- 0;
-    b.first <- first;
-    b.size <- size;
-    for i = 0 to size - 1 do
-      let th = threads.(first + i) in
+    b.first <- bid * block;
+    b.size <- block;
+    for i = 0 to block - 1 do
+      let th = threads.((bid * block) + i) in
       let l_tid =
-        if daemon then i
-        else match ids with Some (_, tid_of) -> tid_of.(l_bid).(i) | None -> i
+        match ids with Some (_, tid_of) -> tid_of.(bid).(i) | None -> i
       in
       let l_bid =
-        if daemon then l_bid
-        else match ids with Some (block_of, _) -> block_of.(l_bid) | None -> l_bid
+        match ids with Some (block_of, _) -> block_of.(bid) | None -> bid
       in
-      Code.arm th.ctx code ~params ~l_tid ~l_bid ~l_bdim:size ~l_gdim
-        ~shared:b.shared;
+      Code.arm th.ctx app_code ~params:app_params ~l_tid ~l_bid ~l_bdim:block
+        ~l_gdim:grid ~shared:b.shared;
       (* as in [Code.arm], no write barrier for an unchanged pointer *)
-      if th.code != code then th.code <- code;
+      if th.code != app_code then th.code <- app_code;
       th.pc <- 0;
       if th.status != Running then th.status <- Running;
-      th.daemon <- daemon;
-      th.block_id <- block_id;
-      th.phase <- 0;
-      th.period <- period
+      th.daemon <- false;
+      th.block_id <- bid
     done
-  in
-  for b = 0 to grid - 1 do
-    arm_block b ~first:(b * block) ~code:app_code ~params:app_params
-      ~daemon:false ~period:0 ~l_gdim:grid ~l_bid:b ~size:block
-      ~shared_sz:shared_words
   done;
-  (match stress with
-  | Some s ->
-    let code = compile_cached t s.kernel in
-    let params = Code.bind code s.args in
-    for b = 0 to s.blocks - 1 do
-      arm_block (grid + b) ~first:(n_app + (b * s.block_size)) ~code ~params
-        ~daemon:true ~period:s.period ~l_gdim:s.blocks ~l_bid:b
-        ~size:s.block_size ~shared_sz:1
-    done
-  | None -> ());
-  (* Two runnable sets with O(1) removal: application threads keep a fixed
-     scheduling share even when many stressing threads are resident, as on
-     a real GPU where stress occupies other SMs rather than starving the
-     application. *)
+  (* A stressing thread runs no code: it steps the schedule (a constant
+     one, never stepped, when there is no stress). *)
+  let schedule =
+    match stress with
+    | Some s -> s.schedule
+    | None -> Sweep { scratch = 0; words = 0 }
+  in
+  for j = 0 to n_stress_threads - 1 do
+    let th = threads.(n_app + j) in
+    if th.status != Running then th.status <- Running;
+    th.daemon <- true;
+    arm_stress schedule th j
+  done;
+  (* The runnable application threads, with O(1) removal: they keep a
+     fixed scheduling share even when many stressing threads are
+     resident, as on a real GPU where stress occupies other SMs rather
+     than starving the application.  Stressing threads never leave their
+     set: they are the gids [n_app, total) throughout. *)
   let runnable = t.runnable and pos = t.pos in
-  for gid = 0 to total - 1 do
+  for gid = 0 to n_app - 1 do
     runnable.(gid) <- gid;
     pos.(gid) <- gid
   done;
+  (* Layout invariant: runnable.[0, n_run_app) are the runnable app
+     threads. *)
   let n_run_app = ref n_app in
-  (* Layout invariant: runnable.[0, n_run_app) are runnable app threads;
-     runnable.[n_app, n_app + n_run_daemon) are runnable daemons. *)
-  let n_run_daemon = ref n_stress_threads in
-  let class_base gid = if gid < n_app then 0 else n_app in
-  let class_count gid = if gid < n_app then n_run_app else n_run_daemon in
   let remove_runnable gid =
-    let base = class_base gid and count = class_count gid in
     let p = pos.(gid) in
-    if p < base + !count then begin
-      let last = runnable.(base + !count - 1) in
+    if p < !n_run_app then begin
+      let last = runnable.(!n_run_app - 1) in
       runnable.(p) <- last;
       pos.(last) <- p;
-      runnable.(base + !count - 1) <- gid;
-      pos.(gid) <- base + !count - 1;
-      decr count
+      runnable.(!n_run_app - 1) <- gid;
+      pos.(gid) <- !n_run_app - 1;
+      decr n_run_app
     end
   in
   let add_runnable gid =
-    let base = class_base gid and count = class_count gid in
     let p = pos.(gid) in
-    if p >= base + !count then begin
-      let first = runnable.(base + !count) in
-      runnable.(base + !count) <- gid;
-      pos.(gid) <- base + !count;
+    if p >= !n_run_app then begin
+      let first = runnable.(!n_run_app) in
+      runnable.(!n_run_app) <- gid;
+      pos.(gid) <- !n_run_app;
       runnable.(p) <- first;
       pos.(first) <- p;
-      incr count
+      incr n_run_app
     end
   in
   let live_app = ref n_app in
   let divergence = ref false in
   let cost = t.chip.Chip.cost in
   let weak = not (Memsys.strong t.mem) in
-  let charge th c =
-    if not th.daemon then metrics.Metrics.app_cycles <- metrics.Metrics.app_cycles + c
-  in
+  (* Only application threads run [exec], and only they are charged and
+     metered. *)
+  let charge c = metrics.Metrics.app_cycles <- metrics.Metrics.app_cycles + c in
   let release_barrier b ~by_exit =
     let last = b.first + b.size - 1 in
     for gid = b.first to last do
@@ -481,10 +601,8 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
     remove_runnable th.ctx.Code.gid;
     let b = blocks.(th.block_id) in
     b.live <- b.live - 1;
-    if not th.daemon then begin
-      decr live_app;
-      if !live_app = 0 then raise (Stop Finished)
-    end;
+    decr live_app;
+    if !live_app = 0 then raise (Stop Finished);
     if b.waiting > 0 && b.waiting = b.live then release_barrier b ~by_exit:true
   in
   let exec th =
@@ -495,13 +613,13 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
     | Code.Oassign (i, f) ->
       Code.set_reg ctx i (f ctx);
       th.pc <- th.pc + 1;
-      if not th.daemon then metrics.Metrics.n_alu <- metrics.Metrics.n_alu + 1;
-      charge th cost.cycles_alu
+      metrics.Metrics.n_alu <- metrics.Metrics.n_alu + 1;
+      charge cost.cycles_alu
     | Code.Ojz (f, target) ->
       let v = f ctx in
       th.pc <- (if v = 0 then target else th.pc + 1);
-      if not th.daemon then metrics.Metrics.n_alu <- metrics.Metrics.n_alu + 1;
-      charge th cost.cycles_alu
+      metrics.Metrics.n_alu <- metrics.Metrics.n_alu + 1;
+      charge cost.cycles_alu
     | Code.Oload { dst; space; addr; _ } ->
       let a = addr ctx in
       (match space with
@@ -515,9 +633,8 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
         if weak then ctx.Code.pend.(dst) <- p
         else Code.set_reg ctx dst (Memsys.force t.mem ~tid:gid p));
       th.pc <- th.pc + 1;
-      if not th.daemon then
-        metrics.Metrics.n_load <- metrics.Metrics.n_load + 1;
-      charge th cost.cycles_mem
+      metrics.Metrics.n_load <- metrics.Metrics.n_load + 1;
+      charge cost.cycles_mem
     | Code.Ostore { space; addr; value; _ } ->
       let a = addr ctx in
       let v = value ctx in
@@ -530,9 +647,8 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
         Memsys.app_access t.mem ~kind:`Store ~addr:a;
         Memsys.store t.mem ~tid:gid ~addr:a ~value:v);
       th.pc <- th.pc + 1;
-      if not th.daemon then
-        metrics.Metrics.n_store <- metrics.Metrics.n_store + 1;
-      charge th cost.cycles_mem
+      metrics.Metrics.n_store <- metrics.Metrics.n_store + 1;
+      charge cost.cycles_mem
     | Code.Oatomic { dst; space; addr; prepare; _ } ->
       let a = addr ctx in
       let f = prepare ctx in
@@ -552,18 +668,17 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       | Some i -> Code.set_reg ctx i old
       | None -> ());
       th.pc <- th.pc + 1;
-      if not th.daemon then
-        metrics.Metrics.n_atomic <- metrics.Metrics.n_atomic + 1;
-      charge th cost.cycles_atomic
+      metrics.Metrics.n_atomic <- metrics.Metrics.n_atomic + 1;
+      charge cost.cycles_atomic
     | Code.Ofence scope ->
       th.pc <- th.pc + 1;
-      if not th.daemon then metrics.Metrics.n_fence <- metrics.Metrics.n_fence + 1;
+      metrics.Metrics.n_fence <- metrics.Metrics.n_fence + 1;
       let base =
         match scope with
         | Kernel.Device -> cost.cycles_fence_base
         | Kernel.Cta -> cost.cycles_fence_base / 2
       in
-      charge th base;
+      charge base;
       let pending = Memsys.pending_count t.mem ~tid:gid in
       if Trace.active sink then
         Trace.emit sink ~tick:(tick_now ())
@@ -582,39 +697,10 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
       if b.waiting = b.live then release_barrier b ~by_exit:false
     | Code.Oreturn -> finish_thread th
   in
-  (* A running stressing thread's step.  Its global accesses only feed
-     the contention model, and it is neither metered nor charged.  Its
-     registers never wait for a load (its loads read memory at once), so
-     it needs no [Unresolved] handler and writes values straight to
-     [regs].  Any op not handled here takes the common [exec]. *)
-  let stress_step th =
-    let ctx = th.ctx in
-    match next_op th with
-    | Code.Oassign (i, f) ->
-      ctx.Code.regs.(i) <- f ctx;
-      th.pc <- th.pc + 1
-    | Code.Ojz (f, target) ->
-      th.pc <- (if f ctx = 0 then target else th.pc + 1)
-    | Code.Oload { dst; space = Kernel.Global; addr; _ } ->
-      let a = addr ctx in
-      bounds_global t.mem a;
-      Memsys.stress_access t.mem ~sid:ctx.Code.gid ~kind:`Load ~addr:a
-        ~boundary:(stress_boundary th);
-      ctx.Code.regs.(dst) <- Memsys.read t.mem a;
-      th.pc <- th.pc + 1
-    | Code.Ostore { space = Kernel.Global; addr; value; _ } ->
-      let a = addr ctx in
-      ignore (value ctx : int);
-      bounds_global t.mem a;
-      Memsys.stress_access t.mem ~sid:ctx.Code.gid ~kind:`Store ~addr:a
-        ~boundary:(stress_boundary th);
-      th.pc <- th.pc + 1
-    | _ -> exec th
-  in
   let step th =
     match th.status with
     | Running ->
-      if th.daemon then stress_step th
+      if th.daemon then step_schedule t.mem schedule th
       else (try exec th with Code.Unresolved p -> th.status <- Waiting p)
     | Waiting p ->
       (* Drive this thread's own commits; the load completes through the
@@ -628,7 +714,7 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
     | Draining ->
       metrics.Metrics.fence_stall_ticks <- metrics.Metrics.fence_stall_ticks + 1;
       metrics.Metrics.fence_drained <- metrics.Metrics.fence_drained + 1;
-      charge th cost.cycles_fence_per_entry;
+      charge cost.cycles_fence_per_entry;
       if Memsys.drain_step t.mem ~tid:th.ctx.Code.gid then th.status <- Running
     | At_barrier | Done -> assert false (* not in the runnable set *)
   in
@@ -636,18 +722,18 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
   let outcome = ref Timeout in
   let cursor_app = ref 0 in
   let cursor_daemon = ref 0 in
-  (* The next thread of one runnable class: the class's cursor continues
-     its burst or jumps at random.  A burst step has [!cursor < !count],
-     so it wraps by a compare. *)
-  let pick ~base count cursor =
-    if !cursor >= !count || not (Rng.below t.rng burst_threshold) then
-      cursor := Rng.int t.rng !count
-    else cursor := (if !cursor + 1 = !count then 0 else !cursor + 1);
-    runnable.(base + !cursor)
+  (* The position of the next thread among [count] runnable ones of a
+     class: the class's cursor continues its burst or jumps at random.  A
+     burst step has [!cursor < count], so it wraps by a compare. *)
+  let[@inline] pick count cursor =
+    if !cursor >= count || not (Rng.below t.rng burst_threshold) then
+      cursor := Rng.int t.rng count
+    else cursor := (if !cursor + 1 = count then 0 else !cursor + 1);
+    !cursor
   in
   (try
      let ticks = ref 0 in
-     while !n_run_app > 0 || !n_run_daemon > 0 do
+     while !n_run_app > 0 || n_stress_threads > 0 do
        if !ticks >= max_ticks + warmup then raise (Stop Timeout);
        incr ticks;
        metrics.Metrics.ticks <- metrics.Metrics.ticks + 1;
@@ -672,14 +758,14 @@ let launch t ?(max_ticks = default_max_ticks) ?(shared_words = 64) ~grid
                 write = Memsys.contention t.mem ~part ~kind:`Store })
        end;
        let pick_daemon =
-         if !n_run_daemon = 0 then false
+         if n_stress_threads = 0 then false
          else if !n_run_app = 0 then true
          else if !ticks <= warmup then true
          else Rng.below t.rng daemon_threshold
        in
        let gid =
-         if pick_daemon then pick ~base:n_app n_run_daemon cursor_daemon
-         else pick ~base:0 n_run_app cursor_app
+         if pick_daemon then n_app + pick n_stress_threads cursor_daemon
+         else runnable.(pick !n_run_app cursor_app)
        in
        let th = threads.(gid) in
        step th;

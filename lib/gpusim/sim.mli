@@ -13,17 +13,59 @@
 
 type t
 
+(** {1 Stressing schedules}
+
+    A stressing thread runs an endless loop whose control flow and
+    addresses depend only on its ids, its launch's stress and, under
+    [Random], its draws; the values it loads go nowhere, and nothing
+    outside the thread reads its registers.  So it runs no kernel: it
+    steps the {e tick schedule} of the stress kernel it stands for —
+    which ticks are idle, which access which address, which draw from
+    the device's random stream.  A schedule steps exactly the ticks of
+    its kernel, in which a jump is free and every other operation costs
+    one tick; so every draw, contention bump, stressing store and
+    scheduling decision is the kernel's.  [test_stress] checks each shape
+    tick for tick against its compiled kernel. *)
+
+type access = [ `Load | `Store ]
+
+type schedule = private
+  | Sequence of { kinds : access array; locations : int array }
+  | Random of { scratch : int; words : int }
+  | Sweep of { scratch : int; words : int }
+
+val sequence : access array -> locations:int array -> schedule
+(** The tuned loop of [Sys], [Fixed] and [Targeted] stress: the access
+    kinds a1..aL applied to one of the [n] absolute [locations].
+    Stressing thread [j], counted from 0 in block order, stresses
+    location [j mod n].  The thread first idles [n + 2] ticks (its
+    kernel's [which], [n] location tests and [addr] assignment), then
+    repeats one idle tick (the [while 1] test) and [L] access ticks; the
+    first access of every iteration is a loop boundary.  Keeps both
+    arrays, which must not change afterwards.  Raises [Invalid_argument]
+    on an empty [locations]. *)
+
+val random : scratch:int -> words:int -> schedule
+(** The loop of [Rand] stress, five ticks per iteration: the loop test;
+    [r := Memsys.rand (2 * words)], drawn from the device's stream at
+    that tick; the address; the parity test; then a load of [scratch +
+    r / 2] when [r] is even, a store when it is odd.  No boundaries. *)
+
+val sweep : scratch:int -> words:int -> schedule
+(** The loop of [Cache] stress.  Each pass is the loop test and [i :=
+    0], then [words] times (the test [i < words], a load of [scratch +
+    i], a store to it, [i := i + 1]), then the failing test.  No
+    boundaries. *)
+
 (** Extra stressing blocks appended to a launch.  Built by the stressing
-    strategies of the core library. *)
+    strategies of the core library.  A stressing access is bounds-checked
+    like an application's (an out-of-bounds one traps the launch) and
+    goes through {!Memsys.stress_access}: a store writes the thread's
+    global id, and the access counts in {!Memsys.stress_accesses}. *)
 type stress_spec = {
-  kernel : Kernel.t;
+  schedule : schedule;  (** what every stressing thread steps *)
   blocks : int;
   block_size : int;
-  args : (string * int) list;
-  period : int;
-      (** accesses per stressing-loop iteration (length of the access
-          sequence); marks loop boundaries for the traffic model.  [0] for
-          strategies without a fixed sequence. *)
   warmup : int;
       (** scheduler ticks given exclusively to the stressing blocks before
           application threads start, modelling stress that is already
@@ -159,6 +201,21 @@ val trace : t -> Trace.t
     buffer on it before {!launch} to capture the execution's event
     stream ({!Trace.enable}), or subscribe observers — {!Diagnosis} and
     {!Race} attach this way.  Inactive (and free) by default. *)
+
+(** {1 One stressing thread alone} *)
+
+type stress_event =
+  | Idle
+  | Access of { kind : access; addr : int; boundary : bool }
+
+val stress_ticks :
+  t -> schedule -> thread:int -> int -> (stress_event -> unit) -> unit
+(** [stress_ticks t schedule ~thread n f] steps stressing thread [thread]
+    (counted from 0 in block order) of [schedule] alone for [n] ticks,
+    with the step {!launch} uses, and calls [f] after each tick with
+    what the tick did.  A [Random] draw comes from [t]'s random stream;
+    nothing else of [t] is touched.  The reference point of the
+    schedules' tick-for-tick test. *)
 
 (** {1 Deterministic fixed-schedule replay} *)
 

@@ -6,10 +6,10 @@ let device_words = 2048
 
 let litmus_max_ticks = 50_000
 
-(* One execution of [kernel], which is [Test.kernel inst]: a loop over
-   runs looks it up once. *)
-let run_kernel ~chip ~seed ~env inst kernel =
-  Gpusim.Sim.with_sim ~words:device_words ~chip ~seed @@ fun sim ->
+(* One execution of [kernel], which is [Test.kernel inst], on a device of
+   [words]: a loop over runs looks the kernel up once. *)
+let run_kernel ~words ~chip ~seed ~env inst kernel =
+  Gpusim.Sim.with_sim ~words ~chip ~seed @@ fun sim ->
   Gpusim.Sim.set_environment sim env;
   let x = Gpusim.Sim.alloc sim (Test.layout_words inst) in
   let out = Gpusim.Sim.alloc sim 2 in
@@ -35,10 +35,10 @@ let run_kernel ~chip ~seed ~env inst kernel =
   { r1; r2; weak = (not timed_out) && Test.weak inst ~r1 ~r2; timed_out }
 
 (* The allocations of [run_kernel] and of its launch's stress set-up. *)
-let fits ~chip ~env inst =
+let fits_on ~words ~chip ~env inst =
   inst.Test.distance >= 0
   &&
-  let sim = Gpusim.Sim.create ~words:device_words ~chip ~seed:0 () in
+  let sim = Gpusim.Sim.create ~words ~chip ~seed:0 () in
   match
     ignore (Gpusim.Sim.alloc sim (Test.layout_words inst));
     ignore (Gpusim.Sim.alloc sim 2);
@@ -47,16 +47,30 @@ let fits ~chip ~env inst =
   | _ -> true
   | exception Failure _ -> false
 
-let run_once ~chip ~seed ?(env = Gpusim.Sim.no_environment) inst =
-  run_kernel ~chip ~seed ~env inst (Test.kernel inst)
+let fits = fits_on ~words:device_words
 
-let count_weak ~chip ~seed ?(env = Gpusim.Sim.no_environment) ~runs inst =
+(* Doubling from [device_words], so a run that fits there keeps its
+   device and its bytes. *)
+let words_for ~chip ~env insts =
+  let fits_all words =
+    List.for_all
+      (fun inst -> inst.Test.distance < 0 || fits_on ~words ~chip ~env inst)
+      insts
+  in
+  let rec size words = if fits_all words then words else size (2 * words) in
+  size device_words
+
+let run_once ~chip ~seed ?(env = Gpusim.Sim.no_environment) inst =
+  run_kernel ~words:device_words ~chip ~seed ~env inst (Test.kernel inst)
+
+let count_weak ?(words = device_words) ~chip ~seed
+    ?(env = Gpusim.Sim.no_environment) ~runs inst =
   let kernel = Test.kernel inst in
   let master = Gpusim.Rng.create seed in
   let n = ref 0 in
   for _ = 1 to runs do
     let seed = Gpusim.Rng.bits30 master in
-    if (run_kernel ~chip ~seed ~env inst kernel).weak then incr n
+    if (run_kernel ~words ~chip ~seed ~env inst kernel).weak then incr n
   done;
   !n
 

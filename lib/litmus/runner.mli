@@ -19,6 +19,14 @@ val fits :
     non-negative, and its words and the environment's scratchpad fit);
     a run that does not raises in [Sim.alloc]. *)
 
+val words_for :
+  chip:Gpusim.Chip.t -> env:Gpusim.Sim.environment -> Test.instance list ->
+  int
+(** The device size on which a run of each of the instances under [env]
+    fits: the 2,048 words every litmus run gets when they all fit there,
+    else the smallest power of two above that holds them.  Instances
+    with a negative distance fit no device and are ignored. *)
+
 val run_once :
   chip:Gpusim.Chip.t ->
   seed:int ->
@@ -29,6 +37,7 @@ val run_once :
     array, launch the two-block kernel, read back [r1, r2]. *)
 
 val count_weak :
+  ?words:int ->
   chip:Gpusim.Chip.t ->
   seed:int ->
   ?env:Gpusim.Sim.environment ->
@@ -36,7 +45,8 @@ val count_weak :
   Test.instance ->
   int
 (** Number of weak outcomes over [runs] executions with seeds derived
-    from [seed].  Timeouts are not counted as weak. *)
+    from [seed], each on a device of [words] (default 2,048).
+    Timeouts are not counted as weak. *)
 
 val observed :
   chip:Gpusim.Chip.t ->

@@ -44,9 +44,8 @@ let build_kernel inst =
 
 (* The kernel AST is a pure function of the instance, yet tuning
    campaigns rebuild it for every one of their millions of launches over
-   a handful of distinct instances.  Memoised under a mutex, like
-   {!Core.Stress.kernel}; the AST is immutable, so sharing one value
-   across worker domains is safe. *)
+   a handful of distinct instances.  Memoised under a mutex; the AST is
+   immutable, so sharing one value across worker domains is safe. *)
 let kernel_memo : (idiom * int, Gpusim.Kernel.t) Hashtbl.t = Hashtbl.create 16
 let kernel_mu = Mutex.create ()
 

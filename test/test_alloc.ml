@@ -85,16 +85,26 @@ let test_reset_equals_create () =
 
 (* One long-lived simulator, reset between runs, against a fresh one per
    run, over a seeded shuffle of launch shapes: the ten applications
-   under sys-str+ (stress and randomised ids; barriers, shared memory,
-   atomics, fences and pending loads) and MP, LB and SB litmus launches
-   under the litmus sys-str+ at several distances.  Thread, block and
-   register counts grow and shrink from one launch to the next, so a
-   launch that re-arms its arena incompletely shows here. *)
-type shape = App of Apps.App.t | Litmus of Litmus.Test.instance
+   under sys-str+, rand-str+ and cache-str+ (each stress schedule, and
+   randomised ids; barriers, shared memory, atomics, fences and pending
+   loads) and MP, LB and SB litmus launches under the litmus sys-str+ at
+   several distances.  Thread, block and register counts grow and shrink
+   from one launch to the next, and the stress schedule changes, so a
+   launch that re-arms its arena incompletely (a stressing thread's
+   schedule position included) shows here. *)
+type shape =
+  | App of Apps.App.t * Core.Environment.t
+  | Litmus of Litmus.Test.instance
 
 let test_recycled_across_shapes () =
   let tuned = Core.Tuning.shipped ~chip in
-  let app_env = Core.Environment.for_app (Core.Environment.sys_plus ~tuned) in
+  let app_envs =
+    List.filter
+      (fun e ->
+        List.mem e.Core.Environment.label
+          [ "sys-str+"; "rand-str+"; "cache-str+" ])
+      (Core.Environment.all ~tuned)
+  in
   let litmus_env =
     Core.Environment.for_litmus (Core.Environment.sys_plus ~tuned)
   in
@@ -106,13 +116,18 @@ let test_recycled_across_shapes () =
           [ 0; 8; 64 ])
       Litmus.Test.idioms
   in
-  let shapes = List.map (fun a -> App a) Apps.Registry.all @ litmus in
+  let apps =
+    List.concat_map
+      (fun e -> List.map (fun a -> App (a, e)) Apps.Registry.all)
+      app_envs
+  in
+  let shapes = apps @ litmus in
   let shapes = Array.of_list (shapes @ shapes) in
   Gpusim.Rng.shuffle (Gpusim.Rng.create 11) shapes;
   let words = 65536 in
   let run sim = function
-    | App app ->
-      Gpusim.Sim.set_environment sim app_env;
+    | App (app, env) ->
+      Gpusim.Sim.set_environment sim (Core.Environment.for_app env);
       app.Apps.App.run sim Apps.App.Original
     | Litmus inst ->
       Gpusim.Sim.set_environment sim litmus_env;
@@ -148,7 +163,7 @@ let test_recycled_across_shapes () =
       in
       let name =
         match shape with
-        | App a -> a.Apps.App.name
+        | App (a, e) -> a.Apps.App.name ^ " under " ^ e.Core.Environment.label
         | Litmus inst ->
           Printf.sprintf "%s at distance %d"
             (Litmus.Test.idiom_name inst.Litmus.Test.idiom)
@@ -166,19 +181,19 @@ let test_recycled_across_shapes () =
       check "memory" (m1 = m2))
     shapes
 
-(* The committed per-run minor-heap budget, in words.  Measured at 244
+(* The committed per-run minor-heap budget, in words.  Measured at 227
    words/run when the budget was last tightened (ring-buffer queues,
    recycled simulator, memoised kernel ASTs, compiled code cached per
    kernel with per-launch argument binding, one-word shared arrays for
    the shared-memory-free litmus kernels, unboxed rng state and register
    file, a launch arena re-armed in place, a contention coin whose
-   probability is not boxed, and no launch-local closures for the
-   access counters and the shared bounds check); the ceiling is about
-   1.2x that, so
+   probability is not boxed, no launch-local closures for the access
+   counters and the shared bounds check, and block arming without a
+   closure), down from 244; the ceiling is about 1.2x that, so
    per-launch thread records (about 30 words per thread with their
    contexts and arrays) or per-run kernel compilation (several hundred
    words) fail it. *)
-let per_run_budget_words = 293.0
+let per_run_budget_words = 272.0
 
 let batch_runs = 400
 
@@ -215,16 +230,18 @@ let test_minor_words_budget () =
    above, the scheduler's tick loop dominates, so this budget is the one
    that catches per-tick allocation: a boxed rng draw, a closure or a
    tuple per step, or a float boxed by the contention arithmetic.
-   Measured at 378 words per launch, down from 389 when each launch
+   Measured at 346 words per launch, down from 378 when the stressing
+   threads ran a stress kernel (its arguments bound at every launch),
+   from 389 when each launch
    allocated closures for its access counters and shared bounds check,
    from 411 when each contention coin boxed its probability, from 2,598
    when each launch allocated its ~40 thread records, contexts and
    register arrays and boxed every register write, and from 14.5k with
    per-tick allocation.  The
    ceiling is about 1.2x the measured figure: one boxed word pair on
-   each of the launch's ~370 ticks, per-launch thread records, or a
-   boxed register write on each stressing load exceeds it. *)
-let stressed_budget_words = 454.0
+   each of the launch's ~370 ticks, or per-launch thread records,
+   exceeds it. *)
+let stressed_budget_words = 415.0
 
 let test_stressed_launch_budget () =
   let env =
@@ -318,9 +335,9 @@ let test_reset_after_every_write_path () =
       make_stress =
         (fun _ ~app_grid:_ ~app_block:_ ->
           Some
-            { Gpusim.Sim.kernel = store; blocks = 1; block_size = 1;
-              args = [ ("x", last) ]; period = 0; warmup = 8;
-              intensity = 1.0 }) }
+            { Gpusim.Sim.schedule =
+                Gpusim.Sim.sequence [| `Store |] ~locations:[| last |];
+              blocks = 1; block_size = 1; warmup = 8; intensity = 1.0 }) }
   in
   let scenarios =
     [ ("host write", chip, fun sim -> Gpusim.Sim.write sim last 7);
